@@ -156,6 +156,15 @@ def _probe_values(
     return tuple(str(v) for v in values)
 
 
+def connect_read_only(path: Path) -> sqlite3.Connection:
+    """Open a SQLite file read-only.
+
+    The URI is built from the quoted absolute path, so a '#', '?' or '%' in
+    the path stays part of the file name instead of ending it.
+    """
+    return sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
+
+
 def introspect_database(
     sqlite_file: Path,
     descriptions: Optional[Mapping[str, Mapping[str, str]]] = None,
@@ -176,8 +185,7 @@ def introspect_database(
     descriptions = descriptions or {}
     db_id = database_id or sqlite_file.stem
 
-    uri = f"file:{sqlite_file}?mode=ro"
-    conn = sqlite3.connect(uri, uri=True)
+    conn = connect_read_only(sqlite_file)
     try:
         try:
             rows = conn.execute(

@@ -33,7 +33,14 @@ from .budget import (
     truncate_target,
 )
 from .cot import ALL_MODES, MODE_NONE, CotTrace, run_cot
-from .curation import EmbeddingCache, ExamplePool, build_pool, score_candidates, select_top_k
+from .curation import (
+    CuratedSet,
+    EmbeddingCache,
+    ExamplePool,
+    build_pool,
+    score_candidates,
+    select_top_k,
+)
 from .evaluate import EvalOutcome, aggregate, execute_and_compare
 from .gateway import LlmClient, LlmEndpoint, ReplayStore, extract_sql
 from .prompts import (
@@ -44,6 +51,7 @@ from .prompts import (
     build_sft_pair,
     few_shot_text,
     open_prompt_token_fn,
+    sft_seed,
 )
 from .schema import SchemaVariant, column_line_costs, render_schema
 from .taxonomy import ErrorLabel, classify, tabulate
@@ -205,6 +213,39 @@ def _zero_shot_bundle(
         instance, catalog, cfg.variant, keep=keep, truncation=record)
 
 
+def _load_pool(
+    cfg: RunConfig,
+    embed_client: LlmClient,
+) -> tuple[ExamplePool, Optional[EmbeddingCache]]:
+    """Embed the pool split's candidates, through the embedding cache if set."""
+    pool_split = load_split(cfg.benchmark_root, cfg.pool_split)
+    cache = (EmbeddingCache(cfg.embedding_cache, cfg.embed_endpoint().model_id)
+             if cfg.embedding_cache else None)
+    pool = build_pool(
+        [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
+        cfg.variant, embed_client.embed, cache)
+    return pool, cache
+
+
+def _curate(
+    cfg: RunConfig,
+    instance: TaskInstance,
+    catalog,
+    pool: ExamplePool,
+    client: LlmClient,
+    embed_client: LlmClient,
+    cache: Optional[EmbeddingCache],
+) -> tuple[str, CuratedSet]:
+    """Draft a zero-shot query, score the pool against it, keep the top k.
+
+    k is `cfg.shots`; `curate` without --shots keeps one example.
+    """
+    draft_sql = extract_sql(client.complete(_zero_shot_bundle(cfg, instance, catalog)))
+    triples = score_candidates(
+        instance, catalog, draft_sql, pool, embed_client.embed, cache)
+    return draft_sql, select_top_k(triples, cfg.shots or 1, pool)
+
+
 def _few_shot_bundle(
     cfg: RunConfig,
     instance: TaskInstance,
@@ -215,18 +256,8 @@ def _few_shot_bundle(
     cache: Optional[EmbeddingCache],
 ) -> PromptBundle:
     """Curate, truncate and assemble the k-shot prompt for one instance."""
-    draft_bundle = _zero_shot_bundle(cfg, instance, catalog)
-    draft_sql = extract_sql(client.complete(draft_bundle))
-
-    triples = score_candidates(
-        instance, catalog, draft_sql, pool, embed_client.embed, cache)
-    curated = select_top_k(triples, cfg.shots, pool)
-
-    blocks = [
-        (pool.candidates[triple.candidate_index].instance,
-         pool.candidates[triple.candidate_index].catalog)
-        for _, triple in curated.examples
-    ]
+    _, curated = _curate(cfg, instance, catalog, pool, client, embed_client, cache)
+    examples = [pool.candidates[triple.candidate_index] for _, triple in curated.examples]
     similarities = [clamp_similarity(triple.gamma_a) for _, triple in curated.examples]
     plan = plan_example_truncation(similarities, cfg.temperature)
 
@@ -234,29 +265,25 @@ def _few_shot_bundle(
     sections = [PromptSection(
         catalog, partition_columns(catalog, question=target_link),
         column_line_costs(catalog, cfg.variant, count_tokens))]
-    for ex_instance, ex_catalog in blocks:
+    for example in examples:
         sections.append(PromptSection(
-            ex_catalog,
-            partition_columns(ex_catalog, reference_sql=ex_instance.gold_sql),
-            column_line_costs(ex_catalog, cfg.variant, count_tokens)))
+            example.catalog,
+            partition_columns(example.catalog, reference_sql=example.instance.gold_sql),
+            column_line_costs(example.catalog, cfg.variant, count_tokens)))
+
+    def example_blocks(keeps) -> list[FewShotBlock]:
+        return [FewShotBlock(example.instance, example.catalog, keep)
+                for example, keep in zip(examples, keeps[1:])]
 
     def render(keeps) -> str:
-        example_blocks = [
-            FewShotBlock(ex_instance, ex_catalog, keeps[i + 1])
-            for i, (ex_instance, ex_catalog) in enumerate(blocks)
-        ]
         return few_shot_text(
-            instance, catalog, example_blocks, cfg.variant, keeps[0])
+            instance, catalog, example_blocks(keeps), cfg.variant, keeps[0])
 
     keeps, record = truncate_examples(
         sections, plan, render, cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"))
-    example_blocks = [
-        FewShotBlock(ex_instance, ex_catalog, keeps[i + 1])
-        for i, (ex_instance, ex_catalog) in enumerate(blocks)
-    ]
     return build_few_shot_prompt(
-        instance, catalog, example_blocks, cfg.variant,
+        instance, catalog, example_blocks(keeps), cfg.variant,
         keep=keeps[0], truncation=record)
 
 
@@ -363,12 +390,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     cache = None
     if cfg.shots > 0:
         embed_client = embed_client or build_embed_client(cfg)
-        pool_split = load_split(cfg.benchmark_root, cfg.pool_split)
-        if cfg.embedding_cache:
-            cache = EmbeddingCache(cfg.embedding_cache, cfg.embed_endpoint().model_id)
-        pool = build_pool(
-            [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
-            cfg.variant, embed_client.embed, cache)
+        pool, cache = _load_pool(cfg, embed_client)
 
     def process(instance: TaskInstance):
         return process_instance(cfg, instance, split, client, embed_client, pool, cache)
@@ -461,7 +483,7 @@ def cmd_prep_sft(cfg: RunConfig) -> Path:
             try:
                 pair, record = build_sft_pair(
                     instance, catalog, cfg.variant, cfg.budget,
-                    seed=derive_seed(cfg.truncation_seed, instance.question_id, "sft"))
+                    seed=sft_seed(cfg.truncation_seed, instance.question_id))
             except Exception as exc:
                 logger.warning("skipping question %s: %s", instance.question_id, exc)
                 skipped += 1
@@ -527,23 +549,15 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     if not cfg.pool_split:
         raise SystemExit("curate requires --pool-split")
     split = load_split(cfg.benchmark_root, cfg.split)
-    pool_split = load_split(cfg.benchmark_root, cfg.pool_split)
     client = client or build_client(cfg)
     embed_client = embed_client or build_embed_client(cfg)
-    cache = (EmbeddingCache(cfg.embedding_cache, cfg.embed_endpoint().model_id)
-             if cfg.embedding_cache else None)
-    pool = build_pool(
-        [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
-        cfg.variant, embed_client.embed, cache)
+    pool, cache = _load_pool(cfg, embed_client)
 
     rows = []
     for instance in split.instances:
-        catalog = split.databases[instance.database_id]
-        draft_bundle = _zero_shot_bundle(cfg, instance, catalog)
-        draft_sql = extract_sql(client.complete(draft_bundle))
-        triples = score_candidates(
-            instance, catalog, draft_sql, pool, embed_client.embed, cache)
-        curated = select_top_k(triples, cfg.shots or 1, pool)
+        draft_sql, curated = _curate(
+            cfg, instance, split.databases[instance.database_id],
+            pool, client, embed_client, cache)
         rows.append({
             "question_id": instance.question_id,
             "draft_sql": draft_sql,

@@ -10,7 +10,6 @@ in sequence; distinct instances may run concurrently.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -25,17 +24,22 @@ from .budget import (
     truncate_target,
 )
 from .gateway import EmptyResponse, extract_sql
-from .prompts import FEW_SHOT_FORMAT_LINE, PromptBundle, note_line, question_line
+from .prompts import (
+    FEW_SHOT_FORMAT_LINE,
+    PROPERTIES_LINE,
+    PromptBundle,
+    note_line,
+    question_line,
+)
 from .schema import (
     DatabaseCatalog,
     SchemaVariant,
     filter_catalog,
     render_schema,
+    render_schema_format_header,
     schema_token_fn,
 )
 from .skeleton import UnterminatedComment, UnterminatedString, extract_skeleton
-
-logger = logging.getLogger(__name__)
 
 MODE_NONE = "none"
 MODE_COT_SP_PRED = "cot-sp-pred"
@@ -46,21 +50,10 @@ COT_MODES = (MODE_COT_SP_PRED, MODE_COT_SP_FULL, MODE_COT_SK_PRED, MODE_COT_SK_F
 ALL_MODES = (MODE_NONE,) + COT_MODES
 
 
-class StepParseFailure(RuntimeError):
-    pass
-
-
 class SkeletonParseFailure(RuntimeError):
     pass
 
 
-_STEP1_HEADER = (
-    "# TABLE_NAME (\n"
-    "# COLUMN_NAME: DESCRIPTION\n"
-    "# )\n"
-    "# FOREIGN KEYS:\n"
-    "# TABLE_NAME1.COLUMN_NAME1 = TABLE_NAME2.COLUMN_NAME2"
-)
 _LATER_HEADER = (
     "# TABLE_NAME (\n"
     "# COLUMN_NAME: TYPE, (DESCRIPTION), (VALUE1, VALUE2, ...)\n"
@@ -68,7 +61,6 @@ _LATER_HEADER = (
     "# FOREIGN KEYS:\n"
     "# TABLE_NAME1.COLUMN_NAME1 = TABLE_NAME2.COLUMN_NAME2"
 )
-_STEP1_PROPERTIES = "### Here are SQLite SQL tables, with their properties:"
 _LATER_PROPERTIES = "### Here are SQLite SQL tables that will be used, with their properties:"
 _STEP_BY_STEP = "Please generate the SQL script STEP BY STEP."
 
@@ -109,6 +101,7 @@ _SK_FINAL_TAIL_TEMPLATE = (
 
 _STEP1_VARIANT = SchemaVariant.C_D
 _LATER_VARIANT = SchemaVariant.C_VDT
+_STEP1_HEADER = render_schema_format_header(_STEP1_VARIANT).rstrip("\n")
 
 
 @dataclass
@@ -224,15 +217,6 @@ def _validate_columns(
     return valid
 
 
-def _restrict_to_tables(catalog: DatabaseCatalog, tables: Sequence[str]) -> DatabaseCatalog:
-    wanted = set(tables)
-    keep = {
-        t.name: ({c.name for c in t.columns} if t.name in wanted else set())
-        for t in catalog.tables
-    }
-    return filter_catalog(catalog, keep)
-
-
 def _restrict_to_columns(
     catalog: DatabaseCatalog,
     columns: Mapping[str, Sequence[str]],
@@ -244,18 +228,29 @@ def _restrict_to_columns(
     return filter_catalog(catalog, keep)
 
 
+def _all_columns(catalog: DatabaseCatalog, tables: Sequence[str]) -> dict[str, list[str]]:
+    table_map = catalog.table_map()
+    return {name: [c.name for c in table_map[name].columns] for name in tables}
+
+
+def _restrict_to_tables(catalog: DatabaseCatalog, tables: Sequence[str]) -> DatabaseCatalog:
+    return _restrict_to_columns(catalog, _all_columns(catalog, tables))
+
+
 def _build_step_prompt(
     instance: TaskInstance,
     schema_catalog: DatabaseCatalog,
     step_index: int,
-    header: str,
-    properties_line: str,
-    variant: SchemaVariant,
     tail: str,
     budget: TokenBudget,
     seed: int,
     counter: TokenCounter,
 ) -> PromptBundle:
+    if step_index == 1:
+        header, properties_line, variant = _STEP1_HEADER, PROPERTIES_LINE, _STEP1_VARIANT
+    else:
+        header, properties_line, variant = _LATER_HEADER, _LATER_PROPERTIES, _LATER_VARIANT
+
     def render(keep) -> str:
         lines = [FEW_SHOT_FORMAT_LINE, header, properties_line]
         schema_text = render_schema(schema_catalog, variant, keep).rstrip("\n")
@@ -300,49 +295,48 @@ def _normalize_skeleton(step_response: str) -> str:
     return skeleton.text
 
 
-def _run_steps(
+def run_cot(
     instance: TaskInstance,
     catalog: DatabaseCatalog,
     client,
     mode: str,
     *,
-    with_skeleton: bool,
-    budget: TokenBudget,
-    seed: int,
-    counter: TokenCounter,
-    restrict_after_step1: bool = True,
+    budget: Optional[TokenBudget] = None,
+    seed: int = 0,
+    counter: TokenCounter = count_tokens,
 ) -> CotTrace:
-    predicted_only = mode.endswith("-pred")
+    """Run one chain-of-thought mode; "none" is rejected (use the zero-shot path).
+
+    cot-sp-* asks for tables, columns, then SQL; cot-sk-* adds a skeleton
+    step before the SQL step.
+    """
+    if mode not in COT_MODES:
+        raise ValueError(f"mode {mode!r} is not a chain-of-thought mode")
+    budget = budget or TokenBudget()
+    restrict = mode.endswith("-pred")
     trace = CotTrace(mode=mode)
 
-    def run_step(bundle: PromptBundle) -> str:
+    def run_step(schema_catalog: DatabaseCatalog, step_index: int, tail: str) -> str:
+        bundle = _build_step_prompt(
+            instance, schema_catalog, step_index, tail, budget, seed, counter)
         trace.step_prompts.append(bundle)
         response = client.complete(bundle)
         trace.step_responses.append(response)
         return response
 
     # Step 1: find tables over the description-only schema.
-    step1 = _build_step_prompt(
-        instance, catalog, 1, _STEP1_HEADER, _STEP1_PROPERTIES,
-        _STEP1_VARIANT, _STEP1_TAIL, budget, seed, counter)
-    response = run_step(step1)
+    response = run_step(catalog, 1, _STEP1_TAIL)
     tables = _validate_tables(parse_table_list(response, catalog), catalog, trace)
     if not tables:
         trace.warnings.append("no usable tables parsed from step 1; using full schema")
         tables = [t.name for t in catalog.tables]
-        predicted_only = False
+        restrict = False
     trace.predicted_tables = tables
 
-    restrict = predicted_only and restrict_after_step1
-    step2_catalog = _restrict_to_tables(catalog, tables) if restrict else catalog
-    tables_related = ", ".join(tables)
-
     # Step 2: find columns within the predicted tables.
-    step2 = _build_step_prompt(
-        instance, step2_catalog, 2, _LATER_HEADER, _LATER_PROPERTIES,
-        _LATER_VARIANT, _STEP2_TAIL_TEMPLATE.format(tables=tables_related),
-        budget, seed, counter)
-    response = run_step(step2)
+    step2_catalog = _restrict_to_tables(catalog, tables) if restrict else catalog
+    response = run_step(
+        step2_catalog, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
     columns = _validate_columns(
         parse_column_list(response, catalog, tables), catalog, trace)
     if restrict:
@@ -353,7 +347,7 @@ def _run_steps(
             del columns[extra]
     if not columns:
         trace.warnings.append("no usable columns parsed from step 2; using full schema")
-        columns = {name: [c.name for c in catalog.table_map()[name].columns] for name in tables}
+        columns = _all_columns(catalog, tables)
         restrict = False
     trace.predicted_columns = columns
 
@@ -361,77 +355,14 @@ def _run_steps(
     columns_related = ", ".join(
         f"{table}.{column}" for table, cols in columns.items() for column in cols)
 
-    if with_skeleton:
-        step3 = _build_step_prompt(
-            instance, later_catalog, 3, _LATER_HEADER, _LATER_PROPERTIES,
-            _LATER_VARIANT, _SK_SKELETON_TAIL_TEMPLATE.format(columns=columns_related),
-            budget, seed, counter)
-        response = run_step(step3)
+    if mode in (MODE_COT_SK_PRED, MODE_COT_SK_FULL):
+        response = run_step(
+            later_catalog, 3, _SK_SKELETON_TAIL_TEMPLATE.format(columns=columns_related))
         trace.skeleton = _normalize_skeleton(response)
-
-        final_tail = _SK_FINAL_TAIL_TEMPLATE.format(
-            columns=columns_related, skeleton=trace.skeleton)
-        final_index = 4
+        response = run_step(later_catalog, 4, _SK_FINAL_TAIL_TEMPLATE.format(
+            columns=columns_related, skeleton=trace.skeleton))
     else:
-        final_tail = _SP_FINAL_TAIL_TEMPLATE.format(columns=columns_related)
-        final_index = 3
-
-    final_step = _build_step_prompt(
-        instance, later_catalog, final_index, _LATER_HEADER, _LATER_PROPERTIES,
-        _LATER_VARIANT, final_tail, budget, seed, counter)
-    response = run_step(final_step)
+        response = run_step(
+            later_catalog, 3, _SP_FINAL_TAIL_TEMPLATE.format(columns=columns_related))
     trace.final_sql = extract_sql(response)
     return trace
-
-
-def run_cot_sp(
-    instance: TaskInstance,
-    catalog: DatabaseCatalog,
-    client,
-    mode: str = MODE_COT_SP_FULL,
-    *,
-    budget: Optional[TokenBudget] = None,
-    seed: int = 0,
-    counter: TokenCounter = count_tokens,
-    restrict_after_step1: bool = True,
-) -> CotTrace:
-    if mode not in (MODE_COT_SP_PRED, MODE_COT_SP_FULL):
-        raise ValueError(f"run_cot_sp cannot handle mode {mode!r}")
-    return _run_steps(
-        instance, catalog, client, mode, with_skeleton=False,
-        budget=budget or TokenBudget(), seed=seed, counter=counter,
-        restrict_after_step1=restrict_after_step1)
-
-
-def run_cot_sk(
-    instance: TaskInstance,
-    catalog: DatabaseCatalog,
-    client,
-    mode: str = MODE_COT_SK_FULL,
-    *,
-    budget: Optional[TokenBudget] = None,
-    seed: int = 0,
-    counter: TokenCounter = count_tokens,
-    restrict_after_step1: bool = True,
-) -> CotTrace:
-    if mode not in (MODE_COT_SK_PRED, MODE_COT_SK_FULL):
-        raise ValueError(f"run_cot_sk cannot handle mode {mode!r}")
-    return _run_steps(
-        instance, catalog, client, mode, with_skeleton=True,
-        budget=budget or TokenBudget(), seed=seed, counter=counter,
-        restrict_after_step1=restrict_after_step1)
-
-
-def run_cot(
-    instance: TaskInstance,
-    catalog: DatabaseCatalog,
-    client,
-    mode: str,
-    **kwargs,
-) -> CotTrace:
-    """Dispatch on mode; "none" is rejected (use the zero-shot path)."""
-    if mode in (MODE_COT_SP_PRED, MODE_COT_SP_FULL):
-        return run_cot_sp(instance, catalog, client, mode, **kwargs)
-    if mode in (MODE_COT_SK_PRED, MODE_COT_SK_FULL):
-        return run_cot_sk(instance, catalog, client, mode, **kwargs)
-    raise ValueError(f"mode {mode!r} is not a chain-of-thought mode")

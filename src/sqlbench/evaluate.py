@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bench import DIFFICULTIES, TaskInstance
+from .bench import DIFFICULTIES, TaskInstance, connect_read_only
 
 DEFAULT_QUERY_TIMEOUT = 30.0
 
@@ -58,9 +58,8 @@ def _normalize_rows(rows: Sequence[Sequence]) -> frozenset:
 
 def _run_query(database: Path, sql: str, timeout: float):
     """Execute one read-only query; returns (rows, error)."""
-    uri = f"file:{database}?mode=ro"
     try:
-        conn = sqlite3.connect(uri, uri=True)
+        conn = connect_read_only(database)
     except sqlite3.Error as exc:
         return None, str(exc)
     deadline = time.monotonic() + timeout

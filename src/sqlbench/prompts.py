@@ -19,6 +19,7 @@ from .budget import (
     TokenCounter,
     TruncationRecord,
     count_tokens,
+    derive_seed,
     partition_columns,
     truncate_target,
 )
@@ -228,6 +229,11 @@ def completion_for(gold_sql: str, cue: str = CUE) -> str:
     return " " + stripped
 
 
+def sft_seed(seed: int, question_id: int) -> int:
+    """Truncation seed of one instance's SFT pair, derived from the run seed."""
+    return derive_seed(seed, question_id, "sft")
+
+
 def build_sft_pair(
     instance: TaskInstance,
     catalog: DatabaseCatalog,
@@ -258,13 +264,18 @@ def emit_sft_dataset(
     seed: int = 0,
     counter: TokenCounter = count_tokens,
 ) -> Iterator[tuple[SftPair, TruncationRecord]]:
-    """Yield one (pair, truncation record) per instance, in split order."""
+    """Yield one (pair, truncation record) per instance, in split order.
+
+    Each instance truncates with `sft_seed(seed, question_id)`, as
+    `sqlbench prep-sft` does.
+    """
     if budget.max_context < 256:
         raise ValueError("SFT budget needs max_context >= 256")
     for instance in split.instances:
         catalog = split.databases[instance.database_id]
         yield build_sft_pair(
-            instance, catalog, variant, budget, seed=seed, counter=counter)
+            instance, catalog, variant, budget,
+            seed=sft_seed(seed, instance.question_id), counter=counter)
 
 
 def write_sft_jsonl(

@@ -38,7 +38,7 @@ from sqlbench.budget import (
     truncate_target,
 )
 from sqlbench.cli import RunConfig, build_client, cmd_prep_sft, cmd_run
-from sqlbench.cot import MODE_COT_SK_FULL, run_cot_sk
+from sqlbench.cot import MODE_COT_SK_FULL, run_cot
 from sqlbench.curation import PoolCandidate, ExamplePool, score_candidates, select_top_k
 from sqlbench.evaluate import EvalOutcome, aggregate, execute_and_compare
 from sqlbench.gateway import LlmClient, LlmEndpoint
@@ -373,8 +373,8 @@ def test_criterion_5_budget_property():
 
         # chain-of-thought: every step prompt individually within budget
         if trial % 10 == 0:
-            trace = run_cot_sk(instance, target_catalog, client, MODE_COT_SK_FULL,
-                               budget=budget, seed=seed)
+            trace = run_cot(instance, target_catalog, client, MODE_COT_SK_FULL,
+                            budget=budget, seed=seed)
             assert len(trace.step_prompts) == 4
             for step in trace.step_prompts:
                 assert step.token_count <= limit
@@ -382,8 +382,8 @@ def test_criterion_5_budget_property():
                     assert not set(step.truncation.removed_columns[0]) & \
                         partition_columns(target_catalog,
                                           question=f"{instance.question} ").target
-            trace2 = run_cot_sk(instance, target_catalog, client, MODE_COT_SK_FULL,
-                                budget=budget, seed=seed)
+            trace2 = run_cot(instance, target_catalog, client, MODE_COT_SK_FULL,
+                             budget=budget, seed=seed)
             assert [b.text for b in trace.step_prompts] == \
                 [b.text for b in trace2.step_prompts]
 

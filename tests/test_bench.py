@@ -226,3 +226,23 @@ def test_value_probe_timeout_skips_values(tmp_path, caplog):
     for table in catalog.tables:
         for column in table.columns:
             assert column.values is None
+
+
+@pytest.mark.parametrize("dirname", ["d#x", "q?x", "p%20y", "s pace"])
+def test_special_characters_in_root_open_the_right_file_read_only(tmp_path, dirname):
+    from sqlbench.bench import database_path
+    from sqlbench.evaluate import execute_and_compare
+
+    root = write_benchmark(tmp_path / dirname / "bench", MINI_QUESTIONS[:2],
+                           {"cinema": make_cinema_db})
+    before = sorted(p for p in tmp_path.rglob("*"))
+    split = load_split(root, "dev")
+    assert [t.name for t in split.databases["cinema"].tables] == ["movies", "ratings"]
+
+    db = database_path(root, "cinema")
+    for instance in split.instances:
+        outcome = execute_and_compare(instance.gold_sql, instance.gold_sql, db)
+        assert outcome.matched, outcome
+    written = execute_and_compare("DELETE FROM movies", "SELECT 1", db)
+    assert "readonly" in written.predicted_error
+    assert sorted(p for p in tmp_path.rglob("*")) == before  # no stray file

@@ -347,3 +347,69 @@ def test_main_serialize_schema_subcommand(mini_bench, tmp_path):
                  "--split", "dev", "--output-dir", str(out_dir)])
     assert code == 0
     assert len(list(out_dir.rglob("*.txt"))) == 18
+
+
+def test_curate_selects_the_examples_of_the_few_shot_run(mini_bench, tmp_path):
+    from sqlbench.prompts import question_line
+
+    def transport():
+        return ScriptedTransport(
+            completion_fn=completion_by_question(
+                MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+            embed_fn=hash_embedding)
+
+    run_cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
+                         output_dir=tmp_path / "run")
+    run_transport = transport()
+    cmd_run(run_cfg, client=build_client(run_cfg, transport=run_transport),
+            embed_client=build_embed_client(run_cfg, transport=run_transport))
+    curate_cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
+                            output_dir=tmp_path / "curate")
+    curate_transport = transport()
+    curation = json.loads(cmd_curate(
+        curate_cfg,
+        client=build_client(curate_cfg, transport=curate_transport),
+        embed_client=build_embed_client(curate_cfg, transport=curate_transport),
+    ).read_text(encoding="utf-8"))
+
+    pool_id_of = {question_line(q["question"]): q["question_id"] for q in POOL_QUESTIONS}
+    traces = [json.loads(line) for line in
+              (tmp_path / "run" / "traces.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [t["question_id"] for t in traces] == [row["question_id"] for row in curation]
+    for trace, row in zip(traces, curation):
+        (prompt,) = trace["step_prompts"]
+        asked = [line for line in prompt.splitlines() if line.startswith("### Question: ")]
+        shown = [pool_id_of[line] for line in asked[:-1]]  # the last one is the target
+        selected = [s["candidate_question_id"] for s in row["selected"]]
+        assert len(selected) == 2
+        assert shown == selected
+
+
+def test_emit_sft_dataset_matches_prep_sft(tmp_path):
+    import sqlite3
+
+    from sqlbench.prompts import emit_sft_dataset
+
+    def make_wide_db(path):
+        conn = sqlite3.connect(path)
+        columns = ", ".join(f"col_{i:03d} TEXT" for i in range(250))
+        conn.execute(f"CREATE TABLE wide (id INTEGER PRIMARY KEY, {columns})")
+        conn.commit()
+        conn.close()
+        return path
+
+    questions = [
+        {"question_id": i, "question": f"Broad question number {i}?", "evidence": "",
+         "SQL": "SELECT id FROM wide", "db_id": "wide", "difficulty": "simple"}
+        for i in range(4)
+    ]
+    root = write_benchmark(tmp_path / "widebench", questions, {"wide": make_wide_db})
+    cfg = RunConfig(benchmark_root=root, split="dev", output_dir=tmp_path / "out",
+                    max_context=700, response_reserve=100, truncation_seed=7)
+    lines = cmd_prep_sft(cfg).read_text(encoding="utf-8").splitlines()
+
+    pairs = list(emit_sft_dataset(load_split(root, "dev"), cfg.variant, cfg.budget,
+                                  seed=cfg.truncation_seed))
+    assert all(record.total_removed > 0 for _, record in pairs)
+    assert [json.loads(line) for line in lines] == [
+        {"prompt": pair.prompt, "completion": pair.completion} for pair, _ in pairs]

@@ -13,8 +13,6 @@ from sqlbench.cot import (
     parse_column_list,
     parse_table_list,
     run_cot,
-    run_cot_sk,
-    run_cot_sp,
 )
 from sqlbench.gateway import LlmClient, LlmEndpoint, ReplayStore
 from sqlbench.schema import SchemaVariant, render_schema
@@ -53,7 +51,7 @@ def make_client(complete_fn, store=None, mode="live"):
 
 def test_cot_sp_has_three_steps(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted())
-    trace = run_cot_sp(movie_instance, movie_catalog, client, MODE_COT_SP_FULL, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SP_FULL, seed=0)
     assert len(trace.step_prompts) == 3
     assert len(trace.step_responses) == 3
     assert trace.skeleton is None
@@ -62,7 +60,7 @@ def test_cot_sp_has_three_steps(movie_catalog, movie_instance):
 
 def test_cot_sk_has_four_steps_and_skeleton(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted())
-    trace = run_cot_sk(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
     assert len(trace.step_prompts) == 4
     assert trace.skeleton == "SELECT _ FROM _ WHERE _"
 
@@ -70,14 +68,14 @@ def test_cot_sk_has_four_steps_and_skeleton(movie_catalog, movie_instance):
 def test_unknown_parsed_table_falls_back_to_full(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted(step1="Tables: (badges)"))
     # "badges" is not in the catalog: dropped with warning, falls back to full
-    trace = run_cot_sp(movie_instance, movie_catalog, client, MODE_COT_SP_PRED, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SP_PRED, seed=0)
     assert trace.predicted_tables == ["movies", "ratings"]
     assert any("badges" in w for w in trace.warnings)
 
 
 def test_pred_mode_restricts_later_schemas(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted())
-    trace = run_cot_sp(movie_instance, movie_catalog, client, MODE_COT_SP_PRED, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SP_PRED, seed=0)
     assert trace.predicted_tables == ["movies"]
     step2 = trace.step_prompts[1].text
     assert "# movies (" in step2
@@ -89,7 +87,7 @@ def test_pred_mode_restricts_later_schemas(movie_catalog, movie_instance):
 
 def test_full_mode_keeps_whole_schema_in_final_step(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted())
-    trace = run_cot_sp(movie_instance, movie_catalog, client, MODE_COT_SP_FULL, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SP_FULL, seed=0)
     full_schema = render_schema(movie_catalog, SchemaVariant.C_VDT).rstrip("\n")
     assert full_schema in trace.step_prompts[2].text
 
@@ -98,7 +96,7 @@ def test_skeleton_normalized_before_step_four(movie_catalog, movie_instance):
     # model answers step 3 with a full SQL statement, not a skeleton
     client, _ = make_client(step_scripted(
         skeleton_resp="SELECT movie_title FROM movies WHERE movie_release_year = 1945"))
-    trace = run_cot_sk(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
     assert trace.skeleton == "SELECT _ FROM _ WHERE _"
     step4 = trace.step_prompts[3].text
     assert "and sql skeleton:\nSELECT _ FROM _ WHERE _." in step4
@@ -106,19 +104,49 @@ def test_skeleton_normalized_before_step_four(movie_catalog, movie_instance):
 
 def test_raw_skeleton_response_embedded_verbatim(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted(skeleton_resp="SELECT _ FROM _ WHERE _"))
-    trace = run_cot_sk(movie_instance, movie_catalog, client, MODE_COT_SK_PRED, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SK_PRED, seed=0)
     assert trace.skeleton == "SELECT _ FROM _ WHERE _"
     assert "and sql skeleton:\nSELECT _ FROM _ WHERE _." in trace.step_prompts[3].text
+
+
+@pytest.mark.parametrize("mode", [
+    MODE_COT_SP_PRED, MODE_COT_SP_FULL, MODE_COT_SK_PRED, MODE_COT_SK_FULL])
+def test_run_cot_modes(movie_catalog, movie_instance, mode):
+    client, transport = make_client(step_scripted())
+    trace = run_cot(movie_instance, movie_catalog, client, mode, seed=0)
+    steps = 4 if mode.startswith("cot-sk") else 3
+    assert len(trace.step_prompts) == len(trace.step_responses) == steps
+    assert len(transport.requests) == steps
+    assert [b.step_index for b in trace.step_prompts] == list(range(1, steps + 1))
+    if steps == 3:
+        assert trace.skeleton is None
+    else:
+        assert trace.skeleton == "SELECT _ FROM _ WHERE _"
+    assert trace.mode == mode
+    assert trace.final_sql.startswith("SELECT movie_title")
+
+    # Step 1 always sees the whole description-only schema.
+    assert render_schema(movie_catalog, SchemaVariant.C_D).rstrip("\n") in \
+        trace.step_prompts[0].text
+    full_schema = render_schema(movie_catalog, SchemaVariant.C_VDT).rstrip("\n")
+    later = [b.text for b in trace.step_prompts[1:]]
+    if mode.endswith("-pred"):
+        assert "# ratings (" not in later[0]
+        assert "# movies (" in later[0]
+        for text in later[1:]:
+            assert full_schema not in text
+            assert "movie_title" in text
+            assert "movie_popularity" not in text
+    else:
+        assert all(full_schema in text for text in later)
 
 
 def test_mode_none_rejected(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted())
     with pytest.raises(ValueError):
         run_cot(movie_instance, movie_catalog, client, "none")
-    with pytest.raises(ValueError):
-        run_cot_sp(movie_instance, movie_catalog, client, MODE_COT_SK_FULL)
-    with pytest.raises(ValueError):
-        run_cot_sk(movie_instance, movie_catalog, client, MODE_COT_SP_FULL)
+    with pytest.raises(ValueError, match="not a chain-of-thought mode"):
+        run_cot(movie_instance, movie_catalog, client, "cot-xx-pred")
 
 
 @pytest.fixture()
@@ -145,13 +173,13 @@ def wide_scripted():
 def test_step_prompts_satisfy_budget(wide_fixture):
     catalog, instance = wide_fixture
     client, _ = make_client(wide_scripted())
-    untruncated = run_cot_sk(instance, catalog, client, MODE_COT_SK_FULL,
-                             budget=TokenBudget(100_000, 200), seed=1)
+    untruncated = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
+                          budget=TokenBudget(100_000, 200), seed=1)
     widest = max(b.token_count for b in untruncated.step_prompts)
 
     budget = TokenBudget(max_context=widest + 150, response_reserve=200)
-    trace = run_cot_sk(instance, catalog, client, MODE_COT_SK_FULL,
-                       budget=budget, seed=1)
+    trace = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
+                    budget=budget, seed=1)
     for bundle in trace.step_prompts:
         assert bundle.token_count <= budget.available
     assert any(b.truncation and b.truncation.total_removed for b in trace.step_prompts)
@@ -160,12 +188,12 @@ def test_step_prompts_satisfy_budget(wide_fixture):
 def test_budget_never_removes_target_columns(wide_fixture):
     catalog, instance = wide_fixture
     client, _ = make_client(wide_scripted())
-    untruncated = run_cot_sk(instance, catalog, client, MODE_COT_SK_FULL,
-                             budget=TokenBudget(100_000, 200), seed=1)
+    untruncated = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
+                          budget=TokenBudget(100_000, 200), seed=1)
     widest = max(b.token_count for b in untruncated.step_prompts)
 
-    trace = run_cot_sk(instance, catalog, client, MODE_COT_SK_FULL,
-                       budget=TokenBudget(widest + 150, 200), seed=1)
+    trace = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
+                    budget=TokenBudget(widest + 150, 200), seed=1)
     keys = catalog.key_columns()
     removed_any = False
     for bundle in trace.step_prompts:
@@ -180,14 +208,14 @@ def test_replayed_trace_is_identical(tmp_path, movie_catalog, movie_instance):
     store_path = tmp_path / "store.jsonl"
     record_client, transport = make_client(
         step_scripted(), store=ReplayStore(store_path), mode="record")
-    recorded = run_cot_sk(movie_instance, movie_catalog, record_client,
-                          MODE_COT_SK_FULL, seed=7)
+    recorded = run_cot(movie_instance, movie_catalog, record_client,
+                       MODE_COT_SK_FULL, seed=7)
     wire_calls = len(transport.requests)
 
     replay_client = LlmClient(
         LlmEndpoint("http://fake", "m"), mode="replay", store=ReplayStore(store_path))
-    replayed = run_cot_sk(movie_instance, movie_catalog, replay_client,
-                          MODE_COT_SK_FULL, seed=7)
+    replayed = run_cot(movie_instance, movie_catalog, replay_client,
+                       MODE_COT_SK_FULL, seed=7)
     assert wire_calls == 4
     assert [b.text for b in recorded.step_prompts] == [b.text for b in replayed.step_prompts]
     assert recorded.step_responses == replayed.step_responses
@@ -238,15 +266,15 @@ def test_unusable_skeleton_step_raises(movie_catalog, movie_instance):
 
     client, _ = make_client(step_scripted(skeleton_resp="   "))
     with pytest.raises(SkeletonParseFailure):
-        run_cot_sk(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
+        run_cot(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
     client, _ = make_client(step_scripted(skeleton_resp="I can't do that"))
     with pytest.raises(SkeletonParseFailure):
-        run_cot_sk(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
+        run_cot(movie_instance, movie_catalog, client, MODE_COT_SK_FULL, seed=0)
 
 
 def test_empty_column_parse_falls_back_to_full(movie_catalog, movie_instance):
     client, _ = make_client(step_scripted(step2="I cannot answer that."))
-    trace = run_cot_sp(movie_instance, movie_catalog, client, MODE_COT_SP_PRED, seed=0)
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SP_PRED, seed=0)
     assert any("step 2" in w for w in trace.warnings)
     # fallback keeps the pipeline total and the final step sees the full tables
     assert trace.final_sql.startswith("SELECT")
