@@ -14,9 +14,9 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .schema import DatabaseCatalog
+from .schema import ColumnSpec, DatabaseCatalog, count_schema_tokens
 from .skeleton import tokenize
 
 logger = logging.getLogger(__name__)
@@ -123,6 +123,26 @@ def _sql_identifiers(sql: str) -> set[str]:
     return names
 
 
+def _columns_by_word(
+    catalog: DatabaseCatalog,
+    words_of: Callable[[ColumnSpec], Iterable[str]],
+) -> dict[str, tuple[tuple[str, str], ...]]:
+    index: dict[str, list[tuple[str, str]]] = {}
+    for table in catalog.tables:
+        for column in table.columns:
+            key = (table.name, column.name)
+            for word in words_of(column):
+                index.setdefault(word, []).append(key)
+    return {word: tuple(columns) for word, columns in index.items()}
+
+
+def _column_link_words(column: ColumnSpec) -> set[str]:
+    words = _link_words(column.name)
+    if column.description:
+        words |= _link_words(column.description)
+    return words
+
+
 def partition_columns(
     catalog: DatabaseCatalog,
     reference_sql: Optional[str] = None,
@@ -136,21 +156,18 @@ def partition_columns(
     text. Primary-key and foreign-key columns are always target.
     """
     target = catalog.key_columns()
+    # Word -> columns indexes, built once per catalog, answer each call
+    # with one lookup per mentioned word instead of a pass over all columns.
     if reference_sql:
-        mentioned = _sql_identifiers(reference_sql)
-        for table in catalog.tables:
-            for column in table.columns:
-                if column.name.lower() in mentioned:
-                    target.add((table.name, column.name))
+        words = _sql_identifiers(reference_sql)
+        index = catalog.derived("columns_by_name", lambda: _columns_by_word(
+            catalog, lambda column: (column.name.lower(),)))
     else:
-        question_words = _link_words(question)
-        for table in catalog.tables:
-            for column in table.columns:
-                column_words = _link_words(column.name)
-                if column.description:
-                    column_words |= _link_words(column.description)
-                if column_words & question_words:
-                    target.add((table.name, column.name))
+        words = _link_words(question)
+        index = catalog.derived("columns_by_link_word", lambda: _columns_by_word(
+            catalog, _column_link_words))
+    for word in words:
+        target.update(index.get(word, ()))
     non_target = catalog.column_set() - target
     return ColumnPartition(frozenset(target), frozenset(non_target))
 
@@ -229,15 +246,15 @@ class PromptSection:
     """One truncatable schema section of a prompt (target or example).
 
     column_costs, when given, carries the token cost of each column's
-    rendered line so the quota loop can account for removals without
-    re-rendering the whole prompt (see schema.column_line_costs). The
-    budget guarantee never depends on it: the outer loop always re-checks
-    the true full rendering.
+    rendered line (see schema.column_line_costs). When every section of a
+    truncate_examples call carries them, the loop accounts for the prompt's
+    size instead of re-rendering it; see truncate_examples for how the
+    budget guarantee is kept for any counter.
     """
 
     catalog: DatabaseCatalog
     partition: ColumnPartition
-    column_costs: Optional[dict[tuple[str, str], int]] = None
+    column_costs: Optional[Mapping[tuple[str, str], int]] = None
     keep: KeepFilter = field(init=False)
 
     def __post_init__(self) -> None:
@@ -258,19 +275,38 @@ def truncate_examples(
     align by index. Each section sheds random non-target columns until its
     token quota is met or its removable set is exhausted, with leftover
     excess re-apportioned over the remaining sections by renormalized
-    rates. The final prompt always fits the limit or the call fails.
+    rates. The sections themselves are left unchanged.
+
+    When every section carries column_costs, the prompt is counted once in
+    full before the loop. After each round its size is accounted as that
+    count's fixed scaffold plus, per section, the costs of its kept column
+    lines, table headers and footers and surviving foreign-key lines. Once
+    the accounted size fits, one true recount of the rendered prompt
+    confirms it. If the two disagree (a counter that is not line-additive),
+    the loop goes on from the true count and recounts the full rendering
+    after every round, as it does for sections without column_costs. The
+    final prompt therefore always fits the limit or the call fails.
     """
     if len(sections) != len(plan.rates):
         raise ValueError(
             f"{len(sections)} sections but {len(plan.rates)} truncation rates")
 
-    keeps = [dict(section.keep) for section in sections]
+    keeps = [{table: set(columns) for table, columns in section.keep.items()}
+             for section in sections]
     removables = [sorted(section.partition.non_target) for section in sections]
     rng = random.Random(seed)
     removed: list[list[tuple[str, str]]] = [[] for _ in sections]
 
+    def schema_tokens() -> int:
+        return sum(
+            count_schema_tokens(section.catalog, keep, section.column_costs, counter)
+            for section, keep in zip(sections, keeps))
+
     tokens_before = counter(render_prompt(keeps))
     tokens = tokens_before
+    accounted = all(section.column_costs is not None for section in sections)
+    if accounted:
+        scaffold = tokens_before - schema_tokens()
     excess = tokens - limit
     active = [i for i in range(len(sections)) if removables[i]]
 
@@ -296,7 +332,14 @@ def truncate_examples(
                     tokens = new_tokens
             if not removables[i]:
                 active.remove(i)
-        tokens = counter(render_prompt(keeps))
+        if accounted:
+            tokens = scaffold + schema_tokens()
+            if tokens <= limit:
+                true_tokens = counter(render_prompt(keeps))
+                accounted = true_tokens == tokens
+                tokens = true_tokens
+        else:
+            tokens = counter(render_prompt(keeps))
         excess = tokens - limit
 
     record = TruncationRecord(

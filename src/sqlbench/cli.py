@@ -181,20 +181,25 @@ def load_config(
     return RunConfig(**values)
 
 
+def _client(cfg: RunConfig, endpoint: LlmEndpoint, transport,
+            store: Optional[ReplayStore]) -> LlmClient:
+    if store is None and cfg.replay_store:
+        store = ReplayStore(cfg.replay_store)
+    kwargs = {"mode": cfg.replay_mode, "store": store}
+    if transport is not None:
+        kwargs["transport"] = transport
+    return LlmClient(endpoint, **kwargs)
+
+
 def build_client(cfg: RunConfig, *, transport=None) -> LlmClient:
-    store = ReplayStore(cfg.replay_store) if cfg.replay_store else None
-    kwargs = {"mode": cfg.replay_mode, "store": store}
-    if transport is not None:
-        kwargs["transport"] = transport
-    return LlmClient(cfg.endpoint(), **kwargs)
+    return _client(cfg, cfg.endpoint(), transport, None)
 
 
-def build_embed_client(cfg: RunConfig, *, transport=None) -> LlmClient:
-    store = ReplayStore(cfg.replay_store) if cfg.replay_store else None
-    kwargs = {"mode": cfg.replay_mode, "store": store}
-    if transport is not None:
-        kwargs["transport"] = transport
-    return LlmClient(cfg.embed_endpoint(), **kwargs)
+def build_embed_client(cfg: RunConfig, *, transport=None,
+                       store: Optional[ReplayStore] = None) -> LlmClient:
+    """Embedding client; pass the completion client's `store` to share it,
+    so the store file is read once and appended to under one lock."""
+    return _client(cfg, cfg.embed_endpoint(), transport, store)
 
 
 def _zero_shot_bundle(
@@ -389,7 +394,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     pool = None
     cache = None
     if cfg.shots > 0:
-        embed_client = embed_client or build_embed_client(cfg)
+        embed_client = embed_client or build_embed_client(cfg, store=client.store)
         pool, cache = _load_pool(cfg, embed_client)
 
     def process(instance: TaskInstance):
@@ -550,7 +555,7 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
         raise SystemExit("curate requires --pool-split")
     split = load_split(cfg.benchmark_root, cfg.split)
     client = client or build_client(cfg)
-    embed_client = embed_client or build_embed_client(cfg)
+    embed_client = embed_client or build_embed_client(cfg, store=client.store)
     pool, cache = _load_pool(cfg, embed_client)
 
     rows = []

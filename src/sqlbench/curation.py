@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +22,8 @@ import numpy as np
 
 from .bench import TaskInstance
 from .schema import DatabaseCatalog, SchemaVariant, render_schema
+
+logger = logging.getLogger(__name__)
 
 
 class ZeroVector(ValueError):
@@ -33,17 +37,27 @@ class DimensionMismatch(ValueError):
 EmbeddingFn = Callable[[Sequence[str]], Sequence[Sequence[float]]]
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
+Vector = tuple[np.ndarray, float]
+
+
+def _vector(values: Sequence[float]) -> Vector:
+    """A float64 array with its L2 norm, the operands of _cosine."""
+    array = np.asarray(values, dtype=float)
+    return array, float(np.linalg.norm(array))
+
+
+def _cosine(a: Vector, b: Vector) -> float:
+    (va, na), (vb, nb) = a, b
     if va.shape != vb.shape or va.ndim != 1:
         raise DimensionMismatch(f"vector shapes differ: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine undefined for a zero vector")
     value = float(np.dot(va, vb) / (na * nb))
     return max(-1.0, min(1.0, value))
+
+
+def cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    return _cosine(_vector(a), _vector(b))
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,10 @@ class PoolCandidate:
 class ExamplePool:
     candidates: tuple[PoolCandidate, ...]
     variant: SchemaVariant = SchemaVariant.C_VDT
+    # Per candidate, its (question, schema, SQL) vectors as score_candidates
+    # consumes them, converted once instead of once per scored target.
+    _vectors: tuple[tuple[Vector, Vector, Vector], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -81,6 +99,61 @@ class ExamplePool:
         }
         if len(dims) > 1:
             raise DimensionMismatch(f"pool embeddings have mixed dimensions: {sorted(dims)}")
+        object.__setattr__(self, "_vectors", tuple(
+            (_vector(cand.question_vec), _vector(cand.schema_vec), _vector(cand.sql_vec))
+            for cand in self.candidates))
+
+
+Tail = Optional[tuple[int, int]]
+
+
+def load_jsonl(path: Path, add: Callable[[dict], None]) -> Tail:
+    """Feed each record of an append-only JSONL store to `add`, in file order.
+
+    A last line without its newline is an append that a crash cut short:
+    when it does not parse it is skipped with a warning. A line that does
+    not parse anywhere else raises. Returns None when the file is absent or
+    ends with a newline; otherwise (cut, end) for end_last_line: the offset
+    where a torn last line starts (`end` when the last line parsed) and the
+    file's length.
+    """
+    if not path.is_file():
+        return None
+    offset = 0
+    line = b"\n"
+    cut = None
+    with open(path, "rb") as handle:
+        for line in handle:
+            start, offset = offset, offset + len(line)
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)  # UTF-8; a cut character raises too
+            except ValueError:
+                if line.endswith(b"\n"):
+                    raise
+                logger.warning("%s: skipping a torn last line of %d bytes", path, len(line))
+                cut = start
+                continue
+            add(raw)
+    if line.endswith(b"\n"):
+        return None
+    return (offset if cut is None else cut), offset
+
+
+def end_last_line(path: Path, tail: Tail) -> None:
+    """Before the first append after load_jsonl returned `tail`: cut a torn
+    last line off, or end a whole one with its newline. Skipped when the
+    file has grown since, because that line is then no longer last."""
+    if tail is None:
+        return
+    cut, end = tail
+    with open(path, "r+b") as handle:
+        if handle.seek(0, os.SEEK_END) != end:
+            return
+        handle.truncate(cut)
+        if cut == end:
+            handle.write(b"\n")
 
 
 class EmbeddingCache:
@@ -96,14 +169,8 @@ class EmbeddingCache:
         self.model_id = model_id
         self._vectors: dict[str, tuple[float, ...]] = {}
         self._lock = threading.Lock()
-        if self.path.is_file():
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    raw = json.loads(line)
-                    self._vectors.setdefault(raw["hash"], tuple(raw["vector"]))
+        self._tail = load_jsonl(
+            self.path, lambda raw: self._vectors.setdefault(raw["hash"], tuple(raw["vector"])))
 
     def _key(self, text: str) -> str:
         payload = text.encode("utf-8") + b"\x00" + self.model_id.encode("utf-8")
@@ -120,6 +187,8 @@ class EmbeddingCache:
                     f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
             with self._lock:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
+                end_last_line(self.path, self._tail)
+                self._tail = None
                 with open(self.path, "a", encoding="utf-8") as handle:
                     for i, vector in zip(missing, fresh):
                         tup = tuple(float(x) for x in vector)
@@ -173,20 +242,19 @@ def score_candidates(
     target question.
     """
     texts = [target.question, render_schema(target_catalog, pool.variant), draft_sql]
-    if cache is not None:
-        target_q, target_d, target_s = cache.fetch(texts, embed)
-    else:
-        target_q, target_d, target_s = [tuple(float(x) for x in v) for v in embed(texts)]
+    vectors = cache.fetch(texts, embed) if cache is not None else embed(texts)
+    target_q, target_d, target_s = (_vector(v) for v in vectors)
 
     triples: list[SimilarityTriple] = []
-    for index, candidate in enumerate(pool.candidates):
+    for index, (candidate, (cand_q, cand_d, cand_s)) in enumerate(
+            zip(pool.candidates, pool._vectors)):
         if candidate.instance.database_id == target.database_id:
             continue
         triples.append(SimilarityTriple(
             candidate_index=index,
-            gamma_q=cosine(target_q, candidate.question_vec),
-            gamma_d=cosine(target_d, candidate.schema_vec),
-            gamma_s=cosine(target_s, candidate.sql_vec),
+            gamma_q=_cosine(target_q, cand_q),
+            gamma_d=_cosine(target_d, cand_d),
+            gamma_s=_cosine(target_s, cand_s),
         ))
     return triples
 

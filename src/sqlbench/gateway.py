@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import requests
 
-from .curation import DimensionMismatch
+from .curation import DimensionMismatch, end_last_line, load_jsonl
 
 
 class EndpointUnreachable(ConnectionError):
@@ -91,21 +91,17 @@ class ReplayStore:
         self.path = Path(path)
         self._records: dict[str, CompletionRecord] = {}
         self._lock = threading.Lock()
-        if self.path.is_file():
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    raw = json.loads(line)
-                    record = CompletionRecord(
-                        digest=raw["hash"],
-                        model=raw["model"],
-                        response=raw["response"],
-                        prompt_tokens=raw.get("prompt_tokens", 0),
-                        completion_tokens=raw.get("completion_tokens", 0),
-                    )
-                    self._records.setdefault(record.digest, record)
+
+        def add(raw: dict) -> None:
+            self._records.setdefault(raw["hash"], CompletionRecord(
+                digest=raw["hash"],
+                model=raw["model"],
+                response=raw["response"],
+                prompt_tokens=raw.get("prompt_tokens", 0),
+                completion_tokens=raw.get("completion_tokens", 0),
+            ))
+
+        self._tail = load_jsonl(self.path, add)
 
     def get(self, digest: str) -> Optional[CompletionRecord]:
         return self._records.get(digest)
@@ -116,6 +112,8 @@ class ReplayStore:
                 return
             self._records[record.digest] = record
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            end_last_line(self.path, self._tail)
+            self._tail = None
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps({
                     "hash": record.digest,

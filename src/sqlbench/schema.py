@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 TYPE_NAMES = ("text", "int", "date", "datetime", "real", "varchar")
 
@@ -48,6 +49,9 @@ _VARIANT_ELEMENTS: dict[SchemaVariant, frozenset[str]] = {
     SchemaVariant.C_VDP: frozenset({"description", "values", "primary_key"}),
     SchemaVariant.C_A: frozenset({"type", "description", "values", "primary_key"}),
 }
+
+
+_T = TypeVar("_T")
 
 
 def _collapse_line(text: str) -> str:
@@ -103,6 +107,7 @@ class DatabaseCatalog:
     database_id: str
     tables: tuple[TableSpec, ...]
     foreign_keys: tuple[ForeignKey, ...] = field(default_factory=tuple)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tables", tuple(self.tables))
@@ -128,6 +133,19 @@ class DatabaseCatalog:
             keys.add((fk.table, fk.column))
             keys.add((fk.ref_table, fk.ref_column))
         return keys
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """Value derived from this (immutable) catalog, built on first use.
+
+        Rendered lines, token costs and word indexes are computed once per
+        catalog and shared by every later call. Two workers that build the
+        same key at once both produce equal values; the first one stored
+        wins, so the race is harmless.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived.setdefault(key, build())
+        return value
 
 
 ColumnFilter = Mapping[str, Iterable[str]]
@@ -200,6 +218,29 @@ def _column_line(column: ColumnSpec, variant: SchemaVariant) -> str:
     return f"#   {column.name}:"
 
 
+_FOOTER_LINE = "# )"
+_FK_HEADER_LINE = "# FOREIGN KEYS:"
+
+
+def _header_line(table_name: str) -> str:
+    return f"# {table_name} ("
+
+
+def _fk_line(fk: ForeignKey) -> str:
+    return f"# {fk.table}.{fk.column}={fk.ref_table}.{fk.ref_column}"
+
+
+def _column_lines(
+    catalog: DatabaseCatalog,
+    variant: SchemaVariant,
+) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Each table's (column name, rendered line) pairs, built once per variant."""
+    return catalog.derived(("lines", variant), lambda: {
+        table.name: tuple((c.name, _column_line(c, variant)) for c in table.columns)
+        for table in catalog.tables
+    })
+
+
 def render_schema(
     catalog: DatabaseCatalog,
     variant: SchemaVariant,
@@ -213,29 +254,29 @@ def render_schema(
     """
     variant = SchemaVariant(variant)
     resolved = _validate_filter(catalog, keep) if keep is not None else None
+    column_lines = _column_lines(catalog, variant)
 
     lines: list[str] = []
     kept_columns: set[tuple[str, str]] = set()
     for table in catalog.tables:
-        columns = [
-            c for c in table.columns
-            if resolved is None or table.name not in resolved or c.name in resolved[table.name]
-        ]
+        wanted = None if resolved is None else resolved.get(table.name)
+        columns = [(name, line) for name, line in column_lines[table.name]
+                   if wanted is None or name in wanted]
         if not columns:
             continue
-        lines.append(f"# {table.name} (")
-        for column in columns:
-            lines.append(_column_line(column, variant))
-            kept_columns.add((table.name, column.name))
-        lines.append("# )")
+        lines.append(_header_line(table.name))
+        for name, line in columns:
+            lines.append(line)
+            kept_columns.add((table.name, name))
+        lines.append(_FOOTER_LINE)
 
     fk_lines = [
-        f"# {fk.table}.{fk.column}={fk.ref_table}.{fk.ref_column}"
+        _fk_line(fk)
         for fk in catalog.foreign_keys
         if (fk.table, fk.column) in kept_columns and (fk.ref_table, fk.ref_column) in kept_columns
     ]
     if fk_lines:
-        lines.append("# FOREIGN KEYS:")
+        lines.append(_FK_HEADER_LINE)
         lines.extend(fk_lines)
 
     if not lines:
@@ -265,57 +306,82 @@ _HEADER_COLUMN_LINES: dict[SchemaVariant, tuple[str, ...]] = {
 }
 
 
-def column_line_costs(catalog, variant: SchemaVariant, counter) -> dict[tuple[str, str], int]:
+def column_line_costs(
+    catalog: DatabaseCatalog,
+    variant: SchemaVariant,
+    counter,
+) -> Mapping[tuple[str, str], int]:
     """Token cost of each column's rendered line under a line-additive counter.
 
     Because rendered lines are newline-separated, removing a column removes
     exactly its own line; these costs let truncation loops account for
-    removals without re-rendering the whole block.
+    removals without re-rendering the whole block. Built once per
+    (catalog, variant, counter) and shared read-only.
     """
     variant = SchemaVariant(variant)
-    return {
-        (table.name, column.name): counter(_column_line(column, variant))
-        for table in catalog.tables
-        for column in table.columns
-    }
+    return catalog.derived(("costs", variant, counter), lambda: MappingProxyType({
+        (table, name): counter(line)
+        for table, lines in _column_lines(catalog, variant).items()
+        for name, line in lines
+    }))
 
 
-def schema_token_fn(catalog, variant: SchemaVariant, counter):
+def _frame_costs(catalog: DatabaseCatalog, counter):
+    """Costs of the lines every variant shares: per table its header plus
+    footer, the foreign-key header, and each foreign key with its endpoints."""
+    def build():
+        footer = counter(_FOOTER_LINE)
+        return (
+            {t.name: counter(_header_line(t.name)) + footer for t in catalog.tables},
+            counter(_FK_HEADER_LINE),
+            tuple(((fk.table, fk.column), (fk.ref_table, fk.ref_column), counter(_fk_line(fk)))
+                  for fk in catalog.foreign_keys),
+        )
+    return catalog.derived(("frame", counter), build)
+
+
+def count_schema_tokens(
+    catalog: DatabaseCatalog,
+    keep: Optional[ColumnFilter],
+    line_costs: Mapping[tuple[str, str], int],
+    counter,
+) -> int:
+    """counter(render_schema(catalog, variant, keep)) without rendering.
+
+    `line_costs` are the variant's column_line_costs under the same counter.
+    Exact for any line-additive counter (newlines never sit inside a
+    token): a table left without columns drops its header and footer, and
+    a foreign key counts only while both endpoints survive.
+    """
+    table_costs, fk_header_cost, fk_costs = _frame_costs(catalog, counter)
+    total = 0
+    kept: set[tuple[str, str]] = set()
+    for table in catalog.tables:
+        wanted = None if keep is None or table.name not in keep else set(keep[table.name])
+        columns = [c.name for c in table.columns if wanted is None or c.name in wanted]
+        if not columns:
+            continue
+        total += table_costs[table.name]
+        for name in columns:
+            total += line_costs[(table.name, name)]
+            kept.add((table.name, name))
+    surviving = [cost for source, target, cost in fk_costs if source in kept and target in kept]
+    if surviving:
+        total += fk_header_cost + sum(surviving)
+    return total
+
+
+def schema_token_fn(catalog: DatabaseCatalog, variant: SchemaVariant, counter):
     """Exact keep-filter token counter for the rendered schema block.
 
     Computes the same number as counter(render_schema(catalog, variant,
-    keep)) for any line-additive counter (newlines never sit inside a
-    token), from precomputed per-line costs instead of re-rendering.
+    keep)) for any line-additive counter, from the catalog's compiled
+    per-line costs instead of re-rendering.
     """
-    variant = SchemaVariant(variant)
     line_costs = column_line_costs(catalog, variant, counter)
-    header_costs = {t.name: counter(f"# {t.name} (") for t in catalog.tables}
-    footer_cost = counter("# )")
-    fk_header_cost = counter("# FOREIGN KEYS:")
-    fk_costs = [
-        (fk, counter(f"# {fk.table}.{fk.column}={fk.ref_table}.{fk.ref_column}"))
-        for fk in catalog.foreign_keys
-    ]
 
     def tokens(keep: Optional[ColumnFilter]) -> int:
-        total = 0
-        kept: set[tuple[str, str]] = set()
-        for table in catalog.tables:
-            wanted = None if keep is None or table.name not in keep else set(keep[table.name])
-            columns = [c.name for c in table.columns if wanted is None or c.name in wanted]
-            if not columns:
-                continue
-            total += header_costs[table.name] + footer_cost
-            for name in columns:
-                total += line_costs[(table.name, name)]
-                kept.add((table.name, name))
-        fk_line_costs = [
-            cost for fk, cost in fk_costs
-            if (fk.table, fk.column) in kept and (fk.ref_table, fk.ref_column) in kept
-        ]
-        if fk_line_costs:
-            total += fk_header_cost + sum(fk_line_costs)
-        return total
+        return count_schema_tokens(catalog, keep, line_costs, counter)
 
     return tokens
 

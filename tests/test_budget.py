@@ -20,7 +20,14 @@ from sqlbench.budget import (
     truncate_examples,
     truncate_target,
 )
-from sqlbench.schema import ColumnSpec, DatabaseCatalog, SchemaVariant, TableSpec, render_schema
+from sqlbench.schema import (
+    ColumnSpec,
+    DatabaseCatalog,
+    SchemaVariant,
+    TableSpec,
+    column_line_costs,
+    render_schema,
+)
 
 
 def softmax_oracle(values, temperature=1.0):
@@ -296,6 +303,52 @@ def test_truncate_examples_deterministic():
 
     assert run(9) == run(9)
     assert run(9) != run(10)
+
+
+def _with_costs(sections, counter=count_tokens):
+    return [PromptSection(s.catalog, s.partition,
+                          column_line_costs(s.catalog, SchemaVariant.C_A, counter))
+            for s in sections]
+
+
+@pytest.mark.parametrize("with_costs", [False, True])
+def test_truncate_examples_leaves_sections_unchanged(with_costs):
+    sections = _example_sections(2, columns=31)
+    if with_costs:
+        sections = _with_costs(sections)
+    render = _render_sections(sections)
+    limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
+    plan = plan_example_truncation([0.8, 0.4])
+    first = truncate_examples(sections, plan, render, limit, seed=5)
+    second = truncate_examples(sections, plan, render, limit, seed=5)
+    assert first[1].total_removed > 0
+    assert first == second
+    for section in sections:
+        assert section.keep == full_keep(section.catalog)
+
+
+def test_truncate_examples_accounting_matches_rerendering():
+    sections = _example_sections(3, columns=30)
+    render = _render_sections(sections)
+    limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
+    plan = plan_example_truncation([0.9, 0.5, 0.25])
+    rerendered = truncate_examples(sections, plan, render, limit, seed=2)
+    accounted = truncate_examples(_with_costs(sections), plan, render, limit, seed=2)
+    assert accounted == rerendered
+
+
+def test_truncate_examples_fits_under_a_counter_that_is_not_line_additive():
+    # Each count carries a fixed extra token, so per-line costs overstate
+    # what a removal frees and the accounted count undershoots the truth.
+    def counter(text):
+        return count_tokens(text) + 1
+
+    sections = _with_costs(_example_sections(2, columns=30), counter)
+    render = _render_sections(sections)
+    limit = int(counter(render([s.keep for s in sections])) * 0.6)
+    plan = plan_example_truncation([0.8, 0.4])
+    keeps, record = truncate_examples(sections, plan, render, limit, seed=7, counter=counter)
+    assert record.tokens_after == counter(render(keeps)) <= limit
 
 
 def test_derive_seed_stable():

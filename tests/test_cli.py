@@ -245,6 +245,64 @@ def test_cmd_run_worker_pool_preserves_output(mini_bench, tmp_path):
     assert json.loads(serial)["ex_by_split"] == json.loads(parallel)["ex_by_split"]
 
 
+def _record_few_shot_store(mini_bench, tmp_path, **overrides):
+    """Record a 2-shot run's replay store; return the config to replay it."""
+    store = tmp_path / "store.jsonl"
+    values = dict(shots=2, pool_split="train", replay_store=store, **overrides)
+    record_cfg = run_config(mini_bench, tmp_path, replay_mode="record",
+                            output_dir=tmp_path / "rec", **values)
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    cmd_run(record_cfg, client=build_client(record_cfg, transport=transport),
+            embed_client=build_embed_client(record_cfg, transport=transport))
+    return lambda name, **more: run_config(
+        mini_bench, tmp_path, replay_mode="replay", output_dir=tmp_path / name,
+        **values, **more)
+
+
+def test_few_shot_worker_pool_output_is_byte_identical(mini_bench, tmp_path):
+    # A 700-token context makes every question truncate its examples.
+    replay_config = _record_few_shot_store(
+        mini_bench, tmp_path, max_context=700, response_reserve=50)
+    outputs = []
+    for workers in (1, 4):
+        cfg = replay_config(f"workers_{workers}", workers=workers)
+        report = cmd_run(cfg).read_bytes()
+        outputs.append((report, (cfg.output_dir / "traces.jsonl").read_bytes()))
+    assert b'"queries_with_truncation": 10' in outputs[0][0]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_curate])
+def test_few_shot_commands_share_one_replay_store(mini_bench, tmp_path, monkeypatch, command):
+    import sqlbench.cli as cli
+
+    replay_config = _record_few_shot_store(mini_bench, tmp_path)
+    opened = []
+
+    class CountingStore(cli.ReplayStore):
+        def __init__(self, path):
+            opened.append(path)
+            super().__init__(path)
+
+    clients = []
+
+    def capture(build):
+        def wrapper(*args, **kwargs):
+            clients.append(build(*args, **kwargs))
+            return clients[-1]
+        return wrapper
+
+    monkeypatch.setattr(cli, "ReplayStore", CountingStore)
+    monkeypatch.setattr(cli, "build_client", capture(cli.build_client))
+    monkeypatch.setattr(cli, "build_embed_client", capture(cli.build_embed_client))
+    command(replay_config("shared"))
+    assert len(opened) == 1
+    completion, embedding = clients
+    assert completion.store is embedding.store is not None
+
+
 def test_report_carries_per_outcome_truncation_rows(mini_bench, tmp_path):
     cfg = run_config(mini_bench, tmp_path)
     client, _ = zero_shot_client(cfg)

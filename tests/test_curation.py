@@ -20,7 +20,7 @@ from sqlbench.curation import (
     score_candidates,
     select_top_k,
 )
-from sqlbench.schema import ColumnSpec, DatabaseCatalog, SchemaVariant, TableSpec
+from sqlbench.schema import ColumnSpec, DatabaseCatalog, SchemaVariant, TableSpec, render_schema
 
 
 def cosine_oracle(a, b):
@@ -275,3 +275,90 @@ def test_score_candidates_matches_brute_force_recompute():
         assert triple.gamma_s == pytest.approx(cosine_oracle(ts, cand.sql_vec), abs=1e-12)
         expected_avg = (triple.gamma_q + triple.gamma_d + triple.gamma_s) / 3
         assert triple.gamma_a == expected_avg
+
+
+def _random_pool(rng, dim, n, target_db=None):
+    vectors = {}
+
+    def embed(texts):
+        return [vectors.setdefault(t, tuple(rng.uniform(-1, 1, dim).tolist())) for t in texts]
+
+    candidates = [(_candidate(i, target_db if i % 5 == 0 else f"db_{i}", f"question {i}?",
+                              f"SELECT {i}"), _tiny_catalog(f"db_{i}")) for i in range(n)]
+    return build_pool(candidates, SchemaVariant.C_N, embed), embed, vectors
+
+
+@pytest.mark.parametrize("dim", [7, 384, 385])
+def test_score_candidates_equals_cosine_exactly(dim):
+    rng = np.random.default_rng(dim)
+    pool, embed, vectors = _random_pool(rng, dim, 40, target_db="db_target")
+    target = _candidate(999, "db_target", "the target question?", "")
+    target_catalog = _tiny_catalog("db_target")
+    triples = score_candidates(target, target_catalog, "SELECT 42", pool, embed)
+
+    tq = vectors[target.question]
+    td = vectors[render_schema(target_catalog, SchemaVariant.C_N)]
+    ts = vectors["SELECT 42"]
+    assert len(triples) == 32  # every fifth candidate shares the target's database
+    for triple in triples:
+        cand = pool.candidates[triple.candidate_index]
+        assert triple.gamma_q == cosine(tq, cand.question_vec)
+        assert triple.gamma_d == cosine(td, cand.schema_vec)
+        assert triple.gamma_s == cosine(ts, cand.sql_vec)
+
+
+def test_scoring_errors_fire_for_scored_candidates_only():
+    zero, unit = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
+    target = _candidate(0, "db_target", "q?", "")
+    target_catalog = _tiny_catalog("db_target")
+
+    def candidate(index, db_id, vec):
+        return PoolCandidate(_candidate(index, db_id, f"q{index}?", f"SELECT {index}"),
+                             _tiny_catalog(db_id), vec, vec, vec)
+
+    def score(pool, target_vec=unit):
+        return score_candidates(target, target_catalog, "SELECT 3", pool,
+                                lambda texts: [target_vec for _ in texts])
+
+    # A zero vector is legal in the pool; it fails only once it is scored.
+    pool = ExamplePool((candidate(1, "db_target", zero), candidate(2, "db_other", unit)))
+    assert [t.candidate_index for t in score(pool)] == [1]
+    with pytest.raises(ZeroVector):
+        score(ExamplePool((candidate(1, "db_other", zero), candidate(2, "db_other", unit))))
+    with pytest.raises(DimensionMismatch):
+        score(pool, target_vec=(1.0, 0.0))
+
+
+def test_embedding_cache_skips_a_torn_last_line(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    calls = []
+
+    def embed(texts):
+        calls.append(list(texts))
+        return [hash_embedding(t) for t in texts]
+
+    EmbeddingCache(path, "m").fetch(["alpha"], embed)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"hash": "beef", "dim": 8, "vector": [0.1, 0.')  # a crash cut it short
+    with caplog.at_level("WARNING"):
+        cache = EmbeddingCache(path, "m")
+    assert "torn last line" in caplog.text
+    cache.fetch(["alpha"], embed)
+    assert len(calls) == 1  # alpha still served from disk
+    cache.fetch(["beta"], embed)  # the next append starts a fresh line
+    reloaded = EmbeddingCache(path, "m")
+    reloaded.fetch(["alpha", "beta"], embed)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    '{"hash": "beef", "dim"\n{"hash": "f00d", "dim": 1, "vector": [1.0]}\n',
+    '{"hash": "beef", "dim"\n',  # a whole, newline-terminated line is not torn
+])
+def test_embedding_cache_rejects_a_corrupt_line_elsewhere(tmp_path, corrupt):
+    path = tmp_path / "cache.jsonl"
+    EmbeddingCache(path, "m").fetch(["alpha"], lambda texts: [hash_embedding(t) for t in texts])
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(corrupt)
+    with pytest.raises(ValueError):
+        EmbeddingCache(path, "m")

@@ -104,6 +104,52 @@ def test_store_round_trips_jsonl(tmp_path, endpoint):
     assert reloaded.get("abc123").response == "resp"
 
 
+@pytest.mark.parametrize("tail", [
+    b'{"hash": "def456", "model": "m", "resp',
+    # cut in the middle of a two-byte character
+    '{"hash": "def456", "model": "m", "response": "caf\u00e9'.encode("utf-8")[:-1],
+])
+def test_store_skips_a_torn_last_line(tmp_path, caplog, tail):
+    path = tmp_path / "store.jsonl"
+    ReplayStore(path).put(CompletionRecord("abc123", "m", "resp", 10, 5))
+    with open(path, "ab") as handle:
+        handle.write(tail)
+    with caplog.at_level("WARNING"):
+        store = ReplayStore(path)
+    assert "torn last line" in caplog.text
+    assert len(store) == 1 and store.get("abc123").response == "resp"
+    store.put(CompletionRecord("def456", "m", "second"))  # starts a fresh line
+    reloaded = ReplayStore(path)
+    assert reloaded.get("def456").response == "second"
+    assert len(reloaded) == 2
+
+
+def test_store_keeps_a_whole_last_line_without_newline(tmp_path):
+    path = tmp_path / "store.jsonl"
+    ReplayStore(path).put(CompletionRecord("abc123", "m", "resp"))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"hash": "def456", "model": "m", "response": "whole"}')
+    store = ReplayStore(path)
+    assert store.get("def456").response == "whole"
+    store.put(CompletionRecord("0a1b", "m", "third"))  # ends the whole line first
+    reloaded = ReplayStore(path)
+    assert [reloaded.get(d).response for d in ("abc123", "def456", "0a1b")] == \
+        ["resp", "whole", "third"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    '{"hash": "def456", "mod\n{"hash": "0a1b", "model": "m", "response": "r"}\n',
+    '{"hash": "def456", "mod\n',  # a whole, newline-terminated line is not torn
+])
+def test_store_rejects_a_corrupt_line_elsewhere(tmp_path, corrupt):
+    path = tmp_path / "store.jsonl"
+    ReplayStore(path).put(CompletionRecord("abc123", "m", "resp"))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(corrupt)
+    with pytest.raises(ValueError):
+        ReplayStore(path)
+
+
 def test_unreachable_after_retries(endpoint):
     def transport(url, payload, headers, timeout):
         raise ConnectionError("down")

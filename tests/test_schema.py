@@ -1,19 +1,31 @@
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sqlbench.bench import TaskInstance
+from sqlbench.budget import count_tokens
+from sqlbench.prompts import open_prompt_text, open_prompt_token_fn
 from sqlbench.schema import (
+    TYPE_NAMES,
     ColumnSpec,
     DatabaseCatalog,
     ForeignKey,
     SchemaVariant,
     TableSpec,
     UnknownColumnInFilter,
+    column_line_costs,
+    count_schema_tokens,
     filter_catalog,
     render_schema,
     render_schema_format_header,
+    schema_token_fn,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "schema"
@@ -174,3 +186,76 @@ def test_schema_token_fn_matches_rendered_count(movie_catalog):
                     keep[table].add(column)
             rendered = render_schema(movie_catalog, variant, keep)
             assert tokens(keep) == count_tokens(rendered), (variant, keep)
+
+
+_TEXT = st.text(alphabet="ab Z9,.()#:_-'\"\n", max_size=12)
+
+
+@st.composite
+def _catalog_and_keep(draw):
+    tables = []
+    for t in range(draw(st.integers(1, 4))):
+        columns = tuple(
+            ColumnSpec(
+                f"c{c}",
+                draw(st.sampled_from(TYPE_NAMES)),
+                draw(st.none() | _TEXT),
+                draw(st.none() | st.lists(_TEXT, min_size=1, max_size=5).map(tuple)),
+                draw(st.booleans()),
+            )
+            for c in range(draw(st.integers(1, 5))))
+        tables.append(TableSpec(f"t{t}", columns))
+    columns = [(t.name, c.name) for t in tables for c in t.columns]
+    ends = st.sampled_from(columns)
+    fks = tuple(ForeignKey(a, b, c, d)
+                for (a, b), (c, d) in draw(st.lists(st.tuples(ends, ends), max_size=4)))
+    # Tables the filter names keep a random subset, possibly none (the table
+    # and its foreign keys drop out); unnamed tables keep every column.
+    keep = {t.name: {c.name for c in t.columns if draw(st.booleans())}
+            for t in tables if draw(st.booleans())}
+    return DatabaseCatalog("db", tuple(tables), fks), keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(_catalog_and_keep())
+def test_compiled_accounting_equals_rendered_count(catalog_and_keep):
+    catalog, keep = catalog_and_keep
+    instance = TaskInstance(1, "How many, in total?", "note: a.b", "SELECT 1", "db")
+    for variant in SchemaVariant:
+        for kept in (None, keep):
+            expected = count_tokens(render_schema(catalog, variant, kept))
+            costs = column_line_costs(catalog, variant, count_tokens)
+            assert count_schema_tokens(catalog, kept, costs, count_tokens) == expected
+            assert schema_token_fn(catalog, variant, count_tokens)(kept) == expected
+            prompt_tokens = open_prompt_token_fn(instance, catalog, variant)
+            assert prompt_tokens(kept) == count_tokens(
+                open_prompt_text(instance, catalog, variant, kept))
+
+
+def test_concurrent_first_use_of_a_catalog_is_harmless():
+    def catalog():
+        return DatabaseCatalog("db", tuple(
+            TableSpec(f"t{t}", tuple(ColumnSpec(f"c{c}", "int", f"column {c} of {t}")
+                                     for c in range(30)))
+            for t in range(4)))
+
+    def work(target, start):
+        start.wait(timeout=10)
+        return [(render_schema(target, variant),
+                 schema_token_fn(target, variant, count_tokens)(None))
+                for variant in SchemaVariant]
+
+    expected = work(catalog(), threading.Barrier(1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared, start = catalog(), threading.Barrier(8)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, shared, start) for _ in range(8)]
+                assert [f.result(timeout=60) for f in futures] == [expected] * 8
+            for variant in SchemaVariant:
+                assert column_line_costs(shared, variant, count_tokens) is \
+                    column_line_costs(shared, variant, count_tokens)
+    finally:
+        sys.setswitchinterval(interval)
