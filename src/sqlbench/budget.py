@@ -1,4 +1,4 @@
-"""Token counting, column partitioning and the two truncation strategies.
+"""Token counting, column partitioning and the one column-truncation engine.
 
 The default counter is a frozen, dependency-free segmentation: alphanumeric
 runs are one token each and every other non-space character is its own
@@ -14,9 +14,15 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .schema import ColumnSpec, DatabaseCatalog, count_schema_tokens
+from .schema import (
+    ColumnSpec,
+    DatabaseCatalog,
+    SchemaVariant,
+    column_line_costs,
+    schema_token_fn,
+)
 from .skeleton import tokenize
 
 logger = logging.getLogger(__name__)
@@ -179,37 +185,6 @@ def full_keep(catalog: DatabaseCatalog) -> KeepFilter:
     return {t.name: {c.name for c in t.columns} for t in catalog.tables}
 
 
-def truncate_target(
-    catalog: DatabaseCatalog,
-    partition: ColumnPartition,
-    prompt_tokens: Callable[[KeepFilter], int],
-    limit: int,
-    seed: int,
-) -> tuple[KeepFilter, TruncationRecord]:
-    """Randomly drop non-target columns until the rendered prompt fits.
-
-    `prompt_tokens` must report the full prompt's token count under a keep
-    filter; it is re-evaluated after every removal so the loop stops at the
-    first fit. Deterministic for a fixed seed.
-    """
-    keep = full_keep(catalog)
-    removable = sorted(partition.non_target)
-    rng = random.Random(seed)
-    tokens_before = prompt_tokens(keep)
-    tokens = tokens_before
-    removed: list[tuple[str, str]] = []
-    while tokens > limit:
-        if not removable:
-            raise UnsatisfiableBudget(
-                f"target columns alone need {tokens} tokens (limit {limit})")
-        table, column = removable.pop(rng.randrange(len(removable)))
-        keep[table].discard(column)
-        removed.append((table, column))
-        tokens = prompt_tokens(keep)
-    record = TruncationRecord((tuple(removed),), tokens_before, tokens)
-    return keep, record
-
-
 def clamp_similarity(value: float, *, floor: float = 1e-6) -> float:
     """Clamp a nonpositive similarity to a small floor before inversion."""
     if value <= 0.0:
@@ -245,20 +220,115 @@ def plan_example_truncation(
 class PromptSection:
     """One truncatable schema section of a prompt (target or example).
 
-    column_costs, when given, carries the token cost of each column's
-    rendered line (see schema.column_line_costs). When every section of a
-    truncate_examples call carries them, the loop accounts for the prompt's
-    size instead of re-rendering it; see truncate_examples for how the
-    budget guarantee is kept for any counter.
+    `keep` starts as the catalog's full keep filter; truncation starts from
+    a copy of it and leaves it unchanged.
     """
 
     catalog: DatabaseCatalog
     partition: ColumnPartition
-    column_costs: Optional[Mapping[tuple[str, str], int]] = None
     keep: KeepFilter = field(init=False)
 
     def __post_init__(self) -> None:
         self.keep = full_keep(self.catalog)
+
+
+def _truncate(
+    sections: Sequence[PromptSection],
+    rates: Sequence[float],
+    render_prompt: Callable[[list[KeepFilter]], str],
+    limit: int,
+    seed: int,
+    variant: SchemaVariant,
+    counter: TokenCounter,
+) -> tuple[list[KeepFilter], TruncationRecord]:
+    """The truncation engine behind truncate_target and truncate_examples.
+
+    The prompt is counted once in full; that count minus the sections'
+    schema sizes is its fixed scaffold. Each section's schema size is then
+    kept exact as columns go: a removal frees its line's cost, and one that
+    empties a table or touches a foreign-key endpoint recounts the section
+    from its compiled costs. Each round splits the excess over the sections
+    that still have removable columns by their rates (evenly when those
+    rates sum to 0), and a section stops at the first removal whose freed
+    tokens reach its share. Once the accounted size fits, one true count
+    of the rendered prompt confirms it; if the two disagree (a counter
+    that is not line-additive) the scaffold moves by the difference and
+    the loop goes on. The result therefore always fits the limit, or the
+    call fails.
+    """
+    keeps = [{table: set(columns) for table, columns in section.keep.items()}
+             for section in sections]
+    removables = [sorted(section.partition.non_target) for section in sections]
+    schema_sizes = [schema_token_fn(section.catalog, variant, counter) for section in sections]
+    line_costs = [column_line_costs(section.catalog, variant, counter) for section in sections]
+    fk_ends = [{end for fk in section.catalog.foreign_keys
+                for end in ((fk.table, fk.column), (fk.ref_table, fk.ref_column))}
+               for section in sections]
+    sizes = [schema_size(keep) for schema_size, keep in zip(schema_sizes, keeps)]
+    rng = random.Random(seed)
+    removed: list[list[tuple[str, str]]] = [[] for _ in sections]
+
+    tokens_before = counter(render_prompt(keeps))
+    scaffold = tokens_before - sum(sizes)
+    tokens = tokens_before
+    active = [i for i in range(len(sections)) if removables[i]]
+
+    while tokens > limit:
+        if not active:
+            raise UnsatisfiableBudget(
+                f"prompt needs {tokens} tokens with all removable columns gone "
+                f"(limit {limit})")
+        excess = tokens - limit
+        shares = [rates[i] for i in active]
+        total_share = sum(shares)
+        if total_share == 0:  # every active rate underflowed
+            shares, total_share = [1.0] * len(active), float(len(active))
+        for i, share in zip(list(active), shares):
+            quota = excess * share / total_share
+            freed = 0
+            while freed < quota and removables[i]:
+                table, column = removables[i].pop(rng.randrange(len(removables[i])))
+                keeps[i][table].discard(column)
+                removed[i].append((table, column))
+                if keeps[i][table] and (table, column) not in fk_ends[i]:
+                    size = sizes[i] - line_costs[i][(table, column)]
+                else:
+                    size = schema_sizes[i](keeps[i])
+                freed += sizes[i] - size
+                sizes[i] = size
+            if not removables[i]:
+                active.remove(i)
+        tokens = scaffold + sum(sizes)
+        if tokens <= limit:
+            true_tokens = counter(render_prompt(keeps))
+            scaffold += true_tokens - tokens
+            tokens = true_tokens
+
+    record = TruncationRecord(
+        tuple(tuple(section) for section in removed), tokens_before, tokens)
+    return keeps, record
+
+
+def truncate_target(
+    catalog: DatabaseCatalog,
+    partition: ColumnPartition,
+    render_prompt: Callable[[KeepFilter], str],
+    limit: int,
+    seed: int,
+    *,
+    variant: SchemaVariant,
+    counter: TokenCounter,
+) -> tuple[KeepFilter, TruncationRecord]:
+    """Randomly drop non-target columns until the rendered prompt fits.
+
+    The one-section case of truncate_examples, at rate 1. `render_prompt`
+    renders the full prompt, schema block in `variant`, under one keep
+    filter; the loop stops at the first removal after which it fits.
+    """
+    keeps, record = _truncate(
+        [PromptSection(catalog, partition)], (1.0,),
+        lambda keeps: render_prompt(keeps[0]), limit, seed, variant, counter)
+    return keeps[0], record
 
 
 def truncate_examples(
@@ -267,81 +337,21 @@ def truncate_examples(
     render_prompt: Callable[[Sequence[KeepFilter]], str],
     limit: int,
     seed: int,
-    counter: TokenCounter = count_tokens,
+    *,
+    variant: SchemaVariant,
+    counter: TokenCounter,
 ) -> tuple[list[KeepFilter], TruncationRecord]:
     """Apportion the token excess across sections proportionally to rates.
 
     sections[0] is the target, the rest are examples in prompt order; rates
-    align by index. Each section sheds random non-target columns until its
-    token quota is met or its removable set is exhausted, with leftover
-    excess re-apportioned over the remaining sections by renormalized
-    rates. The sections themselves are left unchanged.
-
-    When every section carries column_costs, the prompt is counted once in
-    full before the loop. After each round its size is accounted as that
-    count's fixed scaffold plus, per section, the costs of its kept column
-    lines, table headers and footers and surviving foreign-key lines. Once
-    the accounted size fits, one true recount of the rendered prompt
-    confirms it. If the two disagree (a counter that is not line-additive),
-    the loop goes on from the true count and recounts the full rendering
-    after every round, as it does for sections without column_costs. The
-    final prompt therefore always fits the limit or the call fails.
+    align by index, and `render_prompt` renders the full prompt, schema
+    blocks in `variant`, from one keep filter per section. Each section
+    sheds random non-target columns until its token quota is met or its
+    removable set is exhausted, with leftover excess re-apportioned over
+    the remaining sections by renormalized rates (evenly once those sum
+    to 0). The sections themselves are left unchanged.
     """
     if len(sections) != len(plan.rates):
         raise ValueError(
             f"{len(sections)} sections but {len(plan.rates)} truncation rates")
-
-    keeps = [{table: set(columns) for table, columns in section.keep.items()}
-             for section in sections]
-    removables = [sorted(section.partition.non_target) for section in sections]
-    rng = random.Random(seed)
-    removed: list[list[tuple[str, str]]] = [[] for _ in sections]
-
-    def schema_tokens() -> int:
-        return sum(
-            count_schema_tokens(section.catalog, keep, section.column_costs, counter)
-            for section, keep in zip(sections, keeps))
-
-    tokens_before = counter(render_prompt(keeps))
-    tokens = tokens_before
-    accounted = all(section.column_costs is not None for section in sections)
-    if accounted:
-        scaffold = tokens_before - schema_tokens()
-    excess = tokens - limit
-    active = [i for i in range(len(sections)) if removables[i]]
-
-    while excess > 0:
-        if not active:
-            raise UnsatisfiableBudget(
-                f"prompt needs {tokens} tokens with all removable columns gone "
-                f"(limit {limit})")
-        total_rate = sum(plan.rates[i] for i in active)
-        for i in list(active):
-            quota = excess * plan.rates[i] / total_rate
-            costs = sections[i].column_costs
-            freed = 0.0
-            while freed < quota and removables[i]:
-                table, column = removables[i].pop(rng.randrange(len(removables[i])))
-                keeps[i][table].discard(column)
-                removed[i].append((table, column))
-                if costs is not None:
-                    freed += costs[(table, column)]
-                else:
-                    new_tokens = counter(render_prompt(keeps))
-                    freed += tokens - new_tokens
-                    tokens = new_tokens
-            if not removables[i]:
-                active.remove(i)
-        if accounted:
-            tokens = scaffold + schema_tokens()
-            if tokens <= limit:
-                true_tokens = counter(render_prompt(keeps))
-                accounted = true_tokens == tokens
-                tokens = true_tokens
-        else:
-            tokens = counter(render_prompt(keeps))
-        excess = tokens - limit
-
-    record = TruncationRecord(
-        tuple(tuple(section) for section in removed), tokens_before, tokens)
-    return keeps, record
+    return _truncate(sections, plan.rates, render_prompt, limit, seed, variant, counter)

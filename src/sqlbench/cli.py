@@ -50,10 +50,11 @@ from .prompts import (
     build_open_prompt,
     build_sft_pair,
     few_shot_text,
-    open_prompt_token_fn,
+    open_prompt_text,
+    require_sft_budget,
     sft_seed,
 )
-from .schema import SchemaVariant, column_line_costs, render_schema
+from .schema import SchemaVariant, render_schema
 from .taxonomy import ErrorLabel, classify, tabulate
 
 logger = logging.getLogger(__name__)
@@ -210,10 +211,12 @@ def _zero_shot_bundle(
     """Open prompt with target column truncation against the budget."""
     link_text = f"{instance.question} {instance.external_knowledge}"
     partition = partition_columns(catalog, question=link_text)
-    tokens = open_prompt_token_fn(instance, catalog, cfg.variant)
     keep, record = truncate_target(
-        catalog, partition, tokens, cfg.budget.available,
-        derive_seed(cfg.truncation_seed, instance.question_id, "target"))
+        catalog, partition,
+        lambda keep: open_prompt_text(instance, catalog, cfg.variant, keep),
+        cfg.budget.available,
+        derive_seed(cfg.truncation_seed, instance.question_id, "target"),
+        variant=cfg.variant, counter=count_tokens)
     return build_open_prompt(
         instance, catalog, cfg.variant, keep=keep, truncation=record)
 
@@ -267,14 +270,11 @@ def _few_shot_bundle(
     plan = plan_example_truncation(similarities, cfg.temperature)
 
     target_link = f"{instance.question} {instance.external_knowledge}"
-    sections = [PromptSection(
-        catalog, partition_columns(catalog, question=target_link),
-        column_line_costs(catalog, cfg.variant, count_tokens))]
+    sections = [PromptSection(catalog, partition_columns(catalog, question=target_link))]
     for example in examples:
         sections.append(PromptSection(
             example.catalog,
-            partition_columns(example.catalog, reference_sql=example.instance.gold_sql),
-            column_line_costs(example.catalog, cfg.variant, count_tokens)))
+            partition_columns(example.catalog, reference_sql=example.instance.gold_sql)))
 
     def example_blocks(keeps) -> list[FewShotBlock]:
         return [FewShotBlock(example.instance, example.catalog, keep)
@@ -286,7 +286,8 @@ def _few_shot_bundle(
 
     keeps, record = truncate_examples(
         sections, plan, render, cfg.budget.available,
-        derive_seed(cfg.truncation_seed, instance.question_id, "examples"))
+        derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
+        variant=cfg.variant, counter=count_tokens)
     return build_few_shot_prompt(
         instance, catalog, example_blocks(keeps), cfg.variant,
         keep=keeps[0], truncation=record)
@@ -476,7 +477,8 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
 
 
 def cmd_prep_sft(cfg: RunConfig) -> Path:
-    """Emit the SFT JSONL plus truncation statistics."""
+    """Emit the SFT JSONL plus truncation statistics; skip unfittable instances."""
+    require_sft_budget(cfg.budget)
     split = load_split(cfg.benchmark_root, cfg.split)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"sft_{cfg.split}.jsonl"

@@ -37,7 +37,6 @@ from .schema import (
     filter_catalog,
     render_schema,
     render_schema_format_header,
-    schema_token_fn,
 )
 from .skeleton import UnterminatedComment, UnterminatedString, extract_skeleton
 
@@ -264,22 +263,12 @@ def _build_step_prompt(
         lines.append(tail)
         return "\n".join(lines)
 
-    # Lines are newline-separated, so the count splits into a fixed
-    # scaffold plus the schema block, tallied from per-line costs.
-    schema_tokens = schema_token_fn(schema_catalog, variant, counter)
-    scaffold = counter(render(None)) - schema_tokens(None)
-
-    def prompt_tokens(keep) -> int:
-        return scaffold + schema_tokens(keep)
-
     link_text = f"{instance.question} {instance.external_knowledge}"
     partition = partition_columns(schema_catalog, question=link_text)
     keep, record = truncate_target(
-        schema_catalog, partition,
-        prompt_tokens,
-        budget.available,
+        schema_catalog, partition, render, budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
-    )
+        variant=variant, counter=counter)
     text = render(keep)
     return PromptBundle(text, counter(text), "cot_step", step_index, record)
 

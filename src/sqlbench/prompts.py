@@ -247,13 +247,19 @@ def build_sft_pair(
     prompt+completion fits the full context window."""
     completion = completion_for(instance.gold_sql)
     partition = partition_columns(catalog, reference_sql=instance.gold_sql)
-    pair_tokens = open_prompt_token_fn(
-        instance, catalog, variant, counter=counter, suffix=completion)
     keep, record = truncate_target(
-        catalog, partition, pair_tokens, budget.max_context, seed)
+        catalog, partition,
+        lambda keep: open_prompt_text(instance, catalog, variant, keep) + completion,
+        budget.max_context, seed, variant=variant, counter=counter)
     bundle = build_open_prompt(
         instance, catalog, variant, keep=keep, counter=counter, truncation=record)
     return SftPair(bundle.text, completion), record
+
+
+def require_sft_budget(budget: TokenBudget) -> None:
+    """Reject a context too short for SFT pairs, before any pair is built."""
+    if budget.max_context < 256:
+        raise ValueError("SFT budget needs max_context >= 256")
 
 
 def emit_sft_dataset(
@@ -267,10 +273,10 @@ def emit_sft_dataset(
     """Yield one (pair, truncation record) per instance, in split order.
 
     Each instance truncates with `sft_seed(seed, question_id)`, as
-    `sqlbench prep-sft` does.
+    `sqlbench prep-sft` does. An instance whose budget cannot be met raises
+    UnsatisfiableBudget, where `prep-sft` skips it.
     """
-    if budget.max_context < 256:
-        raise ValueError("SFT budget needs max_context >= 256")
+    require_sft_budget(budget)
     for instance in split.instances:
         catalog = split.databases[instance.database_id]
         yield build_sft_pair(

@@ -340,48 +340,35 @@ def _frame_costs(catalog: DatabaseCatalog, counter):
     return catalog.derived(("frame", counter), build)
 
 
-def count_schema_tokens(
-    catalog: DatabaseCatalog,
-    keep: Optional[ColumnFilter],
-    line_costs: Mapping[tuple[str, str], int],
-    counter,
-) -> int:
-    """counter(render_schema(catalog, variant, keep)) without rendering.
-
-    `line_costs` are the variant's column_line_costs under the same counter.
-    Exact for any line-additive counter (newlines never sit inside a
-    token): a table left without columns drops its header and footer, and
-    a foreign key counts only while both endpoints survive.
-    """
-    table_costs, fk_header_cost, fk_costs = _frame_costs(catalog, counter)
-    total = 0
-    kept: set[tuple[str, str]] = set()
-    for table in catalog.tables:
-        wanted = None if keep is None or table.name not in keep else set(keep[table.name])
-        columns = [c.name for c in table.columns if wanted is None or c.name in wanted]
-        if not columns:
-            continue
-        total += table_costs[table.name]
-        for name in columns:
-            total += line_costs[(table.name, name)]
-            kept.add((table.name, name))
-    surviving = [cost for source, target, cost in fk_costs if source in kept and target in kept]
-    if surviving:
-        total += fk_header_cost + sum(surviving)
-    return total
-
-
 def schema_token_fn(catalog: DatabaseCatalog, variant: SchemaVariant, counter):
     """Exact keep-filter token counter for the rendered schema block.
 
-    Computes the same number as counter(render_schema(catalog, variant,
-    keep)) for any line-additive counter, from the catalog's compiled
-    per-line costs instead of re-rendering.
+    Computes counter(render_schema(catalog, variant, keep)) without
+    rendering, from the catalog's compiled per-line costs. Exact for any
+    line-additive counter (newlines never sit inside a token): a table
+    left without columns drops its header and footer, and a foreign key
+    counts only while both endpoints survive.
     """
     line_costs = column_line_costs(catalog, variant, counter)
+    table_costs, fk_header_cost, fk_costs = _frame_costs(catalog, counter)
 
     def tokens(keep: Optional[ColumnFilter]) -> int:
-        return count_schema_tokens(catalog, keep, line_costs, counter)
+        total = 0
+        kept: set[tuple[str, str]] = set()
+        for table in catalog.tables:
+            wanted = None if keep is None or table.name not in keep else set(keep[table.name])
+            columns = [c.name for c in table.columns if wanted is None or c.name in wanted]
+            if not columns:
+                continue
+            total += table_costs[table.name]
+            for name in columns:
+                total += line_costs[(table.name, name)]
+                kept.add((table.name, name))
+        surviving = [cost for source, target, cost in fk_costs
+                     if source in kept and target in kept]
+        if surviving:
+            total += fk_header_cost + sum(surviving)
+        return total
 
     return tokens
 

@@ -47,14 +47,13 @@ from sqlbench.prompts import (
     build_open_prompt,
     build_sft_pair,
     few_shot_text,
-    open_prompt_token_fn,
+    open_prompt_text,
 )
 from sqlbench.schema import (
     ColumnSpec,
     DatabaseCatalog,
     SchemaVariant,
     TableSpec,
-    column_line_costs,
     render_schema,
 )
 from sqlbench.skeleton import extract_skeleton, tokenize
@@ -299,6 +298,7 @@ def test_criterion_5_budget_property():
     assert limit == 2048 - 200
     rng = random.Random(41)
     variant = SchemaVariant.C_VDT
+    engine = {"variant": variant, "counter": count_tokens}
     breached = 0
 
     def scripted(prompt):
@@ -320,9 +320,12 @@ def test_criterion_5_budget_property():
         instance = TaskInstance(trial, "How many records are stored in total?", "",
                                 "SELECT COUNT(*) FROM records", "target_db")
         partition = partition_columns(target_catalog, question=instance.question)
-        prompt_tokens = open_prompt_token_fn(instance, target_catalog, variant)
 
-        keep, record = truncate_target(target_catalog, partition, prompt_tokens, limit, seed)
+        def render_target(keep):
+            return open_prompt_text(instance, target_catalog, variant, keep)
+
+        keep, record = truncate_target(
+            target_catalog, partition, render_target, limit, seed, **engine)
         bundle = build_open_prompt(instance, target_catalog, variant,
                                    keep=keep, truncation=record)
         assert bundle.token_count <= limit
@@ -330,16 +333,15 @@ def test_criterion_5_budget_property():
         if record.total_removed:
             breached += 1
             keep_again, record_again = truncate_target(
-                target_catalog, partition, prompt_tokens, limit, seed)
+                target_catalog, partition, render_target, limit, seed, **engine)
             assert build_open_prompt(
                 instance, target_catalog, variant, keep=keep_again).text == bundle.text
             assert record_again.removed_columns == record.removed_columns
 
         # few-shot: 1-shot and 3-shot with example column truncation
-        target_costs = column_line_costs(target_catalog, variant, count_tokens)
         for shots in (1, 3):
             blocks = []
-            sections = [PromptSection(target_catalog, partition, target_costs)]
+            sections = [PromptSection(target_catalog, partition)]
             for s in range(shots):
                 ex_catalog = _random_catalog(rng, f"pool_db_{s}", rng.randint(35, 55))
                 ex_instance = TaskInstance(
@@ -348,8 +350,7 @@ def test_criterion_5_budget_property():
                 blocks.append((ex_instance, ex_catalog))
                 sections.append(PromptSection(
                     ex_catalog,
-                    partition_columns(ex_catalog, reference_sql=ex_instance.gold_sql),
-                    column_line_costs(ex_catalog, variant, count_tokens)))
+                    partition_columns(ex_catalog, reference_sql=ex_instance.gold_sql)))
             similarities = sorted(rng.uniform(0.2, 0.95) for _ in range(shots))
             plan = plan_example_truncation(similarities)
 
@@ -361,14 +362,15 @@ def test_criterion_5_budget_property():
                 return few_shot_text(
                     instance, target_catalog, example_blocks, variant, keeps[0])
 
-            keeps, few_record = truncate_examples(sections, plan, render, limit, seed)
+            keeps, few_record = truncate_examples(
+                sections, plan, render, limit, seed, **engine)
             text = render(keeps)
             assert count_tokens(text) <= limit
             for section, removed in zip(sections, few_record.removed_columns):
                 assert not set(removed) & section.partition.target
             if few_record.total_removed:
                 breached += 1
-                keeps2, _ = truncate_examples(sections, plan, render, limit, seed)
+                keeps2, _ = truncate_examples(sections, plan, render, limit, seed, **engine)
                 assert render(keeps2) == text
 
         # chain-of-thought: every step prompt individually within budget

@@ -4,12 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlbench.budget import (
     ColumnPartition,
     NonpositiveSimilarity,
     PromptSection,
     TokenBudget,
+    TruncationRecord,
     UnsatisfiableBudget,
     clamp_similarity,
     count_tokens,
@@ -23,9 +26,9 @@ from sqlbench.budget import (
 from sqlbench.schema import (
     ColumnSpec,
     DatabaseCatalog,
+    ForeignKey,
     SchemaVariant,
     TableSpec,
-    column_line_costs,
     render_schema,
 )
 
@@ -114,16 +117,21 @@ def test_partition_overlap_rejected():
         ColumnPartition(frozenset({("t", "a")}), frozenset({("t", "a")}))
 
 
-def _tokens_via_render(catalog, variant=SchemaVariant.C_A):
-    def tokens(keep):
-        return count_tokens(render_schema(catalog, variant, keep))
-    return tokens
+# Every truncation call in this file renders C_A schemas and counts with
+# the default counter unless it says otherwise.
+ENGINE = {"variant": SchemaVariant.C_A, "counter": count_tokens}
+
+
+def _render_target(catalog, variant=SchemaVariant.C_A):
+    def render(keep):
+        return render_schema(catalog, variant, keep)
+    return render
 
 
 def test_truncate_target_noop_under_budget(movie_catalog):
     partition = partition_columns(movie_catalog, question="anything")
-    tokens = _tokens_via_render(movie_catalog)
-    keep, record = truncate_target(movie_catalog, partition, tokens, 10_000, seed=1)
+    render = _render_target(movie_catalog)
+    keep, record = truncate_target(movie_catalog, partition, render, 10_000, seed=1, **ENGINE)
     assert record.total_removed == 0
     assert record.tokens_before == record.tokens_after
     assert keep == full_keep(movie_catalog)
@@ -142,11 +150,10 @@ def wide_catalog(columns=40, description=True):
 def test_truncate_target_fits_and_removes_only_non_target():
     catalog = wide_catalog()
     partition = partition_columns(catalog, question="nothing relevant here")
-    tokens = _tokens_via_render(catalog)
-    start = tokens(full_keep(catalog))
-    limit = start - 150
-    keep, record = truncate_target(catalog, partition, tokens, limit, seed=3)
-    assert tokens(keep) <= limit
+    render = _render_target(catalog)
+    limit = count_tokens(render(full_keep(catalog))) - 150
+    keep, record = truncate_target(catalog, partition, render, limit, seed=3, **ENGINE)
+    assert count_tokens(render(keep)) <= limit
     assert record.tokens_after <= limit
     assert set(record.removed_columns[0]) <= partition.non_target
 
@@ -154,21 +161,39 @@ def test_truncate_target_fits_and_removes_only_non_target():
 def test_truncate_target_deterministic():
     catalog = wide_catalog()
     partition = partition_columns(catalog, question="x")
-    tokens = _tokens_via_render(catalog)
-    limit = tokens(full_keep(catalog)) - 100
-    _, first = truncate_target(catalog, partition, tokens, limit, seed=11)
-    _, second = truncate_target(catalog, partition, tokens, limit, seed=11)
+    render = _render_target(catalog)
+    limit = count_tokens(render(full_keep(catalog))) - 100
+    _, first = truncate_target(catalog, partition, render, limit, seed=11, **ENGINE)
+    _, second = truncate_target(catalog, partition, render, limit, seed=11, **ENGINE)
     assert first.removed_columns == second.removed_columns
-    _, third = truncate_target(catalog, partition, tokens, limit, seed=12)
+    _, third = truncate_target(catalog, partition, render, limit, seed=12, **ENGINE)
     assert first.removed_columns != third.removed_columns
 
 
 def test_truncate_target_unsatisfiable():
     catalog = wide_catalog(columns=5)
     partition = partition_columns(catalog, question="x")
-    tokens = _tokens_via_render(catalog)
+    render = _render_target(catalog)
     with pytest.raises(UnsatisfiableBudget):
-        truncate_target(catalog, partition, tokens, 1, seed=0)
+        truncate_target(catalog, partition, render, 1, seed=0, **ENGINE)
+
+
+def _plus_one(text):
+    # Each count carries a fixed extra token, so per-line costs overstate
+    # what a removal frees and an accounted count undershoots the truth.
+    return count_tokens(text) + 1
+
+
+def test_truncate_target_fits_under_a_counter_that_is_not_line_additive():
+    catalog = wide_catalog()
+    partition = partition_columns(catalog, question="x")
+    render = _render_target(catalog)
+    full = _plus_one(render(full_keep(catalog)))
+    for limit in range(full - 400, full, 7):
+        keep, record = truncate_target(
+            catalog, partition, render, limit, seed=limit,
+            variant=SchemaVariant.C_A, counter=_plus_one)
+        assert record.tokens_after == _plus_one(render(keep)) <= limit
 
 
 def test_plan_symmetric_for_identical_similarities():
@@ -233,21 +258,75 @@ def _example_sections(n_examples, columns=25):
     return sections
 
 
-def _render_sections(sections):
+def _render_sections(sections, variant=SchemaVariant.C_A):
     def render(keeps):
         parts = [
-            render_schema(section.catalog, SchemaVariant.C_A, keep)
+            render_schema(section.catalog, variant, keep)
             for section, keep in zip(sections, keeps)
         ]
         return "\n".join(parts)
     return render
 
 
+def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant, counter):
+    """Example truncation that re-renders the prompt after every removal.
+
+    A removal frees exactly what the re-rendered prompt loses, so this is
+    the engine's semantics without its accounting; `variant` is unused.
+    """
+    keeps = [{table: set(columns) for table, columns in section.keep.items()}
+             for section in sections]
+    removables = [sorted(section.partition.non_target) for section in sections]
+    rng = random.Random(seed)
+    removed = [[] for _ in sections]
+    tokens_before = tokens = counter(render_prompt(keeps))
+    active = [i for i in range(len(sections)) if removables[i]]
+    while tokens > limit:
+        if not active:
+            raise UnsatisfiableBudget(f"{tokens} tokens (limit {limit})")
+        excess = tokens - limit
+        rates = [plan.rates[i] for i in active]
+        if sum(rates) == 0:
+            rates = [1.0] * len(active)
+        total_rate = sum(rates)
+        for i, rate in zip(list(active), rates):
+            quota = excess * rate / total_rate
+            freed = 0
+            while freed < quota and removables[i]:
+                table, column = removables[i].pop(rng.randrange(len(removables[i])))
+                keeps[i][table].discard(column)
+                removed[i].append((table, column))
+                new_tokens = counter(render_prompt(keeps))
+                freed += tokens - new_tokens
+                tokens = new_tokens
+            if not removables[i]:
+                active.remove(i)
+    record = TruncationRecord(tuple(tuple(r) for r in removed), tokens_before, tokens)
+    return keeps, record
+
+
+def first_fit_reference(catalog, partition, render_prompt, limit, seed, *, counter):
+    """Target truncation by brute force: pop, re-render, stop at the first fit."""
+    keep = full_keep(catalog)
+    removable = sorted(partition.non_target)
+    rng = random.Random(seed)
+    removed = []
+    tokens_before = tokens = counter(render_prompt(keep))
+    while tokens > limit:
+        if not removable:
+            raise UnsatisfiableBudget(f"{tokens} tokens (limit {limit})")
+        table, column = removable.pop(rng.randrange(len(removable)))
+        keep[table].discard(column)
+        removed.append((table, column))
+        tokens = counter(render_prompt(keep))
+    return keep, TruncationRecord((tuple(removed),), tokens_before, tokens)
+
+
 def test_truncate_examples_noop_under_budget():
     sections = _example_sections(2)
     plan = plan_example_truncation([0.9, 0.5])
     render = _render_sections(sections)
-    keeps, record = truncate_examples(sections, plan, render, 10_000, seed=1)
+    keeps, record = truncate_examples(sections, plan, render, 10_000, seed=1, **ENGINE)
     assert record.total_removed == 0
     assert record.tokens_before == record.tokens_after
 
@@ -258,7 +337,7 @@ def test_truncate_examples_fits_and_least_similar_loses_most():
     full = count_tokens(render([s.keep for s in sections]))
     limit = int(full * 0.6)  # roughly 40% over budget
     plan = plan_example_truncation([0.9, 0.5, 0.25])
-    keeps, record = truncate_examples(sections, plan, render, limit, seed=2)
+    keeps, record = truncate_examples(sections, plan, render, limit, seed=2, **ENGINE)
     assert count_tokens(render(keeps)) <= limit
     removed_counts = [len(section) for section in record.removed_columns]
     # per-section removals follow the rate ordering
@@ -278,9 +357,28 @@ def test_truncate_examples_reapportions_on_exhaustion():
     full = count_tokens(render([s.keep for s in sections]))
     limit = int(full * 0.7)
     plan = plan_example_truncation([0.5, 0.9])
-    keeps, record = truncate_examples(sections, plan, render, limit, seed=3)
+    keeps, record = truncate_examples(sections, plan, render, limit, seed=3, **ENGINE)
     assert count_tokens(render(keeps)) <= limit
     assert record.removed_columns[2] == ()
+
+
+def test_truncate_examples_shares_the_excess_evenly_once_active_rates_are_zero():
+    # A similarity clamped to 1e-6 takes the whole rate: the other two
+    # sections underflow to 0, and they must still shed columns once the
+    # first example has none left.
+    plan = plan_example_truncation([1e-6, 0.5])
+    assert plan.rates == (0.0, 1.0, 0.0)
+    sections = _example_sections(2, columns=30)
+    few = sorted(sections[1].partition.non_target)[:3]
+    sections[1] = PromptSection(sections[1].catalog, ColumnPartition(
+        sections[1].catalog.column_set() - set(few), frozenset(few)))
+    render = _render_sections(sections)
+    limit = int(count_tokens(render([s.keep for s in sections])) * 0.7)
+    keeps, record = truncate_examples(sections, plan, render, limit, seed=8, **ENGINE)
+    assert record.tokens_after == count_tokens(render(keeps)) <= limit
+    assert set(record.removed_columns[1]) == set(few)
+    assert record.removed_columns[0] and record.removed_columns[2]
+    assert (keeps, record) == rerender_reference(sections, plan, render, limit, seed=8, **ENGINE)
 
 
 def test_truncate_examples_unsatisfiable():
@@ -288,7 +386,7 @@ def test_truncate_examples_unsatisfiable():
     render = _render_sections(sections)
     plan = plan_example_truncation([0.5])
     with pytest.raises(UnsatisfiableBudget):
-        truncate_examples(sections, plan, render, 1, seed=4)
+        truncate_examples(sections, plan, render, 1, seed=4, **ENGINE)
 
 
 def test_truncate_examples_deterministic():
@@ -298,29 +396,22 @@ def test_truncate_examples_deterministic():
         full = count_tokens(render([s.keep for s in sections]))
         plan = plan_example_truncation([0.8, 0.4])
         keeps, record = truncate_examples(
-            sections, plan, render, int(full * 0.7), seed=seed)
+            sections, plan, render, int(full * 0.7), seed=seed, **ENGINE)
         return render(keeps), record.removed_columns
 
     assert run(9) == run(9)
     assert run(9) != run(10)
 
 
-def _with_costs(sections, counter=count_tokens):
-    return [PromptSection(s.catalog, s.partition,
-                          column_line_costs(s.catalog, SchemaVariant.C_A, counter))
-            for s in sections]
-
-
-@pytest.mark.parametrize("with_costs", [False, True])
-def test_truncate_examples_leaves_sections_unchanged(with_costs):
+@pytest.mark.parametrize("accounted", [False, True])
+def test_truncate_examples_leaves_sections_unchanged(accounted):
+    truncate = truncate_examples if accounted else rerender_reference
     sections = _example_sections(2, columns=31)
-    if with_costs:
-        sections = _with_costs(sections)
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
     plan = plan_example_truncation([0.8, 0.4])
-    first = truncate_examples(sections, plan, render, limit, seed=5)
-    second = truncate_examples(sections, plan, render, limit, seed=5)
+    first = truncate(sections, plan, render, limit, seed=5, **ENGINE)
+    second = truncate(sections, plan, render, limit, seed=5, **ENGINE)
     assert first[1].total_removed > 0
     assert first == second
     for section in sections:
@@ -332,23 +423,85 @@ def test_truncate_examples_accounting_matches_rerendering():
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
     plan = plan_example_truncation([0.9, 0.5, 0.25])
-    rerendered = truncate_examples(sections, plan, render, limit, seed=2)
-    accounted = truncate_examples(_with_costs(sections), plan, render, limit, seed=2)
+    rerendered = rerender_reference(sections, plan, render, limit, seed=2, **ENGINE)
+    accounted = truncate_examples(sections, plan, render, limit, seed=2, **ENGINE)
     assert accounted == rerendered
 
 
 def test_truncate_examples_fits_under_a_counter_that_is_not_line_additive():
-    # Each count carries a fixed extra token, so per-line costs overstate
-    # what a removal frees and the accounted count undershoots the truth.
-    def counter(text):
-        return count_tokens(text) + 1
-
-    sections = _with_costs(_example_sections(2, columns=30), counter)
+    sections = _example_sections(2, columns=30)
     render = _render_sections(sections)
-    limit = int(counter(render([s.keep for s in sections])) * 0.6)
+    limit = int(_plus_one(render([s.keep for s in sections])) * 0.6)
     plan = plan_example_truncation([0.8, 0.4])
-    keeps, record = truncate_examples(sections, plan, render, limit, seed=7, counter=counter)
-    assert record.tokens_after == counter(render(keeps)) <= limit
+    keeps, record = truncate_examples(
+        sections, plan, render, limit, seed=7, variant=SchemaVariant.C_A, counter=_plus_one)
+    assert record.tokens_after == _plus_one(render(keeps)) <= limit
+
+
+_WORD = st.text(alphabet="abcxyz", min_size=1, max_size=6)
+
+
+@st.composite
+def _catalogs(draw):
+    """Small catalogs: some tables without a primary key, random foreign keys."""
+    tables = []
+    for t in range(draw(st.integers(1, 4))):
+        columns = tuple(
+            ColumnSpec(f"c{c}", "text", draw(st.none() | _WORD), None, draw(st.booleans()))
+            for c in range(draw(st.integers(1, 6))))
+        tables.append(TableSpec(f"t{t}", columns))
+    ends = st.sampled_from([(t.name, c.name) for t in tables for c in t.columns])
+    fks = tuple(ForeignKey(a, b, c, d)
+                for (a, b), (c, d) in draw(st.lists(st.tuples(ends, ends), max_size=4)))
+    return DatabaseCatalog("db", tuple(tables), fks)
+
+
+@st.composite
+def _sections(draw):
+    """A catalog with a random partition; foreign-key endpoints may be removable."""
+    catalog = draw(_catalogs())
+    columns = sorted(catalog.column_set())
+    non_target = frozenset(column for column in columns if draw(st.booleans()))
+    return PromptSection(catalog, ColumnPartition(
+        frozenset(columns) - non_target, non_target))
+
+
+def _outcome(truncate, *args, **kwargs):
+    try:
+        return truncate(*args, **kwargs)
+    except UnsatisfiableBudget:
+        return "unsatisfiable"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sections(), st.sampled_from(list(SchemaVariant)), st.floats(0, 1),
+       st.integers(0, 2**32))
+def test_truncate_target_equals_first_fit(section, variant, fraction, seed):
+    catalog, partition = section.catalog, section.partition
+
+    def render(keep):
+        return "### rule\n" + render_schema(catalog, variant, keep) + "SELECT"
+
+    limit = int(count_tokens(render(None)) * fraction)
+    assert _outcome(truncate_target, catalog, partition, render, limit, seed,
+                    variant=variant, counter=count_tokens) == \
+        _outcome(first_fit_reference, catalog, partition, render, limit, seed,
+                 counter=count_tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_sections(), min_size=1, max_size=4), st.sampled_from(list(SchemaVariant)),
+       st.data(), st.floats(0, 1), st.integers(0, 2**32))
+def test_truncate_examples_equals_rerendering(sections, variant, data, fraction, seed):
+    similarities = data.draw(st.lists(
+        st.sampled_from([1e-6, 0.05, 0.3, 0.5, 0.9, 1.0]),
+        min_size=len(sections) - 1, max_size=len(sections) - 1))
+    plan = plan_example_truncation(similarities, data.draw(st.sampled_from([0.5, 1.0, 3.0])))
+    render = _render_sections(sections, variant)
+    limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
+    engine = {"variant": variant, "counter": count_tokens}
+    assert _outcome(truncate_examples, sections, plan, render, limit, seed, **engine) == \
+        _outcome(rerender_reference, sections, plan, render, limit, seed, **engine)
 
 
 def test_derive_seed_stable():

@@ -471,3 +471,28 @@ def test_emit_sft_dataset_matches_prep_sft(tmp_path):
     assert all(record.total_removed > 0 for _, record in pairs)
     assert [json.loads(line) for line in lines] == [
         {"prompt": pair.prompt, "completion": pair.completion} for pair, _ in pairs]
+
+
+@pytest.mark.parametrize("max_context, written", [(255, False), (256, True)])
+def test_prep_sft_checks_the_context_before_writing(mini_bench, tmp_path, max_context,
+                                                    written):
+    out_dir = tmp_path / "out"
+    code = main(["prep-sft", "--benchmark-root", str(mini_bench), "--split", "dev",
+                 "--max-context", str(max_context), "--response-reserve", "50",
+                 "--output-dir", str(out_dir)])
+    assert code == (0 if written else 1)
+    assert (out_dir / "sft_dev.jsonl").exists() == written
+    assert out_dir.exists() == written
+
+
+def test_few_shot_run_survives_underflowed_truncation_rates(mini_bench, tmp_path):
+    # With hash embeddings some examples score a similarity at or below 0,
+    # clamped to 1e-6: that example takes the whole truncation rate and
+    # the other sections' rates underflow to 0.
+    replay_config = _record_few_shot_store(
+        mini_bench, tmp_path, max_context=500, response_reserve=50)
+    cfg = replay_config("replayed")
+    payload = json.loads(cmd_run(cfg).read_text(encoding="utf-8"))
+    errors = [o["predicted_error"] for o in payload["outcomes"]
+              if "pipeline error" in (o["predicted_error"] or "")]
+    assert not any("division" in error for error in errors), errors

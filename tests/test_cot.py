@@ -4,7 +4,7 @@ import pytest
 
 from conftest import ScriptedTransport
 from sqlbench.bench import TaskInstance
-from sqlbench.budget import TokenBudget
+from sqlbench.budget import TokenBudget, count_tokens
 from sqlbench.cot import (
     MODE_COT_SK_FULL,
     MODE_COT_SK_PRED,
@@ -278,3 +278,22 @@ def test_empty_column_parse_falls_back_to_full(movie_catalog, movie_instance):
     assert any("step 2" in w for w in trace.warnings)
     # fallback keeps the pipeline total and the final step sees the full tables
     assert trace.final_sql.startswith("SELECT")
+
+
+def test_step_prompts_fit_under_a_counter_that_is_not_line_additive(wide_fixture):
+    # One extra token per count: per-line costs overstate what a removal
+    # frees, so only a true recount of each step prompt proves the fit.
+    def counter(text):
+        return count_tokens(text) + 1
+
+    catalog, instance = wide_fixture
+    client, _ = make_client(wide_scripted())
+    untruncated = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
+                          budget=TokenBudget(100_000, 200), seed=1, counter=counter)
+    widest = max(b.token_count for b in untruncated.step_prompts)
+    for available in range(widest - 150, widest):
+        budget = TokenBudget(available + 200, 200)
+        trace = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
+                        budget=budget, seed=available, counter=counter)
+        for bundle in trace.step_prompts:
+            assert bundle.token_count == counter(bundle.text) <= budget.available

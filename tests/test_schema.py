@@ -21,7 +21,6 @@ from sqlbench.schema import (
     TableSpec,
     UnknownColumnInFilter,
     column_line_costs,
-    count_schema_tokens,
     filter_catalog,
     render_schema,
     render_schema_format_header,
@@ -224,8 +223,6 @@ def test_compiled_accounting_equals_rendered_count(catalog_and_keep):
     for variant in SchemaVariant:
         for kept in (None, keep):
             expected = count_tokens(render_schema(catalog, variant, kept))
-            costs = column_line_costs(catalog, variant, count_tokens)
-            assert count_schema_tokens(catalog, kept, costs, count_tokens) == expected
             assert schema_token_fn(catalog, variant, count_tokens)(kept) == expected
             prompt_tokens = open_prompt_token_fn(instance, catalog, variant)
             assert prompt_tokens(kept) == count_tokens(
