@@ -9,7 +9,15 @@ from .budget import (
     truncate_examples,
     truncate_target,
 )
-from .curation import CuratedSet, ExamplePool, SimilarityTriple, cosine, score_candidates, select_top_k
+from .curation import (
+    CuratedSet,
+    ExamplePool,
+    SimilarityTriple,
+    cosine,
+    curate_top_k,
+    score_candidates,
+    select_top_k,
+)
 from .evaluate import EvalOutcome, EvalReport, aggregate, execute_and_compare
 from .gateway import LlmClient, LlmEndpoint, ReplayStore, extract_sql
 from .prompts import PromptBundle, SftPair, build_few_shot_prompt, build_open_prompt
@@ -55,6 +63,7 @@ __all__ = [
     "classify",
     "cosine",
     "count_tokens",
+    "curate_top_k",
     "execute_and_compare",
     "extract_skeleton",
     "extract_sql",

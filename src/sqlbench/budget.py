@@ -243,18 +243,23 @@ def _truncate(
 ) -> tuple[list[KeepFilter], TruncationRecord]:
     """The truncation engine behind truncate_target and truncate_examples.
 
-    The prompt is counted once in full; that count minus the sections'
-    schema sizes is its fixed scaffold. Each section's schema size is then
-    kept exact as columns go: a removal frees its line's cost, and one that
-    empties a table or touches a foreign-key endpoint recounts the section
-    from its compiled costs. Each round splits the excess over the sections
-    that still have removable columns by their rates (evenly when those
-    rates sum to 0), and a section stops at the first removal whose freed
-    tokens reach its share. Once the accounted size fits, one true count
-    of the rendered prompt confirms it; if the two disagree (a counter
-    that is not line-additive) the scaffold moves by the difference and
-    the loop goes on. The result therefore always fits the limit, or the
-    call fails.
+    The prompt is first rendered as its frame: every section's keep
+    emptied, so no schema line is rendered. The frame's count is the
+    fixed scaffold, and the scaffold plus the sections' compiled schema
+    sizes is `tokens_before` (exact for a line-additive counter). Each
+    section's schema size is then kept exact as columns go: a removal
+    frees its line's cost, and one that empties a table or touches a
+    foreign-key endpoint recounts the section from its compiled costs.
+    Each round splits the excess over the sections that still have
+    removable columns by their rates (evenly when those rates sum to 0),
+    and a section stops at the first removal whose freed tokens reach its
+    share. Whenever the accounted size fits, before any removal as after
+    one, the full prompt is rendered and counted to confirm it; if the two
+    disagree (a counter that is not line-additive) the scaffold moves by
+    the difference and the loop goes on. The result therefore always fits
+    the limit, or the call fails, and the last call of `render_prompt`
+    rendered the returned keeps: its text, counted `tokens_after`, is the
+    final prompt.
     """
     keeps = [{table: set(columns) for table, columns in section.keep.items()}
              for section in sections]
@@ -268,12 +273,17 @@ def _truncate(
     rng = random.Random(seed)
     removed: list[list[tuple[str, str]]] = [[] for _ in sections]
 
-    tokens_before = counter(render_prompt(keeps))
-    scaffold = tokens_before - sum(sizes)
-    tokens = tokens_before
+    scaffold = counter(render_prompt([{table: set() for table in keep} for keep in keeps]))
+    tokens_before = tokens = scaffold + sum(sizes)
     active = [i for i in range(len(sections)) if removables[i]]
 
-    while tokens > limit:
+    while True:
+        if tokens <= limit:
+            true_tokens = counter(render_prompt(keeps))
+            scaffold += true_tokens - tokens
+            tokens = true_tokens
+            if tokens <= limit:
+                break
         if not active:
             raise UnsatisfiableBudget(
                 f"prompt needs {tokens} tokens with all removable columns gone "
@@ -299,14 +309,28 @@ def _truncate(
             if not removables[i]:
                 active.remove(i)
         tokens = scaffold + sum(sizes)
-        if tokens <= limit:
-            true_tokens = counter(render_prompt(keeps))
-            scaffold += true_tokens - tokens
-            tokens = true_tokens
 
     record = TruncationRecord(
         tuple(tuple(section) for section in removed), tokens_before, tokens)
     return keeps, record
+
+
+class LastRender:
+    """A prompt render function that keeps the text of its last call.
+
+    Handed to truncate_target or truncate_examples, it holds the final
+    prompt once they return, because their last render is the confirmed
+    fit; the caller builds its PromptBundle from `text` and the record's
+    `tokens_after` instead of rendering and counting again.
+    """
+
+    def __init__(self, render: Callable[..., str]):
+        self._render = render
+        self.text = ""
+
+    def __call__(self, keep) -> str:
+        self.text = self._render(keep)
+        return self.text
 
 
 def truncate_target(
@@ -323,7 +347,10 @@ def truncate_target(
 
     The one-section case of truncate_examples, at rate 1. `render_prompt`
     renders the full prompt, schema block in `variant`, under one keep
-    filter; the loop stops at the first removal after which it fits.
+    filter; the loop stops at the first removal after which it fits. It is
+    called once with every table's keep emptied (the frame, counted once
+    for the scaffold) and once more for each confirming count; the last
+    call rendered the returned keep.
     """
     keeps, record = _truncate(
         [PromptSection(catalog, partition)], (1.0,),
@@ -349,7 +376,9 @@ def truncate_examples(
     sheds random non-target columns until its token quota is met or its
     removable set is exhausted, with leftover excess re-apportioned over
     the remaining sections by renormalized rates (evenly once those sum
-    to 0). The sections themselves are left unchanged.
+    to 0). The sections themselves are left unchanged. `render_prompt`
+    renders the frame (every keep emptied) once, then the full prompt only
+    to confirm a fit; its last call rendered the returned keeps.
     """
     if len(sections) != len(plan.rates):
         raise ValueError(

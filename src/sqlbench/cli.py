@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .bench import BenchmarkSplit, TaskInstance, database_path, load_split
 from .budget import (
+    LastRender,
     PromptSection,
     TokenBudget,
     TruncationRecord,
@@ -38,16 +39,13 @@ from .curation import (
     EmbeddingCache,
     ExamplePool,
     build_pool,
-    score_candidates,
-    select_top_k,
+    curate_top_k,
 )
 from .evaluate import EvalOutcome, aggregate, execute_and_compare
 from .gateway import LlmClient, LlmEndpoint, ReplayStore, extract_sql
 from .prompts import (
     FewShotBlock,
     PromptBundle,
-    build_few_shot_prompt,
-    build_open_prompt,
     build_sft_pair,
     few_shot_text,
     open_prompt_text,
@@ -211,14 +209,12 @@ def _zero_shot_bundle(
     """Open prompt with target column truncation against the budget."""
     link_text = f"{instance.question} {instance.external_knowledge}"
     partition = partition_columns(catalog, question=link_text)
-    keep, record = truncate_target(
-        catalog, partition,
-        lambda keep: open_prompt_text(instance, catalog, cfg.variant, keep),
-        cfg.budget.available,
+    render = LastRender(lambda keep: open_prompt_text(instance, catalog, cfg.variant, keep))
+    _, record = truncate_target(
+        catalog, partition, render, cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "target"),
         variant=cfg.variant, counter=count_tokens)
-    return build_open_prompt(
-        instance, catalog, cfg.variant, keep=keep, truncation=record)
+    return PromptBundle(render.text, record.tokens_after, "zero_shot", truncation=record)
 
 
 def _load_pool(
@@ -249,9 +245,8 @@ def _curate(
     k is `cfg.shots`; `curate` without --shots keeps one example.
     """
     draft_sql = extract_sql(client.complete(_zero_shot_bundle(cfg, instance, catalog)))
-    triples = score_candidates(
-        instance, catalog, draft_sql, pool, embed_client.embed, cache)
-    return draft_sql, select_top_k(triples, cfg.shots or 1, pool)
+    return draft_sql, curate_top_k(
+        instance, catalog, draft_sql, pool, cfg.shots or 1, embed_client.embed, cache)
 
 
 def _few_shot_bundle(
@@ -276,21 +271,16 @@ def _few_shot_bundle(
             example.catalog,
             partition_columns(example.catalog, reference_sql=example.instance.gold_sql)))
 
-    def example_blocks(keeps) -> list[FewShotBlock]:
-        return [FewShotBlock(example.instance, example.catalog, keep)
-                for example, keep in zip(examples, keeps[1:])]
-
-    def render(keeps) -> str:
-        return few_shot_text(
-            instance, catalog, example_blocks(keeps), cfg.variant, keeps[0])
-
-    keeps, record = truncate_examples(
+    render = LastRender(lambda keeps: few_shot_text(
+        instance, catalog,
+        [FewShotBlock(example.instance, example.catalog, keep)
+         for example, keep in zip(examples, keeps[1:])],
+        cfg.variant, keeps[0]))
+    _, record = truncate_examples(
         sections, plan, render, cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
         variant=cfg.variant, counter=count_tokens)
-    return build_few_shot_prompt(
-        instance, catalog, example_blocks(keeps), cfg.variant,
-        keep=keeps[0], truncation=record)
+    return PromptBundle(render.text, record.tokens_after, "few_shot", truncation=record)
 
 
 def _instance_truncation(trace: CotTrace) -> TruncationRecord:

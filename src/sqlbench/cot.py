@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .bench import TaskInstance
 from .budget import (
+    LastRender,
     TokenBudget,
     TokenCounter,
     count_tokens,
@@ -250,6 +251,7 @@ def _build_step_prompt(
     else:
         header, properties_line, variant = _LATER_HEADER, _LATER_PROPERTIES, _LATER_VARIANT
 
+    @LastRender
     def render(keep) -> str:
         lines = [FEW_SHOT_FORMAT_LINE, header, properties_line]
         schema_text = render_schema(schema_catalog, variant, keep).rstrip("\n")
@@ -265,12 +267,11 @@ def _build_step_prompt(
 
     link_text = f"{instance.question} {instance.external_knowledge}"
     partition = partition_columns(schema_catalog, question=link_text)
-    keep, record = truncate_target(
+    _, record = truncate_target(
         schema_catalog, partition, render, budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
         variant=variant, counter=counter)
-    text = render(keep)
-    return PromptBundle(text, counter(text), "cot_step", step_index, record)
+    return PromptBundle(render.text, record.tokens_after, "cot_step", step_index, record)
 
 
 def _normalize_skeleton(step_response: str) -> str:

@@ -5,13 +5,21 @@ against the target: question vs question, rendered schema vs rendered
 schema, and the target's draft SQL vs the candidate's gold SQL. The top-k
 by average similarity are kept and emitted in ascending order, so the most
 similar example sits last, nearest the target block.
+
+`curate_top_k` finds that top-k in two passes: a screen of the whole pool
+with three matrix-vector products over the pool's stacked vectors, then an
+exact rescoring, with the scalar cosine that `score_candidates` uses, of
+only the candidates the screen cannot rule out. The selection is the one
+full exact scoring gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -85,8 +93,13 @@ class PoolCandidate:
 class ExamplePool:
     candidates: tuple[PoolCandidate, ...]
     variant: SchemaVariant = SchemaVariant.C_VDT
-    # Per candidate, its (question, schema, SQL) vectors as score_candidates
-    # consumes them, converted once instead of once per scored target.
+    # The candidates' question, schema and SQL vectors, stacked once as
+    # three (N, d) float64 arrays, and their L2 norms as one (3, N) array.
+    _matrices: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    # Per candidate, its (question, schema, SQL) vectors as _cosine consumes
+    # them: row views of _matrices with their norms, not copies.
     _vectors: tuple[tuple[Vector, Vector, Vector], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -99,9 +112,19 @@ class ExamplePool:
         }
         if len(dims) > 1:
             raise DimensionMismatch(f"pool embeddings have mixed dimensions: {sorted(dims)}")
+        width = dims.pop() if dims else 0
+        matrices = tuple(
+            np.array([getattr(cand, name) for cand in self.candidates], dtype=float)
+            .reshape(len(self.candidates), width)
+            for name in ("question_vec", "schema_vec", "sql_vec"))
+        # Row by row, as _vector computes each norm, so the bits agree.
+        norms = np.array([[np.linalg.norm(row) for row in matrix] for matrix in matrices],
+                         dtype=float).reshape(3, len(self.candidates))
+        object.__setattr__(self, "_matrices", matrices)
+        object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "_vectors", tuple(
-            (_vector(cand.question_vec), _vector(cand.schema_vec), _vector(cand.sql_vec))
-            for cand in self.candidates))
+            tuple((matrix[i], float(norms[j, i])) for j, matrix in enumerate(matrices))
+            for i in range(len(self.candidates))))
 
 
 Tail = Optional[tuple[int, int]]
@@ -227,6 +250,37 @@ def build_pool(
     return ExamplePool(tuple(pool_candidates), variant)
 
 
+def _target_vectors(
+    target: TaskInstance,
+    target_catalog: DatabaseCatalog,
+    draft_sql: str,
+    pool: ExamplePool,
+    embed: EmbeddingFn,
+    cache: Optional[EmbeddingCache],
+) -> tuple[Vector, Vector, Vector]:
+    texts = [target.question, render_schema(target_catalog, pool.variant), draft_sql]
+    vectors = cache.fetch(texts, embed) if cache is not None else embed(texts)
+    target_q, target_d, target_s = (_vector(v) for v in vectors)
+    return target_q, target_d, target_s
+
+
+def _scored_indexes(target: TaskInstance, pool: ExamplePool) -> list[int]:
+    """Indexes of the candidates from another database than the target's."""
+    return [index for index, candidate in enumerate(pool.candidates)
+            if candidate.instance.database_id != target.database_id]
+
+
+def _triple(targets: tuple[Vector, Vector, Vector], pool: ExamplePool,
+            index: int) -> SimilarityTriple:
+    (target_q, target_d, target_s), (cand_q, cand_d, cand_s) = targets, pool._vectors[index]
+    return SimilarityTriple(
+        candidate_index=index,
+        gamma_q=_cosine(target_q, cand_q),
+        gamma_d=_cosine(target_d, cand_d),
+        gamma_s=_cosine(target_s, cand_s),
+    )
+
+
 def score_candidates(
     target: TaskInstance,
     target_catalog: DatabaseCatalog,
@@ -241,22 +295,8 @@ def score_candidates(
     scoring. The draft SQL is the model's zero-shot prediction for the
     target question.
     """
-    texts = [target.question, render_schema(target_catalog, pool.variant), draft_sql]
-    vectors = cache.fetch(texts, embed) if cache is not None else embed(texts)
-    target_q, target_d, target_s = (_vector(v) for v in vectors)
-
-    triples: list[SimilarityTriple] = []
-    for index, (candidate, (cand_q, cand_d, cand_s)) in enumerate(
-            zip(pool.candidates, pool._vectors)):
-        if candidate.instance.database_id == target.database_id:
-            continue
-        triples.append(SimilarityTriple(
-            candidate_index=index,
-            gamma_q=_cosine(target_q, cand_q),
-            gamma_d=_cosine(target_d, cand_d),
-            gamma_s=_cosine(target_s, cand_s),
-        ))
-    return triples
+    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed, cache)
+    return [_triple(targets, pool, index) for index in _scored_indexes(target, pool)]
 
 
 @dataclass(frozen=True)
@@ -292,3 +332,58 @@ def select_top_k(
         for t in selected
     )
     return CuratedSet(examples, k)
+
+
+# Far above the error of a screened cosine, which is within a few d * 2**-53
+# of the exact one (about 1e-13 at d = 384).
+SCREEN_MARGIN = 1e-9
+_NORMAL = np.finfo(float).tiny
+
+
+def _screen(targets: tuple[Vector, Vector, Vector],
+            pool: ExamplePool) -> tuple[list[float], list[bool]]:
+    """Each candidate's screened gamma_a, and whether the error bound covers
+    it: the screen is finite and the norms multiply to a normal float.
+    Clamping to [-1, 1] moves a cosine by less than its error, so the
+    screen skips it."""
+    total = 0
+    sure = True
+    with np.errstate(all="ignore"):
+        for (vector, norm), matrix, norms in zip(targets, pool._matrices, pool._norms):
+            scale = norms * norm
+            value = matrix @ vector / scale
+            sure = sure & (scale >= _NORMAL) & np.isfinite(value)
+            total = total + value
+    return (total / 3).tolist(), sure.tolist()
+
+
+def curate_top_k(
+    target: TaskInstance,
+    target_catalog: DatabaseCatalog,
+    draft_sql: str,
+    pool: ExamplePool,
+    k: int,
+    embed: EmbeddingFn,
+    cache: Optional[EmbeddingCache] = None,
+) -> CuratedSet:
+    """select_top_k(score_candidates(...), k, pool), scoring exactly only
+    the candidates a screen cannot rule out.
+
+    The screen puts every scored candidate's gamma_a within far less than
+    SCREEN_MARGIN of its exact value. A candidate screened more than the
+    margin below the k-th largest screened value has k candidates whose
+    exact gamma_a is above its own, so it cannot be selected. Every other
+    candidate, and every one the screen is unsure of, is rescored in index
+    order with the exact cosine and ranked by select_top_k: set, order,
+    bits and index tie-breaks equal full scoring. A candidate with a zero
+    vector is always rescored, so ZeroVector and DimensionMismatch fire as
+    in score_candidates, for scored candidates only.
+    """
+    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed, cache)
+    rows = _scored_indexes(target, pool)
+    if 0 < k < len(rows) and all(
+            vector.shape == pool._matrices[0].shape[1:] for vector, _ in targets):
+        screened, sure = _screen(targets, pool)
+        kth = heapq.nlargest(k, (screened[i] if sure[i] else -math.inf for i in rows))[-1]
+        rows = [i for i in rows if not sure[i] or screened[i] >= kth - SCREEN_MARGIN]
+    return select_top_k([_triple(targets, pool, index) for index in rows], k, pool)

@@ -18,6 +18,9 @@ from typing import Optional, Sequence
 from .bench import DIFFICULTIES, TaskInstance, connect_read_only
 
 DEFAULT_QUERY_TIMEOUT = 30.0
+# Rows one query may return. A larger result becomes that query's error
+# instead of being held in memory; below the bound EX is unaffected.
+MAX_RESULT_ROWS = 1_000_000
 
 
 class CountMismatch(ValueError):
@@ -57,7 +60,8 @@ def _normalize_rows(rows: Sequence[Sequence]) -> frozenset:
 
 
 def _run_query(database: Path, sql: str, timeout: float):
-    """Execute one read-only query; returns (rows, error)."""
+    """Execute one read-only query; returns (rows, error). More than
+    MAX_RESULT_ROWS rows is an error."""
     try:
         conn = connect_read_only(database)
     except sqlite3.Error as exc:
@@ -65,7 +69,9 @@ def _run_query(database: Path, sql: str, timeout: float):
     deadline = time.monotonic() + timeout
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
     try:
-        rows = conn.execute(sql).fetchall()
+        rows = conn.execute(sql).fetchmany(MAX_RESULT_ROWS + 1)
+        if len(rows) > MAX_RESULT_ROWS:
+            return None, f"result exceeds {MAX_RESULT_ROWS} rows"
         return rows, None
     except sqlite3.OperationalError as exc:
         message = str(exc)

@@ -15,6 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from .bench import BenchmarkSplit, TaskInstance
 from .budget import (
+    LastRender,
     TokenBudget,
     TokenCounter,
     TruncationRecord,
@@ -247,13 +248,12 @@ def build_sft_pair(
     prompt+completion fits the full context window."""
     completion = completion_for(instance.gold_sql)
     partition = partition_columns(catalog, reference_sql=instance.gold_sql)
-    keep, record = truncate_target(
-        catalog, partition,
-        lambda keep: open_prompt_text(instance, catalog, variant, keep) + completion,
-        budget.max_context, seed, variant=variant, counter=counter)
-    bundle = build_open_prompt(
-        instance, catalog, variant, keep=keep, counter=counter, truncation=record)
-    return SftPair(bundle.text, completion), record
+    render = LastRender(
+        lambda keep: open_prompt_text(instance, catalog, variant, keep) + completion)
+    _, record = truncate_target(
+        catalog, partition, render, budget.max_context, seed,
+        variant=variant, counter=counter)
+    return SftPair(render.text.removesuffix(completion), completion), record
 
 
 def require_sft_budget(budget: TokenBudget) -> None:

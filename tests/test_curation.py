@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hash_embedding
 from sqlbench.bench import TaskInstance
@@ -17,6 +19,7 @@ from sqlbench.curation import (
     ZeroVector,
     build_pool,
     cosine,
+    curate_top_k,
     score_candidates,
     select_top_k,
 )
@@ -362,3 +365,84 @@ def test_embedding_cache_rejects_a_corrupt_line_elsewhere(tmp_path, corrupt):
         handle.write(corrupt)
     with pytest.raises(ValueError):
         EmbeddingCache(path, "m")
+
+
+def _outcome(fn, *args):
+    """A curated set as (index, gamma bits) rows, or the error it raised."""
+    try:
+        curated = fn(*args)
+    except (ZeroVector, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    return [(t.candidate_index, t.gamma_q.hex(), t.gamma_d.hex(), t.gamma_s.hex(),
+             t.gamma_a.hex(), instance) for instance, t in curated.examples]
+
+
+_ENTRY = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0, 1e-160, math.inf]) | st.floats(
+    -10, 10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _screening_cases(draw):
+    """A pool drawn from a small palette of vectors, so duplicates and exact
+    ties are common; some entries are moved one ulp (from 0.0 that is a
+    subnormal), some candidates share the target's database, and zero
+    vectors occur in and out of the scored set. Infinite and tiny entries
+    make cosines the screen cannot bound (NaN, which the exact cosine
+    clamps to 1.0, or norms whose product underflows)."""
+    dim = draw(st.integers(1, 5))
+    palette = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
+                            min_size=1, max_size=5))
+
+    def vector():
+        values = list(draw(st.sampled_from(palette)))
+        if draw(st.booleans()):
+            j = draw(st.integers(0, dim - 1))
+            values[j] = math.nextafter(values[j], draw(st.sampled_from([-math.inf, math.inf])))
+        if draw(st.integers(0, 9)) == 0:
+            values = [0.0] * dim
+        return tuple(values)
+
+    candidates = []
+    for i in range(draw(st.integers(0, 12))):
+        db_id = "db_target" if draw(st.integers(0, 3)) == 0 else f"db_{i}"
+        candidates.append(PoolCandidate(
+            _candidate(i, db_id, f"q{i}?", f"SELECT {i}"), _tiny_catalog(db_id),
+            vector(), vector(), vector()))
+    target_vectors = [vector(), vector(), vector()]
+    k = draw(st.integers(0, len(candidates) + 2))
+    with np.errstate(all="ignore"):
+        return ExamplePool(tuple(candidates)), target_vectors, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_screening_cases())
+def test_screened_top_k_equals_full_scoring(case):
+    pool, target_vectors, k = case
+    target = _candidate(99, "db_target", "target?", "")
+    args = (target, _tiny_catalog("db_target"), "SELECT 1", pool)
+    embed = lambda texts: target_vectors  # noqa: E731
+    with np.errstate(all="ignore"):
+        assert _outcome(curate_top_k, *args, k, embed) == _outcome(
+            lambda: select_top_k(score_candidates(*args, embed), k, pool))
+
+
+@pytest.mark.parametrize("dim", [8, 384])
+def test_screened_top_k_on_random_pools_with_near_ties(dim):
+    rng = np.random.default_rng(dim)
+    pool, embed, _ = _random_pool(rng, dim, 200, target_db="db_target")
+    target = _candidate(999, "db_target", "the target question?", "")
+    target_catalog = _tiny_catalog("db_target")
+    best = max(score_candidates(target, target_catalog, "SELECT 42", pool, embed),
+               key=lambda t: t.gamma_a)
+    # Copies of the best candidate, every other one moved one ulp, so the
+    # top places hold exact and near ties across every small k.
+    first = pool.candidates[best.candidate_index]
+    nudged = tuple(np.nextafter(first.question_vec, 2.0).tolist())
+    twins = tuple(PoolCandidate(_candidate(200 + i, f"db_twin{i}", "twin?", "SELECT 1"),
+                                first.catalog, nudged if i % 2 else first.question_vec,
+                                first.schema_vec, first.sql_vec) for i in range(6))
+    pool = ExamplePool(pool.candidates + twins)
+    args = (target, target_catalog, "SELECT 42", pool)
+    for k in (1, 2, 3, 4, 5, 6, 7, 8, 50, 166, 167, 300):
+        assert _outcome(curate_top_k, *args, k, embed) == _outcome(
+            lambda: select_top_k(score_candidates(*args, embed), k, pool))

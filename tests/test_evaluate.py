@@ -4,6 +4,7 @@ import sqlite3
 
 import pytest
 
+import sqlbench.evaluate as evaluate
 from conftest import make_cinema_db
 from sqlbench.bench import TaskInstance
 from sqlbench.evaluate import CountMismatch, EvalOutcome, aggregate, execute_and_compare
@@ -177,3 +178,20 @@ def test_query_timeout_bounds_runtime(tmp_path):
     assert not outcome.matched
     assert outcome.predicted_error == "timeout"
     assert outcome.elapsed < 10
+
+
+def test_result_rows_are_bounded(cinema_db, monkeypatch):
+    rows = sqlite3.connect(cinema_db).execute("SELECT COUNT(*) FROM movies").fetchone()[0]
+    monkeypatch.setattr(evaluate, "MAX_RESULT_ROWS", rows)
+    every, one_fewer = "SELECT movie_id FROM movies", "SELECT movie_id FROM movies LIMIT 1"
+    assert execute_and_compare(every, every, cinema_db).matched  # at the bound
+
+    monkeypatch.setattr(evaluate, "MAX_RESULT_ROWS", rows - 1)
+    predicted = execute_and_compare(every, one_fewer, cinema_db)
+    assert not predicted.matched and predicted.gold_error is None
+    assert predicted.predicted_error == f"result exceeds {rows - 1} rows"
+    gold = execute_and_compare(one_fewer, every, cinema_db)
+    assert not gold.matched and gold.predicted_error is None
+    assert gold.gold_error == f"result exceeds {rows - 1} rows"
+    both = execute_and_compare(one_fewer, one_fewer, cinema_db)
+    assert both.matched

@@ -1,0 +1,114 @@
+"""Hostile model output: SQL extraction and skeleton parsing either return
+or raise their documented ValueError subclasses, whatever the text.
+
+Inputs mix SQL fragments with unterminated quotes and comments, code
+fences, non-ASCII letters and digits, NUL and other control characters,
+and responses of about 1 MB.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlbench.gateway import EmptyResponse, extract_sql
+from sqlbench.skeleton import (
+    SqlSkeleton,
+    SqlToken,
+    UnterminatedComment,
+    UnterminatedString,
+    extract_skeleton,
+    tokenize,
+)
+
+_DOCUMENTED = (EmptyResponse, UnterminatedString, UnterminatedComment, ValueError)
+
+_FRAGMENTS = st.sampled_from([
+    "SELECT", "select", " FROM t", " WHERE ", "a", "1", "1.5e", "1e+", ".5", "'", "''",
+    '"', "`", "[", "]", "/*", "*/", "--", "\n", "\n\n", "\r", "\t", " ", ";", "```",
+    "```sql\n", "> ", "(", ")", "<=", "||", "\x00", "\x1f", "\u2028", "\ufeff",
+    "\u00e9", "\u540d", "\u00b2", "\u0663", "\U0001F600",
+])
+
+_HOSTILE = st.one_of(
+    st.text(),
+    st.lists(_FRAGMENTS | st.text(max_size=5), max_size=40).map("".join),
+)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except _DOCUMENTED as exc:
+        return exc
+
+
+def _check_extract_sql(text):
+    result = _outcome(extract_sql, text)
+    if not isinstance(result, Exception):
+        assert result.startswith("SELECT") and "\n" not in result
+
+
+_KINDS = {"keyword", "identifier", "literal", "operator", "punctuation"}
+
+
+def _check_tokenize(text):
+    tokens = _outcome(tokenize, text)
+    if not isinstance(tokens, Exception):
+        position = 0
+        for token in tokens:  # non-empty substrings of the input, in order
+            assert isinstance(token, SqlToken) and token.kind in _KINDS and token.text
+            position = text.find(token.text, position)
+            assert position >= 0
+            position += len(token.text)
+
+
+def _check_extract_skeleton(text):
+    skeleton = _outcome(extract_skeleton, text)
+    if not isinstance(skeleton, Exception):
+        assert isinstance(skeleton, SqlSkeleton)
+        assert "_ _" not in skeleton.text  # a gap between keywords is one "_"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HOSTILE)
+def test_extract_sql_returns_or_raises_documented_errors(text):
+    _check_extract_sql(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HOSTILE)
+def test_tokenize_returns_or_raises_documented_errors(text):
+    _check_tokenize(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HOSTILE)
+def test_extract_skeleton_returns_or_raises_documented_errors(text):
+    _check_extract_skeleton(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_HOSTILE)
+def test_skeleton_of_an_extracted_statement(text):
+    statement = _outcome(extract_sql, text)
+    if not isinstance(statement, Exception):
+        _check_extract_skeleton(statement)
+
+
+_MEGABYTE = 1 << 20
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT " + "a, " * (_MEGABYTE // 3),
+    "SELECT '" + "x" * _MEGABYTE,
+    "SELECT /*" + "y" * _MEGABYTE,
+    "SELECT " + "\x00" * _MEGABYTE,
+    "SELECT \"" + "\u540d" * (_MEGABYTE // 3),
+    "\n" + " " * _MEGABYTE + "x",
+    "```sql\n" + "SELECT 1 -- " * (_MEGABYTE // 12),
+], ids=["list", "quote", "comment", "nul", "quoted-identifier", "blank", "fence"])
+def test_one_megabyte_responses(text):
+    _check_extract_sql(text)
+    _check_extract_skeleton(text)  # tokenizes the whole text

@@ -1,19 +1,23 @@
 """Work-count guards for the prompt paths.
 
 A 2-shot run renders each catalog's column lines once per variant, scores
-the example pool without a per-pair call of the public `cosine`, and
-renders each few-shot prompt at most three times per question. Target
-truncation, on the zero-shot and chain-of-thought paths, renders its
-prompt once to count it and once more to confirm a truncated fit, however
-many columns it removes. These counts repeat exactly, so a regression
-shows here without timing anything.
+the example pool without a per-pair call of the public `cosine`, rescores
+with the exact cosine only the screened top k and the candidates tied with
+it, and renders each few-shot prompt twice per question: once as its
+frame, with no schema line, and once in full to confirm the fit. Target
+truncation, on the zero-shot and chain-of-thought paths, renders the same
+two, however many columns it removes. Every prompt a run builds is counted
+in full exactly once, and that count is the one its bundle carries. These
+counts repeat exactly, so a regression shows here without timing anything.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import sqlbench.cli as cli
@@ -30,6 +34,9 @@ from conftest import (
     hash_embedding,
 )
 from test_acceptance import _cot_scripted
+from test_curation import _candidate, _random_pool, _tiny_catalog
+from sqlbench.bench import load_split
+from sqlbench.budget import TokenBudget, count_tokens
 from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_run
 
 
@@ -40,13 +47,33 @@ def _counting(counts: Counter, name: str, fn, key=None):
     return wrapper
 
 
+def _counting_curation(calls: Counter, rescored: list):
+    """Wrap curate_top_k to log, per question, its exact cosine calls and
+    the number of scored candidates within twice the screen margin of the
+    k-th best exact gamma_a (the top k and the candidates tied with it)."""
+    def curate(target, target_catalog, draft_sql, pool, k, embed, cache=None):
+        before = calls["_cosine"]
+        curated = curation.curate_top_k(target, target_catalog, draft_sql, pool, k, embed, cache)
+        used = calls["_cosine"] - before
+        gammas = sorted((t.gamma_a for t in curation.score_candidates(
+            target, target_catalog, draft_sql, pool, embed, cache)), reverse=True)
+        near = (len(gammas) if len(gammas) <= k else
+                sum(g >= gammas[k - 1] - 2 * curation.SCREEN_MARGIN for g in gammas))
+        rescored.append((used, near))
+        return curated
+    return curate
+
+
 def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
     # A 700-token context truncates every mini_bench 2-shot prompt.
     cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
                     shots=2, pool_split="train", max_context=700, response_reserve=50)
     calls: Counter = Counter()
     lines: Counter = Counter()
+    rescored: list[tuple[int, int]] = []
     monkeypatch.setattr(curation, "cosine", _counting(calls, "cosine", curation.cosine))
+    monkeypatch.setattr(curation, "_cosine", _counting(calls, "_cosine", curation._cosine))
+    monkeypatch.setattr(cli, "curate_top_k", _counting_curation(calls, rescored))
     few_shot_text = _counting(calls, "few_shot_text", prompts.few_shot_text)
     monkeypatch.setattr(cli, "few_shot_text", few_shot_text)
     monkeypatch.setattr(prompts, "few_shot_text", few_shot_text)
@@ -64,24 +91,50 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
     assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
     assert report["truncation"]["queries_with_truncation"] == questions
     assert calls["cosine"] == 0
-    assert 0 < calls["few_shot_text"] <= 3 * questions
+    assert 0 < calls["few_shot_text"] <= 2 * questions
+    assert len(rescored) == questions
+    assert all(used <= 3 * near for used, near in rescored)
     assert lines and max(lines.values()) == 1
 
 
+def test_curation_rescores_only_the_screened_top_k(monkeypatch):
+    calls: Counter = Counter()
+    rescored: list[tuple[int, int]] = []
+    monkeypatch.setattr(curation, "_cosine", _counting(calls, "_cosine", curation._cosine))
+    pool, embed, _ = _random_pool(np.random.default_rng(5), 384, 200, target_db="db_target")
+    curate = _counting_curation(calls, rescored)
+    for k in (1, 3, 5):
+        curate(_candidate(999, "db_target", "the target question?", ""),
+               _tiny_catalog("db_target"), "SELECT 42", pool, k, embed)
+    # 160 of the 200 candidates are scored; each question rescores its top k.
+    assert rescored == [(3, 1), (9, 3), (15, 5)]
+
+
 def _counting_renders(calls: list, truncate):
-    """Wrap truncate_target to log (renders, removed columns) per call."""
+    """Wrap truncate_target to log, per call, the catalog, the number of
+    full renders, the frame renders (every keep emptied) and the number of
+    removed columns."""
     def wrapper(catalog, partition, render_prompt, *args, **kwargs):
-        renders = 0
+        full, frames = 0, []
 
         def counted(keep):
-            nonlocal renders
-            renders += 1
-            return render_prompt(keep)
+            nonlocal full
+            text = render_prompt(keep)
+            if any(keep.values()):
+                full += 1
+            else:
+                frames.append(text)
+            return text
 
         keep, record = truncate(catalog, partition, counted, *args, **kwargs)
-        calls.append((renders, record.total_removed))
+        calls.append((catalog, full, frames, record.total_removed))
         return keep, record
     return wrapper
+
+
+def _has_schema_line(text: str, catalog) -> bool:
+    headers = {f"# {table.name} (" for table in catalog.tables}
+    return any(line.startswith("#   ") or line in headers for line in text.splitlines())
 
 
 # Each context is small enough that every mini_bench question truncates.
@@ -90,7 +143,7 @@ def test_target_truncation_renders_twice_at_most(mini_bench, tmp_path, monkeypat
                                                  mode, max_context):
     cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
                     mode=mode, max_context=max_context, response_reserve=50)
-    calls: list[tuple[int, int]] = []
+    calls: list = []
     for module in (cli, cot):
         monkeypatch.setattr(module, "truncate_target",
                             _counting_renders(calls, module.truncate_target))
@@ -102,6 +155,67 @@ def test_target_truncation_renders_twice_at_most(mini_bench, tmp_path, monkeypat
     report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
     assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
     assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
-    assert max(removed for _, removed in calls) >= 2
-    for renders, removed in calls:
-        assert renders == (2 if removed else 1)
+    assert max(removed for *_, removed in calls) >= 2
+    for catalog, full, frames, _ in calls:
+        assert full == 1
+        assert len(frames) == 1 and not _has_schema_line(frames[0], catalog)
+
+
+class _LoggingCounter:
+    """count_tokens that logs every text it counts."""
+
+    def __init__(self):
+        self.texts: list[str] = []
+
+    def __call__(self, text: str) -> int:
+        self.texts.append(text)
+        return count_tokens(text)
+
+    def prompt_counts(self) -> tuple[list[str], list[str]]:
+        """(full, frame) prompt counts. Compiled costs count single lines;
+        a prompt render spans lines, and only a full one has column lines."""
+        renders = [text for text in self.texts if "\n" in text]
+        full = [text for text in renders if re.search(r"(?m)^#   ", text)]
+        return full, [text for text in renders if text not in full]
+
+
+def test_each_built_prompt_is_counted_once(mini_bench, tmp_path, monkeypatch):
+    counter = _LoggingCounter()
+
+    # Zero-shot drafts and 3-shot prompts, truncated, through the run command.
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
+                    shots=3, pool_split="train", max_context=700, response_reserve=50)
+    monkeypatch.setattr(cli, "count_tokens", counter)
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    cmd_run(cfg, client=build_client(cfg, transport=transport),
+            embed_client=build_embed_client(cfg, transport=transport))
+    report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
+    built = [r["payload"]["prompt"] for r in transport.requests if "prompt" in r["payload"]]
+    full, frames = counter.prompt_counts()
+    assert len(built) == 2 * len(MINI_QUESTIONS)
+    assert sorted(full) == sorted(built) and len(frames) == len(built)
+
+    # Chain-of-thought steps and SFT pairs, each with a context that truncates.
+    split = load_split(mini_bench, "dev")
+    client = build_client(cfg, transport=ScriptedTransport(
+        completion_fn=_cot_scripted(MINI_QUESTIONS)))
+    for instance in split.instances:
+        catalog = split.databases[instance.database_id]
+        counter.texts.clear()
+        trace = cot.run_cot(instance, catalog, client, "cot-sk-pred",
+                            budget=TokenBudget(365, 50), seed=0, counter=counter)
+        full, frames = counter.prompt_counts()
+        assert full == [bundle.text for bundle in trace.step_prompts]
+        assert len(frames) == len(full) == 4
+        assert all(b.token_count == count_tokens(b.text) for b in trace.step_prompts)
+
+        counter.texts.clear()
+        pair, record = prompts.build_sft_pair(
+            instance, catalog, cfg.variant, TokenBudget(300, 50),
+            seed=instance.question_id, counter=counter)
+        full, frames = counter.prompt_counts()
+        assert full == [pair.prompt + pair.completion] and len(frames) == 1
+        assert record.tokens_after == count_tokens(pair.prompt + pair.completion)

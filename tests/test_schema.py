@@ -10,8 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlbench.bench import TaskInstance
-from sqlbench.budget import count_tokens
-from sqlbench.prompts import open_prompt_text, open_prompt_token_fn
+from sqlbench.budget import (
+    ColumnPartition,
+    PromptSection,
+    TokenBudget,
+    count_tokens,
+    plan_example_truncation,
+    truncate_examples,
+    truncate_target,
+)
+from sqlbench.cot import _build_step_prompt
+from sqlbench.prompts import FewShotBlock, few_shot_text, open_prompt_text, open_prompt_token_fn
 from sqlbench.schema import (
     TYPE_NAMES,
     ColumnSpec,
@@ -227,6 +236,47 @@ def test_compiled_accounting_equals_rendered_count(catalog_and_keep):
             prompt_tokens = open_prompt_token_fn(instance, catalog, variant)
             assert prompt_tokens(kept) == count_tokens(
                 open_prompt_text(instance, catalog, variant, kept))
+
+
+def _all_removable(catalog):
+    return ColumnPartition(frozenset(), catalog.column_set())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_catalog_and_keep(), min_size=1, max_size=3), _TEXT, _TEXT,
+       st.sampled_from(list(SchemaVariant)))
+def test_truncation_counts_whole_prompts_from_their_frames(
+        catalogs_and_keeps, question, note, variant):
+    """tokens_before, the frame's count plus the compiled schema sizes,
+    equals the count of the rendered untruncated prompt: zero-shot,
+    few-shot and chain-of-thought step alike."""
+    catalogs = [catalog for catalog, _ in catalogs_and_keeps]
+    instance = TaskInstance(1, question + "?", note, "SELECT 1", "db")
+    examples = [TaskInstance(2 + i, f"{question} {i}", note, f"SELECT c0 FROM t{i}", "db")
+                for i in range(len(catalogs) - 1)]
+    engine = {"variant": variant, "counter": count_tokens}
+
+    def zero_shot(keep):
+        return open_prompt_text(instance, catalogs[0], variant, keep)
+
+    def few_shot(keeps):
+        blocks = [FewShotBlock(example, catalog, keep)
+                  for example, catalog, keep in zip(examples, catalogs[1:], keeps[1:])]
+        return few_shot_text(instance, catalogs[0], blocks, variant, keeps[0])
+
+    catalog = catalogs[0]
+    _, record = truncate_target(catalog, _all_removable(catalog), zero_shot, 10**6, 0, **engine)
+    assert record.tokens_before == count_tokens(zero_shot(None))
+
+    sections = [PromptSection(c, _all_removable(c)) for c in catalogs]
+    plan = plan_example_truncation([0.5] * len(examples))
+    _, record = truncate_examples(sections, plan, few_shot, 10**6, 0, **engine)
+    assert record.tokens_before == count_tokens(few_shot([s.keep for s in sections]))
+
+    for step_index in (1, 2):
+        bundle = _build_step_prompt(instance, catalog, step_index, "Tables:",
+                                    TokenBudget(10**6, 200), 0, count_tokens)
+        assert bundle.truncation.tokens_before == count_tokens(bundle.text)
 
 
 def test_concurrent_first_use_of_a_catalog_is_harmless():
