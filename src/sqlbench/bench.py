@@ -125,6 +125,11 @@ def read_description_dir(description_dir: Path) -> dict[str, dict[str, str]]:
     return descriptions
 
 
+def _quote_identifier(name: str) -> str:
+    """Quote a table or column name for SQL, doubling any embedded '"'."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def _probe_values(
     conn: sqlite3.Connection,
     table: str,
@@ -138,8 +143,8 @@ def _probe_values(
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1_000)
     try:
         cursor = conn.execute(
-            f'SELECT DISTINCT "{column}" FROM "{table}" '
-            f'WHERE "{column}" IS NOT NULL LIMIT {_VALUE_PROBE_LIMIT}')
+            f"SELECT DISTINCT {_quote_identifier(column)} FROM {_quote_identifier(table)} "
+            f"WHERE {_quote_identifier(column)} IS NOT NULL LIMIT {_VALUE_PROBE_LIMIT}")
         rows = cursor.fetchall()
     except sqlite3.OperationalError as exc:
         if "interrupt" in str(exc).lower():
@@ -200,7 +205,7 @@ def introspect_database(
             table_desc = descriptions.get(table_name, {})
             columns: list[ColumnSpec] = []
             for _, col_name, declared, _, _, pk in conn.execute(
-                    f'PRAGMA table_info("{table_name}")'):
+                    f"PRAGMA table_info({_quote_identifier(table_name)})"):
                 columns.append(ColumnSpec(
                     name=col_name,
                     type_name=_normalize_type(declared),
@@ -216,7 +221,7 @@ def introspect_database(
         }
         foreign_keys: list[ForeignKey] = []
         for table in tables:
-            for row in conn.execute(f'PRAGMA foreign_key_list("{table.name}")'):
+            for row in conn.execute(f"PRAGMA foreign_key_list({_quote_identifier(table.name)})"):
                 _, _, ref_table, from_col, to_col = row[0], row[1], row[2], row[3], row[4]
                 if to_col is None:
                     # Implicit reference to the target table's primary key.

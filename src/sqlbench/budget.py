@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .schema import (
+    ColumnFilter,
     ColumnSpec,
     DatabaseCatalog,
     SchemaVariant,
+    _validate_filter,
     column_line_costs,
     schema_token_fn,
 )
@@ -153,15 +155,21 @@ def partition_columns(
     catalog: DatabaseCatalog,
     reference_sql: Optional[str] = None,
     question: str = "",
+    keep: Optional[ColumnFilter] = None,
 ) -> ColumnPartition:
-    """Split catalog columns into crucial (target) and removable sets.
+    """Split the columns a keep filter shows into crucial (target) and removable sets.
 
     With a reference SQL (training path) the target set holds every column
     the SQL mentions by name. Without one (inference path) it holds columns
     whose name or description shares a normalized word with the question
-    text. Primary-key and foreign-key columns are always target.
+    text. The key columns of the shown view are always target.
     """
-    target = catalog.key_columns()
+    columns = catalog.column_set()
+    if keep is not None:
+        resolved = _validate_filter(catalog, keep)
+        columns = {(table, column) for table, column in columns
+                   if table not in resolved or column in resolved[table]}
+    target = catalog.key_columns(columns)
     # Word -> columns indexes, built once per catalog, answer each call
     # with one lookup per mentioned word instead of a pass over all columns.
     if reference_sql:
@@ -173,16 +181,11 @@ def partition_columns(
         index = catalog.derived("columns_by_link_word", lambda: _columns_by_word(
             catalog, _column_link_words))
     for word in words:
-        target.update(index.get(word, ()))
-    non_target = catalog.column_set() - target
-    return ColumnPartition(frozenset(target), frozenset(non_target))
+        target.update(column for column in index.get(word, ()) if column in columns)
+    return ColumnPartition(frozenset(target), frozenset(columns - target))
 
 
 KeepFilter = dict[str, set[str]]
-
-
-def full_keep(catalog: DatabaseCatalog) -> KeepFilter:
-    return {t.name: {c.name for c in t.columns} for t in catalog.tables}
 
 
 def clamp_similarity(value: float, *, floor: float = 1e-6) -> float:
@@ -220,8 +223,9 @@ def plan_example_truncation(
 class PromptSection:
     """One truncatable schema section of a prompt (target or example).
 
-    `keep` starts as the catalog's full keep filter; truncation starts from
-    a copy of it and leaves it unchanged.
+    `keep` starts as the partition's columns, so a section of a narrowed view
+    shows only that view; truncation starts from a copy of it and leaves it
+    unchanged.
     """
 
     catalog: DatabaseCatalog
@@ -229,7 +233,9 @@ class PromptSection:
     keep: KeepFilter = field(init=False)
 
     def __post_init__(self) -> None:
-        self.keep = full_keep(self.catalog)
+        self.keep = {table.name: set() for table in self.catalog.tables}
+        for table, column in self.partition.target | self.partition.non_target:
+            self.keep[table].add(column)
 
 
 def _truncate(

@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .bench import TaskInstance
 from .budget import (
+    KeepFilter,
     LastRender,
     TokenBudget,
     TokenCounter,
@@ -33,9 +34,9 @@ from .prompts import (
     question_line,
 )
 from .schema import (
+    ColumnFilter,
     DatabaseCatalog,
     SchemaVariant,
-    filter_catalog,
     render_schema,
     render_schema_format_header,
 )
@@ -217,44 +218,36 @@ def _validate_columns(
     return valid
 
 
-def _restrict_to_columns(
-    catalog: DatabaseCatalog,
-    columns: Mapping[str, Sequence[str]],
-) -> DatabaseCatalog:
-    keep = {
-        t.name: set(columns.get(t.name, ()))
-        for t in catalog.tables
-    }
-    return filter_catalog(catalog, keep)
-
-
 def _all_columns(catalog: DatabaseCatalog, tables: Sequence[str]) -> dict[str, list[str]]:
     table_map = catalog.table_map()
     return {name: [c.name for c in table_map[name].columns] for name in tables}
 
 
-def _restrict_to_tables(catalog: DatabaseCatalog, tables: Sequence[str]) -> DatabaseCatalog:
-    return _restrict_to_columns(catalog, _all_columns(catalog, tables))
+def _keep_columns(catalog: DatabaseCatalog, columns: Mapping[str, Sequence[str]]) -> KeepFilter:
+    """The keep filter showing only `columns`: other tables map to an empty set."""
+    return {t.name: set(columns.get(t.name, ())) for t in catalog.tables}
 
 
 def _build_step_prompt(
     instance: TaskInstance,
-    schema_catalog: DatabaseCatalog,
+    catalog: DatabaseCatalog,
     step_index: int,
     tail: str,
     budget: TokenBudget,
     seed: int,
     counter: TokenCounter,
+    keep: Optional[ColumnFilter] = None,
 ) -> PromptBundle:
+    """One step's prompt over the schema `keep` shows (all of it by default)."""
     if step_index == 1:
         header, properties_line, variant = _STEP1_HEADER, PROPERTIES_LINE, _STEP1_VARIANT
     else:
         header, properties_line, variant = _LATER_HEADER, _LATER_PROPERTIES, _LATER_VARIANT
 
     @LastRender
-    def render(keep) -> str:
+    def render(truncated) -> str:
         lines = [FEW_SHOT_FORMAT_LINE, header, properties_line]
-        schema_text = render_schema(schema_catalog, variant, keep).rstrip("\n")
+        schema_text = render_schema(catalog, variant, truncated).rstrip("\n")
         if schema_text:
             lines.append(schema_text)
         lines.append(question_line(instance.question))
@@ -266,9 +259,9 @@ def _build_step_prompt(
         return "\n".join(lines)
 
     link_text = f"{instance.question} {instance.external_knowledge}"
-    partition = partition_columns(schema_catalog, question=link_text)
+    partition = partition_columns(catalog, question=link_text, keep=keep)
     _, record = truncate_target(
-        schema_catalog, partition, render, budget.available,
+        catalog, partition, render, budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
         variant=variant, counter=counter)
     return PromptBundle(render.text, record.tokens_after, "cot_step", step_index, record)
@@ -306,16 +299,16 @@ def run_cot(
     restrict = mode.endswith("-pred")
     trace = CotTrace(mode=mode)
 
-    def run_step(schema_catalog: DatabaseCatalog, step_index: int, tail: str) -> str:
+    def run_step(keep: Optional[ColumnFilter], step_index: int, tail: str) -> str:
         bundle = _build_step_prompt(
-            instance, schema_catalog, step_index, tail, budget, seed, counter)
+            instance, catalog, step_index, tail, budget, seed, counter, keep)
         trace.step_prompts.append(bundle)
         response = client.complete(bundle)
         trace.step_responses.append(response)
         return response
 
     # Step 1: find tables over the description-only schema.
-    response = run_step(catalog, 1, _STEP1_TAIL)
+    response = run_step(None, 1, _STEP1_TAIL)
     tables = _validate_tables(parse_table_list(response, catalog), catalog, trace)
     if not tables:
         trace.warnings.append("no usable tables parsed from step 1; using full schema")
@@ -324,9 +317,9 @@ def run_cot(
     trace.predicted_tables = tables
 
     # Step 2: find columns within the predicted tables.
-    step2_catalog = _restrict_to_tables(catalog, tables) if restrict else catalog
+    step2_keep = _keep_columns(catalog, _all_columns(catalog, tables)) if restrict else None
     response = run_step(
-        step2_catalog, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
+        step2_keep, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
     columns = _validate_columns(
         parse_column_list(response, catalog, tables), catalog, trace)
     if restrict:
@@ -341,18 +334,18 @@ def run_cot(
         restrict = False
     trace.predicted_columns = columns
 
-    later_catalog = _restrict_to_columns(catalog, columns) if restrict else catalog
+    later_keep = _keep_columns(catalog, columns) if restrict else None
     columns_related = ", ".join(
         f"{table}.{column}" for table, cols in columns.items() for column in cols)
 
     if mode in (MODE_COT_SK_PRED, MODE_COT_SK_FULL):
         response = run_step(
-            later_catalog, 3, _SK_SKELETON_TAIL_TEMPLATE.format(columns=columns_related))
+            later_keep, 3, _SK_SKELETON_TAIL_TEMPLATE.format(columns=columns_related))
         trace.skeleton = _normalize_skeleton(response)
-        response = run_step(later_catalog, 4, _SK_FINAL_TAIL_TEMPLATE.format(
+        response = run_step(later_keep, 4, _SK_FINAL_TAIL_TEMPLATE.format(
             columns=columns_related, skeleton=trace.skeleton))
     else:
         response = run_step(
-            later_catalog, 3, _SP_FINAL_TAIL_TEMPLATE.format(columns=columns_related))
+            later_keep, 3, _SP_FINAL_TAIL_TEMPLATE.format(columns=columns_related))
     trace.final_sql = extract_sql(response)
     return trace

@@ -126,12 +126,16 @@ class DatabaseCatalog:
     def column_set(self) -> set[tuple[str, str]]:
         return {(t.name, c.name) for t in self.tables for c in t.columns}
 
-    def key_columns(self) -> set[tuple[str, str]]:
-        """Primary-key columns plus both endpoints of every foreign key."""
-        keys = {(t.name, c.name) for t in self.tables for c in t.columns if c.is_primary_key}
+    def key_columns(self, columns: Optional[set[tuple[str, str]]] = None) -> set[tuple[str, str]]:
+        """Primary keys among `columns` (all by default) plus both endpoints
+        of every foreign key whose two endpoints are among them."""
+        columns = self.column_set() if columns is None else columns
+        keys = {(t.name, c.name) for t in self.tables for c in t.columns
+                if c.is_primary_key and (t.name, c.name) in columns}
         for fk in self.foreign_keys:
-            keys.add((fk.table, fk.column))
-            keys.add((fk.ref_table, fk.ref_column))
+            ends = {(fk.table, fk.column), (fk.ref_table, fk.ref_column)}
+            if ends <= columns:
+                keys |= ends
         return keys
 
     def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
@@ -148,6 +152,8 @@ class DatabaseCatalog:
         return value
 
 
+# A keep filter, {table: columns kept}: a table absent from it keeps every
+# column and a table mapped to an empty set is dropped.
 ColumnFilter = Mapping[str, Iterable[str]]
 
 
@@ -165,31 +171,6 @@ def _validate_filter(catalog: DatabaseCatalog, keep: ColumnFilter) -> dict[str, 
                 f"unknown columns in filter for {table_name!r}: {sorted(unknown)}")
         resolved[table_name] = wanted
     return resolved
-
-
-def filter_catalog(catalog: DatabaseCatalog, keep: Optional[ColumnFilter]) -> DatabaseCatalog:
-    """Project a catalog onto a column filter.
-
-    Tables absent from `keep` retain all columns; a table mapped to an empty
-    set is dropped. Foreign keys survive only if both endpoints do.
-    """
-    if keep is None:
-        return catalog
-    resolved = _validate_filter(catalog, keep)
-    tables = []
-    for table in catalog.tables:
-        if table.name not in resolved:
-            tables.append(table)
-            continue
-        cols = tuple(c for c in table.columns if c.name in resolved[table.name])
-        if cols:
-            tables.append(TableSpec(table.name, cols))
-    kept = {(t.name, c.name) for t in tables for c in t.columns}
-    fks = tuple(
-        fk for fk in catalog.foreign_keys
-        if (fk.table, fk.column) in kept and (fk.ref_table, fk.ref_column) in kept
-    )
-    return DatabaseCatalog(catalog.database_id, tuple(tables), fks)
 
 
 def _format_value(value: str) -> str:

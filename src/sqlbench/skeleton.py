@@ -31,6 +31,7 @@ KEYWORDS = frozenset({
 _PUNCTUATION = frozenset("(),;.")
 _TWO_CHAR_OPERATORS = ("<=", ">=", "<>", "!=", "==", "||")
 _ONE_CHAR_OPERATORS = frozenset("=<>+-*/%|&!?")
+_KNOWN_STARTS = frozenset("'\"`[_") | _PUNCTUATION | _ONE_CHAR_OPERATORS
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,11 @@ def _is_word_start(ch: str) -> bool:
 
 def _is_word_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
+
+
+def _is_unknown(ch: str) -> bool:
+    """True when no tokenizer rule starts at `ch`, whatever follows it."""
+    return not (ch.isspace() or ch.isalpha() or ch.isdigit() or ch in _KNOWN_STARTS)
 
 
 def tokenize(sql: str) -> list[SqlToken]:
@@ -147,9 +153,13 @@ def tokenize(sql: str) -> list[SqlToken]:
             i += 1
             continue
 
-        # Unknown byte: keep the stream total, classify as operator.
-        tokens.append(SqlToken(ch, "operator"))
-        i += 1
+        # Unknown characters: keep the stream total with one operator token
+        # per run of them, so hostile output costs one token, not millions.
+        j = i + 1
+        while j < n and _is_unknown(sql[j]):
+            j += 1
+        tokens.append(SqlToken(sql[i:j], "operator"))
+        i = j
 
     return tokens
 

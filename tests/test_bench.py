@@ -16,6 +16,7 @@ from sqlbench.bench import (
     load_split,
     read_description_dir,
 )
+from sqlbench.schema import ForeignKey, SchemaVariant, render_schema
 
 
 def test_load_split_counts(mini_bench):
@@ -111,6 +112,34 @@ def test_values_kept_up_to_five_distinct(tmp_path):
     assert columns["three"].values == ("a", "b", "c")
     assert columns["six"].values is None  # six distinct -> VALUES absent
     assert columns["with_null"].values == ("x", "y")  # NULL never sampled
+
+
+def test_names_with_double_quotes_load_and_render(tmp_path):
+    def make_quoted_db(path):
+        conn = sqlite3.connect(path)
+        conn.executescript("""
+            CREATE TABLE "t""x" ("a""b" INTEGER PRIMARY KEY, "c" TEXT);
+            CREATE TABLE "r" ("id" INTEGER PRIMARY KEY,
+                              "x""ref" INTEGER REFERENCES "t""x"("a""b"));
+            INSERT INTO "t""x" VALUES (1, 'p'), (2, 'q');
+            INSERT INTO "r" VALUES (1, 2);
+        """)
+        conn.commit()
+        conn.close()
+
+    questions = [{"question_id": 0, "question": "How many?", "evidence": "",
+                  "SQL": 'SELECT COUNT(*) FROM "t""x"', "db_id": "quoted"}]
+    root = write_benchmark(tmp_path / "bench", questions, {"quoted": make_quoted_db})
+    catalog = load_split(root, "dev").databases["quoted"]
+    tables = catalog.table_map()
+    assert [c.name for c in tables['t"x'].columns] == ['a"b', "c"]
+    assert tables['t"x'].columns[0].values == ("1", "2")
+    assert tables['t"x'].columns[1].values == ("p", "q")
+    assert tables["r"].columns[1].values == ("2",)
+    assert catalog.foreign_keys == (ForeignKey("r", 'x"ref', 't"x', 'a"b'),)
+    text = render_schema(catalog, SchemaVariant.C_A)
+    assert '# t"x (\n#   a"b: int, (1, 2), PRIMARY_KEY\n#   c: text, (p, q)\n# )' in text
+    assert '# r.x"ref=t"x.a"b' in text
 
 
 def test_values_occur_in_underlying_table(tmp_path):

@@ -17,7 +17,6 @@ from sqlbench.budget import (
     clamp_similarity,
     count_tokens,
     derive_seed,
-    full_keep,
     partition_columns,
     plan_example_truncation,
     truncate_examples,
@@ -29,8 +28,13 @@ from sqlbench.schema import (
     ForeignKey,
     SchemaVariant,
     TableSpec,
+    UnknownColumnInFilter,
     render_schema,
 )
+
+
+def full_keep(catalog):
+    return {t.name: {c.name for c in t.columns} for t in catalog.tables}
 
 
 def softmax_oracle(values, temperature=1.0):
@@ -110,6 +114,29 @@ def test_partition_reference_touching_everything(movie_catalog):
            "rating_id, rating_score, rating_label FROM movies, ratings")
     partition = partition_columns(movie_catalog, reference_sql=sql)
     assert partition.non_target == frozenset()
+
+
+def test_partition_of_a_keep_frees_a_foreign_key_column_whose_partner_is_out(movie_catalog):
+    # ratings.movie_id references movies.movie_id; with movies.movie_id
+    # outside the keep the foreign key is not shown, so ratings.movie_id is
+    # no longer a key column and may be removed.
+    keep = {"movies": {"movie_title"}, "ratings": {"rating_id", "movie_id", "rating_score"}}
+    partition = partition_columns(movie_catalog, question="anything", keep=keep)
+    assert partition.target == {("ratings", "rating_id")}
+    assert partition.non_target == {
+        ("movies", "movie_title"), ("ratings", "movie_id"), ("ratings", "rating_score")}
+    assert movie_catalog.key_columns(partition.target | partition.non_target) == \
+        partition.target
+    # With both endpoints kept, both stay target.
+    keep["movies"].add("movie_id")
+    partition = partition_columns(movie_catalog, question="anything", keep=keep)
+    assert {("movies", "movie_id"), ("ratings", "movie_id")} <= partition.target
+    # A table left out of the keep shows every column, as render_schema does.
+    partition = partition_columns(movie_catalog, question="anything", keep={"movies": set()})
+    assert partition.target | partition.non_target == {
+        (t, c) for t, c in movie_catalog.column_set() if t == "ratings"}
+    with pytest.raises(UnknownColumnInFilter):
+        partition_columns(movie_catalog, question="anything", keep={"movies": {"nope"}})
 
 
 def test_partition_overlap_rejected():

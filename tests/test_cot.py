@@ -1,21 +1,32 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptedTransport
 from sqlbench.bench import TaskInstance
-from sqlbench.budget import TokenBudget, count_tokens
+from sqlbench.budget import TokenBudget, UnsatisfiableBudget, count_tokens
 from sqlbench.cot import (
     MODE_COT_SK_FULL,
     MODE_COT_SK_PRED,
     MODE_COT_SP_FULL,
     MODE_COT_SP_PRED,
+    _build_step_prompt,
     parse_column_list,
     parse_table_list,
     run_cot,
 )
 from sqlbench.gateway import LlmClient, LlmEndpoint, ReplayStore
-from sqlbench.schema import SchemaVariant, render_schema
+from sqlbench.schema import (
+    TYPE_NAMES,
+    ColumnSpec,
+    DatabaseCatalog,
+    ForeignKey,
+    SchemaVariant,
+    TableSpec,
+    render_schema,
+)
 
 
 @pytest.fixture()
@@ -297,3 +308,89 @@ def test_step_prompts_fit_under_a_counter_that_is_not_line_additive(wide_fixture
                         budget=budget, seed=available, counter=counter)
         for bundle in trace.step_prompts:
             assert bundle.token_count == counter(bundle.text) <= budget.available
+
+
+def filter_catalog(catalog, keep):
+    """Reference: a narrowed step's schema as a catalog of its own.
+
+    Tables absent from `keep` retain all columns; a table mapped to an
+    empty set is dropped. Foreign keys survive only if both endpoints do.
+    """
+    tables = []
+    for table in catalog.tables:
+        if table.name not in keep:
+            tables.append(table)
+            continue
+        columns = tuple(c for c in table.columns if c.name in keep[table.name])
+        if columns:
+            tables.append(TableSpec(table.name, columns))
+    kept = {(t.name, c.name) for t in tables for c in t.columns}
+    fks = tuple(fk for fk in catalog.foreign_keys
+                if (fk.table, fk.column) in kept and (fk.ref_table, fk.ref_column) in kept)
+    return DatabaseCatalog(catalog.database_id, tuple(tables), fks)
+
+
+_WORDS = ("year", "title", "score", "city", "name", "count")
+
+
+@st.composite
+def _narrowed_steps(draw):
+    """A catalog with random foreign keys and the keep of a narrowed CoT
+    step over it: every table maps to a random subset, possibly empty."""
+    words = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+    tables = []
+    for t in range(draw(st.integers(1, 4))):
+        columns = tuple(
+            ColumnSpec(f"{draw(st.sampled_from(_WORDS))}_{c}",
+                       draw(st.sampled_from(TYPE_NAMES)),
+                       draw(st.none() | words),
+                       draw(st.none() | st.lists(words, min_size=1, max_size=3).map(tuple)),
+                       draw(st.integers(0, 3)) == 0)
+            for c in range(draw(st.integers(1, 6))))
+        tables.append(TableSpec(f"t{t}", columns))
+    ends = st.sampled_from([(t.name, c.name) for t in tables for c in t.columns])
+    fks = tuple(ForeignKey(a, b, c, d)
+                for (a, b), (c, d) in draw(st.lists(st.tuples(ends, ends), max_size=4)))
+    keep = {t.name: {c.name for c in t.columns if draw(st.booleans())} for t in tables}
+    instance = TaskInstance(draw(st.integers(0, 99)), draw(words) + "?", draw(words),
+                            "SELECT 1", "db")
+    return DatabaseCatalog("db", tuple(tables), fks), keep, instance
+
+
+def _step_outcome(*args):
+    try:
+        return _build_step_prompt(*args)
+    except UnsatisfiableBudget as exc:
+        return str(exc)
+
+
+def test_keep_based_step_prompts_equal_filtered_catalog_prompts():
+    """A narrowed step prompt built from a keep over the base catalog equals
+    the one built from the catalog filtered down to that keep: text, token
+    count and truncation record, or the same UnsatisfiableBudget message."""
+    seen = {"truncated": 0, "unsatisfiable": 0, "fk_end_dropped": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_narrowed_steps(), st.sampled_from([1, 2, 3]), st.integers(-60, 5),
+           st.integers(0, 2**32))
+    def check(narrowed, step_index, slack, seed):
+        catalog, keep, instance = narrowed
+        filtered = filter_catalog(catalog, keep)
+        full = _build_step_prompt(instance, filtered, step_index, "Tables:",
+                                  TokenBudget(10**6, 200), seed, count_tokens).token_count
+        budget = TokenBudget(max(1, full + slack) + 200, 200)
+        expected = _step_outcome(
+            instance, filtered, step_index, "Tables:", budget, seed, count_tokens)
+        assert _step_outcome(instance, catalog, step_index, "Tables:", budget, seed,
+                             count_tokens, keep) == expected
+        if isinstance(expected, str):
+            seen["unsatisfiable"] += 1
+        elif expected.truncation.total_removed:
+            seen["truncated"] += 1
+        kept = {(table, column) for table, columns in keep.items() for column in columns}
+        if any(((fk.table, fk.column) in kept) != ((fk.ref_table, fk.ref_column) in kept)
+               for fk in catalog.foreign_keys):
+            seen["fk_end_dropped"] += 1
+
+    check()
+    assert all(seen.values()), seen

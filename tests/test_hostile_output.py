@@ -8,10 +8,13 @@ and responses of about 1 MB.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlbench import budget, skeleton, taxonomy
 from sqlbench.gateway import EmptyResponse, extract_sql
 from sqlbench.skeleton import (
     SqlSkeleton,
@@ -97,7 +100,64 @@ def test_skeleton_of_an_extracted_statement(text):
         _check_extract_skeleton(statement)
 
 
+_OPERATORS = {"<=", ">=", "<>", "!=", "==", "||"} | set("=<>+-*/%|&!?")
+
+
+def per_character_tokenize(sql):
+    """Reference: the tokenizer with one operator token per unknown
+    character, which is how it split a run of them before runs were
+    merged into one token."""
+    tokens = []
+    for token in tokenize(sql):
+        if token.kind == "operator" and token.text not in _OPERATORS:
+            for ch in token.text:  # no tokenizer rule may start at ch
+                assert ch not in _OPERATORS and tokenize(ch) == [SqlToken(ch, "operator")]
+                tokens.append(SqlToken(ch, "operator"))
+        else:
+            tokens.append(token)
+    return tokens
+
+
+def _readings(text):
+    """What the pipeline reads from tokenized model output."""
+    readings = []
+    for fn in (extract_skeleton, taxonomy.analyze_sql, budget._sql_identifiers):
+        try:
+            readings.append(fn(text))
+        except AssertionError:
+            raise
+        except Exception as exc:  # compared by type and message
+            readings.append((type(exc), str(exc)))
+    return readings
+
+
+# Unknown characters next to every character a tokenizer rule starts at.
+_UNKNOWN_RUNS = st.lists(st.sampled_from([
+    "\x00", "\x01", "\ufeff", "\u00bd", "\U0001F600", "$", "@", "#", "^", "~", "{", ":",
+    "(", ")", ",", ";", ".", "=", "<", ">", "+", "-", "*", "/", "%", "|", "&", "!", "?",
+    "'", '"', "`", "[", "]", "_", "a", "1", " ", "\n", "SELECT ", " FROM t", " WHERE ",
+    " JOIN u ON ", "COUNT",
+]), max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HOSTILE | _UNKNOWN_RUNS)
+def test_runs_of_unknown_characters_read_as_per_character_tokens(text):
+    merged = _readings(text)
+    with mock.patch.object(skeleton, "tokenize", per_character_tokenize), \
+            mock.patch.object(taxonomy, "tokenize", per_character_tokenize), \
+            mock.patch.object(budget, "tokenize", per_character_tokenize):
+        assert _readings(text) == merged
+
+
 _MEGABYTE = 1 << 20
+
+
+def test_a_run_of_unknown_characters_is_one_token():
+    assert tokenize("SELECT " + "\x00\x01\ufeff" * (_MEGABYTE // 3) + " a") == [
+        SqlToken("SELECT", "keyword"),
+        SqlToken("\x00\x01\ufeff" * (_MEGABYTE // 3), "operator"),
+        SqlToken("a", "identifier")]
 
 
 @pytest.mark.parametrize("text", [

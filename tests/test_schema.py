@@ -30,7 +30,6 @@ from sqlbench.schema import (
     TableSpec,
     UnknownColumnInFilter,
     column_line_costs,
-    filter_catalog,
     render_schema,
     render_schema_format_header,
     schema_token_fn,
@@ -142,10 +141,10 @@ def test_unknown_column_in_filter(movie_catalog):
         render_schema(movie_catalog, SchemaVariant.C_N, {"ghost": set()})
 
 
-def test_filter_catalog_drops_empty_tables_and_dangling_fks(movie_catalog):
-    filtered = filter_catalog(movie_catalog, {"ratings": set()})
-    assert [t.name for t in filtered.tables] == ["movies"]
-    assert filtered.foreign_keys == ()
+def test_keep_filter_drops_empty_tables_and_dangling_fks(movie_catalog):
+    text = render_schema(movie_catalog, SchemaVariant.C_N, {"ratings": set()})
+    assert [line for line in text.splitlines() if line.endswith(" (")] == ["# movies ("]
+    assert "FOREIGN KEYS" not in text
 
 
 def test_values_with_commas_are_quoted(movie_catalog):
