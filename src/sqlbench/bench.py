@@ -87,8 +87,8 @@ class BenchmarkSplit:
         for instance in self.instances:
             if instance.database_id not in self.databases:
                 raise MissingDatabase(
-                    f"question {instance.question_id} references unknown database "
-                    f"{instance.database_id!r}")
+                    f"question {instance.question_id} references database "
+                    f"{instance.database_id!r}, which has no SQLite file or catalog")
 
 
 def _normalize_type(declared: Optional[str]) -> str:
@@ -255,15 +255,9 @@ def _parse_record(raw: dict, position: int) -> TaskInstance:
     )
 
 
-def load_split(
-    root_dir: Path,
-    split_name: str,
-    *,
-    value_probe_timeout: float = DEFAULT_VALUE_PROBE_TIMEOUT,
-) -> BenchmarkSplit:
-    """Load one benchmark split with all catalogs under <root>/databases."""
-    root_dir = Path(root_dir)
-    question_file = root_dir / f"{split_name}.json"
+def load_questions(root_dir: Path, split_name: str) -> tuple[TaskInstance, ...]:
+    """Read and validate the question file <root>/<split>.json."""
+    question_file = Path(root_dir) / f"{split_name}.json"
     if not question_file.is_file():
         raise MalformedRecord(f"question file not found: {question_file}")
     try:
@@ -272,10 +266,22 @@ def load_split(
         raise MalformedRecord(f"{question_file.name}: {exc}") from exc
     if not isinstance(records, list):
         raise MalformedRecord(f"{question_file.name}: expected a JSON array")
+    return tuple(_parse_record(raw, i) for i, raw in enumerate(records))
 
-    instances = tuple(_parse_record(raw, i) for i, raw in enumerate(records))
 
-    databases_dir = root_dir / "databases"
+def load_split(
+    root_dir: Path,
+    split_name: str,
+    *,
+    value_probe_timeout: float = DEFAULT_VALUE_PROBE_TIMEOUT,
+) -> BenchmarkSplit:
+    """Load one benchmark split with all catalogs under <root>/databases.
+
+    Another split of the same root can reuse these catalogs:
+    `BenchmarkSplit(name, load_questions(root, name), split.databases)`.
+    """
+    instances = load_questions(root_dir, split_name)
+    databases_dir = Path(root_dir) / "databases"
     catalogs: dict[str, DatabaseCatalog] = {}
     if databases_dir.is_dir():
         for db_dir in sorted(p for p in databases_dir.iterdir() if p.is_dir()):
@@ -288,13 +294,6 @@ def load_split(
                 database_id=db_dir.name,
                 value_probe_timeout=value_probe_timeout,
             )
-
-    for instance in instances:
-        if instance.database_id not in catalogs:
-            raise MissingDatabase(
-                f"question {instance.question_id} references database "
-                f"{instance.database_id!r} with no SQLite file under {databases_dir}")
-
     return BenchmarkSplit(split_name, instances, catalogs)
 
 

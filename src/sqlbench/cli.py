@@ -15,11 +15,12 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
-from .bench import BenchmarkSplit, TaskInstance, database_path, load_split
+from .bench import BenchmarkSplit, TaskInstance, database_path, load_questions, load_split
 from .budget import (
     LastRender,
     PromptSection,
@@ -42,59 +43,76 @@ from .curation import (
     curate_top_k,
 )
 from .evaluate import EvalOutcome, aggregate, execute_and_compare
-from .gateway import LlmClient, LlmEndpoint, ReplayStore, extract_sql
+from .gateway import REPLAY_MODES, LlmClient, LlmEndpoint, ReplayStore, extract_sql
 from .prompts import (
     FewShotBlock,
     PromptBundle,
-    build_sft_pair,
+    emit_sft_dataset,
     few_shot_text,
     open_prompt_text,
     require_sft_budget,
-    sft_seed,
+    write_sft_jsonl,
 )
 from .schema import SchemaVariant, render_schema
 from .taxonomy import ErrorLabel, classify, tabulate
 
 logger = logging.getLogger(__name__)
 
-ENV_BASE_URL = "SQLBENCH_BASE_URL"
-ENV_API_KEY = "SQLBENCH_API_KEY"
-ENV_EMBED_BASE_URL = "SQLBENCH_EMBED_BASE_URL"
-ENV_EMBED_API_KEY = "SQLBENCH_EMBED_API_KEY"
+
+def _setting(default, **metadata):
+    """A RunConfig field. Optional metadata: `flag` (default `--` + name with
+    dashes; None: none), `env` (its environment variable), `snapshot` (the
+    attribute `snapshot()` records, under its name; default the field, None:
+    not recorded), `choices` and `help` (the flag's help)."""
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class RunConfig:
+    """Each run setting, declared once: flags, environment map, snapshot and
+    checks derive from these fields. Path fields take a str, float an int."""
+
     benchmark_root: Path = Path(".")
     split: str = "dev"
     variant: SchemaVariant = SchemaVariant.C_VDT
-    mode: str = MODE_NONE
+    mode: str = _setting(MODE_NONE, choices=ALL_MODES)
     shots: int = 0
     pool_split: Optional[str] = None
     max_context: int = 2048
     response_reserve: int = 200
-    temperature: float = 1.0
-    truncation_seed: int = 0
-    base_url: str = "http://localhost:8000"
-    model_id: str = "local-model"
+    temperature: float = _setting(1.0, help="softmax temperature for example truncation rates")
+    truncation_seed: int = _setting(0, flag="--seed")
+    base_url: str = _setting("http://localhost:8000", env="SQLBENCH_BASE_URL", snapshot=None)
+    model_id: str = _setting("local-model", flag="--model")
     sampling_temperature: float = 0.001
     max_response_tokens: int = 200
-    chat_style: bool = False
-    api_key: Optional[str] = None
-    embed_base_url: Optional[str] = None
-    embed_model_id: Optional[str] = None
-    embed_api_key: Optional[str] = None
+    chat_style: bool = _setting(False, snapshot=None)
+    api_key: Optional[str] = _setting(None, flag=None, env="SQLBENCH_API_KEY", snapshot=None)
+    embed_base_url: Optional[str] = _setting(None, env="SQLBENCH_EMBED_BASE_URL", snapshot=None)
+    embed_model_id: Optional[str] = _setting(
+        None, flag="--embed-model", snapshot="embedding_model_id")
+    embed_api_key: Optional[str] = _setting(
+        None, flag=None, env="SQLBENCH_EMBED_API_KEY", snapshot=None)
     replay_store: Optional[Path] = None
-    replay_mode: str = "live"
-    embedding_cache: Optional[Path] = None
-    output_dir: Path = Path("out")
-    workers: int = 1
+    replay_mode: str = _setting("live", choices=REPLAY_MODES)
+    embedding_cache: Optional[Path] = _setting(None, snapshot=None)
+    output_dir: Path = _setting(Path("out"), snapshot=None)
+    workers: int = _setting(1, snapshot=None)
     query_timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        self.variant = SchemaVariant(self.variant)
-        if self.mode not in ALL_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {ALL_MODES}")
+        for setting, kind, optional, choices in _SETTINGS:
+            name, value = setting.name, getattr(self, setting.name)
+            if value is None and optional:
+                continue
+            if choices and value not in choices:
+                raise ValueError(f"{name}: expected one of {choices}, got {value!r}")
+            if isinstance(value, str) and issubclass(kind, (Path, Enum)):
+                value = kind(value)
+                setattr(self, name, value)
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
         if self.shots > 0 and not self.pool_split:
@@ -109,6 +127,10 @@ class RunConfig:
     def budget(self) -> TokenBudget:
         return TokenBudget(self.max_context, self.response_reserve)
 
+    @property
+    def embedding_model_id(self) -> str:
+        return self.embed_model_id or self.model_id
+
     def endpoint(self) -> LlmEndpoint:
         return LlmEndpoint(
             base_url=self.base_url,
@@ -122,35 +144,36 @@ class RunConfig:
     def embed_endpoint(self) -> LlmEndpoint:
         return LlmEndpoint(
             base_url=self.embed_base_url or self.base_url,
-            model_id=self.embed_model_id or self.model_id,
+            model_id=self.embedding_model_id,
             api_key=self.embed_api_key or self.api_key,
         )
 
     def snapshot(self) -> dict:
         """Reproducibility snapshot; credentials never land in reports."""
-        return {
-            "benchmark_root": str(self.benchmark_root),
-            "split": self.split,
-            "variant": self.variant.value,
-            "mode": self.mode,
-            "shots": self.shots,
-            "pool_split": self.pool_split,
-            "max_context": self.max_context,
-            "response_reserve": self.response_reserve,
-            "temperature": self.temperature,
-            "truncation_seed": self.truncation_seed,
-            "model_id": self.model_id,
-            "sampling_temperature": self.sampling_temperature,
-            "max_response_tokens": self.max_response_tokens,
-            "embedding_model_id": self.embed_model_id or self.model_id,
-            "replay_store": str(self.replay_store) if self.replay_store else None,
-            "replay_mode": self.replay_mode,
-            "query_timeout": self.query_timeout,
-        }
+        recorded = {key: getattr(self, key) for key in _SNAPSHOT_KEYS}
+        return {key: value.value if isinstance(value, Enum)
+                else str(value) if isinstance(value, Path) else value
+                for key, value in recorded.items()}
 
 
-_CONFIG_FIELDS = {f.name for f in RunConfig.__dataclass_fields__.values()}
-_PATH_FIELDS = {"benchmark_root", "replay_store", "embedding_cache", "output_dir"}
+def _settings() -> list[tuple[Field, type, bool, Optional[list]]]:
+    """(field, type, whether None is allowed, accepted values) per setting;
+    an enum setting accepts its members' values."""
+    hints = get_type_hints(RunConfig)
+    settings = []
+    for setting in fields(RunConfig):
+        kind, *none = get_args(hints[setting.name]) or (hints[setting.name],)
+        choices = ([member.value for member in kind] if issubclass(kind, Enum)
+                   else setting.metadata.get("choices"))
+        settings.append((setting, kind, bool(none), list(choices) if choices else None))
+    return settings
+
+
+_SETTINGS = _settings()
+_CONFIG_FIELDS = {setting.name for setting, *_ in _SETTINGS}
+_ENV = {s.name: s.metadata["env"] for s, *_ in _SETTINGS if "env" in s.metadata}
+_SNAPSHOT_KEYS = [key for key in (s.metadata.get("snapshot", s.name) for s, *_ in _SETTINGS)
+                  if key is not None]
 
 
 def load_config(
@@ -165,18 +188,9 @@ def load_config(
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(raw)
-    env_map = {
-        "base_url": os.environ.get(ENV_BASE_URL),
-        "api_key": os.environ.get(ENV_API_KEY),
-        "embed_base_url": os.environ.get(ENV_EMBED_BASE_URL),
-        "embed_api_key": os.environ.get(ENV_EMBED_API_KEY),
-    }
-    values.update({k: v for k, v in env_map.items() if v})
+    values.update({name: os.environ[env] for name, env in _ENV.items() if os.environ.get(env)})
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    for key in _PATH_FIELDS & set(values):
-        if values[key] is not None:
-            values[key] = Path(values[key])
     return RunConfig(**values)
 
 
@@ -219,11 +233,13 @@ def _zero_shot_bundle(
 
 def _load_pool(
     cfg: RunConfig,
+    split: BenchmarkSplit,
     embed_client: LlmClient,
 ) -> tuple[ExamplePool, Optional[EmbeddingCache]]:
-    """Embed the pool split's candidates, through the embedding cache if set."""
-    pool_split = load_split(cfg.benchmark_root, cfg.pool_split)
-    cache = (EmbeddingCache(cfg.embedding_cache, cfg.embed_endpoint().model_id)
+    """Embed the pool split's candidates over `split`'s catalogs, through the cache if set."""
+    pool_split = BenchmarkSplit(
+        cfg.pool_split, load_questions(cfg.benchmark_root, cfg.pool_split), split.databases)
+    cache = (EmbeddingCache(cfg.embedding_cache, cfg.embedding_model_id)
              if cfg.embedding_cache else None)
     pool = build_pool(
         [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
@@ -386,7 +402,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     cache = None
     if cfg.shots > 0:
         embed_client = embed_client or build_embed_client(cfg, store=client.store)
-        pool, cache = _load_pool(cfg, embed_client)
+        pool, cache = _load_pool(cfg, split, embed_client)
 
     def process(instance: TaskInstance):
         return process_instance(cfg, instance, split, client, embed_client, pool, cache)
@@ -467,32 +483,25 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
 
 
 def cmd_prep_sft(cfg: RunConfig) -> Path:
-    """Emit the SFT JSONL plus truncation statistics; skip unfittable instances."""
+    """Emit the SFT JSONL plus truncation statistics, through `emit_sft_dataset`."""
     require_sft_budget(cfg.budget)
     split = load_split(cfg.benchmark_root, cfg.split)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"sft_{cfg.split}.jsonl"
     records: list[TruncationRecord] = []
-    skipped = 0
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for instance in split.instances:
-            catalog = split.databases[instance.database_id]
-            try:
-                pair, record = build_sft_pair(
-                    instance, catalog, cfg.variant, cfg.budget,
-                    seed=sft_seed(cfg.truncation_seed, instance.question_id))
-            except Exception as exc:
-                logger.warning("skipping question %s: %s", instance.question_id, exc)
-                skipped += 1
-                continue
+
+    def pairs():
+        for pair, record in emit_sft_dataset(
+                split, cfg.variant, cfg.budget, seed=cfg.truncation_seed):
             records.append(record)
-            handle.write(json.dumps(
-                {"prompt": pair.prompt, "completion": pair.completion},
-                ensure_ascii=False) + "\n")
+            yield pair
+
+    write_sft_jsonl(pairs(), out_path)
     stats = _truncation_stats(records)
     _print_truncation_stats(stats, few_shot=False)
+    skipped = len(split.instances) - len(records)
     if skipped:
-        print(f"skipped {skipped} instances with unsatisfiable budgets")
+        print(f"skipped {skipped} instances")
     print(f"wrote {len(records)} pairs to {out_path}")
     return out_path
 
@@ -548,7 +557,7 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     split = load_split(cfg.benchmark_root, cfg.split)
     client = client or build_client(cfg)
     embed_client = embed_client or build_embed_client(cfg, store=client.store)
-    pool, cache = _load_pool(cfg, embed_client)
+    pool, cache = _load_pool(cfg, split, embed_client)
 
     rows = []
     for instance in split.instances:
@@ -604,33 +613,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, default=argparse.SUPPRESS,
                        help="JSON config file")
-        p.add_argument("--benchmark-root", type=Path, dest="benchmark_root")
-        p.add_argument("--split", dest="split")
-        p.add_argument("--variant", dest="variant",
-                       choices=[v.value for v in SchemaVariant])
-        p.add_argument("--mode", dest="mode", choices=list(ALL_MODES))
-        p.add_argument("--shots", type=int, dest="shots")
-        p.add_argument("--pool-split", dest="pool_split")
-        p.add_argument("--max-context", type=int, dest="max_context")
-        p.add_argument("--response-reserve", type=int, dest="response_reserve")
-        p.add_argument("--temperature", type=float, dest="temperature",
-                       help="softmax temperature for example truncation rates")
-        p.add_argument("--seed", type=int, dest="truncation_seed")
-        p.add_argument("--base-url", dest="base_url")
-        p.add_argument("--model", dest="model_id")
-        p.add_argument("--sampling-temperature", type=float, dest="sampling_temperature")
-        p.add_argument("--max-response-tokens", type=int, dest="max_response_tokens")
-        p.add_argument("--chat-style", action="store_const", const=True,
-                       dest="chat_style", default=None)
-        p.add_argument("--embed-base-url", dest="embed_base_url")
-        p.add_argument("--embed-model", dest="embed_model_id")
-        p.add_argument("--replay-store", type=Path, dest="replay_store")
-        p.add_argument("--replay-mode", dest="replay_mode",
-                       choices=["live", "record", "replay"])
-        p.add_argument("--embedding-cache", type=Path, dest="embedding_cache")
-        p.add_argument("--output-dir", type=Path, dest="output_dir")
-        p.add_argument("--workers", type=int, dest="workers")
-        p.add_argument("--query-timeout", type=float, dest="query_timeout")
+        for setting, kind, _, choices in _SETTINGS:
+            flag = setting.metadata.get("flag", "--" + setting.name.replace("_", "-"))
+            if flag is None:
+                continue
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True,
+                               dest=setting.name, default=None)
+            else:
+                p.add_argument(flag, dest=setting.name, choices=choices,
+                               type=None if issubclass(kind, str) else kind,
+                               help=setting.metadata.get("help"))
 
     for name in ("ingest-check", "serialize-schema", "curate", "run", "prep-sft"):
         add_common(sub.add_parser(name))
@@ -645,14 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        key: value for key, value in vars(args).items()
-        if key in _CONFIG_FIELDS and value is not None
-    }
-    return load_config(args.config, overrides)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
@@ -660,7 +645,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "report":
             cmd_report(args.report_file)
             return 0
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items()
+                                        if k in _CONFIG_FIELDS})
         if args.command == "ingest-check":
             cmd_ingest_check(cfg)
         elif args.command == "serialize-schema":

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .bench import TaskInstance
 from .budget import (
-    KeepFilter,
+    ColumnPartition,
     LastRender,
     TokenBudget,
     TokenCounter,
@@ -34,7 +34,6 @@ from .prompts import (
     question_line,
 )
 from .schema import (
-    ColumnFilter,
     DatabaseCatalog,
     SchemaVariant,
     render_schema,
@@ -223,9 +222,11 @@ def _all_columns(catalog: DatabaseCatalog, tables: Sequence[str]) -> dict[str, l
     return {name: [c.name for c in table_map[name].columns] for name in tables}
 
 
-def _keep_columns(catalog: DatabaseCatalog, columns: Mapping[str, Sequence[str]]) -> KeepFilter:
-    """The keep filter showing only `columns`: other tables map to an empty set."""
-    return {t.name: set(columns.get(t.name, ())) for t in catalog.tables}
+def _partition_of(catalog: DatabaseCatalog, link_text: str,
+                  columns: Mapping[str, Sequence[str]]) -> ColumnPartition:
+    """The partition of the schema showing only `columns`; other tables are hidden."""
+    keep = {t.name: set(columns.get(t.name, ())) for t in catalog.tables}
+    return partition_columns(catalog, question=link_text, keep=keep)
 
 
 def _build_step_prompt(
@@ -236,9 +237,9 @@ def _build_step_prompt(
     budget: TokenBudget,
     seed: int,
     counter: TokenCounter,
-    keep: Optional[ColumnFilter] = None,
+    partition: ColumnPartition,
 ) -> PromptBundle:
-    """One step's prompt over the schema `keep` shows (all of it by default)."""
+    """One step's prompt over the base catalog, truncated within `partition`."""
     if step_index == 1:
         header, properties_line, variant = _STEP1_HEADER, PROPERTIES_LINE, _STEP1_VARIANT
     else:
@@ -258,8 +259,6 @@ def _build_step_prompt(
         lines.append(tail)
         return "\n".join(lines)
 
-    link_text = f"{instance.question} {instance.external_knowledge}"
-    partition = partition_columns(catalog, question=link_text, keep=keep)
     _, record = truncate_target(
         catalog, partition, render, budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
@@ -299,16 +298,20 @@ def run_cot(
     restrict = mode.endswith("-pred")
     trace = CotTrace(mode=mode)
 
-    def run_step(keep: Optional[ColumnFilter], step_index: int, tail: str) -> str:
+    def run_step(step_partition: ColumnPartition, step_index: int, tail: str) -> str:
         bundle = _build_step_prompt(
-            instance, catalog, step_index, tail, budget, seed, counter, keep)
+            instance, catalog, step_index, tail, budget, seed, counter, step_partition)
         trace.step_prompts.append(bundle)
         response = client.complete(bundle)
         trace.step_responses.append(response)
         return response
 
+    # Steps that show the same schema share its partition.
+    link_text = f"{instance.question} {instance.external_knowledge}"
+    full = partition_columns(catalog, question=link_text)
+
     # Step 1: find tables over the description-only schema.
-    response = run_step(None, 1, _STEP1_TAIL)
+    response = run_step(full, 1, _STEP1_TAIL)
     tables = _validate_tables(parse_table_list(response, catalog), catalog, trace)
     if not tables:
         trace.warnings.append("no usable tables parsed from step 1; using full schema")
@@ -317,9 +320,8 @@ def run_cot(
     trace.predicted_tables = tables
 
     # Step 2: find columns within the predicted tables.
-    step2_keep = _keep_columns(catalog, _all_columns(catalog, tables)) if restrict else None
-    response = run_step(
-        step2_keep, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
+    step2 = _partition_of(catalog, link_text, _all_columns(catalog, tables)) if restrict else full
+    response = run_step(step2, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
     columns = _validate_columns(
         parse_column_list(response, catalog, tables), catalog, trace)
     if restrict:
@@ -334,18 +336,18 @@ def run_cot(
         restrict = False
     trace.predicted_columns = columns
 
-    later_keep = _keep_columns(catalog, columns) if restrict else None
+    later = _partition_of(catalog, link_text, columns) if restrict else full
     columns_related = ", ".join(
         f"{table}.{column}" for table, cols in columns.items() for column in cols)
 
     if mode in (MODE_COT_SK_PRED, MODE_COT_SK_FULL):
         response = run_step(
-            later_keep, 3, _SK_SKELETON_TAIL_TEMPLATE.format(columns=columns_related))
+            later, 3, _SK_SKELETON_TAIL_TEMPLATE.format(columns=columns_related))
         trace.skeleton = _normalize_skeleton(response)
-        response = run_step(later_keep, 4, _SK_FINAL_TAIL_TEMPLATE.format(
+        response = run_step(later, 4, _SK_FINAL_TAIL_TEMPLATE.format(
             columns=columns_related, skeleton=trace.skeleton))
     else:
         response = run_step(
-            later_keep, 3, _SP_FINAL_TAIL_TEMPLATE.format(columns=columns_related))
+            later, 3, _SP_FINAL_TAIL_TEMPLATE.format(columns=columns_related))
     trace.final_sql = extract_sql(response)
     return trace

@@ -144,6 +144,7 @@ def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> t
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
+REPLAY_MODES = ("live", "record", "replay")
 
 
 class LlmClient:
@@ -164,7 +165,7 @@ class LlmClient:
         max_retries: int = 3,
         backoff: float = 0.5,
     ):
-        if mode not in ("live", "record", "replay"):
+        if mode not in REPLAY_MODES:
             raise ValueError(f"unknown client mode {mode!r}")
         if mode in ("record", "replay") and store is None:
             raise ValueError(f"{mode} mode requires a replay store")

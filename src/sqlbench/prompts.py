@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bench import BenchmarkSplit, TaskInstance
 from .budget import (
@@ -19,6 +19,7 @@ from .budget import (
     TokenBudget,
     TokenCounter,
     TruncationRecord,
+    UnsatisfiableBudget,
     count_tokens,
     derive_seed,
     partition_columns,
@@ -31,6 +32,7 @@ from .schema import (
     render_schema_format_header,
     schema_token_fn,
 )
+from .skeleton import UnterminatedComment, UnterminatedString
 
 logger = logging.getLogger(__name__)
 
@@ -272,20 +274,25 @@ def emit_sft_dataset(
 ) -> Iterator[tuple[SftPair, TruncationRecord]]:
     """Yield one (pair, truncation record) per instance, in split order.
 
-    Each instance truncates with `sft_seed(seed, question_id)`, as
-    `sqlbench prep-sft` does. An instance whose budget cannot be met raises
-    UnsatisfiableBudget, where `prep-sft` skips it.
+    Each instance truncates with `sft_seed(seed, question_id)`, as `prep-sft`
+    does. An instance whose budget cannot be met or whose gold SQL has an
+    unterminated string or comment is skipped with a warning.
     """
     require_sft_budget(budget)
     for instance in split.instances:
         catalog = split.databases[instance.database_id]
-        yield build_sft_pair(
-            instance, catalog, variant, budget,
-            seed=sft_seed(seed, instance.question_id), counter=counter)
+        try:
+            built = build_sft_pair(
+                instance, catalog, variant, budget,
+                seed=sft_seed(seed, instance.question_id), counter=counter)
+        except (UnsatisfiableBudget, UnterminatedString, UnterminatedComment) as exc:
+            logger.warning("skipping question %s: %r", instance.question_id, exc)
+            continue
+        yield built
 
 
 def write_sft_jsonl(
-    pairs: Sequence[SftPair],
+    pairs: Iterable[SftPair],
     path: Path,
 ) -> None:
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,13 @@ from conftest import (
     ScriptedTransport,
     completion_by_question,
     hash_embedding,
+    make_cinema_db,
     write_benchmark,
 )
 from sqlbench.cli import (
     RunConfig,
     build_client,
+    build_parser,
     build_embed_client,
     cmd_build_prompt,
     cmd_curate,
@@ -70,6 +74,99 @@ def test_config_validation_rules(tmp_path):
         RunConfig(replay_mode="replay")  # store required
     with pytest.raises(ValueError):
         RunConfig(mode="sideways")
+
+
+# The flags every subcommand but `report` takes: option strings, dest, type,
+# choices, const and help, as the hand-written parser declared them.
+_VARIANTS = ["C_N", "C_T", "C_D", "C_V", "C_P", "C_VD", "C_VDT", "C_VDP", "C_A"]
+_MODES = ["none", "cot-sp-pred", "cot-sp-full", "cot-sk-pred", "cot-sk-full"]
+_COMMON_FLAGS = [
+    (["--config"], "config", Path, None, None, "JSON config file"),
+    (["--benchmark-root"], "benchmark_root", Path, None, None, None),
+    (["--split"], "split", None, None, None, None),
+    (["--variant"], "variant", None, _VARIANTS, None, None),
+    (["--mode"], "mode", None, _MODES, None, None),
+    (["--shots"], "shots", int, None, None, None),
+    (["--pool-split"], "pool_split", None, None, None, None),
+    (["--max-context"], "max_context", int, None, None, None),
+    (["--response-reserve"], "response_reserve", int, None, None, None),
+    (["--temperature"], "temperature", float, None, None,
+     "softmax temperature for example truncation rates"),
+    (["--seed"], "truncation_seed", int, None, None, None),
+    (["--base-url"], "base_url", None, None, None, None),
+    (["--model"], "model_id", None, None, None, None),
+    (["--sampling-temperature"], "sampling_temperature", float, None, None, None),
+    (["--max-response-tokens"], "max_response_tokens", int, None, None, None),
+    (["--chat-style"], "chat_style", None, None, True, None),
+    (["--embed-base-url"], "embed_base_url", None, None, None, None),
+    (["--embed-model"], "embed_model_id", None, None, None, None),
+    (["--replay-store"], "replay_store", Path, None, None, None),
+    (["--replay-mode"], "replay_mode", None, ["live", "record", "replay"], None, None),
+    (["--embedding-cache"], "embedding_cache", Path, None, None, None),
+    (["--output-dir"], "output_dir", Path, None, None, None),
+    (["--workers"], "workers", int, None, None, None),
+    (["--query-timeout"], "query_timeout", float, None, None, None),
+]
+_PARSER_FLAGS = {
+    **{name: _COMMON_FLAGS for name in
+       ("ingest-check", "serialize-schema", "curate", "run", "prep-sft")},
+    "build-prompt": _COMMON_FLAGS + [
+        (["--question-id"], "question_id", int, None, None, None),
+        (["--out"], "out", Path, None, None, None),
+    ],
+    "report": [([], "report_file", Path, None, None, None)],
+}
+
+
+def test_parser_flags_are_those_of_the_hand_written_parser():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(_PARSER_FLAGS)
+    for name, expected in _PARSER_FLAGS.items():
+        actions = [a for a in subparsers.choices[name]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert [(a.option_strings, a.dest, a.type, a.choices, a.const, a.help)
+                for a in actions] == expected, name
+        assert all(a.default in (None, argparse.SUPPRESS) for a in actions), name
+        assert all(isinstance(a, argparse._StoreConstAction) == (a.const is not None)
+                   for a in actions), name
+
+
+def test_snapshot_records_the_reproducible_settings_only():
+    cfg = RunConfig(base_url="http://completion.example", api_key="completion-secret",
+                    embed_base_url="http://embedding.example", embed_api_key="embed-secret",
+                    embed_model_id="embedder", replay_store="store.jsonl",
+                    replay_mode="replay", temperature=1)
+    snapshot = cfg.snapshot()
+    assert snapshot == {
+        "benchmark_root": ".", "split": "dev", "variant": "C_VDT", "mode": "none",
+        "shots": 0, "pool_split": None, "max_context": 2048, "response_reserve": 200,
+        "temperature": 1, "truncation_seed": 0, "model_id": "local-model",
+        "sampling_temperature": 0.001, "max_response_tokens": 200,
+        "embedding_model_id": "embedder", "replay_store": "store.jsonl",
+        "replay_mode": "replay", "query_timeout": 30.0,
+    }
+    assert isinstance(snapshot["temperature"], int)
+    written = json.dumps(snapshot)
+    for value in ("secret", "example"):
+        assert value not in written
+    assert RunConfig(model_id="m").snapshot()["embedding_model_id"] == "m"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_context", "2048"),   # a string for an int
+    ("workers", 2.0),          # a float for an int
+    ("chat_style", "false"),   # a string for a bool
+    ("max_response_tokens", True),  # a bool for an int
+    ("split", None),           # None for a setting that is not Optional
+    ("replay_mode", "replya"),  # outside the choices
+    ("variant", "C_X"),
+])
+def test_config_file_values_are_checked_by_type_and_choices(tmp_path, key, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=key):
+        load_config(config)
 
 
 def test_ingest_check_prints_summary(mini_bench, tmp_path, capsys):
@@ -325,6 +422,30 @@ def test_cmd_prep_sft_writes_jsonl_and_stats(mini_bench, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Queries with column truncation/Total queries: 0.00% (0/10)" in out
     assert "Average truncated columns: 0" in out
+
+
+def test_prep_sft_skips_malformed_gold_sql_and_propagates_other_errors(
+        tmp_path, capsys, monkeypatch):
+    import sqlbench.prompts as prompts
+
+    questions = [
+        {"question_id": i, "question": f"Which movie is number {i}?", "evidence": "",
+         "SQL": sql, "db_id": "cinema", "difficulty": "simple"}
+        for i, sql in enumerate(["SELECT movie_title FROM movies", "SELECT 'abc FROM movies"])
+    ]
+    root = write_benchmark(tmp_path / "bench", questions, {"cinema": make_cinema_db})
+    cfg = RunConfig(benchmark_root=root, split="dev", output_dir=tmp_path / "out")
+    lines = cmd_prep_sft(cfg).read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["completion"] for line in lines] == [" movie_title FROM movies"]
+    out = capsys.readouterr().out
+    assert "skipped 1 instances\n" in out and "wrote 1 pairs" in out
+
+    def broken(*args, **kwargs):
+        raise KeyError("not a skip")
+
+    monkeypatch.setattr(prompts, "build_sft_pair", broken)
+    with pytest.raises(KeyError):
+        cmd_prep_sft(cfg)
 
 
 def test_cmd_prep_sft_truncation_stats_match_recount(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import ScriptedTransport
 from sqlbench.bench import TaskInstance
-from sqlbench.budget import TokenBudget, UnsatisfiableBudget, count_tokens
+from sqlbench.budget import TokenBudget, UnsatisfiableBudget, count_tokens, partition_columns
 from sqlbench.cot import (
     MODE_COT_SK_FULL,
     MODE_COT_SK_PRED,
@@ -357,9 +357,17 @@ def _narrowed_steps(draw):
     return DatabaseCatalog("db", tuple(tables), fks), keep, instance
 
 
+def _step_prompt(instance, catalog, step_index, tail, budget, seed, counter, keep=None):
+    """The step prompt over the schema `keep` shows, partitioned as run_cot does."""
+    partition = partition_columns(
+        catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep)
+    return _build_step_prompt(
+        instance, catalog, step_index, tail, budget, seed, counter, partition)
+
+
 def _step_outcome(*args):
     try:
-        return _build_step_prompt(*args)
+        return _step_prompt(*args)
     except UnsatisfiableBudget as exc:
         return str(exc)
 
@@ -376,8 +384,8 @@ def test_keep_based_step_prompts_equal_filtered_catalog_prompts():
     def check(narrowed, step_index, slack, seed):
         catalog, keep, instance = narrowed
         filtered = filter_catalog(catalog, keep)
-        full = _build_step_prompt(instance, filtered, step_index, "Tables:",
-                                  TokenBudget(10**6, 200), seed, count_tokens).token_count
+        full = _step_prompt(instance, filtered, step_index, "Tables:",
+                            TokenBudget(10**6, 200), seed, count_tokens).token_count
         budget = TokenBudget(max(1, full + slack) + 200, 200)
         expected = _step_outcome(
             instance, filtered, step_index, "Tables:", budget, seed, count_tokens)

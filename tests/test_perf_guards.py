@@ -7,8 +7,11 @@ it, and renders each few-shot prompt twice per question: once as its
 frame, with no schema line, and once in full to confirm the fit. Target
 truncation, on the zero-shot and chain-of-thought paths, renders the same
 two, however many columns it removes. Every prompt a run builds is counted
-in full exactly once, and that count is the one its bundle carries. These
-counts repeat exactly, so a regression shows here without timing anything.
+in full exactly once, and that count is the one its bundle carries. A
+chain-of-thought question partitions each distinct schema its steps show
+once, and a command introspects each database once, also when it loads a
+pool split. These counts repeat exactly, so a regression shows here
+without timing anything.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import sqlbench.bench as bench
 import sqlbench.cli as cli
 import sqlbench.cot as cot
 import sqlbench.curation as curation
@@ -37,7 +41,7 @@ from test_acceptance import _cot_scripted
 from test_curation import _candidate, _random_pool, _tiny_catalog
 from sqlbench.bench import load_split
 from sqlbench.budget import TokenBudget, count_tokens
-from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_run
+from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_curate, cmd_run
 
 
 def _counting(counts: Counter, name: str, fn, key=None):
@@ -219,3 +223,39 @@ def test_each_built_prompt_is_counted_once(mini_bench, tmp_path, monkeypatch):
         full, frames = counter.prompt_counts()
         assert full == [pair.prompt + pair.completion] and len(frames) == 1
         assert record.tokens_after == count_tokens(pair.prompt + pair.completion)
+
+
+@pytest.mark.parametrize("mode, partitions", [("cot-sk-pred", 3), ("cot-sk-full", 1)])
+def test_chain_of_thought_partitions_each_distinct_schema_once(mini_bench, monkeypatch,
+                                                               mode, partitions):
+    # cot-sk-pred: the full schema (step 1), the predicted tables (step 2)
+    # and the predicted columns (steps 3 and 4); cot-sk-full: the full one.
+    calls: Counter = Counter()
+    monkeypatch.setattr(cot, "partition_columns",
+                        _counting(calls, "partition_columns", cot.partition_columns))
+    split = load_split(mini_bench, "dev")
+    client = build_client(RunConfig(), transport=ScriptedTransport(
+        completion_fn=_cot_scripted(MINI_QUESTIONS)))
+    for instance in split.instances:
+        calls.clear()
+        trace = cot.run_cot(instance, split.databases[instance.database_id], client, mode)
+        assert len(trace.step_prompts) == 4
+        assert not any("using full schema" in warning for warning in trace.warnings)
+        assert calls["partition_columns"] == partitions
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_curate])
+def test_each_database_is_introspected_once_per_command(mini_bench, tmp_path, monkeypatch,
+                                                        command):
+    calls: Counter = Counter()
+    monkeypatch.setattr(bench, "introspect_database", _counting(
+        calls, "", bench.introspect_database, key=lambda sqlite_file, *args: sqlite_file.stem))
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
+                    shots=2, pool_split="train")
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    command(cfg, client=build_client(cfg, transport=transport),
+            embed_client=build_embed_client(cfg, transport=transport))
+    databases = sorted(p.name for p in (mini_bench / "databases").iterdir())
+    assert sorted(calls) == databases and set(calls.values()) == {1}

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sqlbench.bench import TaskInstance
-from sqlbench.budget import TokenBudget, UnsatisfiableBudget, count_tokens
+from sqlbench.budget import TokenBudget, count_tokens
 from sqlbench.prompts import (
     EmptyExampleSql,
     FewShotBlock,
@@ -195,20 +195,29 @@ def test_sft_over_budget_instance_truncated():
         assert ("wide", "id") not in record.removed_columns[0]
 
 
-def test_sft_unsatisfiable_budget_raises():
+@pytest.mark.parametrize("question, gold_sql, error", [
+    (" ".join(f"word{i}" for i in range(400)) + "?",  # immovable text
+     "SELECT id FROM wide", "UnsatisfiableBudget"),
+    ("Which ids?", "SELECT 'abc FROM wide", "UnterminatedString"),
+    ("Which ids?", "SELECT id /* FROM wide", "UnterminatedComment"),
+], ids=["UnsatisfiableBudget", "UnterminatedString", "UnterminatedComment"])
+def test_sft_skips_an_instance_it_cannot_build(caplog, question, gold_sql, error):
     from sqlbench.bench import BenchmarkSplit
 
     catalog = DatabaseCatalog("wide", (TableSpec("wide", (
         ColumnSpec("id", "int", None, None, True),
         ColumnSpec("fluff", "text", "removable"),
     )),))
-    question = " ".join(f"word{i}" for i in range(400)) + "?"  # immovable text
     split = BenchmarkSplit("train", (
-        TaskInstance(0, question, "", "SELECT id FROM wide", "wide"),
+        TaskInstance(0, question, "", gold_sql, "wide"),
+        TaskInstance(1, "Which ids?", "", "SELECT id FROM wide", "wide"),
     ), {"wide": catalog})
-    with pytest.raises(UnsatisfiableBudget):
-        list(emit_sft_dataset(split, SchemaVariant.C_VDT,
-                              TokenBudget(max_context=300, response_reserve=10), seed=0))
+    with caplog.at_level("WARNING", logger="sqlbench.prompts"):
+        pairs = list(emit_sft_dataset(split, SchemaVariant.C_VDT,
+                                      TokenBudget(max_context=300, response_reserve=10), seed=0))
+    assert [pair.completion for pair, _ in pairs] == [" id FROM wide"]
+    (warning,) = caplog.messages
+    assert "question 0" in warning and error in warning
 
 
 def test_sft_one_pair_per_instance_in_split_order(mini_bench):

@@ -274,7 +274,8 @@ def test_truncation_counts_whole_prompts_from_their_frames(
 
     for step_index in (1, 2):
         bundle = _build_step_prompt(instance, catalog, step_index, "Tables:",
-                                    TokenBudget(10**6, 200), 0, count_tokens)
+                                    TokenBudget(10**6, 200), 0, count_tokens,
+                                    _all_removable(catalog))
         assert bundle.truncation.tokens_before == count_tokens(bundle.text)
 
 
