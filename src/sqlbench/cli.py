@@ -35,15 +35,16 @@ from .budget import (
     truncate_target,
 )
 from .cot import ALL_MODES, MODE_NONE, CotTrace, run_cot
-from .curation import (
-    CuratedSet,
-    EmbeddingCache,
-    ExamplePool,
-    build_pool,
-    curate_top_k,
-)
+from .curation import CuratedSet, EmbeddingFn, ExamplePool, build_pool, curate_top_k
 from .evaluate import EvalOutcome, aggregate, execute_and_compare
-from .gateway import REPLAY_MODES, LlmClient, LlmEndpoint, ReplayStore, extract_sql
+from .gateway import (
+    REPLAY_MODES,
+    EmbeddingCache,
+    LlmClient,
+    LlmEndpoint,
+    ReplayStore,
+    extract_sql,
+)
 from .prompts import (
     FewShotBlock,
     PromptBundle,
@@ -113,8 +114,14 @@ class RunConfig:
             accepted = (int, float) if kind is float else kind
             if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
                 raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0")
+        for name, low in (("shots", 0), ("workers", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("temperature", "query_timeout"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        self.budget = TokenBudget(self.max_context, self.response_reserve)
+        self.endpoint()  # checks sampling_temperature and max_response_tokens
         if self.shots > 0 and not self.pool_split:
             raise ValueError("shots > 0 requires a pool split")
         if self.shots > 0 and self.mode != MODE_NONE:
@@ -122,10 +129,6 @@ class RunConfig:
                              "(mode must be 'none' when shots > 0)")
         if self.replay_mode in ("record", "replay") and not self.replay_store:
             raise ValueError(f"replay_mode {self.replay_mode!r} requires a replay store path")
-
-    @property
-    def budget(self) -> TokenBudget:
-        return TokenBudget(self.max_context, self.response_reserve)
 
     @property
     def embedding_model_id(self) -> str:
@@ -235,16 +238,18 @@ def _load_pool(
     cfg: RunConfig,
     split: BenchmarkSplit,
     embed_client: LlmClient,
-) -> tuple[ExamplePool, Optional[EmbeddingCache]]:
-    """Embed the pool split's candidates over `split`'s catalogs, through the cache if set."""
+) -> tuple[ExamplePool, EmbeddingFn]:
+    """Embed the pool split's candidates over `split`'s catalogs. Returns the
+    pool and the embedding function, the client's or the cache over it."""
     pool_split = BenchmarkSplit(
         cfg.pool_split, load_questions(cfg.benchmark_root, cfg.pool_split), split.databases)
-    cache = (EmbeddingCache(cfg.embedding_cache, cfg.embedding_model_id)
-             if cfg.embedding_cache else None)
+    embed = embed_client.embed
+    if cfg.embedding_cache:
+        embed = EmbeddingCache(cfg.embedding_cache, cfg.embedding_model_id, embed)
     pool = build_pool(
         [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
-        cfg.variant, embed_client.embed, cache)
-    return pool, cache
+        cfg.variant, embed)
+    return pool, embed
 
 
 def _curate(
@@ -253,8 +258,7 @@ def _curate(
     catalog,
     pool: ExamplePool,
     client: LlmClient,
-    embed_client: LlmClient,
-    cache: Optional[EmbeddingCache],
+    embed: EmbeddingFn,
 ) -> tuple[str, CuratedSet]:
     """Draft a zero-shot query, score the pool against it, keep the top k.
 
@@ -262,7 +266,7 @@ def _curate(
     """
     draft_sql = extract_sql(client.complete(_zero_shot_bundle(cfg, instance, catalog)))
     return draft_sql, curate_top_k(
-        instance, catalog, draft_sql, pool, cfg.shots or 1, embed_client.embed, cache)
+        instance, catalog, draft_sql, pool, cfg.shots or 1, embed)
 
 
 def _few_shot_bundle(
@@ -271,11 +275,10 @@ def _few_shot_bundle(
     catalog,
     pool: ExamplePool,
     client: LlmClient,
-    embed_client: LlmClient,
-    cache: Optional[EmbeddingCache],
+    embed: EmbeddingFn,
 ) -> PromptBundle:
     """Curate, truncate and assemble the k-shot prompt for one instance."""
-    _, curated = _curate(cfg, instance, catalog, pool, client, embed_client, cache)
+    _, curated = _curate(cfg, instance, catalog, pool, client, embed)
     examples = [pool.candidates[triple.candidate_index] for _, triple in curated.examples]
     similarities = [clamp_similarity(triple.gamma_a) for _, triple in curated.examples]
     plan = plan_example_truncation(similarities, cfg.temperature)
@@ -320,9 +323,8 @@ def process_instance(
     instance: TaskInstance,
     split: BenchmarkSplit,
     client: LlmClient,
-    embed_client: Optional[LlmClient] = None,
+    embed: Optional[EmbeddingFn] = None,
     pool: Optional[ExamplePool] = None,
-    cache: Optional[EmbeddingCache] = None,
 ) -> tuple[CotTrace, EvalOutcome, Optional[dict]]:
     """Prompt -> complete -> extract -> execute -> classify, error-isolated."""
     catalog = split.databases[instance.database_id]
@@ -330,8 +332,7 @@ def process_instance(
     try:
         if cfg.mode == MODE_NONE:
             if cfg.shots > 0:
-                bundle = _few_shot_bundle(
-                    cfg, instance, catalog, pool, client, embed_client, cache)
+                bundle = _few_shot_bundle(cfg, instance, catalog, pool, client, embed)
             else:
                 bundle = _zero_shot_bundle(cfg, instance, catalog)
             response = client.complete(bundle)
@@ -398,14 +399,13 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     split = load_split(cfg.benchmark_root, cfg.split)
     client = client or build_client(cfg)
 
-    pool = None
-    cache = None
+    pool = embed = None
     if cfg.shots > 0:
         embed_client = embed_client or build_embed_client(cfg, store=client.store)
-        pool, cache = _load_pool(cfg, split, embed_client)
+        pool, embed = _load_pool(cfg, split, embed_client)
 
     def process(instance: TaskInstance):
-        return process_instance(cfg, instance, split, client, embed_client, pool, cache)
+        return process_instance(cfg, instance, split, client, embed, pool)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as executor:
@@ -557,13 +557,12 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     split = load_split(cfg.benchmark_root, cfg.split)
     client = client or build_client(cfg)
     embed_client = embed_client or build_embed_client(cfg, store=client.store)
-    pool, cache = _load_pool(cfg, split, embed_client)
+    pool, embed = _load_pool(cfg, split, embed_client)
 
     rows = []
     for instance in split.instances:
         draft_sql, curated = _curate(
-            cfg, instance, split.databases[instance.database_id],
-            pool, client, embed_client, cache)
+            cfg, instance, split.databases[instance.database_id], pool, client, embed)
         rows.append({
             "question_id": instance.question_id,
             "draft_sql": draft_sql,

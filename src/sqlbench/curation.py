@@ -15,24 +15,15 @@ full exact scoring gives, bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
-import logging
 import math
-import os
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bench import TaskInstance
 from .schema import DatabaseCatalog, SchemaVariant, render_schema
-
-logger = logging.getLogger(__name__)
-
 
 class ZeroVector(ValueError):
     pass
@@ -127,109 +118,10 @@ class ExamplePool:
             for i in range(len(self.candidates))))
 
 
-Tail = Optional[tuple[int, int]]
-
-
-def load_jsonl(path: Path, add: Callable[[dict], None]) -> Tail:
-    """Feed each record of an append-only JSONL store to `add`, in file order.
-
-    A last line without its newline is an append that a crash cut short:
-    when it does not parse it is skipped with a warning. A line that does
-    not parse anywhere else raises. Returns None when the file is absent or
-    ends with a newline; otherwise (cut, end) for end_last_line: the offset
-    where a torn last line starts (`end` when the last line parsed) and the
-    file's length.
-    """
-    if not path.is_file():
-        return None
-    offset = 0
-    line = b"\n"
-    cut = None
-    with open(path, "rb") as handle:
-        for line in handle:
-            start, offset = offset, offset + len(line)
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)  # UTF-8; a cut character raises too
-            except ValueError:
-                if line.endswith(b"\n"):
-                    raise
-                logger.warning("%s: skipping a torn last line of %d bytes", path, len(line))
-                cut = start
-                continue
-            add(raw)
-    if line.endswith(b"\n"):
-        return None
-    return (offset if cut is None else cut), offset
-
-
-def end_last_line(path: Path, tail: Tail) -> None:
-    """Before the first append after load_jsonl returned `tail`: cut a torn
-    last line off, or end a whole one with its newline. Skipped when the
-    file has grown since, because that line is then no longer last."""
-    if tail is None:
-        return
-    cut, end = tail
-    with open(path, "r+b") as handle:
-        if handle.seek(0, os.SEEK_END) != end:
-            return
-        handle.truncate(cut)
-        if cut == end:
-            handle.write(b"\n")
-
-
-class EmbeddingCache:
-    """Disk cache of embeddings keyed by (text digest, embedding model id).
-
-    Append-only JSONL of {hash, dim, vector}; concurrent readers share the
-    in-memory index while writes take the lock. Avoids re-billing the
-    embedding endpoint for texts it has already seen.
-    """
-
-    def __init__(self, path: Path, model_id: str):
-        self.path = Path(path)
-        self.model_id = model_id
-        self._vectors: dict[str, tuple[float, ...]] = {}
-        self._lock = threading.Lock()
-        self._tail = load_jsonl(
-            self.path, lambda raw: self._vectors.setdefault(raw["hash"], tuple(raw["vector"])))
-
-    def _key(self, text: str) -> str:
-        payload = text.encode("utf-8") + b"\x00" + self.model_id.encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
-    def fetch(self, texts: Sequence[str], embed: EmbeddingFn) -> list[tuple[float, ...]]:
-        """Return embeddings for texts, calling `embed` only for cache misses."""
-        keys = [self._key(text) for text in texts]
-        missing = [i for i, key in enumerate(keys) if key not in self._vectors]
-        if missing:
-            fresh = embed([texts[i] for i in missing])
-            if len(fresh) != len(missing):
-                raise DimensionMismatch(
-                    f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
-            with self._lock:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                end_last_line(self.path, self._tail)
-                self._tail = None
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    for i, vector in zip(missing, fresh):
-                        tup = tuple(float(x) for x in vector)
-                        if keys[i] not in self._vectors:
-                            self._vectors[keys[i]] = tup
-                            handle.write(json.dumps({
-                                "hash": keys[i],
-                                "dim": len(tup),
-                                "vector": list(tup),
-                            }) + "\n")
-        return [self._vectors[key] for key in keys]
-
-
 def build_pool(
     candidates: Sequence[tuple[TaskInstance, DatabaseCatalog]],
     variant: SchemaVariant,
     embed: EmbeddingFn,
-    cache: Optional[EmbeddingCache] = None,
 ) -> ExamplePool:
     """Embed question, rendered schema and gold SQL for every candidate."""
     texts: list[str] = []
@@ -239,10 +131,7 @@ def build_pool(
             render_schema(catalog, variant),
             instance.gold_sql,
         ))
-    if cache is not None:
-        vectors = cache.fetch(texts, embed)
-    else:
-        vectors = [tuple(float(x) for x in v) for v in embed(texts)]
+    vectors = [tuple(float(x) for x in v) for v in embed(texts)]
     pool_candidates = []
     for i, (instance, catalog) in enumerate(candidates):
         q, d, s = vectors[3 * i], vectors[3 * i + 1], vectors[3 * i + 2]
@@ -256,11 +145,9 @@ def _target_vectors(
     draft_sql: str,
     pool: ExamplePool,
     embed: EmbeddingFn,
-    cache: Optional[EmbeddingCache],
 ) -> tuple[Vector, Vector, Vector]:
     texts = [target.question, render_schema(target_catalog, pool.variant), draft_sql]
-    vectors = cache.fetch(texts, embed) if cache is not None else embed(texts)
-    target_q, target_d, target_s = (_vector(v) for v in vectors)
+    target_q, target_d, target_s = (_vector(v) for v in embed(texts))
     return target_q, target_d, target_s
 
 
@@ -287,7 +174,6 @@ def score_candidates(
     draft_sql: str,
     pool: ExamplePool,
     embed: EmbeddingFn,
-    cache: Optional[EmbeddingCache] = None,
 ) -> list[SimilarityTriple]:
     """Score every cross-domain pool candidate against the target.
 
@@ -295,7 +181,7 @@ def score_candidates(
     scoring. The draft SQL is the model's zero-shot prediction for the
     target question.
     """
-    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed, cache)
+    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed)
     return [_triple(targets, pool, index) for index in _scored_indexes(target, pool)]
 
 
@@ -364,7 +250,6 @@ def curate_top_k(
     pool: ExamplePool,
     k: int,
     embed: EmbeddingFn,
-    cache: Optional[EmbeddingCache] = None,
 ) -> CuratedSet:
     """select_top_k(score_candidates(...), k, pool), scoring exactly only
     the candidates a screen cannot rule out.
@@ -379,7 +264,7 @@ def curate_top_k(
     vector is always rescored, so ZeroVector and DimensionMismatch fire as
     in score_candidates, for scored candidates only.
     """
-    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed, cache)
+    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed)
     rows = _scored_indexes(target, pool)
     if 0 < k < len(rows) and all(
             vector.shape == pool._matrices[0].shape[1:] for vector, _ in targets):

@@ -5,25 +5,35 @@ max_tokens}) against an open-model-server style route, because prompts end
 mid-statement on a cue; chat-message wrapping is available behind a flag
 for servers without a raw completion route.
 
-Replay stores are append-only JSONL files mapping a prompt digest to the
-recorded response, which makes whole pipeline runs bit-deterministic and
-testable offline.
+Every stored model call goes through one append-only JSONL digest store:
+the replay store maps a prompt digest to the recorded response, which makes
+whole pipeline runs bit-deterministic and testable offline, and the
+embedding cache maps a text digest to its vector across runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import re
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import requests
 
-from .curation import DimensionMismatch, end_last_line, load_jsonl
+from .curation import DimensionMismatch, EmbeddingFn
+
+logger = logging.getLogger(__name__)
+
+COMPLETION_PATH = "/v1/completions"
+CHAT_PATH = "/v1/chat/completions"
+EMBEDDING_PATH = "/v1/embeddings"
+MAX_RETRIES = 3
 
 
 class EndpointUnreachable(ConnectionError):
@@ -54,9 +64,6 @@ class LlmEndpoint:
     timeout: float = 60.0
     api_key: Optional[str] = None
     chat_style: bool = False
-    completion_path: str = "/v1/completions"
-    chat_path: str = "/v1/chat/completions"
-    embedding_path: str = "/v1/embeddings"
     embed_batch_size: int = 64
 
     def __post_init__(self) -> None:
@@ -80,54 +87,127 @@ def prompt_digest(prompt_text: str, model_id: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-class ReplayStore:
-    """Append-only JSONL store of completion records, keyed by digest.
+class DigestStore:
+    """Append-only JSONL file of records keyed by their "hash" digest.
 
-    Reads are lock-free against an in-memory index; writes are serialized
-    and flushed line by line so concurrent runs never corrupt the file.
+    Subclasses define `_decode(line dict) -> value` and `_encode(digest,
+    value) -> line dict`. Reads are lock-free against the in-memory index;
+    appends are serialized under one lock, so a run's threads never
+    interleave their lines. A last line without its newline is an append
+    that a crash cut short: loading skips it with a warning when it does not
+    parse, and the first append cuts it off, or ends it with its newline
+    when it parsed. A line that does not parse anywhere else fails the load.
     """
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self._records: dict[str, CompletionRecord] = {}
+        self._records: dict[str, Any] = {}
         self._lock = threading.Lock()
+        # (where a torn last line starts, or the end when it parsed; the
+        # file's length) while the file does not end with a newline.
+        self._tail: Optional[tuple[int, int]] = None
+        if not self.path.is_file():
+            return
+        offset = 0
+        line = b"\n"
+        cut = None
+        with open(self.path, "rb") as handle:
+            for line in handle:
+                start, offset = offset, offset + len(line)
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)  # UTF-8; a cut character raises too
+                except ValueError:
+                    if line.endswith(b"\n"):
+                        raise
+                    logger.warning("%s: skipping a torn last line of %d bytes",
+                                   self.path, len(line))
+                    cut = start
+                    continue
+                self._records.setdefault(raw["hash"], self._decode(raw))
+        if not line.endswith(b"\n"):
+            self._tail = (offset if cut is None else cut), offset
 
-        def add(raw: dict) -> None:
-            self._records.setdefault(raw["hash"], CompletionRecord(
-                digest=raw["hash"],
-                model=raw["model"],
-                response=raw["response"],
-                prompt_tokens=raw.get("prompt_tokens", 0),
-                completion_tokens=raw.get("completion_tokens", 0),
-            ))
-
-        self._tail = load_jsonl(self.path, add)
-
-    def get(self, digest: str) -> Optional[CompletionRecord]:
-        return self._records.get(digest)
-
-    def put(self, record: CompletionRecord) -> None:
+    def _append(self, items: Iterable[tuple[str, Any]]) -> None:
+        """Index each (digest, value) whose digest is new and append them in
+        one write. The tail found at load is mended unless the file has grown
+        since, because its last line is then no longer last."""
         with self._lock:
-            if record.digest in self._records:
+            lines = []
+            for digest, value in items:
+                if digest not in self._records:
+                    self._records[digest] = value
+                    lines.append(json.dumps(self._encode(digest, value), ensure_ascii=False))
+            if not lines:
                 return
-            self._records[record.digest] = record
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            end_last_line(self.path, self._tail)
-            self._tail = None
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps({
-                    "hash": record.digest,
-                    "model": record.model,
-                    "response": record.response,
-                    "prompt_tokens": record.prompt_tokens,
-                    "completion_tokens": record.completion_tokens,
-                }, ensure_ascii=False) + "\n")
+            with open(self.path, "ab") as handle:
+                if self._tail is not None and handle.seek(0, os.SEEK_END) == self._tail[1]:
+                    cut, end = self._tail
+                    handle.truncate(cut)
+                    if cut == end:
+                        lines.insert(0, "")
+                self._tail = None
+                handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+    def get(self, digest: str) -> Any:
+        return self._records.get(digest)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._records
+
+
+class ReplayStore(DigestStore):
+    """Completion records, one {hash, model, response, prompt_tokens,
+    completion_tokens} line each."""
+
+    def _decode(self, raw: dict) -> CompletionRecord:
+        return CompletionRecord(raw["hash"], raw["model"], raw["response"],
+                                raw.get("prompt_tokens", 0), raw.get("completion_tokens", 0))
+
+    def _encode(self, digest: str, record: CompletionRecord) -> dict:
+        return {"hash": digest, "model": record.model, "response": record.response,
+                "prompt_tokens": record.prompt_tokens,
+                "completion_tokens": record.completion_tokens}
+
+    def put(self, record: CompletionRecord) -> None:
+        self._append([(record.digest, record)])
+
+
+class EmbeddingCache(DigestStore):
+    """An EmbeddingFn that calls `embed` only for texts it has not seen.
+
+    Vectors are kept on disk keyed by (text, embedding model id), one
+    {hash, dim, vector} line each, so reruns do not re-bill the embedding
+    endpoint.
+    """
+
+    def __init__(self, path: Path, model_id: str, embed: EmbeddingFn):
+        self.model_id = model_id
+        self.embed = embed
+        super().__init__(path)
+
+    def _decode(self, raw: dict) -> tuple[float, ...]:
+        return tuple(raw["vector"])
+
+    def _encode(self, digest: str, vector: tuple[float, ...]) -> dict:
+        return {"hash": digest, "dim": len(vector), "vector": list(vector)}
+
+    def __call__(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
+        keys = [prompt_digest(text, self.model_id) for text in texts]
+        missing = [i for i, key in enumerate(keys) if key not in self._records]
+        if missing:
+            fresh = self.embed([texts[i] for i in missing])
+            if len(fresh) != len(missing):
+                raise DimensionMismatch(
+                    f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
+            self._append((keys[i], tuple(float(x) for x in vector))
+                         for i, vector in zip(missing, fresh))
+        return [self._records[key] for key in keys]
 
 
 # transport(url, payload, headers, timeout) -> (status_code, parsed_json)
@@ -162,7 +242,6 @@ class LlmClient:
         mode: str = "live",
         store: Optional[ReplayStore] = None,
         transport: Transport = _http_transport,
-        max_retries: int = 3,
         backoff: float = 0.5,
     ):
         if mode not in REPLAY_MODES:
@@ -173,7 +252,6 @@ class LlmClient:
         self.mode = mode
         self.store = store
         self.transport = transport
-        self.max_retries = max_retries
         self.backoff = backoff
 
     def _headers(self) -> dict:
@@ -185,18 +263,18 @@ class LlmClient:
     def _post(self, path: str, payload: dict) -> dict:
         url = self.endpoint.base_url.rstrip("/") + path
         last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_RETRIES):
             try:
                 status, body = self.transport(
                     url, payload, self._headers(), self.endpoint.timeout)
             except (requests.ConnectionError, requests.Timeout, ConnectionError, OSError) as exc:
                 last_error = exc
-                if attempt < self.max_retries - 1 and self.backoff:
+                if attempt < MAX_RETRIES - 1 and self.backoff:
                     time.sleep(self.backoff * 2 ** attempt)
                 continue
             if 200 <= status < 300:
                 return body
-            if status in _RETRYABLE_STATUSES and attempt < self.max_retries - 1:
+            if status in _RETRYABLE_STATUSES and attempt < MAX_RETRIES - 1:
                 last_error = HttpStatusError(status, json.dumps(body))
                 if self.backoff:
                     time.sleep(self.backoff * 2 ** attempt)
@@ -205,93 +283,85 @@ class LlmClient:
         if isinstance(last_error, HttpStatusError):
             raise last_error
         raise EndpointUnreachable(
-            f"{url} unreachable after {self.max_retries} attempts: {last_error}")
+            f"{url} unreachable after {MAX_RETRIES} attempts: {last_error}")
+
+    def _recorded(
+        self,
+        keys: Sequence[str],
+        call: Callable[[list[int]], Iterator[tuple[str, dict]]],
+        miss: Callable[[list[str]], str],
+    ) -> list[str]:
+        """The response text for each key (the text its digest is taken of).
+
+        The store serves what it holds unless the mode is live. Replay mode
+        raises ReplayMiss(miss(missing digests)) for the rest; otherwise
+        `call(missing indexes)` yields a (response, usage) per missing index
+        in order, and record mode stores each as it arrives.
+        """
+        model = self.endpoint.model_id
+        digests = [prompt_digest(key, model) for key in keys]
+        found = [self.store.get(digest) if self.store is not None and self.mode != "live"
+                 else None for digest in digests]
+        responses = [record and record.response for record in found]
+        pending = [i for i, record in enumerate(found) if record is None]
+        if pending and self.mode == "replay":
+            raise ReplayMiss(miss([digests[i] for i in pending]))
+        for i, (response, usage) in zip(pending, call(pending)):
+            responses[i] = response
+            if self.mode == "record":
+                self.store.put(CompletionRecord(
+                    digests[i], model, response, int(usage.get("prompt_tokens", 0)),
+                    int(usage.get("completion_tokens", 0))))
+        return responses
 
     def complete(self, prompt) -> str:
         """Return the raw model text for a prompt (str or PromptBundle)."""
         text = getattr(prompt, "text", prompt)
-        digest = prompt_digest(text, self.endpoint.model_id)
-        if self.store is not None and self.mode != "live":
-            record = self.store.get(digest)
-            if record is not None:
-                return record.response
-        if self.mode == "replay":
-            raise ReplayMiss(f"no recorded response for prompt digest {digest[:16]}")
+        chat = self.endpoint.chat_style
 
-        if self.endpoint.chat_style:
-            payload = {
+        def call(pending: list[int]) -> Iterator[tuple[str, dict]]:
+            body = self._post(CHAT_PATH if chat else COMPLETION_PATH, {
                 "model": self.endpoint.model_id,
-                "messages": [{"role": "user", "content": text}],
+                **({"messages": [{"role": "user", "content": text}]} if chat
+                   else {"prompt": text}),
                 "temperature": self.endpoint.sampling_temperature,
                 "max_tokens": self.endpoint.max_response_tokens,
-            }
-            body = self._post(self.endpoint.chat_path, payload)
-            response_text = body["choices"][0]["message"]["content"]
-        else:
-            payload = {
-                "model": self.endpoint.model_id,
-                "prompt": text,
-                "temperature": self.endpoint.sampling_temperature,
-                "max_tokens": self.endpoint.max_response_tokens,
-            }
-            body = self._post(self.endpoint.completion_path, payload)
-            response_text = body["choices"][0]["text"]
+            })
+            choice = body["choices"][0]
+            response = choice["message"]["content"] if chat else choice["text"]
+            yield response, body.get("usage") or {}
 
-        usage = body.get("usage") or {}
-        if self.mode == "record" and self.store is not None:
-            self.store.put(CompletionRecord(
-                digest=digest,
-                model=self.endpoint.model_id,
-                response=response_text,
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-            ))
-        return response_text
+        [response] = self._recorded([text], call, lambda missing: (
+            f"no recorded response for prompt digest {missing[0][:16]}"))
+        return response
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         """Embed texts, preserving order and chunking to the batch limit."""
         if not texts:
             raise ValueError("embed requires at least one text")
-        vectors: list[Optional[list[float]]] = [None] * len(texts)
-        pending: list[int] = []
 
-        for i, text in enumerate(texts):
-            digest = prompt_digest("embed:" + text, self.endpoint.model_id)
-            if self.store is not None and self.mode != "live":
-                record = self.store.get(digest)
-                if record is not None:
-                    vectors[i] = json.loads(record.response)
-                    continue
-            pending.append(i)
+        def call(pending: list[int]) -> Iterator[tuple[str, dict]]:
+            batch = self.endpoint.embed_batch_size
+            for start in range(0, len(pending), batch):
+                chunk = pending[start:start + batch]
+                body = self._post(EMBEDDING_PATH, {
+                    "model": self.endpoint.model_id,
+                    "input": [texts[i] for i in chunk],
+                })
+                rows = sorted(body["data"], key=lambda row: row.get("index", 0))
+                if len(rows) != len(chunk):
+                    raise DimensionMismatch(
+                        f"server returned {len(rows)} vectors for {len(chunk)} inputs")
+                for row in rows:
+                    yield json.dumps(list(row["embedding"])), {}
 
-        if pending and self.mode == "replay":
-            raise ReplayMiss(f"{len(pending)} embedding texts missing from store")
-
-        batch = self.endpoint.embed_batch_size
-        for start in range(0, len(pending), batch):
-            chunk = pending[start:start + batch]
-            payload = {
-                "model": self.endpoint.model_id,
-                "input": [texts[i] for i in chunk],
-            }
-            body = self._post(self.endpoint.embedding_path, payload)
-            rows = sorted(body["data"], key=lambda row: row.get("index", 0))
-            if len(rows) != len(chunk):
-                raise DimensionMismatch(
-                    f"server returned {len(rows)} vectors for {len(chunk)} inputs")
-            for offset, row in zip(chunk, rows):
-                vectors[offset] = list(row["embedding"])
-                if self.mode == "record" and self.store is not None:
-                    self.store.put(CompletionRecord(
-                        digest=prompt_digest("embed:" + texts[offset], self.endpoint.model_id),
-                        model=self.endpoint.model_id,
-                        response=json.dumps(vectors[offset]),
-                    ))
-
-        dims = {len(v) for v in vectors if v is not None}
+        vectors = [json.loads(response) for response in self._recorded(
+            ["embed:" + text for text in texts], call,
+            lambda missing: f"{len(missing)} embedding texts missing from store")]
+        dims = {len(v) for v in vectors}
         if len(dims) > 1:
             raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
-        return [v for v in vectors if v is not None]
+        return vectors
 
 
 _TERMINATOR_RE = re.compile(r";|\n\s*\n|```")

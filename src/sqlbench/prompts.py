@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -295,8 +296,17 @@ def write_sft_jsonl(
     pairs: Iterable[SftPair],
     path: Path,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(json.dumps(
-                {"prompt": pair.prompt, "completion": pair.completion},
-                ensure_ascii=False) + "\n")
+    """Write the pairs to a temporary file beside `path` and move it into
+    place after the last one, so a failure leaves a previous file whole."""
+    path = Path(path)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            for pair in pairs:
+                handle.write(json.dumps(
+                    {"prompt": pair.prompt, "completion": pair.completion},
+                    ensure_ascii=False) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -167,6 +168,28 @@ def test_config_file_values_are_checked_by_type_and_choices(tmp_path, key, value
     config.write_text(json.dumps({key: value}), encoding="utf-8")
     with pytest.raises(ValueError, match=key):
         load_config(config)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("temperature", 0.0),
+    ("workers", 0),
+    ("query_timeout", 0.0),
+    ("max_response_tokens", 0),
+    ("sampling_temperature", -0.1),
+    ("response_reserve", 0),  # TokenBudget's check, at config time
+])
+def test_config_rejects_out_of_range_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{key: value})
+
+
+def test_zero_truncation_temperature_fails_the_command(mini_bench, tmp_path):
+    _record_few_shot_store(mini_bench, tmp_path)
+    assert main(["run", "--benchmark-root", str(mini_bench), "--split", "dev",
+                 "--shots", "2", "--pool-split", "train", "--temperature", "0",
+                 "--replay-store", str(tmp_path / "store.jsonl"), "--replay-mode", "replay",
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_ingest_check_prints_summary(mini_bench, tmp_path, capsys):
@@ -604,6 +627,62 @@ def test_prep_sft_checks_the_context_before_writing(mini_bench, tmp_path, max_co
     assert code == (0 if written else 1)
     assert (out_dir / "sft_dev.jsonl").exists() == written
     assert out_dir.exists() == written
+
+
+def test_failed_prep_sft_keeps_the_previous_file(mini_bench, tmp_path, monkeypatch):
+    import sqlbench.prompts as prompts
+
+    cfg = run_config(mini_bench, tmp_path)
+    out_path = cmd_prep_sft(cfg)
+    previous = out_path.read_bytes()
+    built = []
+
+    def breaks_at_the_sixth(*args, **kwargs):
+        built.append(1)
+        if len(built) == 6:
+            raise KeyError("scripted breakdown")
+        return build_sft_pair(*args, **kwargs)
+
+    build_sft_pair = prompts.build_sft_pair
+    monkeypatch.setattr(prompts, "build_sft_pair", breaks_at_the_sixth)
+    with pytest.raises(KeyError):
+        cmd_prep_sft(cfg)
+    assert out_path.read_bytes() == previous
+    assert [path.name for path in cfg.output_dir.iterdir()] == [out_path.name]
+
+
+# sha256 of the embedding cache a cached curate or 2-shot run over mini_bench
+# writes: the on-disk {hash, dim, vector} format must not change.
+EMBEDDING_CACHE_SHA256 = "7f734f487c8cc31c8a3368795549ab6637108d486eb1c12c55c1938867d873ea"
+
+
+@pytest.mark.parametrize("command, output", [(cmd_curate, "curation.json"),
+                                             (cmd_run, "report.json")])
+def test_embedding_cache_serves_a_rerun(mini_bench, tmp_path, command, output):
+    cache = tmp_path / "embeddings.jsonl"
+
+    def run(name, **settings):
+        cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
+                         output_dir=tmp_path / name, **settings)
+        transport = ScriptedTransport(
+            completion_fn=completion_by_question(
+                MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+            embed_fn=hash_embedding)
+        out_path = command(cfg, client=build_client(cfg, transport=transport),
+                           embed_client=build_embed_client(cfg, transport=transport))
+        assert out_path.name == output
+        embed_calls = sum("embeddings" in request["url"] for request in transport.requests)
+        return out_path.read_bytes(), embed_calls
+
+    uncached, uncached_calls = run("uncached")
+    first, first_calls = run("first", embedding_cache=cache)
+    written = cache.read_bytes()
+    second, second_calls = run("second", embedding_cache=cache)
+    assert first_calls == uncached_calls > 0
+    assert second_calls == 0
+    assert uncached == first == second
+    assert cache.read_bytes() == written
+    assert hashlib.sha256(written).hexdigest() == EMBEDDING_CACHE_SHA256
 
 
 def test_few_shot_run_survives_underflowed_truncation_rates(mini_bench, tmp_path):

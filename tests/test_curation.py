@@ -12,7 +12,6 @@ from conftest import hash_embedding
 from sqlbench.bench import TaskInstance
 from sqlbench.curation import (
     DimensionMismatch,
-    EmbeddingCache,
     ExamplePool,
     PoolCandidate,
     SimilarityTriple,
@@ -23,6 +22,7 @@ from sqlbench.curation import (
     score_candidates,
     select_top_k,
 )
+from sqlbench.gateway import EmbeddingCache
 from sqlbench.schema import ColumnSpec, DatabaseCatalog, SchemaVariant, TableSpec, render_schema
 
 
@@ -218,16 +218,16 @@ def test_embedding_cache_avoids_recalls(tmp_path):
         calls.append(list(texts))
         return [hash_embedding(t) for t in texts]
 
-    cache = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model")
-    first = cache.fetch(["alpha", "beta"], embed)
-    second = cache.fetch(["beta", "gamma"], embed)
+    cache = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model", embed)
+    first = cache(["alpha", "beta"])
+    second = cache(["beta", "gamma"])
     assert len(calls) == 2
     assert calls[1] == ["gamma"]  # beta served from cache
     assert first[1] == second[0]
 
     # a fresh cache instance reloads from disk, so no further calls
-    reloaded = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model")
-    third = reloaded.fetch(["alpha", "gamma"], embed)
+    reloaded = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model", embed)
+    third = reloaded(["alpha", "gamma"])
     assert len(calls) == 2
     assert third[0] == first[0]
 
@@ -239,8 +239,8 @@ def test_embedding_cache_key_includes_model(tmp_path):
         calls.append(list(texts))
         return [hash_embedding(t) for t in texts]
 
-    EmbeddingCache(tmp_path / "c.jsonl", "model-a").fetch(["x"], embed)
-    EmbeddingCache(tmp_path / "c.jsonl", "model-b").fetch(["x"], embed)
+    EmbeddingCache(tmp_path / "c.jsonl", "model-a", embed)(["x"])
+    EmbeddingCache(tmp_path / "c.jsonl", "model-b", embed)(["x"])
     assert len(calls) == 2
 
 
@@ -340,17 +340,17 @@ def test_embedding_cache_skips_a_torn_last_line(tmp_path, caplog):
         calls.append(list(texts))
         return [hash_embedding(t) for t in texts]
 
-    EmbeddingCache(path, "m").fetch(["alpha"], embed)
+    EmbeddingCache(path, "m", embed)(["alpha"])
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"hash": "beef", "dim": 8, "vector": [0.1, 0.')  # a crash cut it short
     with caplog.at_level("WARNING"):
-        cache = EmbeddingCache(path, "m")
+        cache = EmbeddingCache(path, "m", embed)
     assert "torn last line" in caplog.text
-    cache.fetch(["alpha"], embed)
+    cache(["alpha"])
     assert len(calls) == 1  # alpha still served from disk
-    cache.fetch(["beta"], embed)  # the next append starts a fresh line
-    reloaded = EmbeddingCache(path, "m")
-    reloaded.fetch(["alpha", "beta"], embed)
+    cache(["beta"])  # the next append starts a fresh line
+    reloaded = EmbeddingCache(path, "m", embed)
+    reloaded(["alpha", "beta"])
     assert len(calls) == 2
 
 
@@ -360,11 +360,14 @@ def test_embedding_cache_skips_a_torn_last_line(tmp_path, caplog):
 ])
 def test_embedding_cache_rejects_a_corrupt_line_elsewhere(tmp_path, corrupt):
     path = tmp_path / "cache.jsonl"
-    EmbeddingCache(path, "m").fetch(["alpha"], lambda texts: [hash_embedding(t) for t in texts])
+    def embed(texts):
+        return [hash_embedding(t) for t in texts]
+
+    EmbeddingCache(path, "m", embed)(["alpha"])
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(corrupt)
     with pytest.raises(ValueError):
-        EmbeddingCache(path, "m")
+        EmbeddingCache(path, "m", embed)
 
 
 def _outcome(fn, *args):

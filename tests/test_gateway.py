@@ -137,6 +137,27 @@ def test_store_keeps_a_whole_last_line_without_newline(tmp_path):
         ["resp", "whole", "third"]
 
 
+def test_store_leaves_a_tail_that_another_writer_has_since_ended(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"hash": "abc123", "model": "m", "response": "whole"}', encoding="utf-8")
+    store = ReplayStore(path)
+    with open(path, "a", encoding="utf-8") as handle:  # another process appends
+        handle.write('\n{"hash": "def456", "model": "m", "response": "theirs"}\n')
+    store.put(CompletionRecord("0a1b", "m", "ours"))
+    reloaded = ReplayStore(path)
+    assert [reloaded.get(d).response for d in ("abc123", "def456", "0a1b")] == \
+        ["whole", "theirs", "ours"]
+
+
+def test_replay_miss_messages(tmp_path, endpoint):
+    client = LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl"))
+    digest = prompt_digest("never seen", endpoint.model_id)
+    with pytest.raises(ReplayMiss, match=f"no recorded response for prompt digest {digest[:16]}"):
+        client.complete("never seen")
+    with pytest.raises(ReplayMiss, match="2 embedding texts missing from store"):
+        client.embed(["a", "b"])
+
+
 @pytest.mark.parametrize("corrupt", [
     '{"hash": "def456", "mod\n{"hash": "0a1b", "model": "m", "response": "r"}\n',
     '{"hash": "def456", "mod\n',  # a whole, newline-terminated line is not torn

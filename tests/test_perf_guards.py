@@ -55,12 +55,12 @@ def _counting_curation(calls: Counter, rescored: list):
     """Wrap curate_top_k to log, per question, its exact cosine calls and
     the number of scored candidates within twice the screen margin of the
     k-th best exact gamma_a (the top k and the candidates tied with it)."""
-    def curate(target, target_catalog, draft_sql, pool, k, embed, cache=None):
+    def curate(target, target_catalog, draft_sql, pool, k, embed):
         before = calls["_cosine"]
-        curated = curation.curate_top_k(target, target_catalog, draft_sql, pool, k, embed, cache)
+        curated = curation.curate_top_k(target, target_catalog, draft_sql, pool, k, embed)
         used = calls["_cosine"] - before
         gammas = sorted((t.gamma_a for t in curation.score_candidates(
-            target, target_catalog, draft_sql, pool, embed, cache)), reverse=True)
+            target, target_catalog, draft_sql, pool, embed)), reverse=True)
         near = (len(gammas) if len(gammas) <= k else
                 sum(g >= gammas[k - 1] - 2 * curation.SCREEN_MARGIN for g in gammas))
         rescored.append((used, near))
