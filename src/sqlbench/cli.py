@@ -42,6 +42,7 @@ from .gateway import (
     EmbeddingCache,
     LlmClient,
     LlmEndpoint,
+    PooledTransport,
     ReplayStore,
     extract_sql,
 )
@@ -201,10 +202,8 @@ def _client(cfg: RunConfig, endpoint: LlmEndpoint, transport,
             store: Optional[ReplayStore]) -> LlmClient:
     if store is None and cfg.replay_store:
         store = ReplayStore(cfg.replay_store)
-    kwargs = {"mode": cfg.replay_mode, "store": store}
-    if transport is not None:
-        kwargs["transport"] = transport
-    return LlmClient(endpoint, **kwargs)
+    return LlmClient(endpoint, mode=cfg.replay_mode, store=store,
+                     transport=PooledTransport() if transport is None else transport)
 
 
 def build_client(cfg: RunConfig, *, transport=None) -> LlmClient:
@@ -213,8 +212,9 @@ def build_client(cfg: RunConfig, *, transport=None) -> LlmClient:
 
 def build_embed_client(cfg: RunConfig, *, transport=None,
                        store: Optional[ReplayStore] = None) -> LlmClient:
-    """Embedding client; pass the completion client's `store` to share it,
-    so the store file is read once and appended to under one lock."""
+    """Embedding client; pass the completion client's `store` and
+    `transport` to share them, so the store file is read once and appended
+    to under one lock, and each thread keeps one connection."""
     return _client(cfg, cfg.embed_endpoint(), transport, store)
 
 
@@ -401,7 +401,8 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
 
     pool = embed = None
     if cfg.shots > 0:
-        embed_client = embed_client or build_embed_client(cfg, store=client.store)
+        embed_client = embed_client or build_embed_client(
+            cfg, store=client.store, transport=client.transport)
         pool, embed = _load_pool(cfg, split, embed_client)
 
     def process(instance: TaskInstance):
@@ -556,7 +557,8 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
         raise SystemExit("curate requires --pool-split")
     split = load_split(cfg.benchmark_root, cfg.split)
     client = client or build_client(cfg)
-    embed_client = embed_client or build_embed_client(cfg, store=client.store)
+    embed_client = embed_client or build_embed_client(
+        cfg, store=client.store, transport=client.transport)
     pool, embed = _load_pool(cfg, split, embed_client)
 
     rows = []

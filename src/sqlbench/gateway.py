@@ -13,6 +13,7 @@ embedding cache maps a text digest to its vector across runs.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -23,6 +24,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
@@ -97,6 +99,9 @@ class DigestStore:
     that a crash cut short: loading skips it with a warning when it does not
     parse, and the first append cuts it off, or ends it with its newline
     when it parsed. A line that does not parse anywhere else fails the load.
+    Loading holds a shared `flock` on the file and an append an exclusive
+    one, so processes that record into one store never read a half-written
+    line, interleave their lines or mend each other's.
     """
 
     def __init__(self, path: Path):
@@ -112,6 +117,7 @@ class DigestStore:
         line = b"\n"
         cut = None
         with open(self.path, "rb") as handle:
+            fcntl.flock(handle, fcntl.LOCK_SH)  # no other process is mid-append
             for line in handle:
                 start, offset = offset, offset + len(line)
                 if not line.strip():
@@ -143,6 +149,7 @@ class DigestStore:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)  # released when the handle closes
                 if self._tail is not None and handle.seek(0, os.SEEK_END) == self._tail[1]:
                     cut, end = self._tail
                     handle.truncate(cut)
@@ -214,13 +221,70 @@ class EmbeddingCache(DigestStore):
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 
-def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
-    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+def _decoded(response: requests.Response) -> tuple[int, dict]:
     try:
         body = response.json()
     except ValueError:
         body = {"error": response.text}
     return response.status_code, body
+
+
+def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
+    """One new connection, and one read of the proxy environment, per request."""
+    return _decoded(requests.post(url, json=payload, headers=headers, timeout=timeout))
+
+
+class PooledTransport:
+    """A Transport that keeps one kept-alive connection per thread.
+
+    Each calling thread gets its own `requests.Session` on its first
+    request, because a Session is not documented as thread-safe. What
+    `requests.post` reads from the environment on every request (proxies,
+    CA bundle, client certificate and netrc credentials) is read once per
+    endpoint origin and passed explicitly to sessions that do not read the
+    environment. A server may close a kept-alive connection between two
+    requests: a request that fails with `requests.ConnectionError` on the
+    connection its thread's last request left open is retried once, right
+    away, on a fresh connection, so a dropped connection costs no backoff.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._settings: dict[tuple[str, str], dict] = {}
+
+    def _environment(self, url: str) -> dict:
+        """The keyword arguments `requests.post` would derive for `url`."""
+        origin = urlsplit(url)[:2]
+        with self._lock:
+            settings = self._settings.get(origin)
+            if settings is None:
+                with requests.Session() as probe:
+                    settings = probe.merge_environment_settings(url, {}, None, None, None)
+                settings["auth"] = requests.utils.get_netrc_auth(url)
+                self._settings[origin] = settings
+        return settings
+
+    def __call__(self, url: str, payload: dict, headers: dict,
+                 timeout: float) -> tuple[int, dict]:
+        settings = self._environment(url)
+        local = self._local
+        if not hasattr(local, "session"):
+            local.session = requests.Session()
+            local.session.trust_env = False
+            local.kept = False  # whether the last request left its connection open
+        try:
+            response = local.session.post(url, json=payload, headers=headers,
+                                          timeout=timeout, **settings)
+        except requests.ConnectionError:
+            if not local.kept:
+                raise
+            # urllib3 has discarded the failed connection; this opens a new one.
+            local.kept = False
+            response = local.session.post(url, json=payload, headers=headers,
+                                          timeout=timeout, **settings)
+        local.kept = True
+        return _decoded(response)
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
@@ -295,8 +359,10 @@ class LlmClient:
 
         The store serves what it holds unless the mode is live. Replay mode
         raises ReplayMiss(miss(missing digests)) for the rest; otherwise
-        `call(missing indexes)` yields a (response, usage) per missing index
-        in order, and record mode stores each as it arrives.
+        `call(indexes)` is given the first missing index of each distinct
+        digest and yields a (response, usage) per index in order; record
+        mode stores each as it arrives, and every repeat of a digest gets
+        its first occurrence's response.
         """
         model = self.endpoint.model_id
         digests = [prompt_digest(key, model) for key in keys]
@@ -306,12 +372,18 @@ class LlmClient:
         pending = [i for i, record in enumerate(found) if record is None]
         if pending and self.mode == "replay":
             raise ReplayMiss(miss([digests[i] for i in pending]))
-        for i, (response, usage) in zip(pending, call(pending)):
+        first: dict[str, int] = {}
+        for i in pending:
+            first.setdefault(digests[i], i)
+        sent = list(first.values())
+        for i, (response, usage) in zip(sent, call(sent)):
             responses[i] = response
             if self.mode == "record":
                 self.store.put(CompletionRecord(
                     digests[i], model, response, int(usage.get("prompt_tokens", 0)),
                     int(usage.get("completion_tokens", 0))))
+        for i in pending:
+            responses[i] = responses[first[digests[i]]]
         return responses
 
     def complete(self, prompt) -> str:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import sqlite3
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -301,3 +305,69 @@ def hash_embedding(text: str, dim: int = 8) -> list[float]:
 
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return [(digest[i % len(digest)] - 128) / 128.0 or 0.01 for i in range(dim)]
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    server: "CountingServer"
+
+    def setup(self) -> None:
+        super().setup()
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.answered = 0
+        with self.server.lock:
+            self.server.connections += 1
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+    def do_POST(self) -> None:
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server = self.server
+        if server.drop_every and self.answered == server.drop_every:
+            with server.lock:
+                server.dropped += 1
+            self.close_connection = True
+            return
+        status, reply = server.answer(server.base_url + self.path, payload, dict(self.headers), None)
+        body = json.dumps(reply).encode("utf-8")
+        with server.lock:
+            server.requests += 1
+        # Headers and body in one send: two sends would make a kept-alive
+        # client wait for the delayed ACK on every request.
+        self.wfile.write(f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+                         f"Content-Type: application/json\r\n"
+                         f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body)
+        self.answered += 1
+
+
+class CountingServer(ThreadingHTTPServer):
+    """Local keep-alive HTTP endpoint answering POSTs through a transport
+    function such as ScriptedTransport. It counts answered requests and
+    accepted connections; with `drop_every` N, a connection that has
+    answered N requests closes when the next one arrives, before any
+    response."""
+
+    daemon_threads = True
+
+    def __init__(self, answer, drop_every: int = 0):
+        super().__init__(("127.0.0.1", 0), _CountingHandler)
+        self.answer = answer
+        self.drop_every = drop_every
+        self.lock = threading.Lock()
+        self.requests = self.connections = self.dropped = 0
+        self.base_url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+@contextlib.contextmanager
+def counting_server(answer, drop_every: int = 0):
+    server = CountingServer(answer, drop_every)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

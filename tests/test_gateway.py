@@ -1,18 +1,31 @@
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+import requests
 
-from conftest import ScriptedTransport, hash_embedding
+from conftest import ScriptedTransport, counting_server, hash_embedding
 from sqlbench.curation import DimensionMismatch
 from sqlbench.gateway import (
+    MAX_RETRIES,
     CompletionRecord,
     EmptyResponse,
     EndpointUnreachable,
     HttpStatusError,
     LlmClient,
     LlmEndpoint,
+    PooledTransport,
     ReplayMiss,
     ReplayStore,
     extract_sql,
@@ -171,6 +184,62 @@ def test_store_rejects_a_corrupt_line_elsewhere(tmp_path, corrupt):
         ReplayStore(path)
 
 
+@pytest.mark.parametrize("step", ["load", "append"])
+def test_store_waits_while_another_process_appends(tmp_path, step):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(b'{"hash": "old", "model": "m", "response": "r"}\n')
+    store = ReplayStore(path)
+    loaded = []
+    work = {"load": lambda: loaded.append(ReplayStore(path)),
+            "append": lambda: store.put(CompletionRecord("new", "m", "s"))}[step]
+    with open(path, "ab") as other:  # a lock on another open file, as another process holds
+        fcntl.flock(other, fcntl.LOCK_EX)
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=0.3)
+        assert worker.is_alive() and not loaded
+        assert path.read_bytes().count(b"\n") == 1
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert "old" in ReplayStore(path) and (step == "load" or "new" in ReplayStore(path))
+
+
+_APPENDER = """
+import sys, time
+from pathlib import Path
+from sqlbench.gateway import CompletionRecord, ReplayStore
+store = ReplayStore(Path(sys.argv[1]))
+Path(sys.argv[2] + "." + sys.argv[3]).touch()
+while not Path(sys.argv[2]).exists():
+    time.sleep(0.001)
+for i in range(1000):
+    digest = f"{sys.argv[3]}-{i}"
+    store.put(CompletionRecord(digest, "m", "SELECT " + "x" * (i % 97)))
+"""
+
+
+def test_two_processes_append_to_one_store(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(b'{"hash": "old", "model": "m", "response": "r"}\n{"hash": "to')
+    go = tmp_path / "go"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    writers = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(path), str(go), name],
+                                env=env, stderr=subprocess.PIPE) for name in "ab"]
+    deadline = time.monotonic() + 60
+    while not all(Path(f"{go}.{name}").exists() for name in "ab"):  # both have loaded
+        assert time.monotonic() < deadline and all(w.poll() is None for w in writers)
+        time.sleep(0.01)
+    go.touch()
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err.decode()
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b""
+    hashes = [json.loads(line)["hash"] for line in lines[:-1]]
+    assert sorted(hashes) == sorted(["old"] + [f"{n}-{i}" for n in "ab" for i in range(1000)])
+    assert len(ReplayStore(path)) == 2001
+
+
 def test_unreachable_after_retries(endpoint):
     def transport(url, payload, headers, timeout):
         raise ConnectionError("down")
@@ -216,6 +285,18 @@ def test_embed_preserves_order_and_replays(tmp_path, endpoint):
         replay.embed(["gamma"])
 
 
+def test_embed_sends_each_distinct_text_once(tmp_path, endpoint):
+    texts = ["alpha", "beta", "alpha", "gamma", "beta"]
+    transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 4))
+    store = ReplayStore(tmp_path / "store.jsonl")
+    client = LlmClient(endpoint, mode="record", store=store, transport=transport)
+    assert client.embed(texts) == [hash_embedding(t, 4) for t in texts]
+    assert [r["payload"]["input"] for r in transport.requests] == [["alpha", "beta", "gamma"]]
+    lines = (tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["hash"] for line in lines] == [
+        prompt_digest("embed:" + t, endpoint.model_id) for t in ("alpha", "beta", "gamma")]
+
+
 def test_embed_rejects_empty_input(endpoint):
     client = LlmClient(endpoint, transport=ScriptedTransport(embed_fn=lambda t: [0.1]))
     with pytest.raises(ValueError):
@@ -255,6 +336,114 @@ def test_client_mode_validation(tmp_path, endpoint):
         LlmClient(endpoint, mode="replay")
     with pytest.raises(ValueError):
         LlmClient(endpoint, mode="sideways")
+
+
+# --- pooled transport ------------------------------------------------------
+
+def _upper_server(**kwargs):
+    return counting_server(ScriptedTransport(completion_fn=str.upper), **kwargs)
+
+
+def test_pooled_transport_keeps_one_session_per_thread(monkeypatch):
+    sessions = defaultdict(set)
+    post = requests.Session.post
+
+    def spy(self, *args, **kwargs):
+        sessions[threading.get_ident()].add(self)
+        return post(self, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", spy)
+    with _upper_server() as server:
+        client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=PooledTransport())
+        both_running = threading.Barrier(2)
+
+        def work():
+            both_running.wait(timeout=10)
+            return [client.complete(f"p{i}") for i in range(10)]
+
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            futures = [executor.submit(work) for _ in range(2)]
+            results = [future.result(timeout=60) for future in futures]
+    assert results == [[f"P{i}" for i in range(10)]] * 2
+    assert len(sessions) == 2 and all(len(used) == 1 for used in sessions.values())
+    assert len(set.union(*sessions.values())) == 2
+    assert (server.requests, server.connections) == (20, 2)
+
+
+def test_pooled_transport_resends_on_a_dropped_connection_without_backoff(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    with _upper_server(drop_every=3) as server:
+        client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=PooledTransport())
+        responses = [client.complete(f"p{i}") for i in range(30)]
+    assert responses == [f"P{i}" for i in range(30)]
+    assert (server.requests, server.dropped, server.connections) == (30, 9, 10)
+    assert sleeps == []
+
+
+def test_pooled_transport_does_not_resend_on_a_refused_connection(monkeypatch):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    posts = Counter()
+    post = requests.Session.post
+
+    def spy(self, *args, **kwargs):
+        posts["post"] += 1
+        return post(self, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", spy)
+    client = LlmClient(LlmEndpoint(f"http://127.0.0.1:{port}", "m"),
+                       transport=PooledTransport(), backoff=0.0)
+    with pytest.raises(EndpointUnreachable):
+        client.complete("p")
+    assert posts["post"] == MAX_RETRIES
+
+
+def test_pooled_transport_reads_the_environment_once_per_origin(monkeypatch, tmp_path):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy",
+                 "HTTPS_PROXY", "ALL_PROXY", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy.test:3128")
+    monkeypatch.setenv("NO_PROXY", "bypassed.test")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine proxied.test login user password secret\n", encoding="utf-8")
+    monkeypatch.setenv("NETRC", str(netrc))
+    reads = Counter()
+    environ_proxies = requests.sessions.get_environ_proxies
+
+    def counting_environ_proxies(url, no_proxy=None):
+        reads[url] += 1
+        return environ_proxies(url, no_proxy)
+
+    sent = []
+
+    def post(self, url, **kwargs):
+        sent.append((self, url, kwargs))
+        response = requests.Response()
+        response.status_code, response._content = 200, b'{"ok": true}'
+        return response
+
+    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counting_environ_proxies)
+    monkeypatch.setattr(requests.Session, "post", post)
+    proxied = "http://proxied.test:8000/v1/completions"
+    bypassed = "http://bypassed.test:8000/v1/embeddings"
+    transport = PooledTransport()
+    for _ in range(3):
+        for url in (proxied, bypassed):
+            assert transport(url, {}, {}, 5.0) == (200, {"ok": True})
+    assert reads == {proxied: 1, bypassed: 1}
+    assert len(sent) == 6
+    for session, url, kwargs in sent:
+        expected = requests.Session().merge_environment_settings(url, {}, None, None, None)
+        assert {key: kwargs[key] for key in expected} == expected
+        assert kwargs["auth"] == requests.utils.get_netrc_auth(url)
+        assert not session.trust_env
+    assert sent[0][2]["proxies"]["http"] == "http://proxy.test:3128"
+    assert sent[0][2]["auth"] == ("user", "secret")
+    assert sent[1][2]["proxies"] == {} and sent[1][2]["auth"] is None
+    assert sent[1][2]["verify"] == str(tmp_path / "ca.pem")
 
 
 # --- extract_sql -----------------------------------------------------------

@@ -10,18 +10,23 @@ two, however many columns it removes. Every prompt a run builds is counted
 in full exactly once, and that count is the one its bundle carries. A
 chain-of-thought question partitions each distinct schema its steps show
 once, and a command introspects each database once, also when it loads a
-pool split. These counts repeat exactly, so a regression shows here
-without timing anything.
+pool split. A live run keeps one connection per worker thread and sends
+each distinct embedding text of a call once; a replay run creates no HTTP
+session. These counts repeat exactly, so a regression shows here without
+timing anything.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import requests
 
 import sqlbench.bench as bench
 import sqlbench.cli as cli
@@ -35,6 +40,7 @@ from conftest import (
     POOL_QUESTIONS,
     ScriptedTransport,
     completion_by_question,
+    counting_server,
     hash_embedding,
 )
 from test_acceptance import _cot_scripted
@@ -259,3 +265,72 @@ def test_each_database_is_introspected_once_per_command(mini_bench, tmp_path, mo
             embed_client=build_embed_client(cfg, transport=transport))
     databases = sorted(p.name for p in (mini_bench / "databases").iterdir())
     assert sorted(calls) == databases and set(calls.values()) == {1}
+
+
+def test_live_run_keeps_one_connection_per_worker(mini_bench, tmp_path):
+    scripted = ScriptedTransport(completion_fn=_cot_scripted(MINI_QUESTIONS))
+    with counting_server(scripted) as server:
+        cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "live",
+                        mode="cot-sk-pred", workers=2, base_url=server.base_url)
+        cmd_run(cfg)
+    assert server.requests == len(scripted.requests) == 4 * len(MINI_QUESTIONS)
+    assert server.connections <= cfg.workers
+
+    reference = dataclasses.replace(cfg, output_dir=tmp_path / "scripted")
+    cmd_run(reference, client=build_client(reference, transport=ScriptedTransport(
+        completion_fn=_cot_scripted(MINI_QUESTIONS))))
+    for name in ("report.json", "traces.jsonl"):
+        assert (cfg.output_dir / name).read_bytes() == (reference.output_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode, texts", [("live", 40), ("record", 29)])
+def test_few_shot_run_embeds_each_distinct_text_once_per_call(mini_bench, tmp_path, mode, texts):
+    # 42 and 31 texts when every occurrence of a call is sent; the whole
+    # run has 29 distinct texts, which only a store remembers across calls.
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / mode,
+                    shots=2, pool_split="train", replay_mode=mode,
+                    replay_store=tmp_path / "store.jsonl" if mode == "record" else None)
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    client = build_client(cfg, transport=transport)
+    cmd_run(cfg, client=client,
+            embed_client=build_embed_client(cfg, transport=transport, store=client.store))
+    sent = [r["payload"]["input"] for r in transport.requests if "embeddings" in r["url"]]
+    assert sum(map(len, sent)) == texts
+    assert all(len(batch) == len(set(batch)) for batch in sent)
+    assert len({text for batch in sent for text in batch}) == 29
+
+    # Each text embedded on its own, every occurrence, as the reference.
+    reference = dataclasses.replace(cfg, output_dir=tmp_path / "reference", replay_mode="live",
+                                    replay_store=None)
+    cmd_run(reference, client=build_client(reference, transport=transport),
+            embed_client=SimpleNamespace(embed=lambda texts: [hash_embedding(t) for t in texts]))
+    (report, traces), (reference_report, reference_traces) = (
+        (json.loads((c.output_dir / "report.json").read_bytes()),
+         (c.output_dir / "traces.jsonl").read_bytes()) for c in (cfg, reference))
+    assert report.pop("config")["replay_mode"] == mode
+    reference_report.pop("config")
+    assert (report, traces) == (reference_report, reference_traces)
+
+
+def test_replay_run_creates_no_session(mini_bench, tmp_path, monkeypatch):
+    store = tmp_path / "store.jsonl"
+    record = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "record",
+                       shots=2, pool_split="train", replay_store=store, replay_mode="record")
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    cmd_run(record, client=build_client(record, transport=transport),
+            embed_client=build_embed_client(record, transport=transport))
+
+    sessions: Counter = Counter()
+    init = requests.Session.__init__
+    monkeypatch.setattr(requests.Session, "__init__", _counting(sessions, "Session", init))
+    replay = dataclasses.replace(record, output_dir=tmp_path / "replay", replay_mode="replay",
+                                 workers=2)
+    cmd_run(replay)
+    assert sessions["Session"] == 0
+    assert ((replay.output_dir / "report.json").read_bytes()
+            .replace(b'"replay_mode": "replay"', b'"replay_mode": "record"')
+            == (record.output_dir / "report.json").read_bytes())
