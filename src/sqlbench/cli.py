@@ -397,22 +397,26 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             embed_client: Optional[LlmClient] = None) -> Path:
     """Evaluate one split end to end and write report + trace dumps."""
     split = load_split(cfg.benchmark_root, cfg.split)
+    owned = client is None
     client = client or build_client(cfg)
+    try:
+        pool = embed = None
+        if cfg.shots > 0:
+            embed_client = embed_client or build_embed_client(
+                cfg, store=client.store, transport=client.transport)
+            pool, embed = _load_pool(cfg, split, embed_client)
 
-    pool = embed = None
-    if cfg.shots > 0:
-        embed_client = embed_client or build_embed_client(
-            cfg, store=client.store, transport=client.transport)
-        pool, embed = _load_pool(cfg, split, embed_client)
+        def process(instance: TaskInstance):
+            return process_instance(cfg, instance, split, client, embed, pool)
 
-    def process(instance: TaskInstance):
-        return process_instance(cfg, instance, split, client, embed, pool)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as executor:
-            results = list(executor.map(process, split.instances))
-    else:
-        results = [process(instance) for instance in split.instances]
+        if cfg.workers > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as executor:
+                results = list(executor.map(process, split.instances))
+        else:
+            results = [process(instance) for instance in split.instances]
+    finally:
+        if owned:
+            client.transport.close()
 
     traces = [trace for trace, _, _ in results]
     outcomes = [outcome for _, outcome, _ in results]
@@ -556,29 +560,33 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     if not cfg.pool_split:
         raise SystemExit("curate requires --pool-split")
     split = load_split(cfg.benchmark_root, cfg.split)
+    owned = client is None
     client = client or build_client(cfg)
-    embed_client = embed_client or build_embed_client(
-        cfg, store=client.store, transport=client.transport)
-    pool, embed = _load_pool(cfg, split, embed_client)
-
-    rows = []
-    for instance in split.instances:
-        draft_sql, curated = _curate(
-            cfg, instance, split.databases[instance.database_id], pool, client, embed)
-        rows.append({
-            "question_id": instance.question_id,
-            "draft_sql": draft_sql,
-            "selected": [
-                {
-                    "candidate_question_id": ex.question_id if ex else None,
-                    "gamma_q": round(t.gamma_q, 6),
-                    "gamma_d": round(t.gamma_d, 6),
-                    "gamma_s": round(t.gamma_s, 6),
-                    "gamma_a": round(t.gamma_a, 6),
-                }
-                for ex, t in curated.examples
-            ],
-        })
+    try:
+        embed_client = embed_client or build_embed_client(
+            cfg, store=client.store, transport=client.transport)
+        pool, embed = _load_pool(cfg, split, embed_client)
+        rows = []
+        for instance in split.instances:
+            draft_sql, curated = _curate(
+                cfg, instance, split.databases[instance.database_id], pool, client, embed)
+            rows.append({
+                "question_id": instance.question_id,
+                "draft_sql": draft_sql,
+                "selected": [
+                    {
+                        "candidate_question_id": ex.question_id if ex else None,
+                        "gamma_q": round(t.gamma_q, 6),
+                        "gamma_d": round(t.gamma_d, 6),
+                        "gamma_s": round(t.gamma_s, 6),
+                        "gamma_a": round(t.gamma_a, 6),
+                    }
+                    for ex, t in curated.examples
+                ],
+            })
+    finally:
+        if owned:
+            client.transport.close()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "curation.json"
     out_path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -17,13 +17,22 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .bench import TaskInstance
 from .schema import DatabaseCatalog, SchemaVariant, render_schema
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    # A float64 array with its L2 norm, the operands of _cosine.
+    Vector = tuple[np.ndarray, float]
+
+# numpy is imported by the functions that build vectors and pools, so that a
+# run that does not curate never loads it.
+
 
 class ZeroVector(ValueError):
     pass
@@ -36,11 +45,10 @@ class DimensionMismatch(ValueError):
 EmbeddingFn = Callable[[Sequence[str]], Sequence[Sequence[float]]]
 
 
-Vector = tuple[np.ndarray, float]
-
-
 def _vector(values: Sequence[float]) -> Vector:
     """A float64 array with its L2 norm, the operands of _cosine."""
+    import numpy as np
+
     array = np.asarray(values, dtype=float)
     return array, float(np.linalg.norm(array))
 
@@ -51,7 +59,7 @@ def _cosine(a: Vector, b: Vector) -> float:
         raise DimensionMismatch(f"vector shapes differ: {va.shape} vs {vb.shape}")
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine undefined for a zero vector")
-    value = float(np.dot(va, vb) / (na * nb))
+    value = float(va.dot(vb) / (na * nb))
     return max(-1.0, min(1.0, value))
 
 
@@ -93,8 +101,14 @@ class ExamplePool:
     # them: row views of _matrices with their norms, not copies.
     _vectors: tuple[tuple[Vector, Vector, Vector], ...] = field(
         init=False, repr=False, compare=False)
+    # Rendered schema text -> its vector, filled by build_pool and by each
+    # target schema embedded, so a run embeds each distinct schema once.
+    _schema_vectors: dict[str, Vector] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         object.__setattr__(self, "candidates", tuple(self.candidates))
         dims = {
             len(vec)
@@ -136,7 +150,10 @@ def build_pool(
     for i, (instance, catalog) in enumerate(candidates):
         q, d, s = vectors[3 * i], vectors[3 * i + 1], vectors[3 * i + 2]
         pool_candidates.append(PoolCandidate(instance, catalog, tuple(q), tuple(d), tuple(s)))
-    return ExamplePool(tuple(pool_candidates), variant)
+    pool = ExamplePool(tuple(pool_candidates), variant)
+    for i, (_, schema_vector, _) in enumerate(pool._vectors):
+        pool._schema_vectors.setdefault(texts[3 * i + 1], schema_vector)
+    return pool
 
 
 def _target_vectors(
@@ -146,8 +163,17 @@ def _target_vectors(
     pool: ExamplePool,
     embed: EmbeddingFn,
 ) -> tuple[Vector, Vector, Vector]:
-    texts = [target.question, render_schema(target_catalog, pool.variant), draft_sql]
-    target_q, target_d, target_s = (_vector(v) for v in embed(texts))
+    """The target's question, schema and draft SQL vectors. Its schema is
+    embedded only when the pool has not seen that rendered text; two workers
+    that miss it at once both embed it, to the same vector."""
+    schema = render_schema(target_catalog, pool.variant)
+    target_d = pool._schema_vectors.get(schema)
+    if target_d is None:
+        target_q, target_d, target_s = (
+            _vector(v) for v in embed([target.question, schema, draft_sql]))
+        pool._schema_vectors[schema] = target_d
+    else:
+        target_q, target_s = (_vector(v) for v in embed([target.question, draft_sql]))
     return target_q, target_d, target_s
 
 
@@ -223,7 +249,7 @@ def select_top_k(
 # Far above the error of a screened cosine, which is within a few d * 2**-53
 # of the exact one (about 1e-13 at d = 384).
 SCREEN_MARGIN = 1e-9
-_NORMAL = np.finfo(float).tiny
+_NORMAL = sys.float_info.min  # np.finfo(float).tiny
 
 
 def _screen(targets: tuple[Vector, Vector, Vector],
@@ -232,6 +258,8 @@ def _screen(targets: tuple[Vector, Vector, Vector],
     it: the screen is finite and the norms multiply to a normal float.
     Clamping to [-1, 1] moves a cosine by less than its error, so the
     screen skips it."""
+    import numpy as np
+
     total = 0
     sure = True
     with np.errstate(all="ignore"):

@@ -2,8 +2,10 @@
 
 Rows are compared as unordered sets of value tuples with floats rounded to
 six decimals; column order within a row is significant, column names are
-not. Databases are opened read-only, so any write attempt in predicted SQL
-fails that query. NULLs compare as a distinct sentinel equal only to
+not. Databases are opened read-only, and an authorizer lets a query only
+select, read and call functions, so a predicted `ATTACH`, `VACUUM INTO`,
+`PRAGMA` or temp-table write fails that query without touching any file.
+NULLs compare as a distinct sentinel equal only to
 itself.
 """
 
@@ -21,6 +23,13 @@ DEFAULT_QUERY_TIMEOUT = 30.0
 # Rows one query may return. A larger result becomes that query's error
 # instead of being held in memory; below the bound EX is unaffected.
 MAX_RESULT_ROWS = 1_000_000
+# Authorizer actions a query may take; every other action is denied.
+_ALLOWED_ACTIONS = frozenset((sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                              sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE))
+
+
+def _authorize(action: int, *args) -> int:
+    return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
 
 
 class CountMismatch(ValueError):
@@ -61,11 +70,12 @@ def _normalize_rows(rows: Sequence[Sequence]) -> frozenset:
 
 def _run_query(database: Path, sql: str, timeout: float):
     """Execute one read-only query; returns (rows, error). More than
-    MAX_RESULT_ROWS rows is an error."""
+    MAX_RESULT_ROWS rows, or an action the authorizer denies, is an error."""
     try:
         conn = connect_read_only(database)
     except sqlite3.Error as exc:
         return None, str(exc)
+    conn.set_authorizer(_authorize)
     deadline = time.monotonic() + timeout
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
     try:

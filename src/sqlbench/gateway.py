@@ -13,20 +13,23 @@ embedding cache maps a text digest to its vector across runs.
 
 from __future__ import annotations
 
+import base64
 import fcntl
 import hashlib
+import http.client
 import json
 import logging
+import netrc
 import os
 import re
+import ssl
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
-from urllib.parse import urlsplit
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from .curation import DimensionMismatch, EmbeddingFn
 
@@ -221,70 +224,170 @@ class EmbeddingCache(DigestStore):
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 
-def _decoded(response: requests.Response) -> tuple[int, dict]:
+def _json_body(data: bytes) -> dict:
     try:
-        body = response.json()
+        return json.loads(data)
     except ValueError:
-        body = {"error": response.text}
-    return response.status_code, body
+        return {"error": data.decode("utf-8", "replace")}
 
 
 def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
     """One new connection, and one read of the proxy environment, per request."""
-    return _decoded(requests.post(url, json=payload, headers=headers, timeout=timeout))
+    import requests
+
+    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    return response.status_code, _json_body(response.content)
+
+
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+
+
+def _netrc_auth(host: str) -> Optional[str]:
+    """The Basic credentials for `host` in $NETRC, else ~/.netrc or ~/_netrc,
+    found as `requests.utils.get_netrc_auth` finds them."""
+    path = os.environ.get("NETRC")
+    for candidate in [path] if path is not None else ["~/.netrc", "~/_netrc"]:
+        candidate = os.path.expanduser(candidate)
+        if os.path.exists(candidate):
+            break
+    else:
+        return None
+    try:
+        entry = netrc.netrc(candidate).authenticators(host)
+    except (netrc.NetrcParseError, OSError):
+        return None
+    if not entry or not any(entry):
+        return None
+    login, account, password = entry
+    return _basic_auth(login or account or "", password or "")
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How requests to one endpoint origin leave this process: straight to
+    the endpoint; through a plain HTTP proxy, with absolute-form request
+    targets; or, for HTTPS behind a proxy, through a CONNECT tunnel."""
+
+    address: tuple[str, int]  # what connections connect to: the endpoint or its proxy
+    absolute: bool
+    headers: dict  # added to every request
+    context: Optional[ssl.SSLContext] = None  # HTTPS only
+    tunnel: Optional[tuple[str, int]] = None  # the endpoint, behind the proxy
+    tunnel_headers: Optional[dict] = None
+
+    def connection(self, timeout: float) -> http.client.HTTPConnection:
+        if self.context is None:
+            return http.client.HTTPConnection(*self.address, timeout=timeout)
+        connection = http.client.HTTPSConnection(*self.address, timeout=timeout,
+                                                 context=self.context)
+        if self.tunnel is not None:
+            connection.set_tunnel(*self.tunnel, headers=self.tunnel_headers)
+        return connection
+
+
+def _route(url: str) -> _Route:
+    """Read what `requests.post` reads from the environment for `url`: the
+    proxy and its bypass list (`urllib.request.getproxies` and
+    `proxy_bypass`), Basic credentials from netrc, else from the URL, and
+    for HTTPS the CA bundle in REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE (a file
+    or a directory; the system store when neither is set)."""
+    parts = urlsplit(url)
+    https = parts.scheme == "https"
+    endpoint = (parts.hostname, parts.port or (443 if https else 80))
+    proxy = None
+    if not urllib.request.proxy_bypass(f"{endpoint[0]}:{endpoint[1]}"):
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+    auth = _netrc_auth(parts.hostname) or (
+        parts.username and _basic_auth(unquote(parts.username), unquote(parts.password or "")))
+    headers = {"Authorization": auth} if auth else {}
+    address, proxy_headers = endpoint, {}
+    if proxy:
+        proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        address = (proxy.hostname, proxy.port or 80)
+        if proxy.username:
+            proxy_headers["Proxy-Authorization"] = _basic_auth(
+                unquote(proxy.username), unquote(proxy.password or ""))
+    if not https:
+        return _Route(address, bool(proxy), {**headers, **proxy_headers})
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    context = (ssl.create_default_context() if not bundle
+               else ssl.create_default_context(capath=bundle) if os.path.isdir(bundle)
+               else ssl.create_default_context(cafile=bundle))
+    return _Route(address, False, headers, context,
+                  endpoint if proxy else None, proxy_headers)
+
+
+def _exchange(connection: http.client.HTTPConnection, target: str, body: bytes,
+              headers: dict) -> tuple[int, bytes]:
+    """One request and its whole response. A connection that fails part-way
+    is closed, so it is never reused in an unknown state."""
+    try:
+        connection.request("POST", target, body, headers)
+        response = connection.getresponse()
+        return response.status, response.read()
+    except BaseException:
+        connection.close()
+        raise
 
 
 class PooledTransport:
-    """A Transport that keeps one kept-alive connection per thread.
+    """A Transport that keeps one kept-alive connection per thread and origin.
 
-    Each calling thread gets its own `requests.Session` on its first
-    request, because a Session is not documented as thread-safe. What
-    `requests.post` reads from the environment on every request (proxies,
-    CA bundle, client certificate and netrc credentials) is read once per
-    endpoint origin and passed explicitly to sessions that do not read the
-    environment. A server may close a kept-alive connection between two
-    requests: a request that fails with `requests.ConnectionError` on the
-    connection its thread's last request left open is retried once, right
-    away, on a fresh connection, so a dropped connection costs no backoff.
+    Each calling thread opens its own `http.client` connection on its first
+    request to an endpoint origin, because a connection carries one request
+    at a time. The proxy, CA-bundle and netrc environment is read once per
+    origin (see `_route`). `http.client` writes the headers and the body
+    separately on a TCP_NODELAY socket, so neither waits for an ACK. A
+    server may close a kept-alive connection between two requests: a request
+    that fails on a connection that already carried one is sent once more,
+    right away, on a new connection, so a dropped connection costs no
+    backoff.
     """
 
     def __init__(self) -> None:
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._settings: dict[tuple[str, str], dict] = {}
+        self._routes: dict[tuple[str, str], _Route] = {}
+        self._opened: list[http.client.HTTPConnection] = []
 
-    def _environment(self, url: str) -> dict:
-        """The keyword arguments `requests.post` would derive for `url`."""
+    def _connection(self, url: str, timeout: float) -> tuple[_Route, http.client.HTTPConnection]:
+        """This thread's route and connection for `url`'s origin."""
         origin = urlsplit(url)[:2]
-        with self._lock:
-            settings = self._settings.get(origin)
-            if settings is None:
-                with requests.Session() as probe:
-                    settings = probe.merge_environment_settings(url, {}, None, None, None)
-                settings["auth"] = requests.utils.get_netrc_auth(url)
-                self._settings[origin] = settings
-        return settings
+        connections = self._local.__dict__.setdefault("connections", {})
+        if origin not in connections:
+            with self._lock:
+                route = self._routes.get(origin)
+                if route is None:
+                    route = self._routes[origin] = _route(url)
+                connections[origin] = route, route.connection(timeout)
+                self._opened.append(connections[origin][1])
+        return connections[origin]
 
     def __call__(self, url: str, payload: dict, headers: dict,
                  timeout: float) -> tuple[int, dict]:
-        settings = self._environment(url)
-        local = self._local
-        if not hasattr(local, "session"):
-            local.session = requests.Session()
-            local.session.trust_env = False
-            local.kept = False  # whether the last request left its connection open
+        route, connection = self._connection(url, timeout)
+        kept = connection.sock is not None  # left open by this thread's last request
+        connection.timeout = timeout
+        if kept:
+            connection.sock.settimeout(timeout)
+        target = url if route.absolute else urlsplit(url)._replace(scheme="", netloc="").geturl()
+        args = (target or "/", json.dumps(payload).encode("utf-8"), {**headers, **route.headers})
         try:
-            response = local.session.post(url, json=payload, headers=headers,
-                                          timeout=timeout, **settings)
-        except requests.ConnectionError:
-            if not local.kept:
+            status, data = _exchange(connection, *args)
+        except (ConnectionError, http.client.HTTPException):
+            if not kept:
                 raise
-            # urllib3 has discarded the failed connection; this opens a new one.
-            local.kept = False
-            response = local.session.post(url, json=payload, headers=headers,
-                                          timeout=timeout, **settings)
-        local.kept = True
-        return _decoded(response)
+            # The server closed the kept-alive connection; this opens a new one.
+            status, data = _exchange(connection, *args)
+        return status, _json_body(data)
+
+    def close(self) -> None:
+        """Close every connection this transport opened, on any thread."""
+        with self._lock:
+            for connection in self._opened:
+                connection.close()
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
@@ -331,7 +434,7 @@ class LlmClient:
             try:
                 status, body = self.transport(
                     url, payload, self._headers(), self.endpoint.timeout)
-            except (requests.ConnectionError, requests.Timeout, ConnectionError, OSError) as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 if attempt < MAX_RETRIES - 1 and self.backoff:
                     time.sleep(self.backoff * 2 ** attempt)

@@ -5,6 +5,7 @@ import json
 import socket
 import sqlite3
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -318,6 +319,11 @@ class _CountingHandler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.connections += 1
 
+    def finish(self) -> None:
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
     def log_message(self, format, *args) -> None:
         pass
 
@@ -343,10 +349,10 @@ class _CountingHandler(BaseHTTPRequestHandler):
 
 class CountingServer(ThreadingHTTPServer):
     """Local keep-alive HTTP endpoint answering POSTs through a transport
-    function such as ScriptedTransport. It counts answered requests and
-    accepted connections; with `drop_every` N, a connection that has
-    answered N requests closes when the next one arrives, before any
-    response."""
+    function such as ScriptedTransport. It counts answered requests,
+    accepted connections and connections it has seen closed; with
+    `drop_every` N, a connection that has answered N requests closes when
+    the next one arrives, before any response."""
 
     daemon_threads = True
 
@@ -355,8 +361,19 @@ class CountingServer(ThreadingHTTPServer):
         self.answer = answer
         self.drop_every = drop_every
         self.lock = threading.Lock()
-        self.requests = self.connections = self.dropped = 0
+        self.requests = self.connections = self.dropped = self.closed = 0
         self.base_url = f"http://127.0.0.1:{self.server_address[1]}"
+
+    def all_closed(self, timeout: float = 10.0) -> bool:
+        """Whether every accepted connection is closed, waiting up to `timeout`."""
+        deadline = time.monotonic() + timeout
+        while True:
+            with self.lock:
+                if self.closed == self.connections:
+                    return True
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
 
 
 @contextlib.contextmanager

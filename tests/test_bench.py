@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import sqlite3
 
@@ -12,6 +13,7 @@ from sqlbench.bench import (
     MissingDatabase,
     NotADatabase,
     TaskInstance,
+    connect_read_only,
     introspect_database,
     load_split,
     read_description_dir,
@@ -273,5 +275,8 @@ def test_special_characters_in_root_open_the_right_file_read_only(tmp_path, dirn
         outcome = execute_and_compare(instance.gold_sql, instance.gold_sql, db)
         assert outcome.matched, outcome
     written = execute_and_compare("DELETE FROM movies", "SELECT 1", db)
-    assert "readonly" in written.predicted_error
+    assert written.predicted_error == "not authorized"  # denied before it reaches the file
+    with contextlib.closing(connect_read_only(db)) as conn:
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            conn.execute("DELETE FROM movies")
     assert sorted(p for p in tmp_path.rglob("*")) == before  # no stray file

@@ -422,8 +422,11 @@ def _screening_cases(draw):
 def test_screened_top_k_equals_full_scoring(case):
     pool, target_vectors, k = case
     target = _candidate(99, "db_target", "target?", "")
-    args = (target, _tiny_catalog("db_target"), "SELECT 1", pool)
-    embed = lambda texts: target_vectors  # noqa: E731
+    target_catalog = _tiny_catalog("db_target")
+    args = (target, target_catalog, "SELECT 1", pool)
+    by_text = dict(zip(("target?", render_schema(target_catalog, pool.variant), "SELECT 1"),
+                       target_vectors))
+    embed = lambda texts: [by_text[text] for text in texts]  # noqa: E731
     with np.errstate(all="ignore"):
         assert _outcome(curate_top_k, *args, k, embed) == _outcome(
             lambda: select_top_k(score_candidates(*args, embed), k, pool))
@@ -449,3 +452,30 @@ def test_screened_top_k_on_random_pools_with_near_ties(dim):
     for k in (1, 2, 3, 4, 5, 6, 7, 8, 50, 166, 167, 300):
         assert _outcome(curate_top_k, *args, k, embed) == _outcome(
             lambda: select_top_k(score_candidates(*args, embed), k, pool))
+
+
+def test_each_distinct_schema_is_embedded_once_per_pool():
+    sent = []
+
+    def embed(texts):
+        sent.extend(texts)
+        return [hash_embedding(text, 8) for text in texts]
+
+    candidates = [(_candidate(i, f"db_{i % 2}", f"question {i}?", f"SELECT {i}"),
+                   _tiny_catalog(f"db_{i % 2}", column=f"c{i % 2}")) for i in range(6)]
+    pool = build_pool(candidates, SchemaVariant.C_VDT, embed)
+    pooled = {render_schema(catalog, SchemaVariant.C_VDT) for _, catalog in candidates}
+    targets = [(_candidate(90 + i, db_id, f"target {i}?", ""), _tiny_catalog(db_id, column))
+               for i, (db_id, column) in enumerate([("db_new", "y"), ("db_new", "y"),
+                                                    ("db_0", "c0"), ("db_1", "c1")])]
+    sent.clear()
+    curated = [curate_top_k(target, catalog, "SELECT 1", pool, 2, embed)
+               for target, catalog in targets]
+    new_schema = render_schema(targets[0][1], SchemaVariant.C_VDT)
+    assert sent.count(new_schema) == 1 and not pooled & set(sent)
+
+    # Every target scored against a pool that has seen no schema: the same bits.
+    fresh = build_pool(candidates, SchemaVariant.C_VDT, embed)
+    for (target, catalog), kept in zip(targets, curated):
+        fresh._schema_vectors.clear()
+        assert curate_top_k(target, catalog, "SELECT 1", fresh, 2, embed) == kept

@@ -100,6 +100,23 @@ def test_write_attempt_rejected_readonly(cinema_db):
     conn.close()
 
 
+@pytest.mark.parametrize("predicted, gold", [
+    ("WITH t AS (SELECT movie_id FROM movies) SELECT COUNT(*) FROM t",
+     "SELECT COUNT(*) FROM movies"),
+    ("WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n WHERE i < 4) "
+     "SELECT COUNT(*) FROM n", "SELECT COUNT(*) FROM movies"),
+    ("SELECT movie_id FROM movies UNION SELECT movie_id FROM ratings",
+     "SELECT movie_id FROM movies"),
+    ("SELECT movie_title FROM movies WHERE movie_id IN (SELECT movie_id FROM ratings "
+     "WHERE rating_score = 5)", "SELECT movie_title FROM movies WHERE movie_id IN (1, 2)"),
+    ("SELECT movie_id, RANK() OVER (ORDER BY movie_popularity DESC) FROM movies",
+     "SELECT movie_id, ROW_NUMBER() OVER (ORDER BY movie_popularity DESC) FROM movies"),
+], ids=["cte", "recursive", "union", "subquery", "window"])
+def test_reading_queries_run_under_the_authorizer(cinema_db, predicted, gold):
+    outcome = execute_and_compare(predicted, gold, cinema_db)
+    assert outcome.matched, outcome
+
+
 def test_matched_outcome_cannot_carry_errors():
     with pytest.raises(ValueError):
         EvalOutcome(0, True, predicted_error="boom")

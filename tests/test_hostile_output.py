@@ -1,5 +1,6 @@
 """Hostile model output: SQL extraction and skeleton parsing either return
-or raise their documented ValueError subclasses, whatever the text.
+or raise their documented ValueError subclasses, whatever the text, and
+executing it can neither write a file nor change connection state.
 
 Inputs mix SQL fragments with unterminated quotes and comments, code
 fences, non-ASCII letters and digits, NUL and other control characters,
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_cinema_db
 from sqlbench import budget, skeleton, taxonomy
+from sqlbench.evaluate import execute_and_compare
 from sqlbench.gateway import EmptyResponse, extract_sql
 from sqlbench.skeleton import (
     SqlSkeleton,
@@ -172,3 +175,18 @@ def test_a_run_of_unknown_characters_is_one_token():
 def test_one_megabyte_responses(text):
     _check_extract_sql(text)
     _check_extract_skeleton(text)  # tokenizes the whole text
+
+
+@pytest.mark.parametrize("statement, error", [
+    ("ATTACH DATABASE '{out}/x.db' AS x", "not authorized"),
+    ("VACUUM INTO '{out}/y.db'", "authorization denied"),  # denied when it runs
+    ("CREATE TEMP TABLE t AS SELECT 1", "not authorized"),
+    ("PRAGMA writable_schema = 1", "not authorized"),
+], ids=["attach", "vacuum-into", "temp-table", "pragma"])
+def test_predicted_sql_is_denied_anything_but_reading(tmp_path, statement, error):
+    db = make_cinema_db(tmp_path / "cinema.sqlite")
+    out = tmp_path / "out"
+    out.mkdir()
+    outcome = execute_and_compare(statement.format(out=out), "SELECT 1", db)
+    assert (outcome.matched, outcome.predicted_error, outcome.gold_error) == (False, error, None)
+    assert sorted(tmp_path.rglob("*")) == [db, out]  # no file written anywhere

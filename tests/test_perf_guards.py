@@ -10,23 +10,29 @@ two, however many columns it removes. Every prompt a run builds is counted
 in full exactly once, and that count is the one its bundle carries. A
 chain-of-thought question partitions each distinct schema its steps show
 once, and a command introspects each database once, also when it loads a
-pool split. A live run keeps one connection per worker thread and sends
-each distinct embedding text of a call once; a replay run creates no HTTP
-session. These counts repeat exactly, so a regression shows here without
+pool split. A live run keeps one connection per worker thread, closes
+them when it ends, sends each distinct embedding text of a call once and
+embeds each distinct schema once; a replay run opens no HTTP connection.
+Zero-shot, chain-of-thought and live runs start without loading numpy or
+requests. These counts repeat exactly, so a regression shows here without
 timing anything.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import requests
 
 import sqlbench.bench as bench
 import sqlbench.cli as cli
@@ -48,6 +54,7 @@ from test_curation import _candidate, _random_pool, _tiny_catalog
 from sqlbench.bench import load_split
 from sqlbench.budget import TokenBudget, count_tokens
 from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_curate, cmd_run
+from sqlbench.gateway import PooledTransport
 
 
 def _counting(counts: Counter, name: str, fn, key=None):
@@ -267,12 +274,16 @@ def test_each_database_is_introspected_once_per_command(mini_bench, tmp_path, mo
     assert sorted(calls) == databases and set(calls.values()) == {1}
 
 
-def test_live_run_keeps_one_connection_per_worker(mini_bench, tmp_path):
+def test_live_run_keeps_one_connection_per_worker(mini_bench, tmp_path, monkeypatch):
+    closes: Counter = Counter()
+    monkeypatch.setattr(PooledTransport, "close",
+                        _counting(closes, "close", PooledTransport.close))
     scripted = ScriptedTransport(completion_fn=_cot_scripted(MINI_QUESTIONS))
     with counting_server(scripted) as server:
         cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "live",
                         mode="cot-sk-pred", workers=2, base_url=server.base_url)
         cmd_run(cfg)
+        assert closes["close"] == 1 and server.all_closed()
     assert server.requests == len(scripted.requests) == 4 * len(MINI_QUESTIONS)
     assert server.connections <= cfg.workers
 
@@ -283,10 +294,12 @@ def test_live_run_keeps_one_connection_per_worker(mini_bench, tmp_path):
         assert (cfg.output_dir / name).read_bytes() == (reference.output_dir / name).read_bytes()
 
 
-@pytest.mark.parametrize("mode, texts", [("live", 40), ("record", 29)])
+@pytest.mark.parametrize("mode, texts", [("live", 30), ("record", 29)])
 def test_few_shot_run_embeds_each_distinct_text_once_per_call(mini_bench, tmp_path, mode, texts):
-    # 42 and 31 texts when every occurrence of a call is sent; the whole
-    # run has 29 distinct texts, which only a store remembers across calls.
+    # 42 and 31 texts when every occurrence of a call is sent, and 40 live
+    # when each question embeds its database's schema again; the whole run
+    # has 29 distinct texts. Live, one draft SQL that equals a pool
+    # question's gold SQL is sent again: only a store remembers every text.
     cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / mode,
                     shots=2, pool_split="train", replay_mode=mode,
                     replay_store=tmp_path / "store.jsonl" if mode == "record" else None)
@@ -314,7 +327,7 @@ def test_few_shot_run_embeds_each_distinct_text_once_per_call(mini_bench, tmp_pa
     assert (report, traces) == (reference_report, reference_traces)
 
 
-def test_replay_run_creates_no_session(mini_bench, tmp_path, monkeypatch):
+def test_replay_run_opens_no_connection(mini_bench, tmp_path, monkeypatch):
     store = tmp_path / "store.jsonl"
     record = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "record",
                        shots=2, pool_split="train", replay_store=store, replay_mode="record")
@@ -324,13 +337,65 @@ def test_replay_run_creates_no_session(mini_bench, tmp_path, monkeypatch):
     cmd_run(record, client=build_client(record, transport=transport),
             embed_client=build_embed_client(record, transport=transport))
 
-    sessions: Counter = Counter()
-    init = requests.Session.__init__
-    monkeypatch.setattr(requests.Session, "__init__", _counting(sessions, "Session", init))
+    connects: Counter = Counter()
+    connect = http.client.HTTPConnection.connect
+    monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                        _counting(connects, "connect", connect))
     replay = dataclasses.replace(record, output_dir=tmp_path / "replay", replay_mode="replay",
                                  workers=2)
     cmd_run(replay)
-    assert sessions["Session"] == 0
+    assert connects["connect"] == 0
     assert ((replay.output_dir / "report.json").read_bytes()
             .replace(b'"replay_mode": "replay"', b'"replay_mode": "record"')
             == (record.output_dir / "report.json").read_bytes())
+
+
+_COLD_START = """
+import json, sys
+import sqlbench.cli as cli
+status = cli.main(sys.argv[1:])
+print(json.dumps({"status": status, "loaded": sorted(
+    name for name in ("numpy", "requests", "sqlbench.curation") if name in sys.modules)}))
+"""
+
+
+def _cold_run(argv: list[str]) -> dict:
+    """`sqlbench <argv>` in a new interpreter: its exit status and which of
+    numpy, requests and sqlbench.curation it loaded."""
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("run", ["zero-shot", "cot-sk-pred", "live", "two-shot"])
+def test_only_a_curating_run_loads_numpy(mini_bench, tmp_path, run):
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "record",
+                    replay_store=tmp_path / "store.jsonl", replay_mode="record",
+                    mode="cot-sk-pred" if run == "cot-sk-pred" else "none",
+                    shots=2 if run == "two-shot" else 0,
+                    pool_split="train" if run == "two-shot" else None)
+    scripted = ScriptedTransport(
+        completion_fn=(_cot_scripted(MINI_QUESTIONS) if run == "cot-sk-pred" else
+                       completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES)),
+        embed_fn=hash_embedding)
+    argv = ["run", "--benchmark-root", str(mini_bench), "--split", "dev",
+            "--output-dir", str(tmp_path / "out"), "--mode", cfg.mode]
+    if run == "live":
+        with counting_server(scripted) as server:
+            result = _cold_run(argv + ["--base-url", server.base_url])
+        assert server.requests == len(MINI_QUESTIONS)
+    else:
+        cmd_run(cfg, client=build_client(cfg, transport=scripted),
+                embed_client=build_embed_client(cfg, transport=scripted))
+        argv += ["--replay-store", str(cfg.replay_store), "--replay-mode", "replay"]
+        if cfg.shots:
+            argv += ["--shots", "2", "--pool-split", "train"]
+        result = _cold_run(argv)
+    curating = ["numpy"] if run == "two-shot" else []
+    assert result == {"status": 0, "loaded": curating + ["sqlbench.curation"]}
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
