@@ -161,13 +161,14 @@ def _probe_values(
     return tuple(str(v) for v in values)
 
 
-def connect_read_only(path: Path) -> sqlite3.Connection:
+def connect_read_only(path: Path, *, check_same_thread: bool = True) -> sqlite3.Connection:
     """Open a SQLite file read-only.
 
     The URI is built from the quoted absolute path, so a '#', '?' or '%' in
     the path stays part of the file name instead of ending it.
     """
-    return sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
+    return sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True,
+                           check_same_thread=check_same_thread)
 
 
 def introspect_database(

@@ -260,12 +260,15 @@ def _truncate(
     removable columns by their rates (evenly when those rates sum to 0),
     and a section stops at the first removal whose freed tokens reach its
     share. Whenever the accounted size fits, before any removal as after
-    one, the full prompt is rendered and counted to confirm it; if the two
-    disagree (a counter that is not line-additive) the scaffold moves by
-    the difference and the loop goes on. The result therefore always fits
-    the limit, or the call fails, and the last call of `render_prompt`
-    rendered the returned keeps: its text, counted `tokens_after`, is the
-    final prompt.
+    one, the full prompt is rendered. Under `count_tokens` the accounted
+    size is that render's count: its tokens never cross whitespace, and
+    every schema block starts with "# " and ends at a newline. So the
+    render is not counted, and the loop stops. Any other counter counts
+    the render to confirm the fit; if the two disagree (a counter that is
+    not line-additive) the scaffold moves by the difference and the loop
+    goes on. The result therefore always fits the limit, or the call
+    fails, and the last call of `render_prompt` rendered the returned
+    keeps: its text, of `tokens_after` tokens, is the final prompt.
     """
     keeps = [{table: set(columns) for table, columns in section.keep.items()}
              for section in sections]
@@ -285,7 +288,10 @@ def _truncate(
 
     while True:
         if tokens <= limit:
-            true_tokens = counter(render_prompt(keeps))
+            text = render_prompt(keeps)
+            if counter is count_tokens:
+                break
+            true_tokens = counter(text)
             scaffold += true_tokens - tokens
             tokens = true_tokens
             if tokens <= limit:
@@ -325,8 +331,8 @@ class LastRender:
     """A prompt render function that keeps the text of its last call.
 
     Handed to truncate_target or truncate_examples, it holds the final
-    prompt once they return, because their last render is the confirmed
-    fit; the caller builds its PromptBundle from `text` and the record's
+    prompt once they return, because their last render is the fit; the
+    caller builds its PromptBundle from `text` and the record's
     `tokens_after` instead of rendering and counting again.
     """
 
@@ -355,8 +361,9 @@ def truncate_target(
     renders the full prompt, schema block in `variant`, under one keep
     filter; the loop stops at the first removal after which it fits. It is
     called once with every table's keep emptied (the frame, counted once
-    for the scaffold) and once more for each confirming count; the last
-    call rendered the returned keep.
+    for the scaffold) and once in full for each fit the engine reaches:
+    once under `count_tokens`, once per confirming count under any other
+    counter. The last call rendered the returned keep.
     """
     keeps, record = _truncate(
         [PromptSection(catalog, partition)], (1.0,),
@@ -384,7 +391,8 @@ def truncate_examples(
     the remaining sections by renormalized rates (evenly once those sum
     to 0). The sections themselves are left unchanged. `render_prompt`
     renders the frame (every keep emptied) once, then the full prompt only
-    to confirm a fit; its last call rendered the returned keeps.
+    at a fit (and, under a counter other than `count_tokens`, counts it to
+    confirm); its last call rendered the returned keeps.
     """
     if len(sections) != len(plan.rates):
         raise ValueError(

@@ -36,13 +36,14 @@ from .budget import (
 )
 from .cot import ALL_MODES, MODE_NONE, CotTrace, run_cot
 from .curation import CuratedSet, EmbeddingFn, ExamplePool, build_pool, curate_top_k
-from .evaluate import EvalOutcome, aggregate, execute_and_compare
+from .evaluate import DatabaseConnections, EvalOutcome, aggregate, execute_and_compare
 from .gateway import (
     REPLAY_MODES,
     EmbeddingCache,
     LlmClient,
     LlmEndpoint,
     PooledTransport,
+    ReplayMiss,
     ReplayStore,
     extract_sql,
 )
@@ -325,8 +326,13 @@ def process_instance(
     client: LlmClient,
     embed: Optional[EmbeddingFn] = None,
     pool: Optional[ExamplePool] = None,
+    connections: Optional[DatabaseConnections] = None,
 ) -> tuple[CotTrace, EvalOutcome, Optional[dict]]:
-    """Prompt -> complete -> extract -> execute -> classify, error-isolated."""
+    """Prompt -> complete -> extract -> execute -> classify, error-isolated.
+
+    A replay miss is not isolated: it raises, because the run can no longer
+    reproduce the recorded one. The queries run on `connections` (see
+    `execute_and_compare`)."""
     catalog = split.databases[instance.database_id]
     db_path = database_path(cfg.benchmark_root, instance.database_id)
     try:
@@ -344,6 +350,8 @@ def process_instance(
             trace = run_cot(
                 instance, catalog, client, cfg.mode,
                 budget=cfg.budget, seed=cfg.truncation_seed)
+    except ReplayMiss:
+        raise
     except Exception as exc:  # per-instance isolation; the run must continue
         logger.warning("question %s failed: %s", instance.question_id, exc)
         trace = CotTrace(mode=cfg.mode, final_sql="", warnings=[str(exc)])
@@ -355,7 +363,8 @@ def process_instance(
 
     outcome = execute_and_compare(
         trace.final_sql, instance.gold_sql, db_path,
-        timeout=cfg.query_timeout, question_id=instance.question_id)
+        timeout=cfg.query_timeout, question_id=instance.question_id,
+        connections=connections)
     label_payload = None
     if not outcome.matched:
         label = classify(trace.final_sql, instance.gold_sql, catalog, outcome)
@@ -395,10 +404,14 @@ def _print_truncation_stats(stats: dict, *, few_shot: bool) -> None:
 
 def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             embed_client: Optional[LlmClient] = None) -> Path:
-    """Evaluate one split end to end and write report + trace dumps."""
+    """Evaluate one split end to end and write report + trace dumps.
+
+    A replay miss stops the run before anything is written: pending
+    questions are cancelled and the miss is raised."""
     split = load_split(cfg.benchmark_root, cfg.split)
     owned = client is None
     client = client or build_client(cfg)
+    connections = DatabaseConnections()
     try:
         pool = embed = None
         if cfg.shots > 0:
@@ -407,14 +420,18 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             pool, embed = _load_pool(cfg, split, embed_client)
 
         def process(instance: TaskInstance):
-            return process_instance(cfg, instance, split, client, embed, pool)
+            return process_instance(cfg, instance, split, client, embed, pool, connections)
 
         if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as executor:
+            executor = ThreadPoolExecutor(max_workers=cfg.workers)
+            try:
                 results = list(executor.map(process, split.instances))
+            finally:
+                executor.shutdown(cancel_futures=True)
         else:
             results = [process(instance) for instance in split.instances]
     finally:
+        connections.close()
         if owned:
             client.transport.close()
 

@@ -5,13 +5,17 @@ six decimals; column order within a row is significant, column names are
 not. Databases are opened read-only, and an authorizer lets a query only
 select, read and call functions, so a predicted `ATTACH`, `VACUUM INTO`,
 `PRAGMA` or temp-table write fails that query without touching any file.
-NULLs compare as a distinct sentinel equal only to
-itself.
+Because no query can leave state behind, a `DatabaseConnections` keeps one
+such connection per thread and database file for a whole run, with a page
+cache of 64 KiB; `execute_and_compare` without one opens a connection for
+its two queries and closes it. NULLs compare as a distinct sentinel equal
+only to itself.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +32,48 @@ _ALLOWED_ACTIONS = frozenset((sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                               sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE))
 
 
+# Page cache per connection, in KiB (a negative cache_size). A run keeps one
+# connection per thread and database, so this bounds what they hold.
+_CACHE_KIB = 64
+
+
 def _authorize(action: int, *args) -> int:
     return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
+
+
+class DatabaseConnections:
+    """One authorized read-only connection per (thread, database file).
+
+    A connection is opened on a thread's first query to a file; an open
+    that fails raises and is not kept, so the next query tries again.
+    `close()` closes every connection, from any thread, and a later query
+    opens afresh. Each connection is used only by the thread that opened it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open: dict[tuple[int, Path], sqlite3.Connection] = {}
+
+    def get(self, database: Path) -> sqlite3.Connection:
+        key = (threading.get_ident(), database)
+        conn = self._open.get(key)
+        if conn is None:
+            conn = connect_read_only(database, check_same_thread=False)
+            try:  # the PRAGMA first: the authorizer denies every PRAGMA
+                conn.execute(f"PRAGMA cache_size = -{_CACHE_KIB}")
+            except sqlite3.Error:  # not a database file
+                conn.close()
+                raise
+            conn.set_authorizer(_authorize)
+            with self._lock:
+                self._open[key] = conn
+        return conn
+
+    def close(self) -> None:
+        with self._lock:
+            connections, self._open = list(self._open.values()), {}
+        for conn in connections:
+            conn.close()
 
 
 class CountMismatch(ValueError):
@@ -68,18 +112,18 @@ def _normalize_rows(rows: Sequence[Sequence]) -> frozenset:
     return frozenset(tuple(_normalize_value(v) for v in row) for row in rows)
 
 
-def _run_query(database: Path, sql: str, timeout: float):
+def _run_query(connections: DatabaseConnections, database: Path, sql: str, timeout: float):
     """Execute one read-only query; returns (rows, error). More than
     MAX_RESULT_ROWS rows, or an action the authorizer denies, is an error."""
     try:
-        conn = connect_read_only(database)
+        conn = connections.get(database)
     except sqlite3.Error as exc:
         return None, str(exc)
-    conn.set_authorizer(_authorize)
     deadline = time.monotonic() + timeout
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
+    cursor = conn.cursor()
     try:
-        rows = conn.execute(sql).fetchmany(MAX_RESULT_ROWS + 1)
+        rows = cursor.execute(sql).fetchmany(MAX_RESULT_ROWS + 1)
         if len(rows) > MAX_RESULT_ROWS:
             return None, f"result exceeds {MAX_RESULT_ROWS} rows"
         return rows, None
@@ -92,7 +136,7 @@ def _run_query(database: Path, sql: str, timeout: float):
         return None, str(exc)
     finally:
         conn.set_progress_handler(None, 0)
-        conn.close()
+        cursor.close()  # a bounded or interrupted query leaves no statement open
 
 
 def execute_and_compare(
@@ -102,14 +146,24 @@ def execute_and_compare(
     timeout: float = DEFAULT_QUERY_TIMEOUT,
     *,
     question_id: int = 0,
+    connections: Optional[DatabaseConnections] = None,
 ) -> EvalOutcome:
     """Match iff both queries execute and their normalized row sets agree.
 
-    A gold-side failure is recorded (dataset hygiene), never raised.
+    Both queries run on `connections`' connection for this thread and
+    database; without an owner, one connection is opened for the two and
+    closed. A gold-side failure is recorded (dataset hygiene), never raised.
     """
     started = time.monotonic()
-    gold_rows, gold_error = _run_query(database, gold, timeout)
-    predicted_rows, predicted_error = _run_query(database, predicted, timeout)
+    owned = connections is None
+    if owned:
+        connections = DatabaseConnections()
+    try:
+        gold_rows, gold_error = _run_query(connections, database, gold, timeout)
+        predicted_rows, predicted_error = _run_query(connections, database, predicted, timeout)
+    finally:
+        if owned:
+            connections.close()
     matched = (
         gold_error is None
         and predicted_error is None

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlbench import cot
+from sqlbench.bench import TaskInstance
 from sqlbench.budget import (
     ColumnPartition,
+    LastRender,
     NonpositiveSimilarity,
     PromptSection,
     TokenBudget,
@@ -22,7 +25,9 @@ from sqlbench.budget import (
     truncate_examples,
     truncate_target,
 )
+from sqlbench.prompts import FewShotBlock, build_sft_pair, few_shot_text, open_prompt_text
 from sqlbench.schema import (
+    TYPE_NAMES,
     ColumnSpec,
     DatabaseCatalog,
     ForeignKey,
@@ -31,6 +36,7 @@ from sqlbench.schema import (
     UnknownColumnInFilter,
     render_schema,
 )
+from sqlbench.skeleton import UnterminatedComment, UnterminatedString
 
 
 def full_keep(catalog):
@@ -529,6 +535,92 @@ def test_truncate_examples_equals_rerendering(sections, variant, data, fraction,
     engine = {"variant": variant, "counter": count_tokens}
     assert _outcome(truncate_examples, sections, plan, render, limit, seed, **engine) == \
         _outcome(rerender_reference, sections, plan, render, limit, seed, **engine)
+
+
+# Any characters but surrogates, whitespace and punctuation included.
+_ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_NAMES = st.lists(_ANY_TEXT.filter(bool), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def _wild_sections(draw):
+    """A catalog of arbitrary names, descriptions and values with a random
+    partition, and a question over it."""
+    tables = []
+    for table in draw(_NAMES):
+        tables.append(TableSpec(table, tuple(
+            ColumnSpec(column, draw(st.sampled_from(TYPE_NAMES)), draw(st.none() | _ANY_TEXT),
+                       draw(st.none() | st.lists(_ANY_TEXT, min_size=1, max_size=3).map(tuple)),
+                       draw(st.booleans()))
+            for column in draw(_NAMES))))
+    ends = st.sampled_from([(t.name, c.name) for t in tables for c in t.columns])
+    fks = tuple(ForeignKey(a, b, c, d)
+                for (a, b), (c, d) in draw(st.lists(st.tuples(ends, ends), max_size=3)))
+    catalog = DatabaseCatalog("db", tuple(tables), fks)
+    columns = sorted(catalog.column_set())
+    non_target = frozenset(column for column in columns if draw(st.booleans()))
+    instance = TaskInstance(
+        draw(st.integers(0, 99)), draw(_ANY_TEXT.filter(str.strip)), draw(_ANY_TEXT),
+        draw(_ANY_TEXT.filter(str.strip)), "db")
+    return PromptSection(catalog, ColumnPartition(frozenset(columns) - non_target, non_target)), \
+        instance
+
+
+def _open_path(sections, variant, limit, seed):
+    (section, instance), = sections[:1]
+    render = LastRender(
+        lambda keep: open_prompt_text(instance, section.catalog, variant, keep))
+    _, record = truncate_target(section.catalog, section.partition, render, limit, seed,
+                                variant=variant, counter=count_tokens)
+    return record.tokens_after, render.text
+
+
+def _few_shot_path(sections, variant, limit, seed):
+    (target, instance), examples = sections[0], sections[1:]
+    render = LastRender(lambda keeps: few_shot_text(
+        instance, target.catalog,
+        [FewShotBlock(example, section.catalog, keep)
+         for (section, example), keep in zip(examples, keeps[1:])],
+        variant, keeps[0]))
+    plan = plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))])
+    _, record = truncate_examples([section for section, _ in sections], plan, render, limit,
+                                  seed, variant=variant, counter=count_tokens)
+    return record.tokens_after, render.text
+
+
+def _cot_step_path(sections, variant, limit, seed):
+    (section, instance), = sections[:1]
+    bundle = cot._build_step_prompt(
+        instance, section.catalog, 1 + seed % 2, "SELECT", TokenBudget(limit + 1, 1), seed,
+        count_tokens, section.partition)
+    return bundle.token_count, bundle.text
+
+
+def _sft_path(sections, variant, limit, seed):
+    (section, instance), = sections[:1]
+    pair, record = build_sft_pair(instance, section.catalog, variant, TokenBudget(limit, 1),
+                                  seed=seed)
+    return record.tokens_after, pair.prompt + pair.completion
+
+
+@pytest.mark.parametrize("build", [_open_path, _few_shot_path, _cot_step_path, _sft_path],
+                         ids=["open", "few-shot", "cot-step", "sft"])
+@settings(max_examples=100, deadline=None)
+@given(sections=st.lists(_wild_sections(), min_size=1, max_size=4),
+       variant=st.sampled_from(list(SchemaVariant)), fraction=st.floats(0.2, 1.0),
+       seed=st.integers(0, 2**32))
+def test_the_accounted_size_is_the_count_of_each_real_render(build, sections, variant,
+                                                               fraction, seed):
+    """Under count_tokens the engine counts no full render; what it accounts
+    is what the final text counts, whatever the names, values and question."""
+    try:
+        full, text = build(sections, variant, 10**9, seed)
+        assert full == count_tokens(text)
+        limit = max(2, int(full * fraction))
+        accounted, text = build(sections, variant, limit, seed)
+    except (UnsatisfiableBudget, UnterminatedString, UnterminatedComment):
+        return  # no fit, or an SFT gold query the partition cannot read
+    assert accounted == count_tokens(text) <= limit
 
 
 def test_derive_seed_stable():

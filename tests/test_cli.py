@@ -278,6 +278,17 @@ def test_cmd_run_replay_is_byte_identical(mini_bench, tmp_path):
     assert outputs[1] == outputs[3]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_replay_miss_stops_the_run_before_any_report(mini_bench, tmp_path, workers):
+    store = tmp_path / "store.jsonl"
+    store.touch()
+    out = tmp_path / "out"
+    assert main(["run", "--benchmark-root", str(mini_bench), "--split", "dev",
+                 "--replay-store", str(store), "--replay-mode", "replay",
+                 "--workers", str(workers), "--output-dir", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_cmd_run_isolates_per_instance_failures(mini_bench, tmp_path):
     responses = dict(MINI_RESPONSES)
 

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
 import sqlite3
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import sqlbench.evaluate as evaluate
 from conftest import make_cinema_db
 from sqlbench.bench import TaskInstance
-from sqlbench.evaluate import CountMismatch, EvalOutcome, aggregate, execute_and_compare
+from sqlbench.evaluate import (
+    CountMismatch,
+    DatabaseConnections,
+    EvalOutcome,
+    aggregate,
+    execute_and_compare,
+)
 
 
 @pytest.fixture()
@@ -175,8 +184,7 @@ def test_aggregate_deterministic():
     assert first == second
 
 
-def test_query_timeout_bounds_runtime(tmp_path):
-    db = tmp_path / "big.sqlite"
+def _make_big_db(db):
     conn = sqlite3.connect(db)
     conn.executescript("""
         CREATE TABLE n (x INTEGER);
@@ -185,6 +193,11 @@ def test_query_timeout_bounds_runtime(tmp_path):
     """)
     conn.commit()
     conn.close()
+    return db
+
+
+def test_query_timeout_bounds_runtime(tmp_path):
+    db = _make_big_db(tmp_path / "big.sqlite")
     # cartesian explosion: ~600^3 rows, must be cut off by the timeout
     outcome = execute_and_compare(
         "SELECT COUNT(*) FROM n a, n b, n c WHERE a.x + b.x + c.x > 0",
@@ -212,3 +225,100 @@ def test_result_rows_are_bounded(cinema_db, monkeypatch):
     assert gold.gold_error == f"result exceeds {rows - 1} rows"
     both = execute_and_compare(one_fewer, one_fewer, cinema_db)
     assert both.matched
+
+
+@pytest.fixture()
+def opened(monkeypatch):
+    """Every connection the evaluator opens, in order."""
+    connections = []
+    connect = evaluate.connect_read_only
+
+    def spy(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        connections.append(conn)
+        return conn
+
+    monkeypatch.setattr(evaluate, "connect_read_only", spy)
+    return connections
+
+
+def test_without_an_owner_both_queries_share_one_connection(cinema_db, opened):
+    assert execute_and_compare("SELECT 1", "SELECT 1", cinema_db).matched
+    assert len(opened) == 1
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        opened[0].execute("SELECT 1")
+
+
+def test_a_reused_connection_answers_after_a_row_bound_error(cinema_db, monkeypatch, opened):
+    monkeypatch.setattr(evaluate, "MAX_RESULT_ROWS", 2)
+    connections = DatabaseConnections()
+    try:
+        bounded = execute_and_compare(
+            "SELECT movie_id FROM movies", "SELECT 1", cinema_db, connections=connections)
+        assert bounded.predicted_error == "result exceeds 2 rows"
+        after = execute_and_compare(
+            "SELECT movie_title FROM movies WHERE movie_id > 2 ORDER BY movie_id",
+            "SELECT 'Cinema Paradiso' UNION SELECT 'Sunset Boulevard'",
+            cinema_db, connections=connections)
+        assert after.matched, after
+    finally:
+        connections.close()
+    assert len(opened) == 1
+
+
+def test_a_reused_connection_answers_after_a_deadline_interrupt(tmp_path, opened):
+    db = _make_big_db(tmp_path / "big.sqlite")
+    connections = DatabaseConnections()
+    try:
+        interrupted = execute_and_compare(
+            "SELECT COUNT(*) FROM n a, n b, n c WHERE a.x + b.x + c.x > 0", "SELECT 1", db,
+            timeout=0.3, connections=connections)
+        assert interrupted.predicted_error == "timeout"
+        after = execute_and_compare(
+            "SELECT COUNT(*), SUM(x) FROM n", "SELECT 600, 180300", db, connections=connections)
+        assert after.matched, after
+    finally:
+        connections.close()
+    assert len(opened) == 1
+
+
+def test_a_missing_database_is_that_questions_error_and_is_not_kept(tmp_path, opened):
+    db = tmp_path / "late.sqlite"
+    connections = DatabaseConnections()
+    try:
+        missing = execute_and_compare("SELECT 1", "SELECT 1", db, connections=connections)
+        assert (missing.matched, missing.predicted_error, missing.gold_error) == (
+            False, "unable to open database file", "unable to open database file")
+        make_cinema_db(db)
+        assert execute_and_compare(
+            "SELECT COUNT(*) FROM movies", "SELECT 4", db, connections=connections).matched
+    finally:
+        connections.close()
+    assert len(opened) == 1
+
+
+def test_threads_sharing_an_owner_open_one_connection_per_database_each(tmp_path, opened):
+    databases = [make_cinema_db(tmp_path / f"cinema{i}.sqlite") for i in range(2)]
+    workers = 8  # more than the cores, with a short switch interval
+    connections = DatabaseConnections()
+    barrier = threading.Barrier(workers)
+
+    def work(_):
+        barrier.wait(timeout=10)
+        return all(execute_and_compare("SELECT COUNT(*) FROM movies", "SELECT 4", database,
+                                       connections=connections).matched
+                   for _ in range(20) for database in databases)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            futures = [executor.submit(work, i) for i in range(workers)]
+            assert all(future.result(timeout=60) for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
+        connections.close()
+    assert len(opened) == workers * len(databases)
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import fcntl
 import http.client
 import json
@@ -367,8 +368,8 @@ def test_pooled_transport_keeps_one_connection_per_thread(monkeypatch):
 
     monkeypatch.setattr(http.client.HTTPConnection, "request", spy)
     monkeypatch.setattr(gateway, "_route", counting_route)
-    with _upper_server() as server:
-        client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=PooledTransport())
+    with _upper_server() as server, contextlib.closing(PooledTransport()) as transport:
+        client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=transport)
         both_running = threading.Barrier(2)
 
         def work():
@@ -388,8 +389,8 @@ def test_pooled_transport_keeps_one_connection_per_thread(monkeypatch):
 def test_pooled_transport_resends_on_a_dropped_connection_without_backoff(monkeypatch):
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
-    with _upper_server(drop_every=3) as server:
-        client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=PooledTransport())
+    with _upper_server(drop_every=3) as server, contextlib.closing(PooledTransport()) as transport:
+        client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=transport)
         responses = [client.complete(f"p{i}") for i in range(30)]
     assert responses == [f"P{i}" for i in range(30)]
     assert (server.requests, server.dropped, server.connections) == (30, 9, 10)
@@ -531,10 +532,9 @@ def test_pooled_transport_reads_the_environment_once_per_origin(clean_environmen
 
 def test_pooled_transport_sends_absolute_form_through_an_http_proxy(clean_environment):
     scripted = ScriptedTransport(completion_fn=str.upper)
-    with counting_server(scripted) as proxy:
+    with counting_server(scripted) as proxy, contextlib.closing(PooledTransport()) as transport:
         clean_environment.setenv("HTTP_PROXY", proxy.base_url)
-        client = LlmClient(LlmEndpoint("http://proxied.test:8000", "m"),
-                           transport=PooledTransport())
+        client = LlmClient(LlmEndpoint("http://proxied.test:8000", "m"), transport=transport)
         assert [client.complete("p"), client.complete("q")] == ["P", "Q"]
     assert (proxy.requests, proxy.connections) == (2, 1)
     request = scripted.requests[0]

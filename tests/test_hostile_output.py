@@ -1,6 +1,7 @@
 """Hostile model output: SQL extraction and skeleton parsing either return
 or raise their documented ValueError subclasses, whatever the text, and
-executing it can neither write a file nor change connection state.
+executing it can neither write a file nor change connection state, also
+on a connection the next query reuses.
 
 Inputs mix SQL fragments with unterminated quotes and comments, code
 fences, non-ASCII letters and digits, NUL and other control characters,
@@ -9,6 +10,8 @@ and responses of about 1 MB.
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
 from unittest import mock
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import make_cinema_db
 from sqlbench import budget, skeleton, taxonomy
-from sqlbench.evaluate import execute_and_compare
+from sqlbench.evaluate import DatabaseConnections, execute_and_compare
 from sqlbench.gateway import EmptyResponse, extract_sql
 from sqlbench.skeleton import (
     SqlSkeleton,
@@ -189,4 +192,35 @@ def test_predicted_sql_is_denied_anything_but_reading(tmp_path, statement, error
     out.mkdir()
     outcome = execute_and_compare(statement.format(out=out), "SELECT 1", db)
     assert (outcome.matched, outcome.predicted_error, outcome.gold_error) == (False, error, None)
+    assert sorted(tmp_path.rglob("*")) == [db, out]  # no file written anywhere
+
+
+_SCHEMA = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
+
+
+@pytest.mark.parametrize("statement", [
+    "ATTACH DATABASE '{out}/x.db' AS x",
+    "VACUUM INTO '{out}/y.db'",
+    "PRAGMA writable_schema = 1",
+], ids=["attach", "vacuum-into", "pragma"])
+def test_a_denied_statement_leaves_the_reused_connection_as_it_was(tmp_path, statement):
+    db = make_cinema_db(tmp_path / "cinema.sqlite")
+    out = tmp_path / "out"
+    out.mkdir()
+    with closing(sqlite3.connect(db)) as plain:
+        schema = plain.execute(_SCHEMA).fetchall()
+    connections = DatabaseConnections()
+    try:
+        conn = connections.get(db)
+        outcome = execute_and_compare(
+            statement.format(out=out), "SELECT 1", db, connections=connections)
+        assert outcome.predicted_error in ("not authorized", "authorization denied")
+        assert connections.get(db) is conn
+        assert conn.execute(_SCHEMA).fetchall() == schema
+        with pytest.raises(sqlite3.OperationalError, match="no such table"):
+            conn.execute("SELECT name FROM x.sqlite_master")
+        assert execute_and_compare(
+            "SELECT COUNT(*) FROM movies", "SELECT 4", db, connections=connections).matched
+    finally:
+        connections.close()
     assert sorted(tmp_path.rglob("*")) == [db, out]  # no file written anywhere

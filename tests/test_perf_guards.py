@@ -4,15 +4,19 @@ A 2-shot run renders each catalog's column lines once per variant, scores
 the example pool without a per-pair call of the public `cosine`, rescores
 with the exact cosine only the screened top k and the candidates tied with
 it, and renders each few-shot prompt twice per question: once as its
-frame, with no schema line, and once in full to confirm the fit. Target
+frame, with no schema line, and once in full at the fit. Target
 truncation, on the zero-shot and chain-of-thought paths, renders the same
-two, however many columns it removes. Every prompt a run builds is counted
-in full exactly once, and that count is the one its bundle carries. A
-chain-of-thought question partitions each distinct schema its steps show
-once, and a command introspects each database once, also when it loads a
-pool split. A live run keeps one connection per worker thread, closes
-them when it ends, sends each distinct embedding text of a call once and
-embeds each distinct schema once; a replay run opens no HTTP connection.
+two, however many columns it removes. Under the default counter no full
+prompt is counted: the frame's count plus the compiled line costs is its
+size. Under any other counter every prompt a run builds is counted in full
+exactly once, to confirm the fit, and that count is the one its bundle
+carries. A chain-of-thought question partitions each distinct schema its
+steps show once, and a command introspects each database once, also when
+it loads a pool split. A run keeps one database connection per worker
+thread and database and closes them when it ends. A live run keeps one
+HTTP connection per worker thread, closes them when it ends, sends each
+distinct embedding text of a call once and embeds each distinct schema
+once; a replay run opens no HTTP connection.
 Zero-shot, chain-of-thought and live runs start without loading numpy or
 requests. These counts repeat exactly, so a regression shows here without
 timing anything.
@@ -21,6 +25,7 @@ timing anything.
 from __future__ import annotations
 
 import dataclasses
+import sqlite3
 import http.client
 import json
 import os
@@ -35,9 +40,11 @@ import numpy as np
 import pytest
 
 import sqlbench.bench as bench
+import sqlbench.budget as budget
 import sqlbench.cli as cli
 import sqlbench.cot as cot
 import sqlbench.curation as curation
+import sqlbench.evaluate as evaluate
 import sqlbench.prompts as prompts
 import sqlbench.schema as schema
 from conftest import (
@@ -238,6 +245,65 @@ def test_each_built_prompt_is_counted_once(mini_bench, tmp_path, monkeypatch):
         assert record.tokens_after == count_tokens(pair.prompt + pair.completion)
 
 
+class _LoggingPattern:
+    """The token pattern of `count_tokens`, logging every text it splits."""
+
+    def __init__(self, pattern, texts: list):
+        self._pattern = pattern
+        self._texts = texts
+
+    def findall(self, text: str) -> list:
+        self._texts.append(text)
+        return self._pattern.findall(text)
+
+
+def test_the_default_counter_counts_no_full_prompt(mini_bench, tmp_path, monkeypatch):
+    counted = _LoggingCounter()  # only its log and prompt_counts are used
+    monkeypatch.setattr(budget, "_TOKEN_RE", _LoggingPattern(budget._TOKEN_RE, counted.texts))
+
+    # Zero-shot drafts and 3-shot prompts, truncated, through the run command.
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
+                    shots=3, pool_split="train", max_context=700, response_reserve=50)
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    cmd_run(cfg, client=build_client(cfg, transport=transport),
+            embed_client=build_embed_client(cfg, transport=transport))
+    report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
+    full, frames = counted.prompt_counts()
+    assert full == [] and len(frames) == 2 * len(MINI_QUESTIONS)
+    traces = [json.loads(line) for line in
+              (cfg.output_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines()]
+
+    # Chain-of-thought steps and SFT pairs, each with a context that truncates.
+    split = load_split(mini_bench, "dev")
+    client = build_client(cfg, transport=ScriptedTransport(
+        completion_fn=_cot_scripted(MINI_QUESTIONS)))
+    bundles, pairs = [], []
+    for instance in split.instances:
+        catalog = split.databases[instance.database_id]
+        counted.texts.clear()
+        trace = cot.run_cot(instance, catalog, client, "cot-sk-pred",
+                            budget=TokenBudget(365, 50), seed=0)
+        pair, record = prompts.build_sft_pair(
+            instance, catalog, cfg.variant, TokenBudget(300, 50), seed=instance.question_id)
+        full, frames = counted.prompt_counts()
+        assert full == [] and len(frames) == len(trace.step_prompts) + 1 == 5
+        bundles.extend(trace.step_prompts)
+        pairs.append((pair, record))
+
+    monkeypatch.undo()
+    assert all(counts == [count_tokens(text) for text in prompts_]
+               for counts, prompts_ in ((t["step_token_counts"], t["step_prompts"])
+                                        for t in traces))
+    assert all(b.token_count == count_tokens(b.text) for b in bundles)
+    assert any(b.truncation.total_removed for b in bundles)
+    assert all(record.tokens_after == count_tokens(pair.prompt + pair.completion)
+               for pair, record in pairs)
+    assert any(record.total_removed for _, record in pairs)
+
+
 @pytest.mark.parametrize("mode, partitions", [("cot-sk-pred", 3), ("cot-sk-full", 1)])
 def test_chain_of_thought_partitions_each_distinct_schema_once(mini_bench, monkeypatch,
                                                                mode, partitions):
@@ -292,6 +358,27 @@ def test_live_run_keeps_one_connection_per_worker(mini_bench, tmp_path, monkeypa
         completion_fn=_cot_scripted(MINI_QUESTIONS))))
     for name in ("report.json", "traces.jsonl"):
         assert (cfg.output_dir / name).read_bytes() == (reference.output_dir / name).read_bytes()
+
+
+def test_a_run_keeps_one_database_connection_per_worker_and_database(mini_bench, tmp_path,
+                                                                    monkeypatch):
+    opened = []
+    connect = evaluate.connect_read_only
+
+    def spy(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(evaluate, "connect_read_only", spy)
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
+                    workers=2)
+    cmd_run(cfg, client=build_client(cfg, transport=ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS, MINI_RESPONSES))))
+    databases = len(load_split(mini_bench, "dev").databases)
+    assert databases <= len(opened) <= cfg.workers * databases
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
 
 
 @pytest.mark.parametrize("mode, texts", [("live", 30), ("record", 29)])
