@@ -327,24 +327,6 @@ def _truncate(
     return keeps, record
 
 
-class LastRender:
-    """A prompt render function that keeps the text of its last call.
-
-    Handed to truncate_target or truncate_examples, it holds the final
-    prompt once they return, because their last render is the fit; the
-    caller builds its PromptBundle from `text` and the record's
-    `tokens_after` instead of rendering and counting again.
-    """
-
-    def __init__(self, render: Callable[..., str]):
-        self._render = render
-        self.text = ""
-
-    def __call__(self, keep) -> str:
-        self.text = self._render(keep)
-        return self.text
-
-
 def truncate_target(
     catalog: DatabaseCatalog,
     partition: ColumnPartition,

@@ -22,7 +22,6 @@ from typing import Optional, Sequence, get_args, get_type_hints
 
 from .bench import BenchmarkSplit, TaskInstance, database_path, load_questions, load_split
 from .budget import (
-    LastRender,
     PromptSection,
     TokenBudget,
     TruncationRecord,
@@ -31,8 +30,6 @@ from .budget import (
     derive_seed,
     partition_columns,
     plan_example_truncation,
-    truncate_examples,
-    truncate_target,
 )
 from .cot import ALL_MODES, MODE_NONE, CotTrace, run_cot
 from .curation import CuratedSet, EmbeddingFn, ExamplePool, build_pool, curate_top_k
@@ -52,7 +49,9 @@ from .prompts import (
     PromptBundle,
     emit_sft_dataset,
     few_shot_text,
+    fit_prompt,
     open_prompt_text,
+    question_partition,
     require_sft_budget,
     write_sft_jsonl,
 )
@@ -225,14 +224,11 @@ def _zero_shot_bundle(
     catalog,
 ) -> PromptBundle:
     """Open prompt with target column truncation against the budget."""
-    link_text = f"{instance.question} {instance.external_knowledge}"
-    partition = partition_columns(catalog, question=link_text)
-    render = LastRender(lambda keep: open_prompt_text(instance, catalog, cfg.variant, keep))
-    _, record = truncate_target(
-        catalog, partition, render, cfg.budget.available,
+    return fit_prompt(
+        "zero_shot", lambda keeps: open_prompt_text(instance, catalog, cfg.variant, keeps[0]),
+        [PromptSection(catalog, question_partition(instance, catalog))], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "target"),
         variant=cfg.variant, counter=count_tokens)
-    return PromptBundle(render.text, record.tokens_after, "zero_shot", truncation=record)
 
 
 def _load_pool(
@@ -284,23 +280,18 @@ def _few_shot_bundle(
     similarities = [clamp_similarity(triple.gamma_a) for _, triple in curated.examples]
     plan = plan_example_truncation(similarities, cfg.temperature)
 
-    target_link = f"{instance.question} {instance.external_knowledge}"
-    sections = [PromptSection(catalog, partition_columns(catalog, question=target_link))]
-    for example in examples:
-        sections.append(PromptSection(
-            example.catalog,
-            partition_columns(example.catalog, reference_sql=example.instance.gold_sql)))
-
-    render = LastRender(lambda keeps: few_shot_text(
-        instance, catalog,
-        [FewShotBlock(example.instance, example.catalog, keep)
-         for example, keep in zip(examples, keeps[1:])],
-        cfg.variant, keeps[0]))
-    _, record = truncate_examples(
-        sections, plan, render, cfg.budget.available,
+    sections = [PromptSection(catalog, question_partition(instance, catalog))] + [
+        PromptSection(example.catalog, partition_columns(
+            example.catalog, reference_sql=example.instance.gold_sql))
+        for example in examples]
+    return fit_prompt(
+        "few_shot", lambda keeps: few_shot_text(
+            instance, catalog, [FewShotBlock(example.instance, example.catalog, keep)
+                                for example, keep in zip(examples, keeps[1:])],
+            cfg.variant, keeps[0]),
+        sections, cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
-        variant=cfg.variant, counter=count_tokens)
-    return PromptBundle(render.text, record.tokens_after, "few_shot", truncation=record)
+        variant=cfg.variant, plan=plan, counter=count_tokens)
 
 
 def _instance_truncation(trace: CotTrace) -> TruncationRecord:
@@ -308,10 +299,7 @@ def _instance_truncation(trace: CotTrace) -> TruncationRecord:
     removed: list[tuple[str, str]] = []
     examples_removed: list[tuple[tuple[str, str], ...]] = []
     before = after = 0
-    for bundle in trace.step_prompts:
-        record = bundle.truncation
-        if record is None:
-            continue
+    for record in (bundle.truncation for bundle in trace.step_prompts):
         removed.extend(record.removed_columns[0])
         examples_removed.extend(record.removed_columns[1:])
         before += record.tokens_before

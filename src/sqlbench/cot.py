@@ -17,28 +17,23 @@ from typing import Mapping, Optional, Sequence
 from .bench import TaskInstance
 from .budget import (
     ColumnPartition,
-    LastRender,
+    PromptSection,
     TokenBudget,
     TokenCounter,
     count_tokens,
     derive_seed,
-    partition_columns,
-    truncate_target,
 )
 from .gateway import EmptyResponse, extract_sql
 from .prompts import (
     FEW_SHOT_FORMAT_LINE,
     PROPERTIES_LINE,
     PromptBundle,
-    note_line,
-    question_line,
+    fit_prompt,
+    question_lines,
+    question_partition,
+    schema_lines,
 )
-from .schema import (
-    DatabaseCatalog,
-    SchemaVariant,
-    render_schema,
-    render_schema_format_header,
-)
+from .schema import DatabaseCatalog, SchemaVariant, render_schema_format_header
 from .skeleton import UnterminatedComment, UnterminatedString, extract_skeleton
 
 MODE_NONE = "none"
@@ -222,11 +217,11 @@ def _all_columns(catalog: DatabaseCatalog, tables: Sequence[str]) -> dict[str, l
     return {name: [c.name for c in table_map[name].columns] for name in tables}
 
 
-def _partition_of(catalog: DatabaseCatalog, link_text: str,
+def _partition_of(instance: TaskInstance, catalog: DatabaseCatalog,
                   columns: Mapping[str, Sequence[str]]) -> ColumnPartition:
     """The partition of the schema showing only `columns`; other tables are hidden."""
     keep = {t.name: set(columns.get(t.name, ())) for t in catalog.tables}
-    return partition_columns(catalog, question=link_text, keep=keep)
+    return question_partition(instance, catalog, keep)
 
 
 def _build_step_prompt(
@@ -245,25 +240,14 @@ def _build_step_prompt(
     else:
         header, properties_line, variant = _LATER_HEADER, _LATER_PROPERTIES, _LATER_VARIANT
 
-    @LastRender
-    def render(truncated) -> str:
-        lines = [FEW_SHOT_FORMAT_LINE, header, properties_line]
-        schema_text = render_schema(catalog, variant, truncated).rstrip("\n")
-        if schema_text:
-            lines.append(schema_text)
-        lines.append(question_line(instance.question))
-        note = note_line(instance.external_knowledge)
-        if note:
-            lines.append(note)
-        lines.append(_STEP_BY_STEP)
-        lines.append(tail)
-        return "\n".join(lines)
-
-    _, record = truncate_target(
-        catalog, partition, render, budget.available,
+    return fit_prompt(
+        "cot_step", lambda keeps: "\n".join([
+            FEW_SHOT_FORMAT_LINE, header,
+            *schema_lines(properties_line, catalog, variant, keeps[0]),
+            *question_lines(instance), _STEP_BY_STEP, tail]),
+        [PromptSection(catalog, partition)], budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
-        variant=variant, counter=counter)
-    return PromptBundle(render.text, record.tokens_after, "cot_step", step_index, record)
+        variant=variant, step_index=step_index, counter=counter)
 
 
 def _normalize_skeleton(step_response: str) -> str:
@@ -307,8 +291,7 @@ def run_cot(
         return response
 
     # Steps that show the same schema share its partition.
-    link_text = f"{instance.question} {instance.external_knowledge}"
-    full = partition_columns(catalog, question=link_text)
+    full = question_partition(instance, catalog)
 
     # Step 1: find tables over the description-only schema.
     response = run_step(full, 1, _STEP1_TAIL)
@@ -320,7 +303,7 @@ def run_cot(
     trace.predicted_tables = tables
 
     # Step 2: find columns within the predicted tables.
-    step2 = _partition_of(catalog, link_text, _all_columns(catalog, tables)) if restrict else full
+    step2 = _partition_of(instance, catalog, _all_columns(catalog, tables)) if restrict else full
     response = run_step(step2, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
     columns = _validate_columns(
         parse_column_list(response, catalog, tables), catalog, trace)
@@ -336,7 +319,7 @@ def run_cot(
         restrict = False
     trace.predicted_columns = columns
 
-    later = _partition_of(catalog, link_text, columns) if restrict else full
+    later = _partition_of(instance, catalog, columns) if restrict else full
     columns_related = ", ".join(
         f"{table}.{column}" for table, cols in columns.items() for column in cols)
 

@@ -132,7 +132,7 @@ def _run_query(connections: DatabaseConnections, database: Path, sql: str, timeo
         if "interrupt" in message.lower() or time.monotonic() > deadline:
             return None, "timeout"
         return None, message
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, sqlite3.Warning) as exc:  # 3.10 warns on a second statement
         return None, str(exc)
     finally:
         conn.set_progress_handler(None, 0)

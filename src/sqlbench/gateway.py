@@ -539,16 +539,20 @@ class LlmClient:
         return vectors
 
 
-_TERMINATOR_RE = re.compile(r";|\n\s*\n|```")
+_BREAK_RE = re.compile(r"\n\s*\n|```")
+# A closed '...' or "..." literal (doubled quotes escape) is skipped whole,
+# so the first bare match is the statement's terminating semicolon.
+_SEMICOLON_RE = re.compile(r"'[^']*(?:''[^']*)*'|\"[^\"]*(?:\"\"[^\"]*)*\"|;")
 
 
 def extract_sql(raw_response: str, cue: str = "SELECT") -> str:
     """Pull the first cue-anchored SQL statement out of a model response.
 
     The statement runs from the cue (prepended when the response continues
-    the prompt mid-statement) to the first semicolon, blank line or code
-    fence close. Whitespace is normalized to single spaces, so the result
-    never contains a newline.
+    the prompt mid-statement) to the first blank line or code fence close,
+    and within that to the first semicolon outside a closed string literal.
+    Whitespace is normalized to single spaces, so the result never contains
+    a newline.
     """
     if raw_response is None or not raw_response.strip():
         raise EmptyResponse("model returned no text")
@@ -560,9 +564,13 @@ def extract_sql(raw_response: str, cue: str = "SELECT") -> str:
     else:
         body = raw_response
 
-    cut = _TERMINATOR_RE.search(body)
+    cut = _BREAK_RE.search(body)
     if cut:
         body = body[:cut.start()]
+    for match in _SEMICOLON_RE.finditer(body):
+        if match.group() == ";":
+            body = body[:match.start()]
+            break
 
     statement = " ".join((cue + " " + body).split())
     return statement

@@ -2,7 +2,8 @@
 
 Every SQL-producing prompt ends with the bare completion cue "SELECT" and
 no trailing newline, so model completions begin mid-statement. Golden
-prompt tests pin the exact template bytes.
+prompt tests pin the exact template bytes. `fit_prompt` builds every
+budgeted prompt, chain-of-thought steps included.
 """
 
 from __future__ import annotations
@@ -12,18 +13,22 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bench import BenchmarkSplit, TaskInstance
 from .budget import (
-    LastRender,
+    ColumnPartition,
+    KeepFilter,
+    PromptSection,
     TokenBudget,
     TokenCounter,
+    TruncationPlan,
     TruncationRecord,
     UnsatisfiableBudget,
     count_tokens,
     derive_seed,
     partition_columns,
+    truncate_examples,
     truncate_target,
 )
 from .schema import (
@@ -82,10 +87,64 @@ def question_line(question: str) -> str:
     return f"### Question: {_sentence(question)}"
 
 
-def note_line(knowledge: str) -> Optional[str]:
-    if not knowledge.strip():
-        return None
-    return f"### Note that: {_sentence(knowledge)}"
+def schema_lines(properties_line: str, catalog: DatabaseCatalog, variant: SchemaVariant,
+                 keep=None) -> list[str]:
+    """The properties line, then the schema block unless `keep` shows no table."""
+    schema_text = render_schema(catalog, variant, keep).rstrip("\n")
+    return [properties_line, schema_text] if schema_text else [properties_line]
+
+
+def question_lines(instance: TaskInstance) -> list[str]:
+    """The question line, then the knowledge note unless it is blank."""
+    lines = [question_line(instance.question)]
+    if instance.external_knowledge.strip():
+        lines.append(f"### Note that: {_sentence(instance.external_knowledge)}")
+    return lines
+
+
+def question_partition(instance: TaskInstance, catalog: DatabaseCatalog,
+                       keep=None) -> ColumnPartition:
+    """Partition the columns `keep` shows by their link to the question and note."""
+    return partition_columns(
+        catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep)
+
+
+def fit_prompt(
+    role: str,
+    render: Callable[[Sequence[KeepFilter]], str],
+    sections: Sequence[PromptSection],
+    limit: int,
+    seed: int,
+    *,
+    variant: SchemaVariant,
+    plan: Optional[TruncationPlan] = None,
+    step_index: Optional[int] = None,
+    counter: TokenCounter,
+) -> PromptBundle:
+    """The one budgeted prompt builder: truncate until `render` fits `limit`.
+
+    `render` renders the whole prompt, schema blocks in `variant`, from one
+    keep filter per section. Without a plan the one section goes through
+    `truncate_target`; with one, `truncate_examples` shares the excess by
+    its rates. The engine's last render is the fit, so the bundle is that
+    text and the record's `tokens_after`, with no second render or count.
+    """
+    text = ""
+
+    def kept(keeps: Sequence[KeepFilter]) -> str:
+        nonlocal text
+        text = render(keeps)
+        return text
+
+    if plan is None:
+        (section,) = sections
+        _, record = truncate_target(
+            section.catalog, section.partition, lambda keep: kept([keep]), limit, seed,
+            variant=variant, counter=counter)
+    else:
+        _, record = truncate_examples(
+            sections, plan, kept, limit, seed, variant=variant, counter=counter)
+    return PromptBundle(text, record.tokens_after, role, step_index, record)
 
 
 def open_prompt_text(
@@ -98,18 +157,10 @@ def open_prompt_text(
         raise ValueError(
             f"instance database {instance.database_id!r} does not match "
             f"catalog {catalog.database_id!r}")
-    lines = [RULE_LINE, OPEN_FORMAT_LINE]
-    lines.append(render_schema_format_header(variant).rstrip("\n"))
-    lines.append(PROPERTIES_LINE)
-    schema_text = render_schema(catalog, variant, keep).rstrip("\n")
-    if schema_text:
-        lines.append(schema_text)
-    lines.append(question_line(instance.question))
-    note = note_line(instance.external_knowledge)
-    if note:
-        lines.append(note)
-    lines.append(CUE)
-    return "\n".join(lines)
+    return "\n".join([
+        RULE_LINE, OPEN_FORMAT_LINE, render_schema_format_header(variant).rstrip("\n"),
+        *schema_lines(PROPERTIES_LINE, catalog, variant, keep),
+        *question_lines(instance), CUE])
 
 
 def build_open_prompt(
@@ -165,17 +216,8 @@ def _example_block(block: FewShotBlock, variant: SchemaVariant) -> list[str]:
     if not sql:
         raise EmptyExampleSql(
             f"example question {block.instance.question_id} has empty gold SQL")
-    lines = [PROPERTIES_LINE]
-    schema_text = render_schema(block.catalog, variant, block.keep).rstrip("\n")
-    if schema_text:
-        lines.append(schema_text)
-    lines.append(question_line(block.instance.question))
-    note = note_line(block.instance.external_knowledge)
-    if note:
-        lines.append(note)
-    lines.append(EXAMPLE_ANSWER_LINE)
-    lines.append(sql)
-    return lines
+    return [*schema_lines(PROPERTIES_LINE, block.catalog, variant, block.keep),
+            *question_lines(block.instance), EXAMPLE_ANSWER_LINE, sql]
 
 
 def few_shot_text(
@@ -185,23 +227,13 @@ def few_shot_text(
     variant: SchemaVariant,
     keep=None,
 ) -> str:
-    lines = [RULE_LINE, FEW_SHOT_FORMAT_LINE]
-    lines.append(render_schema_format_header(variant).rstrip("\n"))
-    lines.append("")
+    lines = [RULE_LINE, FEW_SHOT_FORMAT_LINE,
+             render_schema_format_header(variant).rstrip("\n"), ""]
     for block in examples:
         lines.extend(_example_block(block, variant))
         lines.append("")
-    lines.append(PROPERTIES_LINE)
-    schema_text = render_schema(catalog, variant, keep).rstrip("\n")
-    if schema_text:
-        lines.append(schema_text)
-    lines.append(TARGET_ANSWER_LINE)
-    lines.append(question_line(instance.question))
-    note = note_line(instance.external_knowledge)
-    if note:
-        lines.append(note)
-    lines.append(CUE)
-    return "\n".join(lines)
+    return "\n".join([*lines, *schema_lines(PROPERTIES_LINE, catalog, variant, keep),
+                      TARGET_ANSWER_LINE, *question_lines(instance), CUE])
 
 
 def build_few_shot_prompt(
@@ -248,15 +280,15 @@ def build_sft_pair(
     counter: TokenCounter = count_tokens,
 ) -> tuple[SftPair, TruncationRecord]:
     """Emit one training pair, truncating target columns until the combined
-    prompt+completion fits the full context window."""
+    prompt+completion fits the full context window. The target columns are
+    those the gold SQL names; the pair splits the fitting render."""
     completion = completion_for(instance.gold_sql)
-    partition = partition_columns(catalog, reference_sql=instance.gold_sql)
-    render = LastRender(
-        lambda keep: open_prompt_text(instance, catalog, variant, keep) + completion)
-    _, record = truncate_target(
-        catalog, partition, render, budget.max_context, seed,
-        variant=variant, counter=counter)
-    return SftPair(render.text.removesuffix(completion), completion), record
+    bundle = fit_prompt(
+        "sft_pair",
+        lambda keeps: open_prompt_text(instance, catalog, variant, keeps[0]) + completion,
+        [PromptSection(catalog, partition_columns(catalog, reference_sql=instance.gold_sql))],
+        budget.max_context, seed, variant=variant, counter=counter)
+    return SftPair(bundle.text.removesuffix(completion), completion), bundle.truncation
 
 
 def require_sft_budget(budget: TokenBudget) -> None:

@@ -11,7 +11,6 @@ from sqlbench import cot
 from sqlbench.bench import TaskInstance
 from sqlbench.budget import (
     ColumnPartition,
-    LastRender,
     NonpositiveSimilarity,
     PromptSection,
     TokenBudget,
@@ -25,7 +24,13 @@ from sqlbench.budget import (
     truncate_examples,
     truncate_target,
 )
-from sqlbench.prompts import FewShotBlock, build_sft_pair, few_shot_text, open_prompt_text
+from sqlbench.prompts import (
+    FewShotBlock,
+    build_sft_pair,
+    few_shot_text,
+    fit_prompt,
+    open_prompt_text,
+)
 from sqlbench.schema import (
     TYPE_NAMES,
     ColumnSpec,
@@ -568,24 +573,23 @@ def _wild_sections(draw):
 
 def _open_path(sections, variant, limit, seed):
     (section, instance), = sections[:1]
-    render = LastRender(
-        lambda keep: open_prompt_text(instance, section.catalog, variant, keep))
-    _, record = truncate_target(section.catalog, section.partition, render, limit, seed,
-                                variant=variant, counter=count_tokens)
-    return record.tokens_after, render.text
+    bundle = fit_prompt(
+        "zero_shot", lambda keeps: open_prompt_text(instance, section.catalog, variant, keeps[0]),
+        [section], limit, seed, variant=variant, counter=count_tokens)
+    return bundle.token_count, bundle.text
 
 
 def _few_shot_path(sections, variant, limit, seed):
     (target, instance), examples = sections[0], sections[1:]
-    render = LastRender(lambda keeps: few_shot_text(
+    render = lambda keeps: few_shot_text(  # noqa: E731
         instance, target.catalog,
         [FewShotBlock(example, section.catalog, keep)
          for (section, example), keep in zip(examples, keeps[1:])],
-        variant, keeps[0]))
+        variant, keeps[0])
     plan = plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))])
-    _, record = truncate_examples([section for section, _ in sections], plan, render, limit,
-                                  seed, variant=variant, counter=count_tokens)
-    return record.tokens_after, render.text
+    bundle = fit_prompt("few_shot", render, [section for section, _ in sections], limit, seed,
+                        variant=variant, plan=plan, counter=count_tokens)
+    return bundle.token_count, bundle.text
 
 
 def _cot_step_path(sections, variant, limit, seed):

@@ -98,6 +98,15 @@ def test_gold_error_recorded_not_raised(cinema_db):
     assert outcome.gold_error is not None
 
 
+def test_two_statements_are_each_sides_error_not_raised(cinema_db):
+    # Python 3.10 raises sqlite3.Warning here, 3.11 ProgrammingError.
+    two = "SELECT movie_title FROM movies; SELECT 2"
+    outcome = execute_and_compare(two, two, cinema_db)
+    assert not outcome.matched
+    for message in (outcome.predicted_error, outcome.gold_error):
+        assert "one statement at a time" in message
+
+
 def test_write_attempt_rejected_readonly(cinema_db):
     outcome = execute_and_compare(
         "DELETE FROM movies", "SELECT COUNT(*) FROM movies", cinema_db)

@@ -663,6 +663,24 @@ def test_extract_always_starts_with_cue():
         assert extract_sql(raw).startswith("SELECT")
 
 
+def test_extract_keeps_a_semicolon_inside_a_string_literal():
+    raw = "SELECT name FROM t WHERE note = 'a;b'"
+    assert extract_sql(raw) == raw
+
+
+def test_extract_cuts_after_a_literal_holding_a_semicolon():
+    assert extract_sql("SELECT ';' ; SELECT 2") == "SELECT ';'"
+
+
+def test_extract_keeps_a_semicolon_after_a_doubled_quote_escape():
+    raw = "SELECT id FROM t WHERE note = 'it''s;x'"
+    assert extract_sql(raw) == raw
+
+
+def test_extract_cuts_at_a_semicolon_after_an_unclosed_quote():
+    assert extract_sql("SELECT id FROM t WHERE note = 'a;b") == "SELECT id FROM t WHERE note = 'a"
+
+
 def test_extract_empty_response_rejected():
     with pytest.raises(EmptyResponse):
         extract_sql("   \n  ")

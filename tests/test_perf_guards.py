@@ -19,12 +19,16 @@ distinct embedding text of a call once and embeds each distinct schema
 once; a replay run opens no HTTP connection.
 Zero-shot, chain-of-thought and live runs start without loading numpy or
 requests. These counts repeat exactly, so a regression shows here without
-timing anything.
+timing anything. Every function the benchmark's tracer wraps by name
+still resolves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib
+import importlib.util
 import sqlite3
 import http.client
 import json
@@ -168,9 +172,8 @@ def test_target_truncation_renders_twice_at_most(mini_bench, tmp_path, monkeypat
     cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
                     mode=mode, max_context=max_context, response_reserve=50)
     calls: list = []
-    for module in (cli, cot):
-        monkeypatch.setattr(module, "truncate_target",
-                            _counting_renders(calls, module.truncate_target))
+    monkeypatch.setattr(prompts, "truncate_target",
+                        _counting_renders(calls, prompts.truncate_target))
 
     scripted = (completion_by_question(MINI_QUESTIONS, MINI_RESPONSES) if mode == "none"
                 else _cot_scripted(MINI_QUESTIONS))
@@ -310,8 +313,8 @@ def test_chain_of_thought_partitions_each_distinct_schema_once(mini_bench, monke
     # cot-sk-pred: the full schema (step 1), the predicted tables (step 2)
     # and the predicted columns (steps 3 and 4); cot-sk-full: the full one.
     calls: Counter = Counter()
-    monkeypatch.setattr(cot, "partition_columns",
-                        _counting(calls, "partition_columns", cot.partition_columns))
+    monkeypatch.setattr(prompts, "partition_columns",
+                        _counting(calls, "partition_columns", prompts.partition_columns))
     split = load_split(mini_bench, "dev")
     client = build_client(RunConfig(), transport=ScriptedTransport(
         completion_fn=_cot_scripted(MINI_QUESTIONS)))
@@ -486,3 +489,15 @@ def test_only_a_curating_run_loads_numpy(mini_bench, tmp_path, run):
     assert result == {"status": 0, "loaded": curating + ["sqlbench.curation"]}
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for name, (module_name, attribute) in tracing.TRACED.items():
+        owner = importlib.import_module(module_name)
+        target = functools.reduce(getattr, attribute.split("."), owner)
+        assert callable(target), name
