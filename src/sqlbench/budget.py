@@ -1,9 +1,9 @@
-"""Token counting, column partitioning and the one column-truncation engine.
+"""Column partitioning and the one column-truncation engine.
 
-The default counter is a frozen, dependency-free segmentation: alphanumeric
-runs are one token each and every other non-space character is its own
-token. Any model tokenizer can be plugged in behind the same callable
-contract; all budget logic is counter-agnostic.
+Every budget is counted with `count_tokens` (defined in `schema`, re-exported
+here). Its tokens never span whitespace, so a prompt's count is the sum of
+its lines' counts, and the engine sizes a prompt from one frame count plus
+the compiled schema's line costs without counting the prompt itself.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .schema import (
     DatabaseCatalog,
     SchemaVariant,
     _validate_filter,
-    column_line_costs,
-    schema_token_fn,
+    compiled_schema,
+    count_tokens,
 )
 from .skeleton import tokenize
 
@@ -32,9 +32,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_CONTEXT = 2048
 DEFAULT_RESPONSE_RESERVE = 200
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-
-TokenCounter = Callable[[str], int]
+# Similarities at or below zero are clamped to this before inversion.
+SIMILARITY_FLOOR = 1e-6
 
 
 class UnsatisfiableBudget(RuntimeError):
@@ -43,10 +42,6 @@ class UnsatisfiableBudget(RuntimeError):
 
 class NonpositiveSimilarity(ValueError):
     pass
-
-
-def count_tokens(text: str) -> int:
-    return len(_TOKEN_RE.findall(text))
 
 
 def derive_seed(*parts) -> int:
@@ -188,11 +183,11 @@ def partition_columns(
 KeepFilter = dict[str, set[str]]
 
 
-def clamp_similarity(value: float, *, floor: float = 1e-6) -> float:
-    """Clamp a nonpositive similarity to a small floor before inversion."""
+def clamp_similarity(value: float) -> float:
+    """Clamp a nonpositive similarity to SIMILARITY_FLOOR before inversion."""
     if value <= 0.0:
-        logger.warning("nonpositive similarity %.4f clamped to %g", value, floor)
-        return floor
+        logger.warning("nonpositive similarity %.4f clamped to %g", value, SIMILARITY_FLOOR)
+        return SIMILARITY_FLOOR
     return value
 
 
@@ -245,57 +240,39 @@ def _truncate(
     limit: int,
     seed: int,
     variant: SchemaVariant,
-    counter: TokenCounter,
 ) -> tuple[list[KeepFilter], TruncationRecord]:
     """The truncation engine behind truncate_target and truncate_examples.
 
     The prompt is first rendered as its frame: every section's keep
-    emptied, so no schema line is rendered. The frame's count is the
-    fixed scaffold, and the scaffold plus the sections' compiled schema
-    sizes is `tokens_before` (exact for a line-additive counter). Each
-    section's schema size is then kept exact as columns go: a removal
-    frees its line's cost, and one that empties a table or touches a
-    foreign-key endpoint recounts the section from its compiled costs.
-    Each round splits the excess over the sections that still have
-    removable columns by their rates (evenly when those rates sum to 0),
-    and a section stops at the first removal whose freed tokens reach its
-    share. Whenever the accounted size fits, before any removal as after
-    one, the full prompt is rendered. Under `count_tokens` the accounted
-    size is that render's count: its tokens never cross whitespace, and
-    every schema block starts with "# " and ends at a newline. So the
-    render is not counted, and the loop stops. Any other counter counts
-    the render to confirm the fit; if the two disagree (a counter that is
-    not line-additive) the scaffold moves by the difference and the loop
-    goes on. The result therefore always fits the limit, or the call
-    fails, and the last call of `render_prompt` rendered the returned
-    keeps: its text, of `tokens_after` tokens, is the final prompt.
+    emptied, so no schema line is rendered. The frame's count is the fixed
+    scaffold, and the scaffold plus the sections' compiled schema sizes is
+    `tokens_before`. Each section's schema size is then kept exact as
+    columns go: a removal frees its line's cost, and one that empties a
+    table or touches a foreign-key endpoint recounts the section from its
+    compiled costs. Each round splits the excess over the sections that
+    still have removable columns by their rates (evenly when those rates
+    sum to 0), and a section stops at the first removal whose freed tokens
+    reach its share. The accounted size is the full prompt's count, because
+    `count_tokens` never counts a token across whitespace and every schema
+    block starts with "# " and ends at a newline. So once it fits, before
+    any removal as after one, the full prompt is rendered once, uncounted,
+    and the loop is done: that last call of `render_prompt` rendered the
+    returned keeps, and its text of `tokens_after` tokens is the final
+    prompt. If no removable column is left first, the call fails.
     """
     keeps = [{table: set(columns) for table, columns in section.keep.items()}
              for section in sections]
     removables = [sorted(section.partition.non_target) for section in sections]
-    schema_sizes = [schema_token_fn(section.catalog, variant, counter) for section in sections]
-    line_costs = [column_line_costs(section.catalog, variant, counter) for section in sections]
-    fk_ends = [{end for fk in section.catalog.foreign_keys
-                for end in ((fk.table, fk.column), (fk.ref_table, fk.ref_column))}
-               for section in sections]
-    sizes = [schema_size(keep) for schema_size, keep in zip(schema_sizes, keeps)]
+    schemas = [compiled_schema(section.catalog, variant) for section in sections]
+    sizes = [schema.tokens(keep) for schema, keep in zip(schemas, keeps)]
     rng = random.Random(seed)
     removed: list[list[tuple[str, str]]] = [[] for _ in sections]
 
-    scaffold = counter(render_prompt([{table: set() for table in keep} for keep in keeps]))
+    scaffold = count_tokens(render_prompt([{table: set() for table in keep} for keep in keeps]))
     tokens_before = tokens = scaffold + sum(sizes)
     active = [i for i in range(len(sections)) if removables[i]]
 
-    while True:
-        if tokens <= limit:
-            text = render_prompt(keeps)
-            if counter is count_tokens:
-                break
-            true_tokens = counter(text)
-            scaffold += true_tokens - tokens
-            tokens = true_tokens
-            if tokens <= limit:
-                break
+    while tokens > limit:
         if not active:
             raise UnsatisfiableBudget(
                 f"prompt needs {tokens} tokens with all removable columns gone "
@@ -312,16 +289,17 @@ def _truncate(
                 table, column = removables[i].pop(rng.randrange(len(removables[i])))
                 keeps[i][table].discard(column)
                 removed[i].append((table, column))
-                if keeps[i][table] and (table, column) not in fk_ends[i]:
-                    size = sizes[i] - line_costs[i][(table, column)]
+                if keeps[i][table] and (table, column) not in schemas[i].key_ends:
+                    size = sizes[i] - schemas[i].column_costs[(table, column)]
                 else:
-                    size = schema_sizes[i](keeps[i])
+                    size = schemas[i].tokens(keeps[i])
                 freed += sizes[i] - size
                 sizes[i] = size
             if not removables[i]:
                 active.remove(i)
         tokens = scaffold + sum(sizes)
 
+    render_prompt(keeps)
     record = TruncationRecord(
         tuple(tuple(section) for section in removed), tokens_before, tokens)
     return keeps, record
@@ -335,21 +313,19 @@ def truncate_target(
     seed: int,
     *,
     variant: SchemaVariant,
-    counter: TokenCounter,
 ) -> tuple[KeepFilter, TruncationRecord]:
     """Randomly drop non-target columns until the rendered prompt fits.
 
     The one-section case of truncate_examples, at rate 1. `render_prompt`
     renders the full prompt, schema block in `variant`, under one keep
     filter; the loop stops at the first removal after which it fits. It is
-    called once with every table's keep emptied (the frame, counted once
-    for the scaffold) and once in full for each fit the engine reaches:
-    once under `count_tokens`, once per confirming count under any other
-    counter. The last call rendered the returned keep.
+    called twice: once with every table's keep emptied (the frame, counted
+    for the scaffold) and once in full at the fit, uncounted. That last
+    call rendered the returned keep.
     """
     keeps, record = _truncate(
         [PromptSection(catalog, partition)], (1.0,),
-        lambda keeps: render_prompt(keeps[0]), limit, seed, variant, counter)
+        lambda keeps: render_prompt(keeps[0]), limit, seed, variant)
     return keeps[0], record
 
 
@@ -361,7 +337,6 @@ def truncate_examples(
     seed: int,
     *,
     variant: SchemaVariant,
-    counter: TokenCounter,
 ) -> tuple[list[KeepFilter], TruncationRecord]:
     """Apportion the token excess across sections proportionally to rates.
 
@@ -372,11 +347,10 @@ def truncate_examples(
     removable set is exhausted, with leftover excess re-apportioned over
     the remaining sections by renormalized rates (evenly once those sum
     to 0). The sections themselves are left unchanged. `render_prompt`
-    renders the frame (every keep emptied) once, then the full prompt only
-    at a fit (and, under a counter other than `count_tokens`, counts it to
-    confirm); its last call rendered the returned keeps.
+    renders the frame (every keep emptied) once, for its count, then the
+    full prompt once at the fit; that last call rendered the returned keeps.
     """
     if len(sections) != len(plan.rates):
         raise ValueError(
             f"{len(sections)} sections but {len(plan.rates)} truncation rates")
-    return _truncate(sections, plan.rates, render_prompt, limit, seed, variant, counter)
+    return _truncate(sections, plan.rates, render_prompt, limit, seed, variant)

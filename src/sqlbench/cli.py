@@ -26,7 +26,6 @@ from .budget import (
     TokenBudget,
     TruncationRecord,
     clamp_similarity,
-    count_tokens,
     derive_seed,
     partition_columns,
     plan_example_truncation,
@@ -122,7 +121,10 @@ class RunConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         self.budget = TokenBudget(self.max_context, self.response_reserve)
-        self.endpoint()  # checks sampling_temperature and max_response_tokens
+        # Each endpoint checks its base URL; the completion one also checks
+        # sampling_temperature and max_response_tokens.
+        self.endpoint()
+        self.embed_endpoint()
         if self.shots > 0 and not self.pool_split:
             raise ValueError("shots > 0 requires a pool split")
         if self.shots > 0 and self.mode != MODE_NONE:
@@ -228,7 +230,7 @@ def _zero_shot_bundle(
         "zero_shot", lambda keeps: open_prompt_text(instance, catalog, cfg.variant, keeps[0]),
         [PromptSection(catalog, question_partition(instance, catalog))], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "target"),
-        variant=cfg.variant, counter=count_tokens)
+        variant=cfg.variant)
 
 
 def _load_pool(
@@ -291,7 +293,7 @@ def _few_shot_bundle(
             cfg.variant, keeps[0]),
         sections, cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
-        variant=cfg.variant, plan=plan, counter=count_tokens)
+        variant=cfg.variant, plan=plan)
 
 
 def _instance_truncation(trace: CotTrace) -> TruncationRecord:

@@ -19,8 +19,6 @@ from .budget import (
     ColumnPartition,
     PromptSection,
     TokenBudget,
-    TokenCounter,
-    count_tokens,
     derive_seed,
 )
 from .gateway import EmptyResponse, extract_sql
@@ -231,7 +229,6 @@ def _build_step_prompt(
     tail: str,
     budget: TokenBudget,
     seed: int,
-    counter: TokenCounter,
     partition: ColumnPartition,
 ) -> PromptBundle:
     """One step's prompt over the base catalog, truncated within `partition`."""
@@ -247,7 +244,7 @@ def _build_step_prompt(
             *question_lines(instance), _STEP_BY_STEP, tail]),
         [PromptSection(catalog, partition)], budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
-        variant=variant, step_index=step_index, counter=counter)
+        variant=variant, step_index=step_index)
 
 
 def _normalize_skeleton(step_response: str) -> str:
@@ -269,7 +266,6 @@ def run_cot(
     *,
     budget: Optional[TokenBudget] = None,
     seed: int = 0,
-    counter: TokenCounter = count_tokens,
 ) -> CotTrace:
     """Run one chain-of-thought mode; "none" is rejected (use the zero-shot path).
 
@@ -284,7 +280,7 @@ def run_cot(
 
     def run_step(step_partition: ColumnPartition, step_index: int, tail: str) -> str:
         bundle = _build_step_prompt(
-            instance, catalog, step_index, tail, budget, seed, counter, step_partition)
+            instance, catalog, step_index, tail, budget, seed, step_partition)
         trace.step_prompts.append(bundle)
         response = client.complete(bundle)
         trace.step_responses.append(response)

@@ -76,6 +76,10 @@ class LlmEndpoint:
             raise ValueError("sampling_temperature must be >= 0")
         if self.max_response_tokens <= 0:
             raise ValueError("max_response_tokens must be positive")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL with a host, "
+                             f"got {self.base_url!r}")
 
 
 @dataclass(frozen=True)
@@ -539,13 +543,16 @@ class LlmClient:
         return vectors
 
 
+# A line opening on the prompts' completion cue "SELECT", after any quote or
+# markdown marks.
+_CUE_RE = re.compile(r"(?im)^[ \t>*`]*(SELECT)\b")
 _BREAK_RE = re.compile(r"\n\s*\n|```")
 # A closed '...' or "..." literal (doubled quotes escape) is skipped whole,
 # so the first bare match is the statement's terminating semicolon.
 _SEMICOLON_RE = re.compile(r"'[^']*(?:''[^']*)*'|\"[^\"]*(?:\"\"[^\"]*)*\"|;")
 
 
-def extract_sql(raw_response: str, cue: str = "SELECT") -> str:
+def extract_sql(raw_response: str) -> str:
     """Pull the first cue-anchored SQL statement out of a model response.
 
     The statement runs from the cue (prepended when the response continues
@@ -557,8 +564,7 @@ def extract_sql(raw_response: str, cue: str = "SELECT") -> str:
     if raw_response is None or not raw_response.strip():
         raise EmptyResponse("model returned no text")
 
-    anchored = re.search(
-        rf"(?im)^[ \t>*`]*({re.escape(cue)})\b", raw_response)
+    anchored = _CUE_RE.search(raw_response)
     if anchored:
         body = raw_response[anchored.end(1):]
     else:
@@ -572,5 +578,5 @@ def extract_sql(raw_response: str, cue: str = "SELECT") -> str:
             body = body[:match.start()]
             break
 
-    statement = " ".join((cue + " " + body).split())
+    statement = " ".join(("SELECT " + body).split())
     return statement

@@ -3,7 +3,8 @@
 Every SQL-producing prompt ends with the bare completion cue "SELECT" and
 no trailing newline, so model completions begin mid-statement. Golden
 prompt tests pin the exact template bytes. `fit_prompt` builds every
-budgeted prompt, chain-of-thought steps included.
+budgeted prompt, chain-of-thought steps included; prompt sizes are always
+`count_tokens` counts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .budget import (
     KeepFilter,
     PromptSection,
     TokenBudget,
-    TokenCounter,
     TruncationPlan,
     TruncationRecord,
     UnsatisfiableBudget,
@@ -119,7 +119,6 @@ def fit_prompt(
     variant: SchemaVariant,
     plan: Optional[TruncationPlan] = None,
     step_index: Optional[int] = None,
-    counter: TokenCounter,
 ) -> PromptBundle:
     """The one budgeted prompt builder: truncate until `render` fits `limit`.
 
@@ -127,7 +126,8 @@ def fit_prompt(
     keep filter per section. Without a plan the one section goes through
     `truncate_target`; with one, `truncate_examples` shares the excess by
     its rates. The engine's last render is the fit, so the bundle is that
-    text and the record's `tokens_after`, with no second render or count.
+    text and the record's `tokens_after`, its `count_tokens` count, with no
+    second render or count.
     """
     text = ""
 
@@ -140,10 +140,9 @@ def fit_prompt(
         (section,) = sections
         _, record = truncate_target(
             section.catalog, section.partition, lambda keep: kept([keep]), limit, seed,
-            variant=variant, counter=counter)
+            variant=variant)
     else:
-        _, record = truncate_examples(
-            sections, plan, kept, limit, seed, variant=variant, counter=counter)
+        _, record = truncate_examples(sections, plan, kept, limit, seed, variant=variant)
     return PromptBundle(text, record.tokens_after, role, step_index, record)
 
 
@@ -169,32 +168,27 @@ def build_open_prompt(
     variant: SchemaVariant,
     *,
     keep=None,
-    counter: TokenCounter = count_tokens,
     truncation: Optional[TruncationRecord] = None,
 ) -> PromptBundle:
     """Assemble the zero-shot prompt: rule, format header, schema, question,
     optional knowledge note, trailing cue."""
     text = open_prompt_text(instance, catalog, variant, keep)
-    return PromptBundle(text, counter(text), "zero_shot", truncation=truncation)
+    return PromptBundle(text, count_tokens(text), "zero_shot", truncation=truncation)
 
 
 def open_prompt_token_fn(
     instance: TaskInstance,
     catalog: DatabaseCatalog,
     variant: SchemaVariant,
-    *,
-    counter: TokenCounter = count_tokens,
-    suffix: str = "",
 ):
-    """Token-count closure for truncation loops.
+    """Keep filter -> token count of the open prompt under it.
 
-    Prompt lines are newline-separated, so under a line-additive counter
-    (the default one is) the full count decomposes into a fixed scaffold
-    plus the schema block, which is tallied from per-line costs.
+    Prompt lines are newline-separated and `count_tokens` is line-additive,
+    so the count is a fixed scaffold plus the schema block, which is
+    tallied from the compiled per-line costs.
     """
-    schema_tokens = schema_token_fn(catalog, variant, counter)
-    scaffold = (counter(open_prompt_text(instance, catalog, variant) + suffix)
-                - schema_tokens(None))
+    schema_tokens = schema_token_fn(catalog, variant)
+    scaffold = count_tokens(open_prompt_text(instance, catalog, variant)) - schema_tokens(None)
 
     def tokens(keep) -> int:
         return scaffold + schema_tokens(keep)
@@ -243,7 +237,6 @@ def build_few_shot_prompt(
     variant: SchemaVariant,
     *,
     keep=None,
-    counter: TokenCounter = count_tokens,
     truncation: Optional[TruncationRecord] = None,
 ) -> PromptBundle:
     """Assemble the few-shot prompt with fully rendered example blocks.
@@ -253,15 +246,15 @@ def build_few_shot_prompt(
     the zero-shot prompt modulo the answer-instruction line.
     """
     text = few_shot_text(instance, catalog, examples, variant, keep)
-    return PromptBundle(text, counter(text), "few_shot", truncation=truncation)
+    return PromptBundle(text, count_tokens(text), "few_shot", truncation=truncation)
 
 
-def completion_for(gold_sql: str, cue: str = CUE) -> str:
+def completion_for(gold_sql: str) -> str:
     """Strip the duplicated leading cue so prompt+completion reads as one
     statement (the prompt already ends with the cue)."""
     stripped = gold_sql.lstrip()
-    if stripped[:len(cue)].upper() == cue.upper():
-        return stripped[len(cue):]
+    if stripped[:len(CUE)].upper() == CUE:
+        return stripped[len(CUE):]
     return " " + stripped
 
 
@@ -277,7 +270,6 @@ def build_sft_pair(
     budget: TokenBudget,
     *,
     seed: int,
-    counter: TokenCounter = count_tokens,
 ) -> tuple[SftPair, TruncationRecord]:
     """Emit one training pair, truncating target columns until the combined
     prompt+completion fits the full context window. The target columns are
@@ -287,7 +279,7 @@ def build_sft_pair(
         "sft_pair",
         lambda keeps: open_prompt_text(instance, catalog, variant, keeps[0]) + completion,
         [PromptSection(catalog, partition_columns(catalog, reference_sql=instance.gold_sql))],
-        budget.max_context, seed, variant=variant, counter=counter)
+        budget.max_context, seed, variant=variant)
     return SftPair(bundle.text.removesuffix(completion), completion), bundle.truncation
 
 
@@ -303,7 +295,6 @@ def emit_sft_dataset(
     budget: TokenBudget,
     *,
     seed: int = 0,
-    counter: TokenCounter = count_tokens,
 ) -> Iterator[tuple[SftPair, TruncationRecord]]:
     """Yield one (pair, truncation record) per instance, in split order.
 
@@ -317,7 +308,7 @@ def emit_sft_dataset(
         try:
             built = build_sft_pair(
                 instance, catalog, variant, budget,
-                seed=sft_seed(seed, instance.question_id), counter=counter)
+                seed=sft_seed(seed, instance.question_id))
         except (UnsatisfiableBudget, UnterminatedString, UnterminatedComment) as exc:
             logger.warning("skipping question %s: %r", instance.question_id, exc)
             continue

@@ -1,13 +1,16 @@
-"""Database catalog model and commented-schema rendering.
+"""Database catalog model, commented-schema rendering and the token counter.
 
 The rendered text is an external contract: golden files under tests/golden
 pin the exact bytes of all nine column-definition variants on the fixture
 catalog. Column lines are indented "#   " (one pound sign, three spaces);
-format-header lines use the plain "# " prefix.
+format-header lines use the plain "# " prefix. Each (catalog, variant) is
+compiled once into its lines and their `count_tokens` costs, from which
+both the rendered block and its token count under any keep filter follow.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -52,6 +55,16 @@ _VARIANT_ELEMENTS: dict[SchemaVariant, frozenset[str]] = {
 
 
 _T = TypeVar("_T")
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def count_tokens(text: str) -> int:
+    """The token counter: a frozen, dependency-free segmentation in which
+    each alphanumeric run is one token and every other non-space character
+    is its own. No token spans whitespace, so a text joined by newlines
+    counts as the sum of its lines; every budget relies on this."""
+    return len(_TOKEN_RE.findall(text))
 
 
 def _collapse_line(text: str) -> str:
@@ -141,10 +154,10 @@ class DatabaseCatalog:
     def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """Value derived from this (immutable) catalog, built on first use.
 
-        Rendered lines, token costs and word indexes are computed once per
-        catalog and shared by every later call. Two workers that build the
-        same key at once both produce equal values; the first one stored
-        wins, so the race is harmless.
+        Compiled schemas (one per variant) and word indexes are computed
+        once per catalog and shared by every later call. Two workers that
+        build the same key at once both produce equal values; the first one
+        stored wins, so the race is harmless.
         """
         value = self._derived.get(key)
         if value is None:
@@ -211,15 +224,89 @@ def _fk_line(fk: ForeignKey) -> str:
     return f"# {fk.table}.{fk.column}={fk.ref_table}.{fk.ref_column}"
 
 
-def _column_lines(
-    catalog: DatabaseCatalog,
-    variant: SchemaVariant,
-) -> dict[str, tuple[tuple[str, str], ...]]:
-    """Each table's (column name, rendered line) pairs, built once per variant."""
-    return catalog.derived(("lines", variant), lambda: {
-        table.name: tuple((c.name, _column_line(c, variant)) for c in table.columns)
-        for table in catalog.tables
-    })
+# A rendered line and its token count.
+_Line = tuple[str, int]
+
+
+def _counted(line: str) -> _Line:
+    return line, count_tokens(line)
+
+
+_FOOTER = _counted(_FOOTER_LINE)
+_FK_HEADER = _counted(_FK_HEADER_LINE)
+
+
+@dataclass(frozen=True)
+class CompiledSchema:
+    """One catalog's schema block in one variant, line by line with costs.
+
+    `tables` holds per table, in catalog order, its name, its header line
+    and its (column name, line) pairs; `foreign_keys` holds per key its two
+    (table, column) endpoints and its line. Every line carries its
+    `count_tokens` cost. `column_costs` maps each (table, column) to its
+    line's cost, and `key_ends` holds every foreign-key endpoint.
+    """
+
+    tables: tuple[tuple[str, _Line, tuple[tuple[str, _Line], ...]], ...]
+    foreign_keys: tuple[tuple[tuple[str, str], tuple[str, str], _Line], ...]
+    column_costs: Mapping[tuple[str, str], int]
+    key_ends: frozenset[tuple[str, str]]
+
+    def shown(self, keep: Optional[ColumnFilter]) -> list[_Line]:
+        """The lines of the block `keep` shows, in render order.
+
+        A table absent from `keep` (or every table, without one) shows every
+        column; a table left without columns drops its header and footer,
+        and a foreign key shows only while both its endpoints do.
+        """
+        lines: list[_Line] = []
+        wanted_of: dict[str, Optional[set[str]]] = {}
+        for name, header, columns in self.tables:
+            wanted = None if keep is None or name not in keep else set(keep[name])
+            kept = columns if wanted is None else [c for c in columns if c[0] in wanted]
+            if kept:
+                wanted_of[name] = wanted
+                lines.append(header)
+                lines.extend(line for _, line in kept)
+                lines.append(_FOOTER)
+
+        def shows(end: tuple[str, str]) -> bool:
+            table, column = end
+            return table in wanted_of and (wanted_of[table] is None
+                                           or column in wanted_of[table])
+
+        fk_lines = [line for source, target, line in self.foreign_keys
+                    if shows(source) and shows(target)]
+        if fk_lines:
+            lines.append(_FK_HEADER)
+            lines.extend(fk_lines)
+        return lines
+
+    def tokens(self, keep: Optional[ColumnFilter]) -> int:
+        """count_tokens(render_schema(catalog, variant, keep)), without rendering."""
+        return sum(cost for _, cost in self.shown(keep))
+
+
+def _compile(catalog: DatabaseCatalog, variant: SchemaVariant) -> CompiledSchema:
+    tables = tuple(
+        (table.name, _counted(_header_line(table.name)),
+         tuple((c.name, _counted(_column_line(c, variant))) for c in table.columns))
+        for table in catalog.tables)
+    foreign_keys = tuple(
+        ((fk.table, fk.column), (fk.ref_table, fk.ref_column), _counted(_fk_line(fk)))
+        for fk in catalog.foreign_keys)
+    return CompiledSchema(
+        tables, foreign_keys,
+        MappingProxyType({(table, column): cost for table, _, columns in tables
+                          for column, (_, cost) in columns}),
+        frozenset(end for source, target, _ in foreign_keys for end in (source, target)))
+
+
+def compiled_schema(catalog: DatabaseCatalog, variant: SchemaVariant) -> CompiledSchema:
+    """The catalog's schema in `variant`, compiled on first use and then
+    shared read-only by every render and count of it."""
+    variant = SchemaVariant(variant)
+    return catalog.derived(("schema", variant), lambda: _compile(catalog, variant))
 
 
 def render_schema(
@@ -233,33 +320,8 @@ def render_schema(
     "# FOREIGN KEYS:" section listing every key whose endpoints survive the
     filter. Ends with exactly one newline; an empty catalog renders "".
     """
-    variant = SchemaVariant(variant)
     resolved = _validate_filter(catalog, keep) if keep is not None else None
-    column_lines = _column_lines(catalog, variant)
-
-    lines: list[str] = []
-    kept_columns: set[tuple[str, str]] = set()
-    for table in catalog.tables:
-        wanted = None if resolved is None else resolved.get(table.name)
-        columns = [(name, line) for name, line in column_lines[table.name]
-                   if wanted is None or name in wanted]
-        if not columns:
-            continue
-        lines.append(_header_line(table.name))
-        for name, line in columns:
-            lines.append(line)
-            kept_columns.add((table.name, name))
-        lines.append(_FOOTER_LINE)
-
-    fk_lines = [
-        _fk_line(fk)
-        for fk in catalog.foreign_keys
-        if (fk.table, fk.column) in kept_columns and (fk.ref_table, fk.ref_column) in kept_columns
-    ]
-    if fk_lines:
-        lines.append(_FK_HEADER_LINE)
-        lines.extend(fk_lines)
-
+    lines = [line for line, _ in compiled_schema(catalog, variant).shown(resolved)]
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
@@ -290,68 +352,19 @@ _HEADER_COLUMN_LINES: dict[SchemaVariant, tuple[str, ...]] = {
 def column_line_costs(
     catalog: DatabaseCatalog,
     variant: SchemaVariant,
-    counter,
 ) -> Mapping[tuple[str, str], int]:
-    """Token cost of each column's rendered line under a line-additive counter.
+    """Token cost of each column's rendered line.
 
-    Because rendered lines are newline-separated, removing a column removes
-    exactly its own line; these costs let truncation loops account for
-    removals without re-rendering the whole block. Built once per
-    (catalog, variant, counter) and shared read-only.
+    Rendered lines are newline-separated, so removing a column frees exactly
+    its line's cost. Shared read-only with the compiled schema.
     """
-    variant = SchemaVariant(variant)
-    return catalog.derived(("costs", variant, counter), lambda: MappingProxyType({
-        (table, name): counter(line)
-        for table, lines in _column_lines(catalog, variant).items()
-        for name, line in lines
-    }))
+    return compiled_schema(catalog, variant).column_costs
 
 
-def _frame_costs(catalog: DatabaseCatalog, counter):
-    """Costs of the lines every variant shares: per table its header plus
-    footer, the foreign-key header, and each foreign key with its endpoints."""
-    def build():
-        footer = counter(_FOOTER_LINE)
-        return (
-            {t.name: counter(_header_line(t.name)) + footer for t in catalog.tables},
-            counter(_FK_HEADER_LINE),
-            tuple(((fk.table, fk.column), (fk.ref_table, fk.ref_column), counter(_fk_line(fk)))
-                  for fk in catalog.foreign_keys),
-        )
-    return catalog.derived(("frame", counter), build)
-
-
-def schema_token_fn(catalog: DatabaseCatalog, variant: SchemaVariant, counter):
-    """Exact keep-filter token counter for the rendered schema block.
-
-    Computes counter(render_schema(catalog, variant, keep)) without
-    rendering, from the catalog's compiled per-line costs. Exact for any
-    line-additive counter (newlines never sit inside a token): a table
-    left without columns drops its header and footer, and a foreign key
-    counts only while both endpoints survive.
-    """
-    line_costs = column_line_costs(catalog, variant, counter)
-    table_costs, fk_header_cost, fk_costs = _frame_costs(catalog, counter)
-
-    def tokens(keep: Optional[ColumnFilter]) -> int:
-        total = 0
-        kept: set[tuple[str, str]] = set()
-        for table in catalog.tables:
-            wanted = None if keep is None or table.name not in keep else set(keep[table.name])
-            columns = [c.name for c in table.columns if wanted is None or c.name in wanted]
-            if not columns:
-                continue
-            total += table_costs[table.name]
-            for name in columns:
-                total += line_costs[(table.name, name)]
-                kept.add((table.name, name))
-        surviving = [cost for source, target, cost in fk_costs
-                     if source in kept and target in kept]
-        if surviving:
-            total += fk_header_cost + sum(surviving)
-        return total
-
-    return tokens
+def schema_token_fn(catalog: DatabaseCatalog, variant: SchemaVariant):
+    """Keep filter -> count_tokens(render_schema(catalog, variant, keep)),
+    computed from the compiled per-line costs without rendering."""
+    return compiled_schema(catalog, variant).tokens
 
 
 def render_schema_format_header(variant: SchemaVariant) -> str:

@@ -298,7 +298,7 @@ def test_criterion_5_budget_property():
     assert limit == 2048 - 200
     rng = random.Random(41)
     variant = SchemaVariant.C_VDT
-    engine = {"variant": variant, "counter": count_tokens}
+    engine = {"variant": variant}
     breached = 0
 
     def scripted(prompt):

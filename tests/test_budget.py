@@ -75,6 +75,22 @@ def test_count_tokens_monotone_under_concatenation():
         assert count_tokens(a + b) >= max(count_tokens(a), count_tokens(b))
 
 
+# Lines of any characters but surrogates, weighted towards the Unicode
+# whitespace that str.split() breaks on and punctuation.
+_LINE = st.text(st.characters(blacklist_categories=("Cs",))
+                | st.sampled_from(["\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+                                   "\t", " ", ",", "(", ")", "#", ":", "."]),
+                max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LINE, max_size=8))
+def test_count_tokens_adds_up_line_by_line(lines):
+    # Every budgeted prompt's fit rests on this: its size is never counted
+    # whole, only as the sum of its lines' costs.
+    assert count_tokens("\n".join(lines)) == sum(map(count_tokens, lines))
+
+
 def test_token_budget_invariants():
     budget = TokenBudget()
     assert budget.max_context == 2048
@@ -155,9 +171,8 @@ def test_partition_overlap_rejected():
         ColumnPartition(frozenset({("t", "a")}), frozenset({("t", "a")}))
 
 
-# Every truncation call in this file renders C_A schemas and counts with
-# the default counter unless it says otherwise.
-ENGINE = {"variant": SchemaVariant.C_A, "counter": count_tokens}
+# Every truncation call in this file renders C_A schemas unless it says otherwise.
+ENGINE = {"variant": SchemaVariant.C_A}
 
 
 def _render_target(catalog, variant=SchemaVariant.C_A):
@@ -214,24 +229,6 @@ def test_truncate_target_unsatisfiable():
     render = _render_target(catalog)
     with pytest.raises(UnsatisfiableBudget):
         truncate_target(catalog, partition, render, 1, seed=0, **ENGINE)
-
-
-def _plus_one(text):
-    # Each count carries a fixed extra token, so per-line costs overstate
-    # what a removal frees and an accounted count undershoots the truth.
-    return count_tokens(text) + 1
-
-
-def test_truncate_target_fits_under_a_counter_that_is_not_line_additive():
-    catalog = wide_catalog()
-    partition = partition_columns(catalog, question="x")
-    render = _render_target(catalog)
-    full = _plus_one(render(full_keep(catalog)))
-    for limit in range(full - 400, full, 7):
-        keep, record = truncate_target(
-            catalog, partition, render, limit, seed=limit,
-            variant=SchemaVariant.C_A, counter=_plus_one)
-        assert record.tokens_after == _plus_one(render(keep)) <= limit
 
 
 def test_plan_symmetric_for_identical_similarities():
@@ -306,7 +303,7 @@ def _render_sections(sections, variant=SchemaVariant.C_A):
     return render
 
 
-def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant, counter):
+def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant):
     """Example truncation that re-renders the prompt after every removal.
 
     A removal frees exactly what the re-rendered prompt loses, so this is
@@ -317,7 +314,7 @@ def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant, c
     removables = [sorted(section.partition.non_target) for section in sections]
     rng = random.Random(seed)
     removed = [[] for _ in sections]
-    tokens_before = tokens = counter(render_prompt(keeps))
+    tokens_before = tokens = count_tokens(render_prompt(keeps))
     active = [i for i in range(len(sections)) if removables[i]]
     while tokens > limit:
         if not active:
@@ -334,7 +331,7 @@ def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant, c
                 table, column = removables[i].pop(rng.randrange(len(removables[i])))
                 keeps[i][table].discard(column)
                 removed[i].append((table, column))
-                new_tokens = counter(render_prompt(keeps))
+                new_tokens = count_tokens(render_prompt(keeps))
                 freed += tokens - new_tokens
                 tokens = new_tokens
             if not removables[i]:
@@ -343,20 +340,20 @@ def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant, c
     return keeps, record
 
 
-def first_fit_reference(catalog, partition, render_prompt, limit, seed, *, counter):
+def first_fit_reference(catalog, partition, render_prompt, limit, seed):
     """Target truncation by brute force: pop, re-render, stop at the first fit."""
     keep = full_keep(catalog)
     removable = sorted(partition.non_target)
     rng = random.Random(seed)
     removed = []
-    tokens_before = tokens = counter(render_prompt(keep))
+    tokens_before = tokens = count_tokens(render_prompt(keep))
     while tokens > limit:
         if not removable:
             raise UnsatisfiableBudget(f"{tokens} tokens (limit {limit})")
         table, column = removable.pop(rng.randrange(len(removable)))
         keep[table].discard(column)
         removed.append((table, column))
-        tokens = counter(render_prompt(keep))
+        tokens = count_tokens(render_prompt(keep))
     return keep, TruncationRecord((tuple(removed),), tokens_before, tokens)
 
 
@@ -466,16 +463,6 @@ def test_truncate_examples_accounting_matches_rerendering():
     assert accounted == rerendered
 
 
-def test_truncate_examples_fits_under_a_counter_that_is_not_line_additive():
-    sections = _example_sections(2, columns=30)
-    render = _render_sections(sections)
-    limit = int(_plus_one(render([s.keep for s in sections])) * 0.6)
-    plan = plan_example_truncation([0.8, 0.4])
-    keeps, record = truncate_examples(
-        sections, plan, render, limit, seed=7, variant=SchemaVariant.C_A, counter=_plus_one)
-    assert record.tokens_after == _plus_one(render(keeps)) <= limit
-
-
 _WORD = st.text(alphabet="abcxyz", min_size=1, max_size=6)
 
 
@@ -522,9 +509,8 @@ def test_truncate_target_equals_first_fit(section, variant, fraction, seed):
 
     limit = int(count_tokens(render(None)) * fraction)
     assert _outcome(truncate_target, catalog, partition, render, limit, seed,
-                    variant=variant, counter=count_tokens) == \
-        _outcome(first_fit_reference, catalog, partition, render, limit, seed,
-                 counter=count_tokens)
+                    variant=variant) == \
+        _outcome(first_fit_reference, catalog, partition, render, limit, seed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,9 +523,8 @@ def test_truncate_examples_equals_rerendering(sections, variant, data, fraction,
     plan = plan_example_truncation(similarities, data.draw(st.sampled_from([0.5, 1.0, 3.0])))
     render = _render_sections(sections, variant)
     limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
-    engine = {"variant": variant, "counter": count_tokens}
-    assert _outcome(truncate_examples, sections, plan, render, limit, seed, **engine) == \
-        _outcome(rerender_reference, sections, plan, render, limit, seed, **engine)
+    assert _outcome(truncate_examples, sections, plan, render, limit, seed, variant=variant) == \
+        _outcome(rerender_reference, sections, plan, render, limit, seed, variant=variant)
 
 
 # Any characters but surrogates, whitespace and punctuation included.
@@ -575,7 +560,7 @@ def _open_path(sections, variant, limit, seed):
     (section, instance), = sections[:1]
     bundle = fit_prompt(
         "zero_shot", lambda keeps: open_prompt_text(instance, section.catalog, variant, keeps[0]),
-        [section], limit, seed, variant=variant, counter=count_tokens)
+        [section], limit, seed, variant=variant)
     return bundle.token_count, bundle.text
 
 
@@ -588,7 +573,7 @@ def _few_shot_path(sections, variant, limit, seed):
         variant, keeps[0])
     plan = plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))])
     bundle = fit_prompt("few_shot", render, [section for section, _ in sections], limit, seed,
-                        variant=variant, plan=plan, counter=count_tokens)
+                        variant=variant, plan=plan)
     return bundle.token_count, bundle.text
 
 
@@ -596,7 +581,7 @@ def _cot_step_path(sections, variant, limit, seed):
     (section, instance), = sections[:1]
     bundle = cot._build_step_prompt(
         instance, section.catalog, 1 + seed % 2, "SELECT", TokenBudget(limit + 1, 1), seed,
-        count_tokens, section.partition)
+        section.partition)
     return bundle.token_count, bundle.text
 
 

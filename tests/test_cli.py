@@ -183,6 +183,21 @@ def test_config_rejects_out_of_range_values(key, value):
         RunConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["base_url", "embed_base_url"])
+@pytest.mark.parametrize("url", ["localhost:8000", "ftp://x:1", "http://", "https:///v1"])
+def test_config_rejects_a_base_url_without_http_scheme_and_host(key, url):
+    with pytest.raises(ValueError, match="base_url"):
+        RunConfig(**{key: url})
+
+
+@pytest.mark.parametrize("flag", ["--base-url", "--embed-base-url"])
+def test_a_base_url_without_http_scheme_fails_the_command(mini_bench, tmp_path, flag):
+    out = tmp_path / "out"
+    assert main(["run", "--benchmark-root", str(mini_bench), "--split", "dev",
+                 flag, "localhost:8000", "--output-dir", str(out)]) == 1
+    assert not (out / "report.json").exists()
+
+
 def test_zero_truncation_temperature_fails_the_command(mini_bench, tmp_path):
     _record_few_shot_store(mini_bench, tmp_path)
     assert main(["run", "--benchmark-root", str(mini_bench), "--split", "dev",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import ScriptedTransport
 from sqlbench.bench import TaskInstance
-from sqlbench.budget import TokenBudget, UnsatisfiableBudget, count_tokens, partition_columns
+from sqlbench.budget import TokenBudget, UnsatisfiableBudget, partition_columns
 from sqlbench.cot import (
     MODE_COT_SK_FULL,
     MODE_COT_SK_PRED,
@@ -291,25 +291,6 @@ def test_empty_column_parse_falls_back_to_full(movie_catalog, movie_instance):
     assert trace.final_sql.startswith("SELECT")
 
 
-def test_step_prompts_fit_under_a_counter_that_is_not_line_additive(wide_fixture):
-    # One extra token per count: per-line costs overstate what a removal
-    # frees, so only a true recount of each step prompt proves the fit.
-    def counter(text):
-        return count_tokens(text) + 1
-
-    catalog, instance = wide_fixture
-    client, _ = make_client(wide_scripted())
-    untruncated = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
-                          budget=TokenBudget(100_000, 200), seed=1, counter=counter)
-    widest = max(b.token_count for b in untruncated.step_prompts)
-    for available in range(widest - 150, widest):
-        budget = TokenBudget(available + 200, 200)
-        trace = run_cot(instance, catalog, client, MODE_COT_SK_FULL,
-                        budget=budget, seed=available, counter=counter)
-        for bundle in trace.step_prompts:
-            assert bundle.token_count == counter(bundle.text) <= budget.available
-
-
 def filter_catalog(catalog, keep):
     """Reference: a narrowed step's schema as a catalog of its own.
 
@@ -357,12 +338,12 @@ def _narrowed_steps(draw):
     return DatabaseCatalog("db", tuple(tables), fks), keep, instance
 
 
-def _step_prompt(instance, catalog, step_index, tail, budget, seed, counter, keep=None):
+def _step_prompt(instance, catalog, step_index, tail, budget, seed, keep=None):
     """The step prompt over the schema `keep` shows, partitioned as run_cot does."""
     partition = partition_columns(
         catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep)
     return _build_step_prompt(
-        instance, catalog, step_index, tail, budget, seed, counter, partition)
+        instance, catalog, step_index, tail, budget, seed, partition)
 
 
 def _step_outcome(*args):
@@ -385,12 +366,12 @@ def test_keep_based_step_prompts_equal_filtered_catalog_prompts():
         catalog, keep, instance = narrowed
         filtered = filter_catalog(catalog, keep)
         full = _step_prompt(instance, filtered, step_index, "Tables:",
-                            TokenBudget(10**6, 200), seed, count_tokens).token_count
+                            TokenBudget(10**6, 200), seed).token_count
         budget = TokenBudget(max(1, full + slack) + 200, 200)
         expected = _step_outcome(
-            instance, filtered, step_index, "Tables:", budget, seed, count_tokens)
+            instance, filtered, step_index, "Tables:", budget, seed)
         assert _step_outcome(instance, catalog, step_index, "Tables:", budget, seed,
-                             count_tokens, keep) == expected
+                             keep) == expected
         if isinstance(expected, str):
             seen["unsatisfiable"] += 1
         elif expected.truncation.total_removed:

@@ -1,16 +1,15 @@
 """Work-count guards for the prompt paths.
 
-A 2-shot run renders each catalog's column lines once per variant, scores
-the example pool without a per-pair call of the public `cosine`, rescores
-with the exact cosine only the screened top k and the candidates tied with
-it, and renders each few-shot prompt twice per question: once as its
-frame, with no schema line, and once in full at the fit. Target
-truncation, on the zero-shot and chain-of-thought paths, renders the same
-two, however many columns it removes. Under the default counter no full
-prompt is counted: the frame's count plus the compiled line costs is its
-size. Under any other counter every prompt a run builds is counted in full
-exactly once, to confirm the fit, and that count is the one its bundle
-carries. A chain-of-thought question partitions each distinct schema its
+A 2-shot run compiles each (catalog, variant) schema once, so it renders
+and counts each column line once, scores the example pool without a
+per-pair call of the public `cosine`, rescores with the exact cosine only
+the screened top k and the candidates tied with it, and renders each
+few-shot prompt twice per question: once as its frame, with no schema
+line, and once in full at the fit. Target truncation, on the zero-shot and
+chain-of-thought paths, renders the same two, however many columns it
+removes. No full prompt is counted: the frame's count plus the compiled
+line costs is its size, and the count its bundle carries. A
+chain-of-thought question partitions each distinct schema its
 steps show once, and a command introspects each database once, also when
 it loads a pool split. A run keeps one database connection per worker
 thread and database and closes them when it ends. A live run keeps one
@@ -44,7 +43,6 @@ import numpy as np
 import pytest
 
 import sqlbench.bench as bench
-import sqlbench.budget as budget
 import sqlbench.cli as cli
 import sqlbench.cot as cot
 import sqlbench.curation as curation
@@ -107,6 +105,18 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
     monkeypatch.setattr(prompts, "few_shot_text", few_shot_text)
     monkeypatch.setattr(schema, "_column_line", _counting(
         lines, "", schema._column_line, key=lambda column, variant: (id(column), variant)))
+    compiles: Counter = Counter()
+    columns: dict = {}
+    compile_ = schema._compile
+
+    def compile_schema(catalog, variant):
+        compiles[(id(catalog), variant)] += 1
+        columns[(id(catalog), variant)] = len(catalog.column_set())
+        return compile_(catalog, variant)
+
+    monkeypatch.setattr(schema, "_compile", compile_schema)
+    counted = _LoggingPattern(schema._TOKEN_RE)
+    monkeypatch.setattr(schema, "_TOKEN_RE", counted)
 
     transport = ScriptedTransport(
         completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
@@ -123,6 +133,9 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
     assert len(rescored) == questions
     assert all(used <= 3 * near for used, near in rescored)
     assert lines and max(lines.values()) == 1
+    assert compiles and set(compiles.values()) == {1}
+    column_lines = [text for text in counted.texts if text.startswith("#   ") and "\n" not in text]
+    assert len(column_lines) == sum(columns.values())
 
 
 def test_curation_rescores_only_the_screened_top_k(monkeypatch):
@@ -188,15 +201,16 @@ def test_target_truncation_renders_twice_at_most(mini_bench, tmp_path, monkeypat
         assert len(frames) == 1 and not _has_schema_line(frames[0], catalog)
 
 
-class _LoggingCounter:
-    """count_tokens that logs every text it counts."""
+class _LoggingPattern:
+    """The token pattern of `count_tokens`, logging every text it splits."""
 
-    def __init__(self):
+    def __init__(self, pattern):
+        self._pattern = pattern
         self.texts: list[str] = []
 
-    def __call__(self, text: str) -> int:
+    def findall(self, text: str) -> list:
         self.texts.append(text)
-        return count_tokens(text)
+        return self._pattern.findall(text)
 
     def prompt_counts(self) -> tuple[list[str], list[str]]:
         """(full, frame) prompt counts. Compiled costs count single lines;
@@ -206,13 +220,13 @@ class _LoggingCounter:
         return full, [text for text in renders if text not in full]
 
 
-def test_each_built_prompt_is_counted_once(mini_bench, tmp_path, monkeypatch):
-    counter = _LoggingCounter()
+def test_the_default_counter_counts_no_full_prompt(mini_bench, tmp_path, monkeypatch):
+    counted = _LoggingPattern(schema._TOKEN_RE)
+    monkeypatch.setattr(schema, "_TOKEN_RE", counted)
 
     # Zero-shot drafts and 3-shot prompts, truncated, through the run command.
     cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
                     shots=3, pool_split="train", max_context=700, response_reserve=50)
-    monkeypatch.setattr(cli, "count_tokens", counter)
     transport = ScriptedTransport(
         completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
         embed_fn=hash_embedding)
@@ -221,61 +235,9 @@ def test_each_built_prompt_is_counted_once(mini_bench, tmp_path, monkeypatch):
     report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
     assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
     built = [r["payload"]["prompt"] for r in transport.requests if "prompt" in r["payload"]]
-    full, frames = counter.prompt_counts()
-    assert len(built) == 2 * len(MINI_QUESTIONS)
-    assert sorted(full) == sorted(built) and len(frames) == len(built)
-
-    # Chain-of-thought steps and SFT pairs, each with a context that truncates.
-    split = load_split(mini_bench, "dev")
-    client = build_client(cfg, transport=ScriptedTransport(
-        completion_fn=_cot_scripted(MINI_QUESTIONS)))
-    for instance in split.instances:
-        catalog = split.databases[instance.database_id]
-        counter.texts.clear()
-        trace = cot.run_cot(instance, catalog, client, "cot-sk-pred",
-                            budget=TokenBudget(365, 50), seed=0, counter=counter)
-        full, frames = counter.prompt_counts()
-        assert full == [bundle.text for bundle in trace.step_prompts]
-        assert len(frames) == len(full) == 4
-        assert all(b.token_count == count_tokens(b.text) for b in trace.step_prompts)
-
-        counter.texts.clear()
-        pair, record = prompts.build_sft_pair(
-            instance, catalog, cfg.variant, TokenBudget(300, 50),
-            seed=instance.question_id, counter=counter)
-        full, frames = counter.prompt_counts()
-        assert full == [pair.prompt + pair.completion] and len(frames) == 1
-        assert record.tokens_after == count_tokens(pair.prompt + pair.completion)
-
-
-class _LoggingPattern:
-    """The token pattern of `count_tokens`, logging every text it splits."""
-
-    def __init__(self, pattern, texts: list):
-        self._pattern = pattern
-        self._texts = texts
-
-    def findall(self, text: str) -> list:
-        self._texts.append(text)
-        return self._pattern.findall(text)
-
-
-def test_the_default_counter_counts_no_full_prompt(mini_bench, tmp_path, monkeypatch):
-    counted = _LoggingCounter()  # only its log and prompt_counts are used
-    monkeypatch.setattr(budget, "_TOKEN_RE", _LoggingPattern(budget._TOKEN_RE, counted.texts))
-
-    # Zero-shot drafts and 3-shot prompts, truncated, through the run command.
-    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
-                    shots=3, pool_split="train", max_context=700, response_reserve=50)
-    transport = ScriptedTransport(
-        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
-        embed_fn=hash_embedding)
-    cmd_run(cfg, client=build_client(cfg, transport=transport),
-            embed_client=build_embed_client(cfg, transport=transport))
-    report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
-    assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
     full, frames = counted.prompt_counts()
-    assert full == [] and len(frames) == 2 * len(MINI_QUESTIONS)
+    assert len(built) == 2 * len(MINI_QUESTIONS)
+    assert full == [] and len(frames) == len(built)
     traces = [json.loads(line) for line in
               (cfg.output_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines()]
 

@@ -246,23 +246,3 @@ def test_prompt_building_deterministic(movie_catalog, school_instance):
     first = build_open_prompt(school_instance, movie_catalog, SchemaVariant.C_A).text
     second = build_open_prompt(school_instance, movie_catalog, SchemaVariant.C_A).text
     assert first == second
-
-
-def test_sft_pair_fits_under_a_counter_that_is_not_line_additive():
-    # One extra token per count: per-line costs overstate what a removal
-    # frees, so only a true recount of prompt + completion proves the fit.
-    def counter(text):
-        return count_tokens(text) + 1
-
-    split = wide_benchmark_split(columns=40)
-    instance = split.instances[0]
-    catalog = split.databases["wide"]
-    full, _ = build_sft_pair(instance, catalog, SchemaVariant.C_VDT,
-                             TokenBudget(100_000, 200), seed=0, counter=counter)
-    widest = counter(full.prompt + full.completion)
-    for max_context in range(widest - 300, widest):
-        pair, record = build_sft_pair(
-            instance, catalog, SchemaVariant.C_VDT, TokenBudget(max_context, 200),
-            seed=max_context, counter=counter)
-        assert record.total_removed > 0
-        assert counter(pair.prompt + pair.completion) <= max_context

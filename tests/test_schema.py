@@ -184,7 +184,7 @@ def test_schema_token_fn_matches_rendered_count(movie_catalog):
     rng = random.Random(6)
     all_columns = sorted(movie_catalog.column_set())
     for variant in SchemaVariant:
-        tokens = schema_token_fn(movie_catalog, variant, count_tokens)
+        tokens = schema_token_fn(movie_catalog, variant)
         assert tokens(None) == count_tokens(render_schema(movie_catalog, variant))
         for _ in range(25):
             keep = {t.name: set() for t in movie_catalog.tables}
@@ -231,7 +231,7 @@ def test_compiled_accounting_equals_rendered_count(catalog_and_keep):
     for variant in SchemaVariant:
         for kept in (None, keep):
             expected = count_tokens(render_schema(catalog, variant, kept))
-            assert schema_token_fn(catalog, variant, count_tokens)(kept) == expected
+            assert schema_token_fn(catalog, variant)(kept) == expected
             prompt_tokens = open_prompt_token_fn(instance, catalog, variant)
             assert prompt_tokens(kept) == count_tokens(
                 open_prompt_text(instance, catalog, variant, kept))
@@ -253,7 +253,7 @@ def test_truncation_counts_whole_prompts_from_their_frames(
     instance = TaskInstance(1, question + "?", note, "SELECT 1", "db")
     examples = [TaskInstance(2 + i, f"{question} {i}", note, f"SELECT c0 FROM t{i}", "db")
                 for i in range(len(catalogs) - 1)]
-    engine = {"variant": variant, "counter": count_tokens}
+    engine = {"variant": variant}
 
     def zero_shot(keep):
         return open_prompt_text(instance, catalogs[0], variant, keep)
@@ -274,8 +274,7 @@ def test_truncation_counts_whole_prompts_from_their_frames(
 
     for step_index in (1, 2):
         bundle = _build_step_prompt(instance, catalog, step_index, "Tables:",
-                                    TokenBudget(10**6, 200), 0, count_tokens,
-                                    _all_removable(catalog))
+                                    TokenBudget(10**6, 200), 0, _all_removable(catalog))
         assert bundle.truncation.tokens_before == count_tokens(bundle.text)
 
 
@@ -289,7 +288,7 @@ def test_concurrent_first_use_of_a_catalog_is_harmless():
     def work(target, start):
         start.wait(timeout=10)
         return [(render_schema(target, variant),
-                 schema_token_fn(target, variant, count_tokens)(None))
+                 schema_token_fn(target, variant)(None))
                 for variant in SchemaVariant]
 
     expected = work(catalog(), threading.Barrier(1))
@@ -302,7 +301,6 @@ def test_concurrent_first_use_of_a_catalog_is_harmless():
                 futures = [pool.submit(work, shared, start) for _ in range(8)]
                 assert [f.result(timeout=60) for f in futures] == [expected] * 8
             for variant in SchemaVariant:
-                assert column_line_costs(shared, variant, count_tokens) is \
-                    column_line_costs(shared, variant, count_tokens)
+                assert column_line_costs(shared, variant) is column_line_costs(shared, variant)
     finally:
         sys.setswitchinterval(interval)
