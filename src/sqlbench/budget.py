@@ -13,14 +13,16 @@ import logging
 import math
 import random
 import re
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .schema import (
     ColumnFilter,
     ColumnSpec,
     DatabaseCatalog,
     SchemaVariant,
+    _column_names,
     _validate_filter,
     compiled_schema,
     count_tokens,
@@ -69,6 +71,11 @@ class TokenBudget:
 class ColumnPartition:
     target: frozenset[tuple[str, str]]
     non_target: frozenset[tuple[str, str]]
+    # id(catalog) -> the live section of this partition over that catalog
+    # (see PromptSection.of). Weak, so a section and its partition form no
+    # cycle; a live section holds its catalog, so the id stays that catalog's.
+    _sections: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", frozenset(self.target))
@@ -214,23 +221,55 @@ def plan_example_truncation(
     return TruncationPlan(tuple(w / total for w in weights), temperature)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PromptSection:
     """One truncatable schema section of a prompt (target or example).
 
-    `keep` starts as the partition's columns, so a section of a narrowed view
-    shows only that view; truncation starts from a copy of it and leaves it
-    unchanged.
+    Read-only once built, so one section may be shared by any number of
+    prompts, calls and threads. `keep` maps every catalog table to the
+    partition's columns in it (an empty set hides the table), so a section
+    of a narrowed view shows only that view; `removables` is the
+    partition's non-target columns, sorted, the list truncation draws from.
+    `size(variant)` is the token count of the schema block `keep` shows.
+    Truncation copies what it changes and leaves the section as built. A
+    section is known to its partition while it lives, so `truncate_target`,
+    given that partition, reuses it (`of`).
     """
 
     catalog: DatabaseCatalog
     partition: ColumnPartition
-    keep: KeepFilter = field(init=False)
+    keep: Mapping[str, frozenset[str]] = field(init=False)
+    removables: tuple[tuple[str, str], ...] = field(init=False)
+    _sizes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.keep = {table.name: set() for table in self.catalog.tables}
+        names = _column_names(self.catalog)
+        keep: dict[str, set[str]] = {table: set() for table in names}
         for table, column in self.partition.target | self.partition.non_target:
-            self.keep[table].add(column)
+            keep[table].add(column)
+        # A table shown whole shares the catalog's name set, so that the
+        # pool's many cached sections stay small.
+        object.__setattr__(self, "keep", {
+            table: names[table] if columns == names[table] else frozenset(columns)
+            for table, columns in keep.items()})
+        object.__setattr__(self, "removables", tuple(sorted(self.partition.non_target)))
+        self.partition._sections.setdefault(id(self.catalog), self)
+
+    @classmethod
+    def of(cls, catalog: DatabaseCatalog, partition: ColumnPartition) -> PromptSection:
+        """A live section of `partition` over `catalog`, built now if there
+        is none; two workers that build it at once build equal ones."""
+        section = partition._sections.get(id(catalog))
+        return cls(catalog, partition) if section is None else section
+
+    def size(self, variant: SchemaVariant) -> int:
+        """count_tokens of the schema block in `variant` under `keep`,
+        computed once per variant."""
+        size = self._sizes.get(variant)
+        if size is None:
+            size = self._sizes.setdefault(
+                variant, compiled_schema(self.catalog, variant).tokens(self.keep))
+        return size
 
 
 def _truncate(
@@ -243,9 +282,13 @@ def _truncate(
 ) -> tuple[list[KeepFilter], TruncationRecord]:
     """The truncation engine behind truncate_target and truncate_examples.
 
-    The prompt is first rendered as its frame: every section's keep
-    emptied, so no schema line is rendered. The frame's count is the fixed
-    scaffold, and the scaffold plus the sections' compiled schema sizes is
+    Each section's keep, sorted removables and schema size in `variant`
+    are read from the section, which computed them once; the engine copies
+    the keeps and removables it changes, so the sections stay as built and
+    may be shared. Removals draw with one `random.Random(seed)` from each
+    sorted list. The prompt is first rendered as its frame: every section's
+    keep emptied, so no schema line is rendered. The frame's count is the
+    fixed scaffold, and the scaffold plus the sections' schema sizes is
     `tokens_before`. Each section's schema size is then kept exact as
     columns go: a removal frees its line's cost, and one that empties a
     table or touches a foreign-key endpoint recounts the section from its
@@ -262,9 +305,9 @@ def _truncate(
     """
     keeps = [{table: set(columns) for table, columns in section.keep.items()}
              for section in sections]
-    removables = [sorted(section.partition.non_target) for section in sections]
+    removables = [list(section.removables) for section in sections]
     schemas = [compiled_schema(section.catalog, variant) for section in sections]
-    sizes = [schema.tokens(keep) for schema, keep in zip(schemas, keeps)]
+    sizes = [section.size(variant) for section in sections]
     rng = random.Random(seed)
     removed: list[list[tuple[str, str]]] = [[] for _ in sections]
 
@@ -321,10 +364,13 @@ def truncate_target(
     filter; the loop stops at the first removal after which it fits. It is
     called twice: once with every table's keep emptied (the frame, counted
     for the scaffold) and once in full at the fit, uncounted. That last
-    call rendered the returned keep.
+    call rendered the returned keep. A live `PromptSection` of `partition`
+    over `catalog`, such as the one `prompts.fit_prompt` was given, is
+    reused with its keep, removables and sizes; one is built only if none
+    is alive.
     """
     keeps, record = _truncate(
-        [PromptSection(catalog, partition)], (1.0,),
+        [PromptSection.of(catalog, partition)], (1.0,),
         lambda keeps: render_prompt(keeps[0]), limit, seed, variant)
     return keeps[0], record
 

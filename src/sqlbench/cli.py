@@ -27,7 +27,6 @@ from .budget import (
     TruncationRecord,
     clamp_similarity,
     derive_seed,
-    partition_columns,
     plan_example_truncation,
 )
 from .cot import ALL_MODES, MODE_NONE, CotTrace, run_cot
@@ -220,15 +219,22 @@ def build_embed_client(cfg: RunConfig, *, transport=None,
     return _client(cfg, cfg.embed_endpoint(), transport, store)
 
 
+def _target_section(instance: TaskInstance, catalog) -> PromptSection:
+    """The target's schema section, built once per question and shared by
+    its draft and its few-shot prompt."""
+    return PromptSection(catalog, question_partition(instance, catalog))
+
+
 def _zero_shot_bundle(
     cfg: RunConfig,
     instance: TaskInstance,
-    catalog,
+    target: PromptSection,
 ) -> PromptBundle:
     """Open prompt with target column truncation against the budget."""
     return fit_prompt(
-        "zero_shot", lambda keeps: open_prompt_text(instance, catalog, cfg.variant, keeps[0]),
-        [PromptSection(catalog, question_partition(instance, catalog))], cfg.budget.available,
+        "zero_shot",
+        lambda keeps: open_prompt_text(instance, target.catalog, cfg.variant, keeps[0]),
+        [target], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "target"),
         variant=cfg.variant)
 
@@ -254,7 +260,7 @@ def _load_pool(
 def _curate(
     cfg: RunConfig,
     instance: TaskInstance,
-    catalog,
+    target: PromptSection,
     pool: ExamplePool,
     client: LlmClient,
     embed: EmbeddingFn,
@@ -263,9 +269,9 @@ def _curate(
 
     k is `cfg.shots`; `curate` without --shots keeps one example.
     """
-    draft_sql = extract_sql(client.complete(_zero_shot_bundle(cfg, instance, catalog)))
+    draft_sql = extract_sql(client.complete(_zero_shot_bundle(cfg, instance, target)))
     return draft_sql, curate_top_k(
-        instance, catalog, draft_sql, pool, cfg.shots or 1, embed)
+        instance, target.catalog, draft_sql, pool, cfg.shots or 1, embed)
 
 
 def _few_shot_bundle(
@@ -277,21 +283,19 @@ def _few_shot_bundle(
     embed: EmbeddingFn,
 ) -> PromptBundle:
     """Curate, truncate and assemble the k-shot prompt for one instance."""
-    _, curated = _curate(cfg, instance, catalog, pool, client, embed)
-    examples = [pool.candidates[triple.candidate_index] for _, triple in curated.examples]
+    target = _target_section(instance, catalog)
+    _, curated = _curate(cfg, instance, target, pool, client, embed)
+    indexes = [triple.candidate_index for _, triple in curated.examples]
+    examples = [pool.candidates[index] for index in indexes]
     similarities = [clamp_similarity(triple.gamma_a) for _, triple in curated.examples]
     plan = plan_example_truncation(similarities, cfg.temperature)
 
-    sections = [PromptSection(catalog, question_partition(instance, catalog))] + [
-        PromptSection(example.catalog, partition_columns(
-            example.catalog, reference_sql=example.instance.gold_sql))
-        for example in examples]
     return fit_prompt(
         "few_shot", lambda keeps: few_shot_text(
             instance, catalog, [FewShotBlock(example.instance, example.catalog, keep)
                                 for example, keep in zip(examples, keeps[1:])],
             cfg.variant, keeps[0]),
-        sections, cfg.budget.available,
+        [target, *(pool.section(index) for index in indexes)], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
         variant=cfg.variant, plan=plan)
 
@@ -330,7 +334,7 @@ def process_instance(
             if cfg.shots > 0:
                 bundle = _few_shot_bundle(cfg, instance, catalog, pool, client, embed)
             else:
-                bundle = _zero_shot_bundle(cfg, instance, catalog)
+                bundle = _zero_shot_bundle(cfg, instance, _target_section(instance, catalog))
             response = client.complete(bundle)
             final_sql = extract_sql(response)
             trace = CotTrace(
@@ -552,7 +556,8 @@ def cmd_build_prompt(cfg: RunConfig, question_id: int, out: Optional[Path] = Non
         (i for i in split.instances if i.question_id == question_id), None)
     if instance is None:
         raise SystemExit(f"question_id {question_id} not in split {cfg.split!r}")
-    bundle = _zero_shot_bundle(cfg, instance, split.databases[instance.database_id])
+    catalog = split.databases[instance.database_id]
+    bundle = _zero_shot_bundle(cfg, instance, _target_section(instance, catalog))
     if out:
         out.write_text(bundle.text, encoding="utf-8")
         print(f"wrote {bundle.token_count}-token prompt to {out}")
@@ -575,8 +580,9 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
         pool, embed = _load_pool(cfg, split, embed_client)
         rows = []
         for instance in split.instances:
+            catalog = split.databases[instance.database_id]
             draft_sql, curated = _curate(
-                cfg, instance, split.databases[instance.database_id], pool, client, embed)
+                cfg, instance, _target_section(instance, catalog), pool, client, embed)
             rows.append({
                 "question_id": instance.question_id,
                 "draft_sql": draft_sql,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .bench import TaskInstance
+from .budget import PromptSection, partition_columns
 from .schema import DatabaseCatalog, SchemaVariant, render_schema
 
 if TYPE_CHECKING:
@@ -90,6 +91,16 @@ class PoolCandidate:
 
 @dataclass(frozen=True)
 class ExamplePool:
+    """The embedded example candidates of a run.
+
+    Beside `_schema_vectors`, the pool keeps two caches that questions fill
+    on first use, not `build_pool`: `_scored`, the candidates scored for a
+    target of each database id, and `_sections`, each candidate's example
+    `PromptSection` (see `section`), shared read-only by every prompt that
+    shows it. A value is the same whichever worker builds it, so when two
+    workers race, either store may win.
+    """
+
     candidates: tuple[PoolCandidate, ...]
     variant: SchemaVariant = SchemaVariant.C_VDT
     # The candidates' question, schema and SQL vectors, stacked once as
@@ -104,6 +115,10 @@ class ExamplePool:
     # Rendered schema text -> its vector, filled by build_pool and by each
     # target schema embedded, so a run embeds each distinct schema once.
     _schema_vectors: dict[str, Vector] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _scored: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _sections: dict[int, PromptSection] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -131,6 +146,23 @@ class ExamplePool:
             tuple((matrix[i], float(norms[j, i])) for j, matrix in enumerate(matrices))
             for i in range(len(self.candidates))))
 
+    def section(self, index: int) -> PromptSection:
+        """Candidate `index`'s example section, its catalog partitioned by
+        its gold SQL: built on first use, then shared read-only by every
+        prompt that shows the candidate."""
+        section = self._sections.get(index)
+        if section is None:
+            candidate = self.candidates[index]
+            section = self._sections.setdefault(index, PromptSection(
+                candidate.catalog, partition_columns(
+                    candidate.catalog, reference_sql=candidate.instance.gold_sql)))
+        return section
+
+
+def _schema_text(catalog: DatabaseCatalog, variant: SchemaVariant) -> str:
+    """The catalog's full schema block in `variant`, rendered once per catalog."""
+    return catalog.derived(("schema_text", variant), lambda: render_schema(catalog, variant))
+
 
 def build_pool(
     candidates: Sequence[tuple[TaskInstance, DatabaseCatalog]],
@@ -142,7 +174,7 @@ def build_pool(
     for instance, catalog in candidates:
         texts.extend((
             instance.question,
-            render_schema(catalog, variant),
+            _schema_text(catalog, variant),
             instance.gold_sql,
         ))
     vectors = [tuple(float(x) for x in v) for v in embed(texts)]
@@ -166,7 +198,7 @@ def _target_vectors(
     """The target's question, schema and draft SQL vectors. Its schema is
     embedded only when the pool has not seen that rendered text; two workers
     that miss it at once both embed it, to the same vector."""
-    schema = render_schema(target_catalog, pool.variant)
+    schema = _schema_text(target_catalog, pool.variant)
     target_d = pool._schema_vectors.get(schema)
     if target_d is None:
         target_q, target_d, target_s = (
@@ -177,10 +209,16 @@ def _target_vectors(
     return target_q, target_d, target_s
 
 
-def _scored_indexes(target: TaskInstance, pool: ExamplePool) -> list[int]:
-    """Indexes of the candidates from another database than the target's."""
-    return [index for index, candidate in enumerate(pool.candidates)
-            if candidate.instance.database_id != target.database_id]
+def _scored_indexes(target: TaskInstance, pool: ExamplePool) -> tuple[int, ...]:
+    """Indexes of the candidates from another database than the target's,
+    listed once per database id."""
+    database_id = target.database_id
+    indexes = pool._scored.get(database_id)
+    if indexes is None:
+        indexes = pool._scored.setdefault(database_id, tuple(
+            index for index, candidate in enumerate(pool.candidates)
+            if candidate.instance.database_id != database_id))
+    return indexes
 
 
 def _triple(targets: tuple[Vector, Vector, Vector], pool: ExamplePool,

@@ -77,9 +77,15 @@ class LlmEndpoint:
         if self.max_response_tokens <= 0:
             raise ValueError("max_response_tokens must be positive")
         url = urlsplit(self.base_url)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"base_url must be an http:// or https:// URL with a host, "
-                             f"got {self.base_url!r}")
+        try:
+            url.port  # raises on a port that is not a number in 0..65535
+        except ValueError:
+            valid = False
+        else:
+            valid = url.scheme in ("http", "https") and bool(url.hostname)
+        if not valid:
+            raise ValueError(f"base_url must be an http:// or https:// URL with a host "
+                             f"and a valid port, got {self.base_url!r}")
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,10 @@ class DatabaseCatalog:
         return {t.name: t for t in self.tables}
 
     def column_set(self) -> set[tuple[str, str]]:
-        return {(t.name, c.name) for t in self.tables for c in t.columns}
+        """Every (table, column) of the catalog; the pairs are built once per
+        catalog and shared by every set and partition made from them."""
+        return set(self.derived("column_set", lambda: frozenset(
+            (t.name, c.name) for t in self.tables for c in t.columns)))
 
     def key_columns(self, columns: Optional[set[tuple[str, str]]] = None) -> set[tuple[str, str]]:
         """Primary keys among `columns` (all by default) plus both endpoints
@@ -170,13 +173,25 @@ class DatabaseCatalog:
 ColumnFilter = Mapping[str, Iterable[str]]
 
 
+def _column_names(catalog: DatabaseCatalog) -> Mapping[str, frozenset[str]]:
+    """{table: its column names} in catalog order, built once per catalog."""
+    return catalog.derived("column_names", lambda: MappingProxyType({
+        table.name: frozenset(column.name for column in table.columns)
+        for table in catalog.tables}))
+
+
 def _validate_filter(catalog: DatabaseCatalog, keep: ColumnFilter) -> dict[str, set[str]]:
-    tables = catalog.table_map()
+    """`keep` as {table: set of columns}, checked against the catalog's
+    table and column names (`_column_names`).
+
+    Raises UnknownColumnInFilter for a table or column the catalog lacks.
+    """
+    names = _column_names(catalog)
     resolved: dict[str, set[str]] = {}
     for table_name, columns in keep.items():
-        if table_name not in tables:
+        known = names.get(table_name)
+        if known is None:
             raise UnknownColumnInFilter(f"unknown table in filter: {table_name!r}")
-        known = {c.name for c in tables[table_name].columns}
         wanted = set(columns)
         unknown = wanted - known
         if unknown:
@@ -263,6 +278,8 @@ class CompiledSchema:
         wanted_of: dict[str, Optional[set[str]]] = {}
         for name, header, columns in self.tables:
             wanted = None if keep is None or name not in keep else set(keep[name])
+            if wanted is not None and not wanted:
+                continue  # an emptied table: no column to look at
             kept = columns if wanted is None else [c for c in columns if c[0] in wanted]
             if kept:
                 wanted_of[name] = wanted

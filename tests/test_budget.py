@@ -223,6 +223,22 @@ def test_truncate_target_deterministic():
     assert first.removed_columns != third.removed_columns
 
 
+def test_seeded_removals_are_pinned():
+    # Reports are byte-identical across runs and Python versions only while
+    # random.Random(seed).randrange draws the same; CI runs each version.
+    sections = _example_sections(2, columns=8)
+    render = _render_sections(sections)
+    limit = int(count_tokens(render([s.keep for s in sections])) * 0.7)
+    _, record = truncate_examples(sections, plan_example_truncation([0.8, 0.4]), render,
+                                  limit, seed=2024, **ENGINE)
+    assert record == TruncationRecord((
+        (("wide", "col_07"), ("wide", "col_01")),
+        (("wide", "col_04"), ("wide", "col_01")),
+        (("wide", "col_06"), ("wide", "col_07"), ("wide", "col_05"), ("wide", "col_02"),
+         ("wide", "col_01"), ("wide", "col_04")),
+    ), 345, 215)
+
+
 def test_truncate_target_unsatisfiable():
     catalog = wide_catalog(columns=5)
     partition = partition_columns(catalog, question="x")
@@ -525,6 +541,50 @@ def test_truncate_examples_equals_rerendering(sections, variant, data, fraction,
     limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
     assert _outcome(truncate_examples, sections, plan, render, limit, seed, variant=variant) == \
         _outcome(rerender_reference, sections, plan, render, limit, seed, variant=variant)
+
+
+def _fresh(section):
+    """A section built anew from a copy of `section`'s partition."""
+    partition = section.partition
+    return PromptSection(section.catalog, ColumnPartition(partition.target, partition.non_target))
+
+
+def test_shared_sections_are_left_as_built():
+    sections = _example_sections(3, columns=30)
+    variant = SchemaVariant.C_A
+    render = _render_sections(sections, variant)
+    limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
+    plan = plan_example_truncation([0.9, 0.5, 0.25])
+    first = fit_prompt("few_shot", render, sections, limit, 7, variant=variant, plan=plan)
+    second = fit_prompt("few_shot", render, sections, limit, 7, variant=variant, plan=plan)
+    assert first.truncation.total_removed > 0
+    assert first == second
+    for section in sections:
+        fresh = _fresh(section)
+        assert section.keep == fresh.keep == full_keep(section.catalog)
+        assert section.removables == fresh.removables
+        assert section.size(variant) == fresh.size(variant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_sections(), min_size=1, max_size=4), st.data(),
+       st.sampled_from(list(SchemaVariant)), st.sampled_from(list(SchemaVariant)),
+       st.floats(0, 1), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_truncate_examples_over_reused_sections_equals_fresh_ones(
+        sections, data, warm_variant, variant, fraction, warm_seed, seed):
+    """Sections that earlier prompts already truncated, in any variant and
+    with any seed, truncate as freshly built ones do."""
+    plan = plan_example_truncation(data.draw(st.lists(
+        st.sampled_from([1e-6, 0.05, 0.3, 0.5, 0.9, 1.0]),
+        min_size=len(sections) - 1, max_size=len(sections) - 1)))
+    for used_variant, used_seed in ((warm_variant, warm_seed), (variant, seed)):
+        render = _render_sections(sections, used_variant)
+        limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
+        reused = _outcome(truncate_examples, sections, plan, render, limit, used_seed,
+                          variant=used_variant)
+    fresh = [_fresh(section) for section in sections]
+    assert reused == _outcome(truncate_examples, fresh, plan, _render_sections(fresh, variant),
+                              limit, seed, variant=variant)
 
 
 # Any characters but surrogates, whitespace and punctuation included.

@@ -184,7 +184,8 @@ def test_config_rejects_out_of_range_values(key, value):
 
 
 @pytest.mark.parametrize("key", ["base_url", "embed_base_url"])
-@pytest.mark.parametrize("url", ["localhost:8000", "ftp://x:1", "http://", "https:///v1"])
+@pytest.mark.parametrize("url", ["localhost:8000", "ftp://x:1", "http://", "https:///v1",
+                                 "http://x:abc", "http://x:99999"])
 def test_config_rejects_a_base_url_without_http_scheme_and_host(key, url):
     with pytest.raises(ValueError, match="base_url"):
         RunConfig(**{key: url})
@@ -195,6 +196,16 @@ def test_a_base_url_without_http_scheme_fails_the_command(mini_bench, tmp_path, 
     out = tmp_path / "out"
     assert main(["run", "--benchmark-root", str(mini_bench), "--split", "dev",
                  flag, "localhost:8000", "--output-dir", str(out)]) == 1
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--base-url", "--embed-base-url"])
+def test_a_base_url_with_a_bad_port_fails_the_command(mini_bench, tmp_path, flag):
+    # Accepted, such a URL would fail every request inside the transport, and
+    # each question would be charged to the model.
+    out = tmp_path / "out"
+    assert main(["run", "--benchmark-root", str(mini_bench), "--split", "dev",
+                 flag, "http://localhost:abc", "--output-dir", str(out)]) == 1
     assert not (out / "report.json").exists()
 
 

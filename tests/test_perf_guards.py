@@ -1,7 +1,9 @@
 """Work-count guards for the prompt paths.
 
-A 2-shot run compiles each (catalog, variant) schema once, so it renders
-and counts each column line once, scores the example pool without a
+A 2-shot run partitions each question's target once and each distinct
+example candidate once, and builds no section inside `truncate_target`. It
+compiles each (catalog, variant) schema once, so it renders and counts
+each column line once, scores the example pool without a
 per-pair call of the public `cosine`, rescores with the exact cosine only
 the screened top k and the candidates tied with it, and renders each
 few-shot prompt twice per question: once as its frame, with no schema
@@ -43,6 +45,7 @@ import numpy as np
 import pytest
 
 import sqlbench.bench as bench
+import sqlbench.budget as budget
 import sqlbench.cli as cli
 import sqlbench.cot as cot
 import sqlbench.curation as curation
@@ -117,6 +120,34 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
     monkeypatch.setattr(schema, "_compile", compile_schema)
     counted = _LoggingPattern(schema._TOKEN_RE)
     monkeypatch.setattr(schema, "_TOKEN_RE", counted)
+    # Partitions: the target's through prompts, the examples' through the pool.
+    for module in (prompts, curation):
+        monkeypatch.setattr(module, "partition_columns", _counting(
+            calls, "partition_columns", module.partition_columns))
+    shown: list[int] = []
+    pool_section = curation.ExamplePool.section
+
+    def section(pool, index):
+        shown.append(index)
+        return pool_section(pool, index)
+
+    monkeypatch.setattr(curation.ExamplePool, "section", section)
+    truncating = [False]
+    section_init = budget.PromptSection.__post_init__
+
+    def init_section(section):
+        calls["sections built in truncate_target"] += truncating[0]
+        section_init(section)
+
+    def truncate_target(*args, **kwargs):
+        truncating[0] = True
+        try:
+            return budget.truncate_target(*args, **kwargs)
+        finally:
+            truncating[0] = False
+
+    monkeypatch.setattr(budget.PromptSection, "__post_init__", init_section)
+    monkeypatch.setattr(prompts, "truncate_target", truncate_target)
 
     transport = ScriptedTransport(
         completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
@@ -126,6 +157,11 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
 
     report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
     questions = len(MINI_QUESTIONS)
+    # One target partition per question, one per distinct example shown,
+    # and each example section is shared by the prompts that show it.
+    assert len(shown) == 2 * questions > len(set(shown))
+    assert calls["partition_columns"] == questions + len(set(shown))
+    assert calls["sections built in truncate_target"] == 0
     assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
     assert report["truncation"]["queries_with_truncation"] == questions
     assert calls["cosine"] == 0
