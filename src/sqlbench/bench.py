@@ -270,12 +270,7 @@ def load_questions(root_dir: Path, split_name: str) -> tuple[TaskInstance, ...]:
     return tuple(_parse_record(raw, i) for i, raw in enumerate(records))
 
 
-def load_split(
-    root_dir: Path,
-    split_name: str,
-    *,
-    value_probe_timeout: float = DEFAULT_VALUE_PROBE_TIMEOUT,
-) -> BenchmarkSplit:
+def load_split(root_dir: Path, split_name: str) -> BenchmarkSplit:
     """Load one benchmark split with all catalogs under <root>/databases.
 
     Another split of the same root can reuse these catalogs:
@@ -291,10 +286,7 @@ def load_split(
                 continue
             descriptions = read_description_dir(db_dir / "database_description")
             catalogs[db_dir.name] = introspect_database(
-                sqlite_file, descriptions,
-                database_id=db_dir.name,
-                value_probe_timeout=value_probe_timeout,
-            )
+                sqlite_file, descriptions, database_id=db_dir.name)
     return BenchmarkSplit(split_name, instances, catalogs)
 
 

@@ -13,7 +13,6 @@ import logging
 import math
 import random
 import re
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -71,11 +70,6 @@ class TokenBudget:
 class ColumnPartition:
     target: frozenset[tuple[str, str]]
     non_target: frozenset[tuple[str, str]]
-    # id(catalog) -> the live section of this partition over that catalog
-    # (see PromptSection.of). Weak, so a section and its partition form no
-    # cycle; a live section holds its catalog, so the id stays that catalog's.
-    _sections: weakref.WeakValueDictionary = field(
-        default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", frozenset(self.target))
@@ -231,9 +225,7 @@ class PromptSection:
     of a narrowed view shows only that view; `removables` is the
     partition's non-target columns, sorted, the list truncation draws from.
     `size(variant)` is the token count of the schema block `keep` shows.
-    Truncation copies what it changes and leaves the section as built. A
-    section is known to its partition while it lives, so `truncate_target`,
-    given that partition, reuses it (`of`).
+    Truncation copies what it changes and leaves the section as built.
     """
 
     catalog: DatabaseCatalog
@@ -253,14 +245,6 @@ class PromptSection:
             table: names[table] if columns == names[table] else frozenset(columns)
             for table, columns in keep.items()})
         object.__setattr__(self, "removables", tuple(sorted(self.partition.non_target)))
-        self.partition._sections.setdefault(id(self.catalog), self)
-
-    @classmethod
-    def of(cls, catalog: DatabaseCatalog, partition: ColumnPartition) -> PromptSection:
-        """A live section of `partition` over `catalog`, built now if there
-        is none; two workers that build it at once build equal ones."""
-        section = partition._sections.get(id(catalog))
-        return cls(catalog, partition) if section is None else section
 
     def size(self, variant: SchemaVariant) -> int:
         """count_tokens of the schema block in `variant` under `keep`,
@@ -349,29 +333,25 @@ def _truncate(
 
 
 def truncate_target(
-    catalog: DatabaseCatalog,
-    partition: ColumnPartition,
+    section: PromptSection,
     render_prompt: Callable[[KeepFilter], str],
     limit: int,
     seed: int,
     *,
     variant: SchemaVariant,
 ) -> tuple[KeepFilter, TruncationRecord]:
-    """Randomly drop non-target columns until the rendered prompt fits.
+    """Randomly drop `section`'s non-target columns until the rendered prompt fits.
 
-    The one-section case of truncate_examples, at rate 1. `render_prompt`
-    renders the full prompt, schema block in `variant`, under one keep
-    filter; the loop stops at the first removal after which it fits. It is
-    called twice: once with every table's keep emptied (the frame, counted
-    for the scaffold) and once in full at the fit, uncounted. That last
-    call rendered the returned keep. A live `PromptSection` of `partition`
-    over `catalog`, such as the one `prompts.fit_prompt` was given, is
-    reused with its keep, removables and sizes; one is built only if none
-    is alive.
+    The one-section case of truncate_examples, at rate 1: truncation starts
+    from `section`'s keep, removables and sizes and leaves `section` as
+    built. `render_prompt` renders the full prompt, schema block in
+    `variant`, under one keep filter; the loop stops at the first removal
+    after which it fits. It is called twice: once with every table's keep
+    emptied (the frame, counted for the scaffold) and once in full at the
+    fit, uncounted. That last call rendered the returned keep.
     """
     keeps, record = _truncate(
-        [PromptSection.of(catalog, partition)], (1.0,),
-        lambda keeps: render_prompt(keeps[0]), limit, seed, variant)
+        [section], (1.0,), lambda keeps: render_prompt(keeps[0]), limit, seed, variant)
     return keeps[0], record
 
 

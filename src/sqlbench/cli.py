@@ -49,7 +49,7 @@ from .prompts import (
     few_shot_text,
     fit_prompt,
     open_prompt_text,
-    question_partition,
+    question_section,
     require_sft_budget,
     write_sft_jsonl,
 )
@@ -219,12 +219,6 @@ def build_embed_client(cfg: RunConfig, *, transport=None,
     return _client(cfg, cfg.embed_endpoint(), transport, store)
 
 
-def _target_section(instance: TaskInstance, catalog) -> PromptSection:
-    """The target's schema section, built once per question and shared by
-    its draft and its few-shot prompt."""
-    return PromptSection(catalog, question_partition(instance, catalog))
-
-
 def _zero_shot_bundle(
     cfg: RunConfig,
     instance: TaskInstance,
@@ -283,7 +277,7 @@ def _few_shot_bundle(
     embed: EmbeddingFn,
 ) -> PromptBundle:
     """Curate, truncate and assemble the k-shot prompt for one instance."""
-    target = _target_section(instance, catalog)
+    target = question_section(instance, catalog)
     _, curated = _curate(cfg, instance, target, pool, client, embed)
     indexes = [triple.candidate_index for _, triple in curated.examples]
     examples = [pool.candidates[index] for index in indexes]
@@ -334,7 +328,7 @@ def process_instance(
             if cfg.shots > 0:
                 bundle = _few_shot_bundle(cfg, instance, catalog, pool, client, embed)
             else:
-                bundle = _zero_shot_bundle(cfg, instance, _target_section(instance, catalog))
+                bundle = _zero_shot_bundle(cfg, instance, question_section(instance, catalog))
             response = client.complete(bundle)
             final_sql = extract_sql(response)
             trace = CotTrace(
@@ -557,7 +551,7 @@ def cmd_build_prompt(cfg: RunConfig, question_id: int, out: Optional[Path] = Non
     if instance is None:
         raise SystemExit(f"question_id {question_id} not in split {cfg.split!r}")
     catalog = split.databases[instance.database_id]
-    bundle = _zero_shot_bundle(cfg, instance, _target_section(instance, catalog))
+    bundle = _zero_shot_bundle(cfg, instance, question_section(instance, catalog))
     if out:
         out.write_text(bundle.text, encoding="utf-8")
         print(f"wrote {bundle.token_count}-token prompt to {out}")
@@ -582,7 +576,7 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
         for instance in split.instances:
             catalog = split.databases[instance.database_id]
             draft_sql, curated = _curate(
-                cfg, instance, _target_section(instance, catalog), pool, client, embed)
+                cfg, instance, question_section(instance, catalog), pool, client, embed)
             rows.append({
                 "question_id": instance.question_id,
                 "draft_sql": draft_sql,

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .bench import TaskInstance
-from .budget import (
-    ColumnPartition,
-    PromptSection,
-    TokenBudget,
-    derive_seed,
-)
+from .budget import PromptSection, TokenBudget, derive_seed
 from .gateway import EmptyResponse, extract_sql
 from .prompts import (
     FEW_SHOT_FORMAT_LINE,
@@ -28,7 +23,7 @@ from .prompts import (
     PromptBundle,
     fit_prompt,
     question_lines,
-    question_partition,
+    question_section,
     schema_lines,
 )
 from .schema import DatabaseCatalog, SchemaVariant, render_schema_format_header
@@ -215,23 +210,22 @@ def _all_columns(catalog: DatabaseCatalog, tables: Sequence[str]) -> dict[str, l
     return {name: [c.name for c in table_map[name].columns] for name in tables}
 
 
-def _partition_of(instance: TaskInstance, catalog: DatabaseCatalog,
-                  columns: Mapping[str, Sequence[str]]) -> ColumnPartition:
-    """The partition of the schema showing only `columns`; other tables are hidden."""
+def _section_of(instance: TaskInstance, catalog: DatabaseCatalog,
+                columns: Mapping[str, Sequence[str]]) -> PromptSection:
+    """The section of the schema showing only `columns`; other tables are hidden."""
     keep = {t.name: set(columns.get(t.name, ())) for t in catalog.tables}
-    return question_partition(instance, catalog, keep)
+    return question_section(instance, catalog, keep)
 
 
 def _build_step_prompt(
     instance: TaskInstance,
-    catalog: DatabaseCatalog,
     step_index: int,
     tail: str,
     budget: TokenBudget,
     seed: int,
-    partition: ColumnPartition,
+    section: PromptSection,
 ) -> PromptBundle:
-    """One step's prompt over the base catalog, truncated within `partition`."""
+    """One step's prompt over `section`'s catalog, truncated within `section`."""
     if step_index == 1:
         header, properties_line, variant = _STEP1_HEADER, PROPERTIES_LINE, _STEP1_VARIANT
     else:
@@ -240,9 +234,9 @@ def _build_step_prompt(
     return fit_prompt(
         "cot_step", lambda keeps: "\n".join([
             FEW_SHOT_FORMAT_LINE, header,
-            *schema_lines(properties_line, catalog, variant, keeps[0]),
+            *schema_lines(properties_line, section.catalog, variant, keeps[0]),
             *question_lines(instance), _STEP_BY_STEP, tail]),
-        [PromptSection(catalog, partition)], budget.available,
+        [section], budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
         variant=variant, step_index=step_index)
 
@@ -278,16 +272,15 @@ def run_cot(
     restrict = mode.endswith("-pred")
     trace = CotTrace(mode=mode)
 
-    def run_step(step_partition: ColumnPartition, step_index: int, tail: str) -> str:
-        bundle = _build_step_prompt(
-            instance, catalog, step_index, tail, budget, seed, step_partition)
+    def run_step(section: PromptSection, step_index: int, tail: str) -> str:
+        bundle = _build_step_prompt(instance, step_index, tail, budget, seed, section)
         trace.step_prompts.append(bundle)
         response = client.complete(bundle)
         trace.step_responses.append(response)
         return response
 
-    # Steps that show the same schema share its partition.
-    full = question_partition(instance, catalog)
+    # Steps that show the same schema share its section and its sizes.
+    full = question_section(instance, catalog)
 
     # Step 1: find tables over the description-only schema.
     response = run_step(full, 1, _STEP1_TAIL)
@@ -299,7 +292,7 @@ def run_cot(
     trace.predicted_tables = tables
 
     # Step 2: find columns within the predicted tables.
-    step2 = _partition_of(instance, catalog, _all_columns(catalog, tables)) if restrict else full
+    step2 = _section_of(instance, catalog, _all_columns(catalog, tables)) if restrict else full
     response = run_step(step2, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
     columns = _validate_columns(
         parse_column_list(response, catalog, tables), catalog, trace)
@@ -315,7 +308,7 @@ def run_cot(
         restrict = False
     trace.predicted_columns = columns
 
-    later = _partition_of(instance, catalog, columns) if restrict else full
+    later = _section_of(instance, catalog, columns) if restrict else full
     columns_related = ", ".join(
         f"{table}.{column}" for table, cols in columns.items() for column in cols)
 

@@ -7,9 +7,9 @@ select, read and call functions, so a predicted `ATTACH`, `VACUUM INTO`,
 `PRAGMA` or temp-table write fails that query without touching any file.
 Because no query can leave state behind, a `DatabaseConnections` keeps one
 such connection per thread and database file for a whole run, with a page
-cache of 64 KiB; `execute_and_compare` without one opens a connection for
-its two queries and closes it. NULLs compare as a distinct sentinel equal
-only to itself.
+cache of 64 KiB and, from Python 3.11, values of at most MAX_VALUE_BYTES;
+`execute_and_compare` without one opens a connection for its two queries
+and closes it. NULLs compare as a distinct sentinel equal only to itself.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ DEFAULT_QUERY_TIMEOUT = 30.0
 # Rows one query may return. A larger result becomes that query's error
 # instead of being held in memory; below the bound EX is unaffected.
 MAX_RESULT_ROWS = 1_000_000
+# Bytes one string or blob may hold (SQLITE_LIMIT_LENGTH), where Python can
+# set it (3.11+). A query that builds a longer value fails with "string or
+# blob too big" instead of holding it in memory.
+MAX_VALUE_BYTES = 10_000_000
 # Authorizer actions a query may take; every other action is denied.
 _ALLOWED_ACTIONS = frozenset((sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                               sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE))
@@ -64,6 +68,8 @@ class DatabaseConnections:
             except sqlite3.Error:  # not a database file
                 conn.close()
                 raise
+            if hasattr(conn, "setlimit"):
+                conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_VALUE_BYTES)
             conn.set_authorizer(_authorize)
             with self._lock:
                 self._open[key] = conn

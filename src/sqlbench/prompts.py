@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bench import BenchmarkSplit, TaskInstance
 from .budget import (
-    ColumnPartition,
     KeepFilter,
     PromptSection,
     TokenBudget,
@@ -102,11 +101,13 @@ def question_lines(instance: TaskInstance) -> list[str]:
     return lines
 
 
-def question_partition(instance: TaskInstance, catalog: DatabaseCatalog,
-                       keep=None) -> ColumnPartition:
-    """Partition the columns `keep` shows by their link to the question and note."""
-    return partition_columns(
-        catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep)
+def question_section(instance: TaskInstance, catalog: DatabaseCatalog,
+                     keep=None) -> PromptSection:
+    """The target section of the columns `keep` shows, partitioned by their
+    link to the question and note. Build it once per question and view and
+    share it among the prompts that show that view."""
+    return PromptSection(catalog, partition_columns(
+        catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep))
 
 
 def fit_prompt(
@@ -123,11 +124,11 @@ def fit_prompt(
     """The one budgeted prompt builder: truncate until `render` fits `limit`.
 
     `render` renders the whole prompt, schema blocks in `variant`, from one
-    keep filter per section. Without a plan the one section goes through
-    `truncate_target`; with one, `truncate_examples` shares the excess by
-    its rates. The engine's last render is the fit, so the bundle is that
-    text and the record's `tokens_after`, its `count_tokens` count, with no
-    second render or count.
+    keep filter per section. Without a plan the one section is passed
+    straight to `truncate_target`; with one, `truncate_examples` shares the
+    excess by its rates. The engine's last render is the fit, so the bundle
+    is that text and the record's `tokens_after`, its `count_tokens` count,
+    with no second render or count.
     """
     text = ""
 
@@ -139,8 +140,7 @@ def fit_prompt(
     if plan is None:
         (section,) = sections
         _, record = truncate_target(
-            section.catalog, section.partition, lambda keep: kept([keep]), limit, seed,
-            variant=variant)
+            section, lambda keep: kept([keep]), limit, seed, variant=variant)
     else:
         _, record = truncate_examples(sections, plan, kept, limit, seed, variant=variant)
     return PromptBundle(text, record.tokens_after, role, step_index, record)

@@ -320,12 +320,12 @@ def test_criterion_5_budget_property():
         instance = TaskInstance(trial, "How many records are stored in total?", "",
                                 "SELECT COUNT(*) FROM records", "target_db")
         partition = partition_columns(target_catalog, question=instance.question)
+        target = PromptSection(target_catalog, partition)
 
         def render_target(keep):
             return open_prompt_text(instance, target_catalog, variant, keep)
 
-        keep, record = truncate_target(
-            target_catalog, partition, render_target, limit, seed, **engine)
+        keep, record = truncate_target(target, render_target, limit, seed, **engine)
         bundle = build_open_prompt(instance, target_catalog, variant,
                                    keep=keep, truncation=record)
         assert bundle.token_count <= limit
@@ -333,7 +333,7 @@ def test_criterion_5_budget_property():
         if record.total_removed:
             breached += 1
             keep_again, record_again = truncate_target(
-                target_catalog, partition, render_target, limit, seed, **engine)
+                target, render_target, limit, seed, **engine)
             assert build_open_prompt(
                 instance, target_catalog, variant, keep=keep_again).text == bundle.text
             assert record_again.removed_columns == record.removed_columns
@@ -341,7 +341,7 @@ def test_criterion_5_budget_property():
         # few-shot: 1-shot and 3-shot with example column truncation
         for shots in (1, 3):
             blocks = []
-            sections = [PromptSection(target_catalog, partition)]
+            sections = [target]
             for s in range(shots):
                 ex_catalog = _random_catalog(rng, f"pool_db_{s}", rng.randint(35, 55))
                 ex_instance = TaskInstance(

@@ -184,7 +184,8 @@ def _render_target(catalog, variant=SchemaVariant.C_A):
 def test_truncate_target_noop_under_budget(movie_catalog):
     partition = partition_columns(movie_catalog, question="anything")
     render = _render_target(movie_catalog)
-    keep, record = truncate_target(movie_catalog, partition, render, 10_000, seed=1, **ENGINE)
+    keep, record = truncate_target(
+        PromptSection(movie_catalog, partition), render, 10_000, seed=1, **ENGINE)
     assert record.total_removed == 0
     assert record.tokens_before == record.tokens_after
     assert keep == full_keep(movie_catalog)
@@ -205,7 +206,8 @@ def test_truncate_target_fits_and_removes_only_non_target():
     partition = partition_columns(catalog, question="nothing relevant here")
     render = _render_target(catalog)
     limit = count_tokens(render(full_keep(catalog))) - 150
-    keep, record = truncate_target(catalog, partition, render, limit, seed=3, **ENGINE)
+    keep, record = truncate_target(
+        PromptSection(catalog, partition), render, limit, seed=3, **ENGINE)
     assert count_tokens(render(keep)) <= limit
     assert record.tokens_after <= limit
     assert set(record.removed_columns[0]) <= partition.non_target
@@ -216,10 +218,11 @@ def test_truncate_target_deterministic():
     partition = partition_columns(catalog, question="x")
     render = _render_target(catalog)
     limit = count_tokens(render(full_keep(catalog))) - 100
-    _, first = truncate_target(catalog, partition, render, limit, seed=11, **ENGINE)
-    _, second = truncate_target(catalog, partition, render, limit, seed=11, **ENGINE)
+    section = PromptSection(catalog, partition)
+    _, first = truncate_target(section, render, limit, seed=11, **ENGINE)
+    _, second = truncate_target(section, render, limit, seed=11, **ENGINE)
     assert first.removed_columns == second.removed_columns
-    _, third = truncate_target(catalog, partition, render, limit, seed=12, **ENGINE)
+    _, third = truncate_target(section, render, limit, seed=12, **ENGINE)
     assert first.removed_columns != third.removed_columns
 
 
@@ -244,7 +247,7 @@ def test_truncate_target_unsatisfiable():
     partition = partition_columns(catalog, question="x")
     render = _render_target(catalog)
     with pytest.raises(UnsatisfiableBudget):
-        truncate_target(catalog, partition, render, 1, seed=0, **ENGINE)
+        truncate_target(PromptSection(catalog, partition), render, 1, seed=0, **ENGINE)
 
 
 def test_plan_symmetric_for_identical_similarities():
@@ -524,8 +527,7 @@ def test_truncate_target_equals_first_fit(section, variant, fraction, seed):
         return "### rule\n" + render_schema(catalog, variant, keep) + "SELECT"
 
     limit = int(count_tokens(render(None)) * fraction)
-    assert _outcome(truncate_target, catalog, partition, render, limit, seed,
-                    variant=variant) == \
+    assert _outcome(truncate_target, section, render, limit, seed, variant=variant) == \
         _outcome(first_fit_reference, catalog, partition, render, limit, seed)
 
 
@@ -640,8 +642,7 @@ def _few_shot_path(sections, variant, limit, seed):
 def _cot_step_path(sections, variant, limit, seed):
     (section, instance), = sections[:1]
     bundle = cot._build_step_prompt(
-        instance, section.catalog, 1 + seed % 2, "SELECT", TokenBudget(limit + 1, 1), seed,
-        section.partition)
+        instance, 1 + seed % 2, "SELECT", TokenBudget(limit + 1, 1), seed, section)
     return bundle.token_count, bundle.text
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import ScriptedTransport
 from sqlbench.bench import TaskInstance
-from sqlbench.budget import TokenBudget, UnsatisfiableBudget, partition_columns
+from sqlbench.budget import TokenBudget, UnsatisfiableBudget
 from sqlbench.cot import (
     MODE_COT_SK_FULL,
     MODE_COT_SK_PRED,
@@ -18,6 +18,7 @@ from sqlbench.cot import (
     run_cot,
 )
 from sqlbench.gateway import LlmClient, LlmEndpoint, ReplayStore
+from sqlbench.prompts import question_section
 from sqlbench.schema import (
     TYPE_NAMES,
     ColumnSpec,
@@ -340,10 +341,8 @@ def _narrowed_steps(draw):
 
 def _step_prompt(instance, catalog, step_index, tail, budget, seed, keep=None):
     """The step prompt over the schema `keep` shows, partitioned as run_cot does."""
-    partition = partition_columns(
-        catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep)
     return _build_step_prompt(
-        instance, catalog, step_index, tail, budget, seed, partition)
+        instance, step_index, tail, budget, seed, question_section(instance, catalog, keep))
 
 
 def _step_outcome(*args):

@@ -1,7 +1,8 @@
 """Hostile model output: SQL extraction and skeleton parsing either return
 or raise their documented ValueError subclasses, whatever the text, and
 executing it can neither write a file nor change connection state, also
-on a connection the next query reuses.
+on a connection the next query reuses, nor build a value longer than
+`evaluate.MAX_VALUE_BYTES` where Python can bound it.
 
 Inputs mix SQL fragments with unterminated quotes and comments, code
 fences, non-ASCII letters and digits, NUL and other control characters,
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cinema_db
-from sqlbench import budget, skeleton, taxonomy
+from sqlbench import budget, evaluate, skeleton, taxonomy
 from sqlbench.evaluate import DatabaseConnections, execute_and_compare
 from sqlbench.gateway import EmptyResponse, extract_sql
 from sqlbench.skeleton import (
@@ -224,3 +225,21 @@ def test_a_denied_statement_leaves_the_reused_connection_as_it_was(tmp_path, sta
     finally:
         connections.close()
     assert sorted(tmp_path.rglob("*")) == [db, out]  # no file written anywhere
+
+
+@pytest.mark.skipif(not hasattr(sqlite3.Connection, "setlimit"),
+                    reason="Connection.setlimit needs Python 3.11")
+@pytest.mark.parametrize("statement", [
+    "SELECT zeroblob(2000000)",
+    "WITH RECURSIVE r(s, n) AS (SELECT 'x', 0 UNION ALL SELECT s || s, n + 1 FROM r"
+    " WHERE n < 30) SELECT length(s) FROM r",
+], ids=["zeroblob", "doubling"])
+def test_a_value_over_the_length_bound_is_that_sides_error(tmp_path, monkeypatch, statement):
+    monkeypatch.setattr(evaluate, "MAX_VALUE_BYTES", 1 << 20)
+    db = make_cinema_db(tmp_path / "cinema.sqlite")
+    predicted = execute_and_compare(statement, "SELECT 1", db)
+    gold = execute_and_compare("SELECT 1", statement, db)
+    assert (predicted.matched, predicted.predicted_error, predicted.gold_error) == (
+        False, "string or blob too big", None)
+    assert (gold.matched, gold.predicted_error, gold.gold_error) == (
+        False, None, "string or blob too big")

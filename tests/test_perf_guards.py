@@ -1,23 +1,23 @@
 """Work-count guards for the prompt paths.
 
 A 2-shot run partitions each question's target once and each distinct
-example candidate once, and builds no section inside `truncate_target`. It
-compiles each (catalog, variant) schema once, so it renders and counts
-each column line once, scores the example pool without a
-per-pair call of the public `cosine`, rescores with the exact cosine only
-the screened top k and the candidates tied with it, and renders each
-few-shot prompt twice per question: once as its frame, with no schema
+example candidate once, and `truncate_target` truncates the section it is
+given, building none of its own. It compiles each (catalog, variant) schema
+once, so it renders and counts each column line once, scores the example
+pool without a per-pair call of the public `cosine`, rescores with the exact
+cosine only the screened top k and the candidates tied with it, and renders
+each few-shot prompt twice per question: once as its frame, with no schema
 line, and once in full at the fit. Target truncation, on the zero-shot and
 chain-of-thought paths, renders the same two, however many columns it
-removes. No full prompt is counted: the frame's count plus the compiled
-line costs is its size, and the count its bundle carries. A
-chain-of-thought question partitions each distinct schema its
-steps show once, and a command introspects each database once, also when
-it loads a pool split. A run keeps one database connection per worker
-thread and database and closes them when it ends. A live run keeps one
-HTTP connection per worker thread, closes them when it ends, sends each
-distinct embedding text of a call once and embeds each distinct schema
-once; a replay run opens no HTTP connection.
+removes. No full prompt is counted: the frame's count plus the compiled line
+costs is its size, and the count its bundle carries. A chain-of-thought
+question partitions each distinct schema its steps show once and builds one
+section for it, shared by the steps that show it, and a command introspects
+each database once, also when it loads a pool split. A run keeps one
+database connection per worker thread and database and closes them when it
+ends. A live run keeps one HTTP connection per worker thread, closes them
+when it ends, sends each distinct embedding text of a call once and embeds
+each distinct schema once; a replay run opens no HTTP connection.
 Zero-shot, chain-of-thought and live runs start without loading numpy or
 requests. These counts repeat exactly, so a regression shows here without
 timing anything. Every function the benchmark's tracer wraps by name
@@ -188,10 +188,10 @@ def test_curation_rescores_only_the_screened_top_k(monkeypatch):
 
 
 def _counting_renders(calls: list, truncate):
-    """Wrap truncate_target to log, per call, the catalog, the number of
-    full renders, the frame renders (every keep emptied) and the number of
-    removed columns."""
-    def wrapper(catalog, partition, render_prompt, *args, **kwargs):
+    """Wrap truncate_target to log, per call, the section's catalog, the
+    number of full renders, the frame renders (every keep emptied) and the
+    number of removed columns."""
+    def wrapper(section, render_prompt, *args, **kwargs):
         full, frames = 0, []
 
         def counted(keep):
@@ -203,8 +203,8 @@ def _counting_renders(calls: list, truncate):
                 frames.append(text)
             return text
 
-        keep, record = truncate(catalog, partition, counted, *args, **kwargs)
-        calls.append((catalog, full, frames, record.total_removed))
+        keep, record = truncate(section, counted, *args, **kwargs)
+        calls.append((section.catalog, full, frames, record.total_removed))
         return keep, record
     return wrapper
 
@@ -310,9 +310,12 @@ def test_chain_of_thought_partitions_each_distinct_schema_once(mini_bench, monke
                                                                mode, partitions):
     # cot-sk-pred: the full schema (step 1), the predicted tables (step 2)
     # and the predicted columns (steps 3 and 4); cot-sk-full: the full one.
+    # Each is partitioned once and gets one section, shared by its steps.
     calls: Counter = Counter()
     monkeypatch.setattr(prompts, "partition_columns",
                         _counting(calls, "partition_columns", prompts.partition_columns))
+    monkeypatch.setattr(budget.PromptSection, "__post_init__", _counting(
+        calls, "sections", budget.PromptSection.__post_init__))
     split = load_split(mini_bench, "dev")
     client = build_client(RunConfig(), transport=ScriptedTransport(
         completion_fn=_cot_scripted(MINI_QUESTIONS)))
@@ -321,7 +324,7 @@ def test_chain_of_thought_partitions_each_distinct_schema_once(mini_bench, monke
         trace = cot.run_cot(instance, split.databases[instance.database_id], client, mode)
         assert len(trace.step_prompts) == 4
         assert not any("using full schema" in warning for warning in trace.warnings)
-        assert calls["partition_columns"] == partitions
+        assert calls["partition_columns"] == calls["sections"] == partitions
 
 
 @pytest.mark.parametrize("command", [cmd_run, cmd_curate])

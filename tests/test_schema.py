@@ -264,7 +264,8 @@ def test_truncation_counts_whole_prompts_from_their_frames(
         return few_shot_text(instance, catalogs[0], blocks, variant, keeps[0])
 
     catalog = catalogs[0]
-    _, record = truncate_target(catalog, _all_removable(catalog), zero_shot, 10**6, 0, **engine)
+    _, record = truncate_target(
+        PromptSection(catalog, _all_removable(catalog)), zero_shot, 10**6, 0, **engine)
     assert record.tokens_before == count_tokens(zero_shot(None))
 
     sections = [PromptSection(c, _all_removable(c)) for c in catalogs]
@@ -273,8 +274,8 @@ def test_truncation_counts_whole_prompts_from_their_frames(
     assert record.tokens_before == count_tokens(few_shot([s.keep for s in sections]))
 
     for step_index in (1, 2):
-        bundle = _build_step_prompt(instance, catalog, step_index, "Tables:",
-                                    TokenBudget(10**6, 200), 0, _all_removable(catalog))
+        bundle = _build_step_prompt(instance, step_index, "Tables:", TokenBudget(10**6, 200),
+                                    0, PromptSection(catalog, _all_removable(catalog)))
         assert bundle.truncation.tokens_before == count_tokens(bundle.text)
 
 
