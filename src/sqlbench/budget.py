@@ -269,8 +269,12 @@ def _truncate(
     Each section's keep, sorted removables and schema size in `variant`
     are read from the section, which computed them once; the engine copies
     the keeps and removables it changes, so the sections stay as built and
-    may be shared. Removals draw with one `random.Random(seed)` from each
-    sorted list. The prompt is first rendered as its frame: every section's
+    may be shared. Each removal pops a sorted list at an index drawn from
+    one `random.Random(seed)`: the sequence `randrange(len(list))` draws,
+    inlined, which tests/test_budget.py pins with
+    `test_seeded_removals_are_pinned` and the `*_at_wide_sizes` equalities
+    with its `randrange` references. The record holds the popped tuples
+    themselves. The prompt is first rendered as its frame: every section's
     keep emptied, so no schema line is rendered. The frame's count is the
     fixed scaffold, and the scaffold plus the sections' schema sizes is
     `tokens_before`. Each section's schema size is then kept exact as
@@ -292,7 +296,7 @@ def _truncate(
     removables = [list(section.removables) for section in sections]
     schemas = [compiled_schema(section.catalog, variant) for section in sections]
     sizes = [section.size(variant) for section in sections]
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     removed: list[list[tuple[str, str]]] = [[] for _ in sections]
 
     scaffold = count_tokens(render_prompt([{table: set() for table in keep} for keep in keeps]))
@@ -311,18 +315,26 @@ def _truncate(
             shares, total_share = [1.0] * len(active), float(len(active))
         for i, share in zip(list(active), shares):
             quota = excess * share / total_share
-            freed = 0
-            while freed < quota and removables[i]:
-                table, column = removables[i].pop(rng.randrange(len(removables[i])))
-                keeps[i][table].discard(column)
-                removed[i].append((table, column))
-                if keeps[i][table] and (table, column) not in schemas[i].key_ends:
-                    size = sizes[i] - schemas[i].column_costs[(table, column)]
+            pool, keep, taken = removables[i], keeps[i], removed[i]
+            costs, key_ends = schemas[i].column_costs, schemas[i].key_ends
+            size = start = sizes[i]
+            while start - size < quota and pool:
+                # random.Random._randbelow_with_getrandbits(n), as randrange(n) draws.
+                n = len(pool)
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                key = pool.pop(r)
+                columns = keep[key[0]]
+                columns.discard(key[1])
+                taken.append(key)
+                if columns and key not in key_ends:
+                    size -= costs[key]
                 else:
-                    size = schemas[i].tokens(keeps[i])
-                freed += sizes[i] - size
-                sizes[i] = size
-            if not removables[i]:
+                    size = schemas[i].tokens(keep)
+            sizes[i] = size
+            if not pool:
                 active.remove(i)
         tokens = scaffold + sum(sizes)
 

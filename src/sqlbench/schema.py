@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 TYPE_NAMES = ("text", "int", "date", "datetime", "real", "varchar")
 
@@ -272,12 +272,13 @@ class CompiledSchema:
 
         A table absent from `keep` (or every table, without one) shows every
         column; a table left without columns drops its header and footer,
-        and a foreign key shows only while both its endpoints do.
+        and a foreign key shows only while both its endpoints do. `keep`'s
+        values are only tested for membership, so pass sets.
         """
         lines: list[_Line] = []
-        wanted_of: dict[str, Optional[set[str]]] = {}
+        wanted_of: dict[str, Optional[AbstractSet[str]]] = {}
         for name, header, columns in self.tables:
-            wanted = None if keep is None or name not in keep else set(keep[name])
+            wanted = None if keep is None else keep.get(name)
             if wanted is not None and not wanted:
                 continue  # an emptied table: no column to look at
             kept = columns if wanted is None else [c for c in columns if c[0] in wanted]
@@ -300,7 +301,8 @@ class CompiledSchema:
         return lines
 
     def tokens(self, keep: Optional[ColumnFilter]) -> int:
-        """count_tokens(render_schema(catalog, variant, keep)), without rendering."""
+        """count_tokens(render_schema(catalog, variant, keep)), without rendering;
+        `keep` holds sets, as for `shown`."""
         return sum(cost for _, cost in self.shown(keep))
 
 

@@ -545,6 +545,62 @@ def test_truncate_examples_equals_rerendering(sections, variant, data, fraction,
         _outcome(rerender_reference, sections, plan, render, limit, seed, variant=variant)
 
 
+def _wide_section(tables=4, columns=160):
+    """A section of `tables` x `columns` removable columns, a key column in
+    every table but the last, which may empty, and two foreign keys between
+    removable columns, so that the draws run from lists longer than 512
+    down and both recounts happen."""
+    catalog = DatabaseCatalog("wide", tuple(
+        TableSpec(f"t{t}", (ColumnSpec("id", "int", None, None, True), *(
+            ColumnSpec(f"c{c:03d}", "text", f"note {c}" if c % 3 else None)
+            for c in range(columns))))
+        for t in range(tables)),
+        (ForeignKey("t0", "c001", "t1", "c002"), ForeignKey("t1", "c003", "t0", "c004")))
+    target = frozenset((f"t{t}", "id") for t in range(tables - 1))
+    return PromptSection(catalog, ColumnPartition(target, catalog.column_set() - target))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32])
+@pytest.mark.parametrize("fraction", [0.6, 0.2, 0.02])
+def test_truncate_target_equals_first_fit_at_wide_sizes(seed, fraction):
+    section = _wide_section()
+    assert len(section.removables) >= 600
+    catalog, variant = section.catalog, SchemaVariant.C_VD
+
+    def render(keep):
+        return "### rule\n" + render_schema(catalog, variant, keep) + "SELECT"
+
+    limit = int(count_tokens(render(None)) * fraction)
+    outcome = truncate_target(section, render, limit, seed, variant=variant)
+    assert outcome == first_fit_reference(catalog, section.partition, render, limit, seed)
+    assert outcome[1].total_removed > (len(section.removables) - 256 if fraction < 0.5 else 0)
+
+
+def test_truncate_examples_equals_rerendering_at_wide_sizes():
+    sections = [_wide_section(), _wide_section(3, 200), _wide_section(2, 300)]
+    plan = plan_example_truncation([0.6, 0.3])
+    render = _render_sections(sections, SchemaVariant.C_VD)
+    limit = int(count_tokens(render([s.keep for s in sections])) * 0.3)
+    outcome = truncate_examples(sections, plan, render, limit, 2024, variant=SchemaVariant.C_VD)
+    assert outcome == rerender_reference(
+        sections, plan, render, limit, 2024, variant=SchemaVariant.C_VD)
+    assert min(len(removed) for removed in outcome[1].removed_columns) > 0
+
+
+def test_removal_records_hold_the_sections_own_keys():
+    # A record holds the section's own removable tuples, not copies: fewshot3
+    # records ~81k removals a pass, and every copy would stay alive with it.
+    sections = _example_sections(3, columns=30)
+    render = _render_sections(sections)
+    limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
+    _, record = truncate_examples(sections, plan_example_truncation([0.9, 0.5, 0.25]), render,
+                                  limit, seed=5, **ENGINE)
+    assert record.total_removed > 0
+    for section, removed in zip(sections, record.removed_columns):
+        own = {id(key) for key in section.removables}
+        assert all(id(key) in own for key in removed)
+
+
 def _fresh(section):
     """A section built anew from a copy of `section`'s partition."""
     partition = section.partition
