@@ -246,3 +246,71 @@ def test_prompt_building_deterministic(movie_catalog, school_instance):
     first = build_open_prompt(school_instance, movie_catalog, SchemaVariant.C_A).text
     second = build_open_prompt(school_instance, movie_catalog, SchemaVariant.C_A).text
     assert first == second
+
+
+def _fitted_prompts(root: Path, tmp_path: Path) -> dict[str, str]:
+    """mini_bench question 6's budgeted prompts, each at a context that
+    truncates it, by golden file name: the zero-shot prompt `build-prompt`
+    writes, the 2-shot prompt a run sends, the four `cot-sk-pred` steps and
+    one SFT pair as `prep-sft` writes it."""
+    from conftest import (
+        MINI_QUESTIONS,
+        MINI_RESPONSES,
+        POOL_QUESTIONS,
+        ScriptedTransport,
+        completion_by_question,
+        hash_embedding,
+        question_of,
+    )
+    from test_acceptance import _cot_scripted
+    from sqlbench.bench import load_split
+    from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_build_prompt, cmd_run
+    from sqlbench.cot import run_cot
+
+    question = MINI_QUESTIONS[6]
+    split = load_split(root, "dev")
+    (instance,) = [i for i in split.instances if i.question_id == question["question_id"]]
+    catalog = split.databases[instance.database_id]
+    prompts: dict[str, str] = {}
+
+    cfg = RunConfig(benchmark_root=root, split="dev", output_dir=tmp_path / "out",
+                    max_context=300, response_reserve=50)
+    prompts["open_truncated_q6.txt"] = cmd_build_prompt(
+        cfg, instance.question_id, tmp_path / "prompt.txt")
+    assert count_tokens(prompts["open_truncated_q6.txt"]) < build_open_prompt(
+        instance, catalog, cfg.variant).token_count
+
+    cfg = RunConfig(benchmark_root=root, split="dev", output_dir=tmp_path / "two_shot",
+                    shots=2, pool_split="train", max_context=700, response_reserve=50)
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    cmd_run(cfg, client=build_client(cfg, transport=transport),
+            embed_client=build_embed_client(cfg, transport=transport))
+    report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
+    (prompts["few_shot_2ex_truncated_q6.txt"],) = [
+        r["payload"]["prompt"] for r in transport.requests
+        if "prompt" in r["payload"] and "following format." in r["payload"]["prompt"]
+        and question_of(r["payload"]["prompt"]) == question_of(prompts["open_truncated_q6.txt"])]
+
+    client = build_client(cfg, transport=ScriptedTransport(
+        completion_fn=_cot_scripted(MINI_QUESTIONS)))
+    trace = run_cot(instance, catalog, client, "cot-sk-pred", budget=TokenBudget(365, 50), seed=0)
+    assert any(bundle.truncation.total_removed for bundle in trace.step_prompts)
+    for bundle in trace.step_prompts:
+        prompts[f"cot_sk_pred_q6_step{bundle.step_index}.txt"] = bundle.text
+
+    pair, record = build_sft_pair(instance, catalog, SchemaVariant.C_VDT, TokenBudget(300, 50),
+                                  seed=0)
+    assert record.total_removed > 0
+    write_sft_jsonl([pair], tmp_path / "sft.jsonl")
+    prompts["sft_pair_truncated_q6.jsonl"] = (tmp_path / "sft.jsonl").read_text(encoding="utf-8")
+    return prompts
+
+
+def test_fitted_prompts_match_golden(mini_bench, tmp_path):
+    prompts = _fitted_prompts(mini_bench, tmp_path)
+    assert len(prompts) == 7
+    for name, text in prompts.items():
+        assert text == (GOLDEN_DIR / name).read_text(encoding="utf-8"), name
