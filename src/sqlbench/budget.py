@@ -2,8 +2,9 @@
 
 Every budget is counted with `count_tokens` (defined in `schema`, re-exported
 here). Its tokens never span whitespace, so a prompt's count is the sum of
-its lines' counts, and the engine sizes a prompt from one frame count plus
-the compiled schema's line costs without counting the prompt itself.
+its lines' counts: the engine takes the count of a prompt's fixed lines, its
+scaffold, and adds the compiled schema's line costs, without rendering or
+counting the prompt itself.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ class PromptSection:
 def _truncate(
     sections: Sequence[PromptSection],
     rates: Sequence[float],
-    render_prompt: Callable[[list[KeepFilter]], str],
+    scaffold: int,
     limit: int,
     seed: int,
     variant: SchemaVariant,
@@ -274,9 +275,8 @@ def _truncate(
     inlined, which tests/test_budget.py pins with
     `test_seeded_removals_are_pinned` and the `*_at_wide_sizes` equalities
     with its `randrange` references. The record holds the popped tuples
-    themselves. The prompt is first rendered as its frame: every section's
-    keep emptied, so no schema line is rendered. The frame's count is the
-    fixed scaffold, and the scaffold plus the sections' schema sizes is
+    themselves. The prompt's size is `scaffold`, the count of its lines
+    outside the schema blocks, plus the sections' schema sizes; that sum is
     `tokens_before`. Each section's schema size is then kept exact as
     columns go: a removal frees its line's cost, and one that empties a
     table or touches a foreign-key endpoint recounts the section from its
@@ -285,11 +285,10 @@ def _truncate(
     sum to 0), and a section stops at the first removal whose freed tokens
     reach its share. The accounted size is the full prompt's count, because
     `count_tokens` never counts a token across whitespace and every schema
-    block starts with "# " and ends at a newline. So once it fits, before
-    any removal as after one, the full prompt is rendered once, uncounted,
-    and the loop is done: that last call of `render_prompt` rendered the
-    returned keeps, and its text of `tokens_after` tokens is the final
-    prompt. If no removable column is left first, the call fails.
+    block starts with "# " and ends at a newline, so the engine renders and
+    counts no text. Once the size is within `limit`, before any removal as
+    after one, the loop is done and `tokens_after` is that size. If no
+    removable column is left first, the call fails.
     """
     keeps = [{table: set(columns) for table, columns in section.keep.items()}
              for section in sections]
@@ -299,7 +298,6 @@ def _truncate(
     getrandbits = random.Random(seed).getrandbits
     removed: list[list[tuple[str, str]]] = [[] for _ in sections]
 
-    scaffold = count_tokens(render_prompt([{table: set() for table in keep} for keep in keeps]))
     tokens_before = tokens = scaffold + sum(sizes)
     active = [i for i in range(len(sections)) if removables[i]]
 
@@ -338,7 +336,6 @@ def _truncate(
                 active.remove(i)
         tokens = scaffold + sum(sizes)
 
-    render_prompt(keeps)
     record = TruncationRecord(
         tuple(tuple(section) for section in removed), tokens_before, tokens)
     return keeps, record
@@ -346,31 +343,29 @@ def _truncate(
 
 def truncate_target(
     section: PromptSection,
-    render_prompt: Callable[[KeepFilter], str],
+    scaffold: int,
     limit: int,
     seed: int,
     *,
     variant: SchemaVariant,
 ) -> tuple[KeepFilter, TruncationRecord]:
-    """Randomly drop `section`'s non-target columns until the rendered prompt fits.
+    """Randomly drop `section`'s non-target columns until the prompt fits.
 
     The one-section case of truncate_examples, at rate 1: truncation starts
     from `section`'s keep, removables and sizes and leaves `section` as
-    built. `render_prompt` renders the full prompt, schema block in
-    `variant`, under one keep filter; the loop stops at the first removal
-    after which it fits. It is called twice: once with every table's keep
-    emptied (the frame, counted for the scaffold) and once in full at the
-    fit, uncounted. That last call rendered the returned keep.
+    built. `scaffold` is the token count of the prompt's lines outside the
+    schema block, which is rendered in `variant`; the loop stops at the
+    first removal after which the scaffold plus the block's size is within
+    `limit`. Nothing is rendered: the caller renders the returned keep.
     """
-    keeps, record = _truncate(
-        [section], (1.0,), lambda keeps: render_prompt(keeps[0]), limit, seed, variant)
+    keeps, record = _truncate([section], (1.0,), scaffold, limit, seed, variant)
     return keeps[0], record
 
 
 def truncate_examples(
     sections: Sequence[PromptSection],
     plan: TruncationPlan,
-    render_prompt: Callable[[Sequence[KeepFilter]], str],
+    scaffold: int,
     limit: int,
     seed: int,
     *,
@@ -379,16 +374,15 @@ def truncate_examples(
     """Apportion the token excess across sections proportionally to rates.
 
     sections[0] is the target, the rest are examples in prompt order; rates
-    align by index, and `render_prompt` renders the full prompt, schema
-    blocks in `variant`, from one keep filter per section. Each section
-    sheds random non-target columns until its token quota is met or its
-    removable set is exhausted, with leftover excess re-apportioned over
-    the remaining sections by renormalized rates (evenly once those sum
-    to 0). The sections themselves are left unchanged. `render_prompt`
-    renders the frame (every keep emptied) once, for its count, then the
-    full prompt once at the fit; that last call rendered the returned keeps.
+    align by index, and `scaffold` is the token count of the prompt's lines
+    outside its schema blocks, which are rendered in `variant`. Each
+    section sheds random non-target columns until its token quota is met or
+    its removable set is exhausted, with leftover excess re-apportioned
+    over the remaining sections by renormalized rates (evenly once those
+    sum to 0). The sections themselves are left unchanged, and nothing is
+    rendered: the caller renders the returned keeps.
     """
     if len(sections) != len(plan.rates):
         raise ValueError(
             f"{len(sections)} sections but {len(plan.rates)} truncation rates")
-    return _truncate(sections, plan.rates, render_prompt, limit, seed, variant)
+    return _truncate(sections, plan.rates, scaffold, limit, seed, variant)

@@ -43,12 +43,11 @@ from .gateway import (
     extract_sql,
 )
 from .prompts import (
-    FewShotBlock,
     PromptBundle,
     emit_sft_dataset,
-    few_shot_text,
+    few_shot_template,
     fit_prompt,
-    open_prompt_text,
+    open_template,
     question_section,
     require_sft_budget,
     write_sft_jsonl,
@@ -226,8 +225,7 @@ def _zero_shot_bundle(
 ) -> PromptBundle:
     """Open prompt with target column truncation against the budget."""
     return fit_prompt(
-        "zero_shot",
-        lambda keeps: open_prompt_text(instance, target.catalog, cfg.variant, keeps[0]),
+        "zero_shot", open_template(instance, target.catalog, cfg.variant),
         [target], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "target"),
         variant=cfg.variant)
@@ -285,10 +283,8 @@ def _few_shot_bundle(
     plan = plan_example_truncation(similarities, cfg.temperature)
 
     return fit_prompt(
-        "few_shot", lambda keeps: few_shot_text(
-            instance, catalog, [FewShotBlock(example.instance, example.catalog, keep)
-                                for example, keep in zip(examples, keeps[1:])],
-            cfg.variant, keeps[0]),
+        "few_shot", few_shot_template(
+            instance, [example.instance for example in examples], cfg.variant),
         [target, *(pool.section(index) for index in indexes)], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
         variant=cfg.variant, plan=plan)
@@ -545,6 +541,15 @@ def cmd_ingest_check(cfg: RunConfig) -> None:
 
 
 def cmd_build_prompt(cfg: RunConfig, question_id: int, out: Optional[Path] = None) -> str:
+    """Print, or write to `out`, the question's budgeted zero-shot prompt."""
+    unused = []
+    if cfg.shots > 0:
+        unused.append(f"--shots {cfg.shots}")
+    if cfg.mode != MODE_NONE:
+        unused.append(f"--mode {cfg.mode}")
+    if unused:
+        raise SystemExit(
+            f"build-prompt prints the zero-shot prompt; it cannot apply {' or '.join(unused)}")
     split = load_split(cfg.benchmark_root, cfg.split)
     instance = next(
         (i for i in split.instances if i.question_id == question_id), None)

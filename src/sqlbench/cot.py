@@ -24,7 +24,6 @@ from .prompts import (
     fit_prompt,
     question_lines,
     question_section,
-    schema_lines,
 )
 from .schema import DatabaseCatalog, SchemaVariant, render_schema_format_header
 from .skeleton import UnterminatedComment, UnterminatedString, extract_skeleton
@@ -225,17 +224,16 @@ def _build_step_prompt(
     seed: int,
     section: PromptSection,
 ) -> PromptBundle:
-    """One step's prompt over `section`'s catalog, truncated within `section`."""
+    """One step's prompt over `section`'s catalog, truncated within `section`;
+    its template holds the schema block in slot 0."""
     if step_index == 1:
         header, properties_line, variant = _STEP1_HEADER, PROPERTIES_LINE, _STEP1_VARIANT
     else:
         header, properties_line, variant = _LATER_HEADER, _LATER_PROPERTIES, _LATER_VARIANT
 
     return fit_prompt(
-        "cot_step", lambda keeps: "\n".join([
-            FEW_SHOT_FORMAT_LINE, header,
-            *schema_lines(properties_line, section.catalog, variant, keeps[0]),
-            *question_lines(instance), _STEP_BY_STEP, tail]),
+        "cot_step", [FEW_SHOT_FORMAT_LINE, header, properties_line, 0,
+                     *question_lines(instance), _STEP_BY_STEP, tail],
         [section], budget.available,
         derive_seed(seed, instance.question_id, "step", step_index),
         variant=variant, step_index=step_index)

@@ -2,23 +2,25 @@
 
 Every SQL-producing prompt ends with the bare completion cue "SELECT" and
 no trailing newline, so model completions begin mid-statement. Golden
-prompt tests pin the exact template bytes. `fit_prompt` builds every
-budgeted prompt, chain-of-thought steps included; prompt sizes are always
-`count_tokens` counts.
+prompt tests pin the exact template bytes. Each prompt kind has one line
+template, a list of its fixed lines with a section's index in place of
+each schema block; `fit_prompt` builds every budgeted prompt from one,
+chain-of-thought steps included, and renders it once, at the fit. Prompt
+sizes are always `count_tokens` counts.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .bench import BenchmarkSplit, TaskInstance
 from .budget import (
-    KeepFilter,
     PromptSection,
     TokenBudget,
     TruncationPlan,
@@ -31,9 +33,11 @@ from .budget import (
     truncate_target,
 )
 from .schema import (
+    ColumnFilter,
     DatabaseCatalog,
     SchemaVariant,
-    render_schema,
+    _validate_filter,
+    compiled_schema,
     render_schema_format_header,
     schema_token_fn,
 )
@@ -53,6 +57,17 @@ EXAMPLE_ANSWER_LINE = (
     "### Using valid SQLite, answer the following questions for the tables provided above.")
 TARGET_ANSWER_LINE = (
     "### Using valid SQLite , answer the following questions for the tables provided above.")
+
+
+# A prompt's lines in order: a str is a fixed line (it may hold newlines),
+# and an int i stands for the schema block of sections[i], which adds no line
+# when its keep shows no table.
+PromptTemplate = Sequence[Union[str, int]]
+
+# Fixed lines recur from prompt to prompt: format lines, and the questions
+# and SQL of the pool examples that many questions show.
+LINE_CACHE_SIZE = 4096
+_line_tokens = functools.lru_cache(maxsize=LINE_CACHE_SIZE)(count_tokens)
 
 
 class EmptyExampleSql(ValueError):
@@ -86,13 +101,6 @@ def question_line(question: str) -> str:
     return f"### Question: {_sentence(question)}"
 
 
-def schema_lines(properties_line: str, catalog: DatabaseCatalog, variant: SchemaVariant,
-                 keep=None) -> list[str]:
-    """The properties line, then the schema block unless `keep` shows no table."""
-    schema_text = render_schema(catalog, variant, keep).rstrip("\n")
-    return [properties_line, schema_text] if schema_text else [properties_line]
-
-
 def question_lines(instance: TaskInstance) -> list[str]:
     """The question line, then the knowledge note unless it is blank."""
     lines = [question_line(instance.question)]
@@ -110,9 +118,32 @@ def question_section(instance: TaskInstance, catalog: DatabaseCatalog,
         catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep))
 
 
+def render_template(template: PromptTemplate, catalogs: Sequence[DatabaseCatalog],
+                    keeps: Sequence[Optional[ColumnFilter]], variant: SchemaVariant) -> str:
+    """The prompt `template` gives, slot i showing the schema block of
+    `catalogs[i]` in `variant` under `keeps[i]`, whose values are sets, as
+    `CompiledSchema.shown` reads them."""
+    lines: list[str] = []
+    for line in template:
+        if isinstance(line, str):
+            lines.append(line)
+            continue
+        block = compiled_schema(catalogs[line], variant).shown(keeps[line])
+        if block:
+            lines += [text for text, _ in block]
+            # The block is stripped at its end, as render_schema's text was:
+            # a name ending in newlines loses them on the block's last line.
+            lines[-1] = lines[-1].rstrip("\n")
+    return "\n".join(lines)
+
+
+def _resolved(catalog: DatabaseCatalog, keep: Optional[ColumnFilter]):
+    return None if keep is None else _validate_filter(catalog, keep)
+
+
 def fit_prompt(
     role: str,
-    render: Callable[[Sequence[KeepFilter]], str],
+    template: PromptTemplate,
     sections: Sequence[PromptSection],
     limit: int,
     seed: int,
@@ -121,29 +152,40 @@ def fit_prompt(
     plan: Optional[TruncationPlan] = None,
     step_index: Optional[int] = None,
 ) -> PromptBundle:
-    """The one budgeted prompt builder: truncate until `render` fits `limit`.
+    """The one budgeted prompt builder: truncate until `template` fits `limit`.
 
-    `render` renders the whole prompt, schema blocks in `variant`, from one
-    keep filter per section. Without a plan the one section is passed
-    straight to `truncate_target`; with one, `truncate_examples` shares the
-    excess by its rates. The engine's last render is the fit, so the bundle
-    is that text and the record's `tokens_after`, its `count_tokens` count,
-    with no second render or count.
+    Slot i of `template` shows `sections[i]`'s schema block in `variant`.
+    The fixed lines' counts, read through a cache of recent lines, are the
+    scaffold the engine sizes the prompt from. Without a plan the one
+    section is passed straight to `truncate_target`; with one,
+    `truncate_examples` shares the excess by its rates. The template is
+    rendered once, under the returned keeps, and the bundle carries the
+    record's `tokens_after`, that text's `count_tokens` count.
     """
-    text = ""
-
-    def kept(keeps: Sequence[KeepFilter]) -> str:
-        nonlocal text
-        text = render(keeps)
-        return text
-
+    scaffold = sum(_line_tokens(line) for line in template if isinstance(line, str))
     if plan is None:
         (section,) = sections
-        _, record = truncate_target(
-            section, lambda keep: kept([keep]), limit, seed, variant=variant)
+        keep, record = truncate_target(section, scaffold, limit, seed, variant=variant)
+        keeps = [keep]
     else:
-        _, record = truncate_examples(sections, plan, kept, limit, seed, variant=variant)
+        keeps, record = truncate_examples(sections, plan, scaffold, limit, seed, variant=variant)
+    text = render_template(template, [section.catalog for section in sections], keeps, variant)
     return PromptBundle(text, record.tokens_after, role, step_index, record)
+
+
+def open_template(
+    instance: TaskInstance,
+    catalog: DatabaseCatalog,
+    variant: SchemaVariant,
+) -> list[Union[str, int]]:
+    """The zero-shot prompt's template, its schema block in slot 0: rule,
+    format header, schema, question, optional knowledge note, trailing cue."""
+    if instance.database_id != catalog.database_id:
+        raise ValueError(
+            f"instance database {instance.database_id!r} does not match "
+            f"catalog {catalog.database_id!r}")
+    return [RULE_LINE, OPEN_FORMAT_LINE, render_schema_format_header(variant).rstrip("\n"),
+            PROPERTIES_LINE, 0, *question_lines(instance), CUE]
 
 
 def open_prompt_text(
@@ -152,14 +194,8 @@ def open_prompt_text(
     variant: SchemaVariant,
     keep=None,
 ) -> str:
-    if instance.database_id != catalog.database_id:
-        raise ValueError(
-            f"instance database {instance.database_id!r} does not match "
-            f"catalog {catalog.database_id!r}")
-    return "\n".join([
-        RULE_LINE, OPEN_FORMAT_LINE, render_schema_format_header(variant).rstrip("\n"),
-        *schema_lines(PROPERTIES_LINE, catalog, variant, keep),
-        *question_lines(instance), CUE])
+    return render_template(open_template(instance, catalog, variant), [catalog],
+                           [_resolved(catalog, keep)], variant)
 
 
 def build_open_prompt(
@@ -205,13 +241,23 @@ class FewShotBlock:
     keep: Optional[dict] = None
 
 
-def _example_block(block: FewShotBlock, variant: SchemaVariant) -> list[str]:
-    sql = " ".join(block.instance.gold_sql.split())
-    if not sql:
-        raise EmptyExampleSql(
-            f"example question {block.instance.question_id} has empty gold SQL")
-    return [*schema_lines(PROPERTIES_LINE, block.catalog, variant, block.keep),
-            *question_lines(block.instance), EXAMPLE_ANSWER_LINE, sql]
+def few_shot_template(
+    instance: TaskInstance,
+    examples: Sequence[TaskInstance],
+    variant: SchemaVariant,
+) -> list[Union[str, int]]:
+    """The few-shot prompt's template: example i's schema block in slot
+    i + 1, each example followed by its gold SQL, and the target's in slot 0."""
+    lines: list[Union[str, int]] = [
+        RULE_LINE, FEW_SHOT_FORMAT_LINE, render_schema_format_header(variant).rstrip("\n"), ""]
+    for slot, example in enumerate(examples, 1):
+        sql = " ".join(example.gold_sql.split())
+        if not sql:
+            raise EmptyExampleSql(
+                f"example question {example.question_id} has empty gold SQL")
+        lines.extend([PROPERTIES_LINE, slot, *question_lines(example),
+                      EXAMPLE_ANSWER_LINE, sql, ""])
+    return [*lines, PROPERTIES_LINE, 0, TARGET_ANSWER_LINE, *question_lines(instance), CUE]
 
 
 def few_shot_text(
@@ -221,13 +267,11 @@ def few_shot_text(
     variant: SchemaVariant,
     keep=None,
 ) -> str:
-    lines = [RULE_LINE, FEW_SHOT_FORMAT_LINE,
-             render_schema_format_header(variant).rstrip("\n"), ""]
-    for block in examples:
-        lines.extend(_example_block(block, variant))
-        lines.append("")
-    return "\n".join([*lines, *schema_lines(PROPERTIES_LINE, catalog, variant, keep),
-                      TARGET_ANSWER_LINE, *question_lines(instance), CUE])
+    return render_template(
+        few_shot_template(instance, [block.instance for block in examples], variant),
+        [catalog, *(block.catalog for block in examples)],
+        [_resolved(catalog, keep), *(_resolved(block.catalog, block.keep) for block in examples)],
+        variant)
 
 
 def build_few_shot_prompt(
@@ -273,11 +317,13 @@ def build_sft_pair(
 ) -> tuple[SftPair, TruncationRecord]:
     """Emit one training pair, truncating target columns until the combined
     prompt+completion fits the full context window. The target columns are
-    those the gold SQL names; the pair splits the fitting render."""
+    those the gold SQL names; the pair splits the fitting render. The
+    completion continues the cue line, so its count is that line's."""
     completion = completion_for(instance.gold_sql)
+    template = open_template(instance, catalog, variant)
+    template[-1] += completion
     bundle = fit_prompt(
-        "sft_pair",
-        lambda keeps: open_prompt_text(instance, catalog, variant, keeps[0]) + completion,
+        "sft_pair", template,
         [PromptSection(catalog, partition_columns(catalog, reference_sql=instance.gold_sql))],
         budget.max_context, seed, variant=variant)
     return SftPair(bundle.text.removesuffix(completion), completion), bundle.truncation

@@ -281,11 +281,11 @@ class CompiledSchema:
             wanted = None if keep is None else keep.get(name)
             if wanted is not None and not wanted:
                 continue  # an emptied table: no column to look at
-            kept = columns if wanted is None else [c for c in columns if c[0] in wanted]
+            kept = [line for column, line in columns if wanted is None or column in wanted]
             if kept:
                 wanted_of[name] = wanted
                 lines.append(header)
-                lines.extend(line for _, line in kept)
+                lines += kept
                 lines.append(_FOOTER)
 
         def shows(end: tuple[str, str]) -> bool:

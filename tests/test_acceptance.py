@@ -325,7 +325,9 @@ def test_criterion_5_budget_property():
         def render_target(keep):
             return open_prompt_text(instance, target_catalog, variant, keep)
 
-        keep, record = truncate_target(target, render_target, limit, seed, **engine)
+        # The engine's scaffold: the prompt's count with every keep emptied.
+        scaffold = count_tokens(render_target({table: set() for table in target.keep}))
+        keep, record = truncate_target(target, scaffold, limit, seed, **engine)
         bundle = build_open_prompt(instance, target_catalog, variant,
                                    keep=keep, truncation=record)
         assert bundle.token_count <= limit
@@ -333,7 +335,7 @@ def test_criterion_5_budget_property():
         if record.total_removed:
             breached += 1
             keep_again, record_again = truncate_target(
-                target, render_target, limit, seed, **engine)
+                target, scaffold, limit, seed, **engine)
             assert build_open_prompt(
                 instance, target_catalog, variant, keep=keep_again).text == bundle.text
             assert record_again.removed_columns == record.removed_columns
@@ -362,15 +364,18 @@ def test_criterion_5_budget_property():
                 return few_shot_text(
                     instance, target_catalog, example_blocks, variant, keeps[0])
 
+            few_scaffold = count_tokens(render(
+                [{table: set() for table in section.keep} for section in sections]))
             keeps, few_record = truncate_examples(
-                sections, plan, render, limit, seed, **engine)
+                sections, plan, few_scaffold, limit, seed, **engine)
             text = render(keeps)
             assert count_tokens(text) <= limit
             for section, removed in zip(sections, few_record.removed_columns):
                 assert not set(removed) & section.partition.target
             if few_record.total_removed:
                 breached += 1
-                keeps2, _ = truncate_examples(sections, plan, render, limit, seed, **engine)
+                keeps2, _ = truncate_examples(
+                    sections, plan, few_scaffold, limit, seed, **engine)
                 assert render(keeps2) == text
 
         # chain-of-thought: every step prompt individually within budget

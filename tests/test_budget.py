@@ -4,10 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlbench import cot
+from sqlbench import cot, prompts
 from sqlbench.bench import TaskInstance
 from sqlbench.budget import (
     ColumnPartition,
@@ -27,9 +27,11 @@ from sqlbench.budget import (
 from sqlbench.prompts import (
     FewShotBlock,
     build_sft_pair,
+    few_shot_template,
     few_shot_text,
     fit_prompt,
     open_prompt_text,
+    open_template,
 )
 from sqlbench.schema import (
     TYPE_NAMES,
@@ -175,6 +177,21 @@ def test_partition_overlap_rejected():
 ENGINE = {"variant": SchemaVariant.C_A}
 
 
+def _emptied(keep):
+    return {table: set() for table in keep}
+
+
+def target_scaffold(section, render):
+    """The engine's scaffold for a prompt `render` renders under one keep:
+    the count of its frame, every table's keep emptied."""
+    return count_tokens(render(_emptied(section.keep)))
+
+
+def examples_scaffold(sections, render):
+    """The scaffold for a prompt `render` renders under one keep per section."""
+    return count_tokens(render([_emptied(section.keep) for section in sections]))
+
+
 def _render_target(catalog, variant=SchemaVariant.C_A):
     def render(keep):
         return render_schema(catalog, variant, keep)
@@ -184,8 +201,9 @@ def _render_target(catalog, variant=SchemaVariant.C_A):
 def test_truncate_target_noop_under_budget(movie_catalog):
     partition = partition_columns(movie_catalog, question="anything")
     render = _render_target(movie_catalog)
+    section = PromptSection(movie_catalog, partition)
     keep, record = truncate_target(
-        PromptSection(movie_catalog, partition), render, 10_000, seed=1, **ENGINE)
+        section, target_scaffold(section, render), 10_000, seed=1, **ENGINE)
     assert record.total_removed == 0
     assert record.tokens_before == record.tokens_after
     assert keep == full_keep(movie_catalog)
@@ -206,8 +224,9 @@ def test_truncate_target_fits_and_removes_only_non_target():
     partition = partition_columns(catalog, question="nothing relevant here")
     render = _render_target(catalog)
     limit = count_tokens(render(full_keep(catalog))) - 150
+    section = PromptSection(catalog, partition)
     keep, record = truncate_target(
-        PromptSection(catalog, partition), render, limit, seed=3, **ENGINE)
+        section, target_scaffold(section, render), limit, seed=3, **ENGINE)
     assert count_tokens(render(keep)) <= limit
     assert record.tokens_after <= limit
     assert set(record.removed_columns[0]) <= partition.non_target
@@ -219,10 +238,11 @@ def test_truncate_target_deterministic():
     render = _render_target(catalog)
     limit = count_tokens(render(full_keep(catalog))) - 100
     section = PromptSection(catalog, partition)
-    _, first = truncate_target(section, render, limit, seed=11, **ENGINE)
-    _, second = truncate_target(section, render, limit, seed=11, **ENGINE)
+    scaffold = target_scaffold(section, render)
+    _, first = truncate_target(section, scaffold, limit, seed=11, **ENGINE)
+    _, second = truncate_target(section, scaffold, limit, seed=11, **ENGINE)
     assert first.removed_columns == second.removed_columns
-    _, third = truncate_target(section, render, limit, seed=12, **ENGINE)
+    _, third = truncate_target(section, scaffold, limit, seed=12, **ENGINE)
     assert first.removed_columns != third.removed_columns
 
 
@@ -232,8 +252,9 @@ def test_seeded_removals_are_pinned():
     sections = _example_sections(2, columns=8)
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.7)
-    _, record = truncate_examples(sections, plan_example_truncation([0.8, 0.4]), render,
-                                  limit, seed=2024, **ENGINE)
+    _, record = truncate_examples(sections, plan_example_truncation([0.8, 0.4]),
+                                  examples_scaffold(sections, render), limit, seed=2024,
+                                  **ENGINE)
     assert record == TruncationRecord((
         (("wide", "col_07"), ("wide", "col_01")),
         (("wide", "col_04"), ("wide", "col_01")),
@@ -246,8 +267,9 @@ def test_truncate_target_unsatisfiable():
     catalog = wide_catalog(columns=5)
     partition = partition_columns(catalog, question="x")
     render = _render_target(catalog)
+    section = PromptSection(catalog, partition)
     with pytest.raises(UnsatisfiableBudget):
-        truncate_target(PromptSection(catalog, partition), render, 1, seed=0, **ENGINE)
+        truncate_target(section, target_scaffold(section, render), 1, seed=0, **ENGINE)
 
 
 def test_plan_symmetric_for_identical_similarities():
@@ -380,7 +402,8 @@ def test_truncate_examples_noop_under_budget():
     sections = _example_sections(2)
     plan = plan_example_truncation([0.9, 0.5])
     render = _render_sections(sections)
-    keeps, record = truncate_examples(sections, plan, render, 10_000, seed=1, **ENGINE)
+    keeps, record = truncate_examples(
+        sections, plan, examples_scaffold(sections, render), 10_000, seed=1, **ENGINE)
     assert record.total_removed == 0
     assert record.tokens_before == record.tokens_after
 
@@ -391,7 +414,8 @@ def test_truncate_examples_fits_and_least_similar_loses_most():
     full = count_tokens(render([s.keep for s in sections]))
     limit = int(full * 0.6)  # roughly 40% over budget
     plan = plan_example_truncation([0.9, 0.5, 0.25])
-    keeps, record = truncate_examples(sections, plan, render, limit, seed=2, **ENGINE)
+    keeps, record = truncate_examples(
+        sections, plan, examples_scaffold(sections, render), limit, seed=2, **ENGINE)
     assert count_tokens(render(keeps)) <= limit
     removed_counts = [len(section) for section in record.removed_columns]
     # per-section removals follow the rate ordering
@@ -411,7 +435,8 @@ def test_truncate_examples_reapportions_on_exhaustion():
     full = count_tokens(render([s.keep for s in sections]))
     limit = int(full * 0.7)
     plan = plan_example_truncation([0.5, 0.9])
-    keeps, record = truncate_examples(sections, plan, render, limit, seed=3, **ENGINE)
+    keeps, record = truncate_examples(
+        sections, plan, examples_scaffold(sections, render), limit, seed=3, **ENGINE)
     assert count_tokens(render(keeps)) <= limit
     assert record.removed_columns[2] == ()
 
@@ -428,7 +453,8 @@ def test_truncate_examples_shares_the_excess_evenly_once_active_rates_are_zero()
         sections[1].catalog.column_set() - set(few), frozenset(few)))
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.7)
-    keeps, record = truncate_examples(sections, plan, render, limit, seed=8, **ENGINE)
+    keeps, record = truncate_examples(
+        sections, plan, examples_scaffold(sections, render), limit, seed=8, **ENGINE)
     assert record.tokens_after == count_tokens(render(keeps)) <= limit
     assert set(record.removed_columns[1]) == set(few)
     assert record.removed_columns[0] and record.removed_columns[2]
@@ -440,7 +466,8 @@ def test_truncate_examples_unsatisfiable():
     render = _render_sections(sections)
     plan = plan_example_truncation([0.5])
     with pytest.raises(UnsatisfiableBudget):
-        truncate_examples(sections, plan, render, 1, seed=4, **ENGINE)
+        truncate_examples(sections, plan, examples_scaffold(sections, render), 1, seed=4,
+                          **ENGINE)
 
 
 def test_truncate_examples_deterministic():
@@ -450,7 +477,8 @@ def test_truncate_examples_deterministic():
         full = count_tokens(render([s.keep for s in sections]))
         plan = plan_example_truncation([0.8, 0.4])
         keeps, record = truncate_examples(
-            sections, plan, render, int(full * 0.7), seed=seed, **ENGINE)
+            sections, plan, examples_scaffold(sections, render), int(full * 0.7), seed=seed,
+            **ENGINE)
         return render(keeps), record.removed_columns
 
     assert run(9) == run(9)
@@ -464,8 +492,9 @@ def test_truncate_examples_leaves_sections_unchanged(accounted):
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
     plan = plan_example_truncation([0.8, 0.4])
-    first = truncate(sections, plan, render, limit, seed=5, **ENGINE)
-    second = truncate(sections, plan, render, limit, seed=5, **ENGINE)
+    prompt = examples_scaffold(sections, render) if accounted else render
+    first = truncate(sections, plan, prompt, limit, seed=5, **ENGINE)
+    second = truncate(sections, plan, prompt, limit, seed=5, **ENGINE)
     assert first[1].total_removed > 0
     assert first == second
     for section in sections:
@@ -478,7 +507,8 @@ def test_truncate_examples_accounting_matches_rerendering():
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
     plan = plan_example_truncation([0.9, 0.5, 0.25])
     rerendered = rerender_reference(sections, plan, render, limit, seed=2, **ENGINE)
-    accounted = truncate_examples(sections, plan, render, limit, seed=2, **ENGINE)
+    accounted = truncate_examples(
+        sections, plan, examples_scaffold(sections, render), limit, seed=2, **ENGINE)
     assert accounted == rerendered
 
 
@@ -527,7 +557,8 @@ def test_truncate_target_equals_first_fit(section, variant, fraction, seed):
         return "### rule\n" + render_schema(catalog, variant, keep) + "SELECT"
 
     limit = int(count_tokens(render(None)) * fraction)
-    assert _outcome(truncate_target, section, render, limit, seed, variant=variant) == \
+    assert _outcome(truncate_target, section, target_scaffold(section, render), limit, seed,
+                    variant=variant) == \
         _outcome(first_fit_reference, catalog, partition, render, limit, seed)
 
 
@@ -541,7 +572,8 @@ def test_truncate_examples_equals_rerendering(sections, variant, data, fraction,
     plan = plan_example_truncation(similarities, data.draw(st.sampled_from([0.5, 1.0, 3.0])))
     render = _render_sections(sections, variant)
     limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
-    assert _outcome(truncate_examples, sections, plan, render, limit, seed, variant=variant) == \
+    assert _outcome(truncate_examples, sections, plan, examples_scaffold(sections, render),
+                    limit, seed, variant=variant) == \
         _outcome(rerender_reference, sections, plan, render, limit, seed, variant=variant)
 
 
@@ -571,7 +603,8 @@ def test_truncate_target_equals_first_fit_at_wide_sizes(seed, fraction):
         return "### rule\n" + render_schema(catalog, variant, keep) + "SELECT"
 
     limit = int(count_tokens(render(None)) * fraction)
-    outcome = truncate_target(section, render, limit, seed, variant=variant)
+    outcome = truncate_target(section, target_scaffold(section, render), limit, seed,
+                              variant=variant)
     assert outcome == first_fit_reference(catalog, section.partition, render, limit, seed)
     assert outcome[1].total_removed > (len(section.removables) - 256 if fraction < 0.5 else 0)
 
@@ -581,7 +614,8 @@ def test_truncate_examples_equals_rerendering_at_wide_sizes():
     plan = plan_example_truncation([0.6, 0.3])
     render = _render_sections(sections, SchemaVariant.C_VD)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.3)
-    outcome = truncate_examples(sections, plan, render, limit, 2024, variant=SchemaVariant.C_VD)
+    outcome = truncate_examples(sections, plan, examples_scaffold(sections, render), limit, 2024,
+                                variant=SchemaVariant.C_VD)
     assert outcome == rerender_reference(
         sections, plan, render, limit, 2024, variant=SchemaVariant.C_VD)
     assert min(len(removed) for removed in outcome[1].removed_columns) > 0
@@ -593,8 +627,8 @@ def test_removal_records_hold_the_sections_own_keys():
     sections = _example_sections(3, columns=30)
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
-    _, record = truncate_examples(sections, plan_example_truncation([0.9, 0.5, 0.25]), render,
-                                  limit, seed=5, **ENGINE)
+    _, record = truncate_examples(sections, plan_example_truncation([0.9, 0.5, 0.25]),
+                                  examples_scaffold(sections, render), limit, seed=5, **ENGINE)
     assert record.total_removed > 0
     for section, removed in zip(sections, record.removed_columns):
         own = {id(key) for key in section.removables}
@@ -613,8 +647,9 @@ def test_shared_sections_are_left_as_built():
     render = _render_sections(sections, variant)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
     plan = plan_example_truncation([0.9, 0.5, 0.25])
-    first = fit_prompt("few_shot", render, sections, limit, 7, variant=variant, plan=plan)
-    second = fit_prompt("few_shot", render, sections, limit, 7, variant=variant, plan=plan)
+    template = list(range(len(sections)))
+    first = fit_prompt("few_shot", template, sections, limit, 7, variant=variant, plan=plan)
+    second = fit_prompt("few_shot", template, sections, limit, 7, variant=variant, plan=plan)
     assert first.truncation.total_removed > 0
     assert first == second
     for section in sections:
@@ -638,11 +673,12 @@ def test_truncate_examples_over_reused_sections_equals_fresh_ones(
     for used_variant, used_seed in ((warm_variant, warm_seed), (variant, seed)):
         render = _render_sections(sections, used_variant)
         limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
-        reused = _outcome(truncate_examples, sections, plan, render, limit, used_seed,
-                          variant=used_variant)
+        reused = _outcome(truncate_examples, sections, plan, examples_scaffold(sections, render),
+                          limit, used_seed, variant=used_variant)
     fresh = [_fresh(section) for section in sections]
-    assert reused == _outcome(truncate_examples, fresh, plan, _render_sections(fresh, variant),
-                              limit, seed, variant=variant)
+    assert reused == _outcome(
+        truncate_examples, fresh, plan,
+        examples_scaffold(fresh, _render_sections(fresh, variant)), limit, seed, variant=variant)
 
 
 # Any characters but surrogates, whitespace and punctuation included.
@@ -676,22 +712,17 @@ def _wild_sections(draw):
 
 def _open_path(sections, variant, limit, seed):
     (section, instance), = sections[:1]
-    bundle = fit_prompt(
-        "zero_shot", lambda keeps: open_prompt_text(instance, section.catalog, variant, keeps[0]),
-        [section], limit, seed, variant=variant)
+    bundle = fit_prompt("zero_shot", open_template(instance, section.catalog, variant),
+                        [section], limit, seed, variant=variant)
     return bundle.token_count, bundle.text
 
 
 def _few_shot_path(sections, variant, limit, seed):
     (target, instance), examples = sections[0], sections[1:]
-    render = lambda keeps: few_shot_text(  # noqa: E731
-        instance, target.catalog,
-        [FewShotBlock(example, section.catalog, keep)
-         for (section, example), keep in zip(examples, keeps[1:])],
-        variant, keeps[0])
     plan = plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))])
-    bundle = fit_prompt("few_shot", render, [section for section, _ in sections], limit, seed,
-                        variant=variant, plan=plan)
+    bundle = fit_prompt(
+        "few_shot", few_shot_template(instance, [example for _, example in examples], variant),
+        [section for section, _ in sections], limit, seed, variant=variant, plan=plan)
     return bundle.token_count, bundle.text
 
 
@@ -727,6 +758,87 @@ def test_the_accounted_size_is_the_count_of_each_real_render(build, sections, va
     except (UnsatisfiableBudget, UnterminatedString, UnterminatedComment):
         return  # no fit, or an SFT gold query the partition cannot read
     assert accounted == count_tokens(text) <= limit
+
+
+def _kept(section, removed):
+    """`section`'s keep without the columns a record removed from it."""
+    keep = {table: set(columns) for table, columns in section.keep.items()}
+    for table, column in removed:
+        keep[table].discard(column)
+    return keep
+
+
+def _rendered_by_render_schema(template, catalogs, keeps, variant):
+    """render_template's reference: each slot is the block render_schema
+    renders, its end stripped, and a block that shows no table is no line."""
+    lines = []
+    for line in template:
+        if isinstance(line, str):
+            lines.append(line)
+            continue
+        block = render_schema(catalogs[line], variant, keeps[line]).rstrip("\n")
+        if block:
+            lines.append(block)
+    return "\n".join(lines)
+
+
+# A foreign key whose referenced column's name ends in a newline: joined
+# as is, the schema block would keep it.
+_NEWLINE_NAMED = DatabaseCatalog("db", (TableSpec("t", (
+    ColumnSpec("a", "int", None, None, True), ColumnSpec("b\n", "text", "note"),
+    ColumnSpec("c", "text"))),), (ForeignKey("t", "a", "t", "b\n"),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sections=st.lists(_wild_sections(), min_size=1, max_size=4),
+       variant=st.sampled_from(list(SchemaVariant)), fraction=st.floats(0.2, 1.0),
+       seed=st.integers(0, 2**32))
+@example(sections=[(PromptSection(_NEWLINE_NAMED, ColumnPartition(
+             frozenset({("t", "a"), ("t", "b\n")}), frozenset({("t", "c")}))),
+                    TaskInstance(0, "q", "", "SELECT a FROM t", "db"))] * 2,
+         variant=SchemaVariant.C_N, fraction=1.0, seed=0)
+def test_a_fit_is_the_public_builders_text_at_its_keeps(sections, variant, fraction, seed):
+    """fit_prompt's one render equals open_prompt_text and few_shot_text
+    under the keeps its record implies, and a render through render_schema."""
+    (target, instance), examples = sections[0], sections[1:]
+    fits = [("zero_shot", open_template(instance, target.catalog, variant), [target], None),
+            ("few_shot", few_shot_template(instance, [example for _, example in examples],
+                                           variant),
+             [section for section, _ in sections],
+             plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))]))]
+    for role, template, fitted, plan in fits:
+        catalogs = [section.catalog for section in fitted]
+
+        def builders_text(keeps):
+            if plan is None:
+                return open_prompt_text(instance, target.catalog, variant, keeps[0])
+            return few_shot_text(instance, target.catalog, [
+                FewShotBlock(example, section.catalog, keep)
+                for (section, example), keep in zip(examples, keeps[1:])], variant, keeps[0])
+
+        full = count_tokens(builders_text([section.keep for section in fitted]))
+        try:
+            bundle = fit_prompt(role, template, fitted, int(full * fraction), seed,
+                                variant=variant, plan=plan)
+        except UnsatisfiableBudget:
+            continue
+        keeps = [_kept(section, removed)
+                 for section, removed in zip(fitted, bundle.truncation.removed_columns)]
+        assert bundle.text == builders_text(keeps) == \
+            _rendered_by_render_schema(template, catalogs, keeps, variant)
+        assert bundle.token_count == count_tokens(bundle.text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=4).map("\n".join))
+def test_the_cached_line_count_is_count_tokens(line):
+    assert prompts._line_tokens(line) == count_tokens(line)
+    assert prompts._line_tokens(line) == count_tokens(line)  # now a hit
+
+
+def test_the_line_cache_is_bounded():
+    assert prompts._line_tokens.cache_info().maxsize == prompts.LINE_CACHE_SIZE
+    assert 0 < prompts.LINE_CACHE_SIZE <= 65_536
 
 
 def test_derive_seed_stable():

@@ -258,6 +258,23 @@ def test_build_prompt_unknown_question(mini_bench, tmp_path):
         cmd_build_prompt(run_config(mini_bench, tmp_path), question_id=999)
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--shots", "3", "--pool-split", "train"], "--shots 3"),
+    (["--mode", "cot-sk-pred"], "--mode cot-sk-pred"),
+], ids=["shots", "mode"])
+def test_build_prompt_rejects_the_settings_it_cannot_apply(mini_bench, tmp_path, capsys,
+                                                            flags, named):
+    # It prints the zero-shot prompt only; a few-shot or chain-of-thought
+    # setting must not pass silently for that prompt.
+    out = tmp_path / "prompt.txt"
+    argv = ["build-prompt", "--benchmark-root", str(mini_bench), "--split", "dev",
+            "--question-id", "6", "--out", str(out), *flags]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert named in str(exited.value.code) and "zero-shot" in str(exited.value.code)
+    assert not out.exists()
+
+
 def zero_shot_client(cfg):
     transport = ScriptedTransport(
         completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),

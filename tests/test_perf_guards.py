@@ -6,12 +6,11 @@ given, building none of its own. It compiles each (catalog, variant) schema
 once, so it renders and counts each column line once, scores the example
 pool without a per-pair call of the public `cosine`, rescores with the exact
 cosine only the screened top k and the candidates tied with it, and renders
-each few-shot prompt twice per question: once as its frame, with no schema
-line, and once in full at the fit. Target truncation, on the zero-shot and
-chain-of-thought paths, renders the same two, however many columns it
-removes. No full prompt is counted: the frame's count plus the compiled line
-costs is its size, and the count its bundle carries. A chain-of-thought
-question partitions each distinct schema its steps show once and builds one
+each budgeted prompt once, at its fit: the truncation engine takes the count
+of the prompt template's fixed lines and renders nothing, however many
+columns it removes. No text that holds a schema line is counted: the fixed
+lines' counts plus the compiled line costs are a prompt's size, and the
+count its bundle carries. A chain-of-thought question partitions each distinct schema its steps show once and builds one
 section for it, shared by the steps that show it, and a command introspects
 each database once, also when it loads a pool split. A run keeps one
 database connection per worker thread and database and closes them when it
@@ -103,9 +102,10 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
     monkeypatch.setattr(curation, "cosine", _counting(calls, "cosine", curation.cosine))
     monkeypatch.setattr(curation, "_cosine", _counting(calls, "_cosine", curation._cosine))
     monkeypatch.setattr(cli, "curate_top_k", _counting_curation(calls, rescored))
-    few_shot_text = _counting(calls, "few_shot_text", prompts.few_shot_text)
-    monkeypatch.setattr(cli, "few_shot_text", few_shot_text)
-    monkeypatch.setattr(prompts, "few_shot_text", few_shot_text)
+    monkeypatch.setattr(prompts, "few_shot_text",
+                        _counting(calls, "few_shot_text", prompts.few_shot_text))
+    monkeypatch.setattr(prompts, "render_template",
+                        _counting(calls, "render_template", prompts.render_template))
     monkeypatch.setattr(schema, "_column_line", _counting(
         lines, "", schema._column_line, key=lambda column, variant: (id(column), variant)))
     compiles: Counter = Counter()
@@ -165,7 +165,10 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
     assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
     assert report["truncation"]["queries_with_truncation"] == questions
     assert calls["cosine"] == 0
-    assert 0 < calls["few_shot_text"] <= 2 * questions
+    # One render per fit, the draft's and the 2-shot prompt's; the public
+    # builder is not on the run's path.
+    assert calls["render_template"] == 2 * questions
+    assert calls["few_shot_text"] == 0
     assert len(rescored) == questions
     assert all(used <= 3 * near for used, near in rescored)
     assert lines and max(lines.values()) == 1
@@ -187,24 +190,12 @@ def test_curation_rescores_only_the_screened_top_k(monkeypatch):
     assert rescored == [(3, 1), (9, 3), (15, 5)]
 
 
-def _counting_renders(calls: list, truncate):
-    """Wrap truncate_target to log, per call, the section's catalog, the
-    number of full renders, the frame renders (every keep emptied) and the
-    number of removed columns."""
-    def wrapper(section, render_prompt, *args, **kwargs):
-        full, frames = 0, []
-
-        def counted(keep):
-            nonlocal full
-            text = render_prompt(keep)
-            if any(keep.values()):
-                full += 1
-            else:
-                frames.append(text)
-            return text
-
-        keep, record = truncate(section, counted, *args, **kwargs)
-        calls.append((section.catalog, full, frames, record.total_removed))
+def _counting_fits(fits: list, truncate):
+    """Wrap truncate_target to log, per call, its scaffold and the number of
+    removed columns."""
+    def wrapper(section, scaffold, *args, **kwargs):
+        keep, record = truncate(section, scaffold, *args, **kwargs)
+        fits.append((scaffold, record.total_removed))
         return keep, record
     return wrapper
 
@@ -216,25 +207,39 @@ def _has_schema_line(text: str, catalog) -> bool:
 
 # Each context is small enough that every mini_bench question truncates.
 @pytest.mark.parametrize("mode, max_context", [("none", 300), ("cot-sk-pred", 365)])
-def test_target_truncation_renders_twice_at_most(mini_bench, tmp_path, monkeypatch,
-                                                 mode, max_context):
+def test_target_truncation_renders_once(mini_bench, tmp_path, monkeypatch, mode, max_context):
     cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
                     mode=mode, max_context=max_context, response_reserve=50)
-    calls: list = []
+    fits: list = []
+    rendered: list[str] = []
+    render = prompts.render_template
+
+    def render_template(*args, **kwargs):
+        rendered.append(render(*args, **kwargs))
+        return rendered[-1]
+
     monkeypatch.setattr(prompts, "truncate_target",
-                        _counting_renders(calls, prompts.truncate_target))
+                        _counting_fits(fits, prompts.truncate_target))
+    monkeypatch.setattr(prompts, "render_template", render_template)
+    counted = _LoggingPattern(schema._TOKEN_RE)
+    monkeypatch.setattr(schema, "_TOKEN_RE", counted)
 
     scripted = (completion_by_question(MINI_QUESTIONS, MINI_RESPONSES) if mode == "none"
                 else _cot_scripted(MINI_QUESTIONS))
-    cmd_run(cfg, client=build_client(cfg, transport=ScriptedTransport(completion_fn=scripted)))
+    transport = ScriptedTransport(completion_fn=scripted)
+    cmd_run(cfg, client=build_client(cfg, transport=transport))
 
     report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
     assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
     assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
-    assert max(removed for *_, removed in calls) >= 2
-    for catalog, full, frames, _ in calls:
-        assert full == 1
-        assert len(frames) == 1 and not _has_schema_line(frames[0], catalog)
+    assert max(removed for _, removed in fits) >= 2
+    assert all(isinstance(scaffold, int) for scaffold, _ in fits)
+    # Each fit renders once, and what it renders is the prompt sent.
+    assert rendered == [r["payload"]["prompt"] for r in transport.requests]
+    assert len(rendered) == len(fits) == len(MINI_QUESTIONS) * (1 if mode == "none" else 4)
+    catalogs = load_split(mini_bench, "dev").databases.values()
+    assert not any("\n" in text and _has_schema_line(text, catalog)
+                   for text in counted.texts for catalog in catalogs)
 
 
 class _LoggingPattern:
@@ -249,8 +254,9 @@ class _LoggingPattern:
         return self._pattern.findall(text)
 
     def prompt_counts(self) -> tuple[list[str], list[str]]:
-        """(full, frame) prompt counts. Compiled costs count single lines;
-        a prompt render spans lines, and only a full one has column lines."""
+        """(full, other) counts of texts that span lines. Compiled costs
+        count single lines; a full prompt spans lines and has column lines,
+        and a template's fixed lines, such as format headers, have none."""
         renders = [text for text in self.texts if "\n" in text]
         full = [text for text in renders if re.search(r"(?m)^#   ", text)]
         return full, [text for text in renders if text not in full]
@@ -271,9 +277,11 @@ def test_the_default_counter_counts_no_full_prompt(mini_bench, tmp_path, monkeyp
     report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
     assert report["truncation"]["queries_with_truncation"] == len(MINI_QUESTIONS)
     built = [r["payload"]["prompt"] for r in transport.requests if "prompt" in r["payload"]]
-    full, frames = counted.prompt_counts()
+    full, fixed = counted.prompt_counts()
+    catalogs = load_split(mini_bench, "dev").databases.values()
     assert len(built) == 2 * len(MINI_QUESTIONS)
-    assert full == [] and len(frames) == len(built)
+    assert full == []
+    assert not any(_has_schema_line(text, catalog) for text in fixed for catalog in catalogs)
     traces = [json.loads(line) for line in
               (cfg.output_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines()]
 
@@ -289,8 +297,9 @@ def test_the_default_counter_counts_no_full_prompt(mini_bench, tmp_path, monkeyp
                             budget=TokenBudget(365, 50), seed=0)
         pair, record = prompts.build_sft_pair(
             instance, catalog, cfg.variant, TokenBudget(300, 50), seed=instance.question_id)
-        full, frames = counted.prompt_counts()
-        assert full == [] and len(frames) == len(trace.step_prompts) + 1 == 5
+        full, fixed = counted.prompt_counts()
+        assert full == [] and len(trace.step_prompts) == 4
+        assert not any(_has_schema_line(text, catalog) for text in fixed)
         bundles.extend(trace.step_prompts)
         pairs.append((pair, record))
 

@@ -264,13 +264,16 @@ def test_truncation_counts_whole_prompts_from_their_frames(
         return few_shot_text(instance, catalogs[0], blocks, variant, keeps[0])
 
     catalog = catalogs[0]
-    _, record = truncate_target(
-        PromptSection(catalog, _all_removable(catalog)), zero_shot, 10**6, 0, **engine)
+    section = PromptSection(catalog, _all_removable(catalog))
+    frame = {table: set() for table in section.keep}
+    _, record = truncate_target(section, count_tokens(zero_shot(frame)), 10**6, 0, **engine)
     assert record.tokens_before == count_tokens(zero_shot(None))
 
     sections = [PromptSection(c, _all_removable(c)) for c in catalogs]
     plan = plan_example_truncation([0.5] * len(examples))
-    _, record = truncate_examples(sections, plan, few_shot, 10**6, 0, **engine)
+    frames = [{table: set() for table in section.keep} for section in sections]
+    _, record = truncate_examples(
+        sections, plan, count_tokens(few_shot(frames)), 10**6, 0, **engine)
     assert record.tokens_before == count_tokens(few_shot([s.keep for s in sections]))
 
     for step_index in (1, 2):
