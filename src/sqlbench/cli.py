@@ -570,6 +570,9 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     """Write per-instance curated example selections as JSON."""
     if not cfg.pool_split:
         raise SystemExit("curate requires --pool-split")
+    if cfg.mode != MODE_NONE:
+        raise SystemExit(
+            f"curate scores the pool against a zero-shot draft; it cannot apply --mode {cfg.mode}")
     split = load_split(cfg.benchmark_root, cfg.split)
     owned = client is None
     client = client or build_client(cfg)

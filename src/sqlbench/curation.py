@@ -6,11 +6,16 @@ schema, and the target's draft SQL vs the candidate's gold SQL. The top-k
 by average similarity are kept and emitted in ascending order, so the most
 similar example sits last, nearest the target block.
 
+An embedding is a float64 array from the moment it is parsed: `build_pool`
+takes the embedding function's one (3N, d) result and keeps the pool's
+question, schema and SQL vectors as three (N, d) matrices, whose rows every
+`PoolCandidate` holds as views.
+
 `curate_top_k` finds that top-k in two passes: a screen of the whole pool
-with three matrix-vector products over the pool's stacked vectors, then an
-exact rescoring, with the scalar cosine that `score_candidates` uses, of
-only the candidates the screen cannot rule out. The selection is the one
-full exact scoring gives, bit for bit.
+with three matrix-vector products over those matrices, then an exact
+rescoring, with the scalar cosine that `score_candidates` uses, of only the
+candidates the screen cannot rule out. The selection is the one full exact
+scoring gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .bench import TaskInstance
@@ -43,7 +48,10 @@ class DimensionMismatch(ValueError):
     pass
 
 
-EmbeddingFn = Callable[[Sequence[str]], Sequence[Sequence[float]]]
+# texts -> one vector per text, in order: an (n, d) float64 array, as
+# LlmClient.embed returns, or equal-length float sequences, such as the
+# tuples EmbeddingCache returns.
+EmbeddingFn = Callable[[Sequence[str]], "np.ndarray | Sequence[Sequence[float]]"]
 
 
 def _vector(values: Sequence[float]) -> Vector:
@@ -82,11 +90,32 @@ class SimilarityTriple:
 
 @dataclass(frozen=True)
 class PoolCandidate:
+    """A pool example and its question, schema and SQL vectors. In a pool,
+    the vectors are row views of the pool's matrices. They take no part in
+    comparison or hashing, which arrays do not support."""
+
     instance: TaskInstance
     catalog: DatabaseCatalog
-    question_vec: tuple[float, ...]
-    schema_vec: tuple[float, ...]
-    sql_vec: tuple[float, ...]
+    question_vec: np.ndarray | Sequence[float] = field(compare=False)
+    schema_vec: np.ndarray | Sequence[float] = field(compare=False)
+    sql_vec: np.ndarray | Sequence[float] = field(compare=False)
+
+
+_VECTOR_FIELDS = ("question_vec", "schema_vec", "sql_vec")
+
+
+def _split_matrices(vectors: np.ndarray | Sequence[Sequence[float]],
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interleaved question, schema and SQL vectors, 3N of them, as the
+    three (N, d) float64 matrices of their every third row from 0, 1 and 2:
+    views of `vectors` itself when it is a (3N, d) float64 array."""
+    import numpy as np
+
+    dims = {len(vector) for vector in vectors}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"pool embeddings have mixed dimensions: {sorted(dims)}")
+    stacked = np.asarray(vectors, dtype=float).reshape(len(vectors), dims.pop() if dims else 0)
+    return stacked[0::3], stacked[1::3], stacked[2::3]
 
 
 @dataclass(frozen=True)
@@ -103,8 +132,11 @@ class ExamplePool:
 
     candidates: tuple[PoolCandidate, ...]
     variant: SchemaVariant = SchemaVariant.C_VDT
-    # The candidates' question, schema and SQL vectors, stacked once as
-    # three (N, d) float64 arrays, and their L2 norms as one (3, N) array.
+    # The (N, d) float64 matrices whose rows are the candidates' question,
+    # schema and SQL vectors, as build_pool passes them. Without them the
+    # pool stacks its candidates' vectors, as for a pool built by hand.
+    matrices: InitVar[Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+    # Those matrices, and their rows' L2 norms as one (3, N) array.
     _matrices: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
@@ -121,30 +153,26 @@ class ExamplePool:
     _sections: dict[int, PromptSection] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, matrices) -> None:
         import numpy as np
 
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        dims = {
-            len(vec)
-            for cand in self.candidates
-            for vec in (cand.question_vec, cand.schema_vec, cand.sql_vec)
-        }
-        if len(dims) > 1:
-            raise DimensionMismatch(f"pool embeddings have mixed dimensions: {sorted(dims)}")
-        width = dims.pop() if dims else 0
-        matrices = tuple(
-            np.array([getattr(cand, name) for cand in self.candidates], dtype=float)
-            .reshape(len(self.candidates), width)
-            for name in ("question_vec", "schema_vec", "sql_vec"))
+        candidates = tuple(self.candidates)
+        if matrices is None:
+            matrices = _split_matrices(
+                [getattr(cand, name) for cand in candidates for name in _VECTOR_FIELDS])
+            candidates = tuple(
+                replace(cand, **{name: matrix[i] for name, matrix in zip(_VECTOR_FIELDS, matrices)})
+                for i, cand in enumerate(candidates))
         # Row by row, as _vector computes each norm, so the bits agree.
         norms = np.array([[np.linalg.norm(row) for row in matrix] for matrix in matrices],
-                         dtype=float).reshape(3, len(self.candidates))
+                         dtype=float).reshape(3, len(candidates))
+        object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "_matrices", matrices)
         object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "_vectors", tuple(
-            tuple((matrix[i], float(norms[j, i])) for j, matrix in enumerate(matrices))
-            for i in range(len(self.candidates))))
+            tuple((getattr(cand, name), float(norms[j, i]))
+                  for j, name in enumerate(_VECTOR_FIELDS))
+            for i, cand in enumerate(candidates)))
 
     def section(self, index: int) -> PromptSection:
         """Candidate `index`'s example section, its catalog partitioned by
@@ -169,7 +197,8 @@ def build_pool(
     variant: SchemaVariant,
     embed: EmbeddingFn,
 ) -> ExamplePool:
-    """Embed question, rendered schema and gold SQL for every candidate."""
+    """Embed question, rendered schema and gold SQL for every candidate.
+    The pool's matrices are views of the one (3N, d) array `embed` returns."""
     texts: list[str] = []
     for instance, catalog in candidates:
         texts.extend((
@@ -177,12 +206,10 @@ def build_pool(
             _schema_text(catalog, variant),
             instance.gold_sql,
         ))
-    vectors = [tuple(float(x) for x in v) for v in embed(texts)]
-    pool_candidates = []
-    for i, (instance, catalog) in enumerate(candidates):
-        q, d, s = vectors[3 * i], vectors[3 * i + 1], vectors[3 * i + 2]
-        pool_candidates.append(PoolCandidate(instance, catalog, tuple(q), tuple(d), tuple(s)))
-    pool = ExamplePool(tuple(pool_candidates), variant)
+    matrices = _split_matrices(embed(texts))
+    pool = ExamplePool(tuple(
+        PoolCandidate(instance, catalog, *(matrix[i] for matrix in matrices))
+        for i, (instance, catalog) in enumerate(candidates)), variant, matrices)
     for i, (_, schema_vector, _) in enumerate(pool._vectors):
         pool._schema_vectors.setdefault(texts[3 * i + 1], schema_vector)
     return pool

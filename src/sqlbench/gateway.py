@@ -28,10 +28,13 @@ import time
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
 from .curation import DimensionMismatch, EmbeddingFn
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -520,8 +523,15 @@ class LlmClient:
             f"no recorded response for prompt digest {missing[0][:16]}"))
         return response
 
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        """Embed texts, preserving order and chunking to the batch limit."""
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed texts, preserving order and chunking to the batch limit.
+
+        Returns one (len(texts), d) float64 array. Each stored response is
+        parsed straight into its row, so at most one parsed vector is alive
+        at a time.
+        """
+        import numpy as np
+
         if not texts:
             raise ValueError("embed requires at least one text")
 
@@ -540,13 +550,19 @@ class LlmClient:
                 for row in rows:
                     yield json.dumps(list(row["embedding"])), {}
 
-        vectors = [json.loads(response) for response in self._recorded(
+        responses = self._recorded(
             ["embed:" + text for text in texts], call,
-            lambda missing: f"{len(missing)} embedding texts missing from store")]
-        dims = {len(v) for v in vectors}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
-        return vectors
+            lambda missing: f"{len(missing)} embedding texts missing from store")
+        matrix = None
+        for i, response in enumerate(responses):
+            vector = json.loads(response)
+            if matrix is None:
+                matrix = np.empty((len(responses), len(vector)))
+            elif len(vector) != matrix.shape[1]:
+                dims = {len(json.loads(response)) for response in responses}
+                raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
+            matrix[i] = vector
+        return matrix
 
 
 # A line opening on the prompts' completion cue "SELECT", after any quote or

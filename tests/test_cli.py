@@ -579,6 +579,22 @@ def test_cmd_curate_writes_selection(mini_bench, tmp_path):
         assert gammas == sorted(gammas)  # ascending, most similar last
 
 
+def test_curate_rejects_a_mode_it_cannot_apply(mini_bench, tmp_path):
+    # The draft that curation scores against is always zero-shot; a
+    # chain-of-thought mode must not pass silently.
+    cfg = run_config(mini_bench, tmp_path, mode="cot-sk-pred", pool_split="train")
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    with pytest.raises(SystemExit) as exited:
+        cmd_curate(cfg, client=build_client(cfg, transport=transport),
+                   embed_client=build_embed_client(cfg, transport=transport))
+    assert "--mode cot-sk-pred" in str(exited.value.code)
+    assert "zero-shot" in str(exited.value.code)
+    assert not (cfg.output_dir / "curation.json").exists()
+    assert not transport.requests
+
+
 def test_cmd_report_renders_tables(mini_bench, tmp_path, capsys):
     cfg = run_config(mini_bench, tmp_path)
     client, _ = zero_shot_client(cfg)

@@ -283,12 +283,12 @@ def test_embed_preserves_order_and_replays(tmp_path, endpoint):
     transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 4))
     store = ReplayStore(tmp_path / "store.jsonl")
     client = LlmClient(endpoint, mode="record", store=store, transport=transport)
-    vectors = client.embed(["alpha", "beta"])
+    vectors = client.embed(["alpha", "beta"]).tolist()
     assert len(vectors) == 2
     assert vectors[0] == hash_embedding("alpha", 4)
 
     replay = LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl"))
-    assert replay.embed(["alpha", "beta"]) == vectors
+    assert replay.embed(["alpha", "beta"]).tolist() == vectors
     with pytest.raises(ReplayMiss):
         replay.embed(["gamma"])
 
@@ -298,11 +298,40 @@ def test_embed_sends_each_distinct_text_once(tmp_path, endpoint):
     transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 4))
     store = ReplayStore(tmp_path / "store.jsonl")
     client = LlmClient(endpoint, mode="record", store=store, transport=transport)
-    assert client.embed(texts) == [hash_embedding(t, 4) for t in texts]
+    assert client.embed(texts).tolist() == [hash_embedding(t, 4) for t in texts]
     assert [r["payload"]["input"] for r in transport.requests] == [["alpha", "beta", "gamma"]]
     lines = (tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["hash"] for line in lines] == [
         prompt_digest("embed:" + t, endpoint.model_id) for t in ("alpha", "beta", "gamma")]
+
+
+@pytest.mark.parametrize("mode", ["live", "record", "replay"])
+def test_embed_returns_one_float64_matrix(tmp_path, endpoint, mode):
+    import numpy as np
+
+    texts = ["alpha", "beta", "alpha"]
+    transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 5))
+    store = ReplayStore(tmp_path / "store.jsonl")
+    if mode == "replay":
+        LlmClient(endpoint, mode="record", store=store, transport=transport).embed(texts)
+        store, transport = ReplayStore(tmp_path / "store.jsonl"), None
+    client = LlmClient(endpoint, mode=mode, store=None if mode == "live" else store,
+                       **({} if transport is None else {"transport": transport}))
+    vectors = client.embed(texts)
+    assert isinstance(vectors, np.ndarray)
+    assert vectors.shape == (3, 5) and vectors.dtype == np.float64
+    assert vectors.tolist() == [hash_embedding(t, 5) for t in texts]
+
+
+def test_embed_rejects_a_ragged_stored_vector_at_replay(tmp_path, endpoint):
+    store = ReplayStore(tmp_path / "store.jsonl")
+    for text, vector in [("a", [0.1, 0.2]), ("b", [0.1, 0.2, 0.3]), ("c", [0.4, 0.5])]:
+        store.put(CompletionRecord(prompt_digest("embed:" + text, endpoint.model_id),
+                                   endpoint.model_id, json.dumps(vector)))
+    client = LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl"))
+    assert client.embed(["a", "c"]).shape == (2, 2)
+    with pytest.raises(DimensionMismatch, match=r"ragged embedding dimensions: \[2, 3\]"):
+        client.embed(["a", "b", "c"])
 
 
 def test_embed_rejects_empty_input(endpoint):

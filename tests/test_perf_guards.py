@@ -18,7 +18,9 @@ ends. A live run keeps one HTTP connection per worker thread, closes them
 when it ends, sends each distinct embedding text of a call once and embeds
 each distinct schema once; a replay run opens no HTTP connection.
 Zero-shot, chain-of-thought and live runs start without loading numpy or
-requests. These counts repeat exactly, so a regression shows here without
+requests. An example pool built from replayed embeddings retains little
+more than its three vector matrices, which its candidates' vectors are
+views of. These counts repeat exactly, so a regression shows here without
 timing anything. Every function the benchmark's tracer wraps by name
 still resolves.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import importlib
 import importlib.util
 import sqlite3
@@ -36,6 +39,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,7 +69,8 @@ from test_curation import _candidate, _random_pool, _tiny_catalog
 from sqlbench.bench import load_split
 from sqlbench.budget import TokenBudget, count_tokens
 from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_curate, cmd_run
-from sqlbench.gateway import PooledTransport
+from sqlbench.gateway import LlmClient, LlmEndpoint, PooledTransport, ReplayStore
+from sqlbench.schema import SchemaVariant
 
 
 def _counting(counts: Counter, name: str, fn, key=None):
@@ -511,3 +516,31 @@ def test_every_traced_name_resolves_to_a_callable():
         owner = importlib.import_module(module_name)
         target = functools.reduce(getattr, attribute.split("."), owner)
         assert callable(target), name
+
+
+def test_a_replayed_pool_retains_only_its_matrices(tmp_path):
+    count, dim = 200, 384
+    candidates = [(_candidate(i, f"db_{i % 10}", f"question {i}?", f"SELECT {i}"),
+                   _tiny_catalog(f"db_{i % 10}")) for i in range(count)]
+    endpoint = LlmEndpoint("http://fake", "embed-model")
+    recorder = LlmClient(endpoint, mode="record", store=ReplayStore(tmp_path / "store.jsonl"),
+                         transport=ScriptedTransport(embed_fn=lambda t: hash_embedding(t, dim)))
+    curation.build_pool(candidates, SchemaVariant.C_N, recorder.embed)  # also renders schemas
+    replay = LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pool = curation.build_pool(candidates, SchemaVariant.C_N, replay.embed)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = sum(matrix.nbytes for matrix in pool._matrices)
+    assert matrix_bytes == 3 * count * dim * 8
+    assert retained < 1.5 * matrix_bytes, (retained, matrix_bytes)
+    for i, candidate in enumerate(pool.candidates):
+        for vector, matrix in zip(
+                (candidate.question_vec, candidate.schema_vec, candidate.sql_vec), pool._matrices):
+            assert np.shares_memory(vector, matrix)
+            assert vector.tolist() == matrix[i].tolist()
