@@ -23,6 +23,7 @@ from .schema import (
     DatabaseCatalog,
     SchemaVariant,
     _column_names,
+    _column_pairs,
     _validate_filter,
     compiled_schema,
     count_tokens,
@@ -227,6 +228,9 @@ class PromptSection:
     partition's non-target columns, sorted, the list truncation draws from.
     `size(variant)` is the token count of the schema block `keep` shows.
     Truncation copies what it changes and leaves the section as built.
+    A section of the full view, as every question and pool section is,
+    takes its keep, column order and sizes from its catalog, which computes
+    them once for all such sections.
     """
 
     catalog: DatabaseCatalog
@@ -237,19 +241,30 @@ class PromptSection:
 
     def __post_init__(self) -> None:
         names = _column_names(self.catalog)
+        target, non_target = self.partition.target, self.partition.non_target
+        pairs = _column_pairs(self.catalog)
+        if (len(target) + len(non_target) == len(pairs)
+                and target <= pairs and non_target <= pairs):
+            order = self.catalog.derived("sorted_columns", lambda: tuple(sorted(pairs)))
+            object.__setattr__(self, "keep", names)
+            object.__setattr__(self, "removables", tuple(
+                [key for key in order if key in non_target]))
+            object.__setattr__(self, "_sizes", self.catalog.derived("full_view_sizes", dict))
+            return
         keep: dict[str, set[str]] = {table: set() for table in names}
-        for table, column in self.partition.target | self.partition.non_target:
+        for table, column in target | non_target:
             keep[table].add(column)
         # A table shown whole shares the catalog's name set, so that the
-        # pool's many cached sections stay small.
+        # sections a run caches stay small.
         object.__setattr__(self, "keep", {
             table: names[table] if columns == names[table] else frozenset(columns)
             for table, columns in keep.items()})
-        object.__setattr__(self, "removables", tuple(sorted(self.partition.non_target)))
+        object.__setattr__(self, "removables", tuple(sorted(non_target)))
 
     def size(self, variant: SchemaVariant) -> int:
         """count_tokens of the schema block in `variant` under `keep`,
-        computed once per variant."""
+        computed once per variant (per catalog and variant for the full
+        view)."""
         size = self._sizes.get(variant)
         if size is None:
             size = self._sizes.setdefault(

@@ -200,10 +200,14 @@ def load_config(
 
 def _client(cfg: RunConfig, endpoint: LlmEndpoint, transport,
             store: Optional[ReplayStore]) -> LlmClient:
+    """A client over `transport`, else over a new PooledTransport unless it
+    only replays: a replay client sends nothing, so it gets no transport
+    and its run never loads the network modules."""
     if store is None and cfg.replay_store:
         store = ReplayStore(cfg.replay_store)
-    return LlmClient(endpoint, mode=cfg.replay_mode, store=store,
-                     transport=PooledTransport() if transport is None else transport)
+    if transport is None and cfg.replay_mode != "replay":
+        transport = PooledTransport()
+    return LlmClient(endpoint, mode=cfg.replay_mode, store=store, transport=transport)
 
 
 def build_client(cfg: RunConfig, *, transport=None) -> LlmClient:
@@ -416,7 +420,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             results = [process(instance) for instance in split.instances]
     finally:
         connections.close()
-        if owned:
+        if owned and client.transport is not None:
             client.transport.close()
 
     traces = [trace for trace, _, _ in results]
@@ -600,7 +604,7 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
                 ],
             })
     finally:
-        if owned:
+        if owned and client.transport is not None:
             client.transport.close()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "curation.json"

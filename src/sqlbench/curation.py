@@ -49,8 +49,7 @@ class DimensionMismatch(ValueError):
 
 
 # texts -> one vector per text, in order: an (n, d) float64 array, as
-# LlmClient.embed returns, or equal-length float sequences, such as the
-# tuples EmbeddingCache returns.
+# LlmClient.embed and EmbeddingCache return, or equal-length float sequences.
 EmbeddingFn = Callable[[Sequence[str]], "np.ndarray | Sequence[Sequence[float]]"]
 
 

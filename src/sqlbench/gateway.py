@@ -9,23 +9,25 @@ Every stored model call goes through one append-only JSONL digest store:
 the replay store maps a prompt digest to the recorded response, which makes
 whole pipeline runs bit-deterministic and testable offline, and the
 embedding cache maps a text digest to its vector across runs.
+
+The network modules (`http.client`, `ssl`, `urllib.request`, `netrc`,
+`base64`, and with them `email` and `socket`) are imported where a request
+is sent, and all at once when a `PooledTransport` is built, so a run that
+builds one loads them during its set-up and a replay run, which builds
+none, never loads them. The code looks their names up on the modules at
+call time.
 """
 
 from __future__ import annotations
 
-import base64
 import fcntl
 import hashlib
-import http.client
 import json
 import logging
-import netrc
 import os
 import re
-import ssl
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -34,6 +36,9 @@ from urllib.parse import unquote, urlsplit
 from .curation import DimensionMismatch, EmbeddingFn
 
 if TYPE_CHECKING:
+    import http.client
+    import ssl
+
     import numpy as np
 
 logger = logging.getLogger(__name__)
@@ -206,7 +211,8 @@ class EmbeddingCache(DigestStore):
 
     Vectors are kept on disk keyed by (text, embedding model id), one
     {hash, dim, vector} line each, so reruns do not re-bill the embedding
-    endpoint.
+    endpoint, and in memory as 1-D float64 arrays. A call returns one
+    (n, d) float64 array, as `LlmClient.embed` does.
     """
 
     def __init__(self, path: Path, model_id: str, embed: EmbeddingFn):
@@ -214,13 +220,17 @@ class EmbeddingCache(DigestStore):
         self.embed = embed
         super().__init__(path)
 
-    def _decode(self, raw: dict) -> tuple[float, ...]:
-        return tuple(raw["vector"])
+    def _decode(self, raw: dict) -> np.ndarray:
+        import numpy as np
 
-    def _encode(self, digest: str, vector: tuple[float, ...]) -> dict:
-        return {"hash": digest, "dim": len(vector), "vector": list(vector)}
+        return np.array(raw["vector"], dtype=float)
 
-    def __call__(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
+    def _encode(self, digest: str, vector: np.ndarray) -> dict:
+        return {"hash": digest, "dim": len(vector), "vector": vector.tolist()}
+
+    def __call__(self, texts: Sequence[str]) -> np.ndarray:
+        import numpy as np
+
         keys = [prompt_digest(text, self.model_id) for text in texts]
         missing = [i for i, key in enumerate(keys) if key not in self._records]
         if missing:
@@ -228,9 +238,13 @@ class EmbeddingCache(DigestStore):
             if len(fresh) != len(missing):
                 raise DimensionMismatch(
                     f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
-            self._append((keys[i], tuple(float(x) for x in vector))
+            self._append((keys[i], np.array(vector, dtype=float))
                          for i, vector in zip(missing, fresh))
-        return [self._records[key] for key in keys]
+        vectors = [self._records[key] for key in keys]
+        dims = {len(vector) for vector in vectors}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
+        return np.array(vectors, dtype=float)
 
 
 # transport(url, payload, headers, timeout) -> (status_code, parsed_json)
@@ -253,12 +267,16 @@ def _http_transport(url: str, payload: dict, headers: dict, timeout: float) -> t
 
 
 def _basic_auth(user: str, password: str) -> str:
+    import base64
+
     return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
 
 
 def _netrc_auth(host: str) -> Optional[str]:
     """The Basic credentials for `host` in $NETRC, else ~/.netrc or ~/_netrc,
     found as `requests.utils.get_netrc_auth` finds them."""
+    import netrc
+
     path = os.environ.get("NETRC")
     for candidate in [path] if path is not None else ["~/.netrc", "~/_netrc"]:
         candidate = os.path.expanduser(candidate)
@@ -290,6 +308,8 @@ class _Route:
     tunnel_headers: Optional[dict] = None
 
     def connection(self, timeout: float) -> http.client.HTTPConnection:
+        import http.client
+
         if self.context is None:
             return http.client.HTTPConnection(*self.address, timeout=timeout)
         connection = http.client.HTTPSConnection(*self.address, timeout=timeout,
@@ -305,6 +325,9 @@ def _route(url: str) -> _Route:
     `proxy_bypass`), Basic credentials from netrc, else from the URL, and
     for HTTPS the CA bundle in REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE (a file
     or a directory; the system store when neither is set)."""
+    import ssl
+    import urllib.request
+
     parts = urlsplit(url)
     https = parts.scheme == "https"
     endpoint = (parts.hostname, parts.port or (443 if https else 80))
@@ -357,9 +380,19 @@ class PooledTransport:
     that fails on a connection that already carried one is sent once more,
     right away, on a new connection, so a dropped connection costs no
     backoff.
+
+    Building one imports the network modules, so that a run loads them in
+    its set-up and not in its first request.
     """
 
     def __init__(self) -> None:
+        # Bound only here: each function that uses them imports them again.
+        import base64  # noqa: F401
+        import http.client  # noqa: F401
+        import netrc  # noqa: F401
+        import ssl  # noqa: F401
+        import urllib.request  # noqa: F401
+
         self._local = threading.local()
         self._lock = threading.Lock()
         self._routes: dict[tuple[str, str], _Route] = {}
@@ -380,6 +413,8 @@ class PooledTransport:
 
     def __call__(self, url: str, payload: dict, headers: dict,
                  timeout: float) -> tuple[int, dict]:
+        import http.client
+
         route, connection = self._connection(url, timeout)
         kept = connection.sock is not None  # left open by this thread's last request
         connection.timeout = timeout
@@ -412,7 +447,7 @@ class LlmClient:
 
     mode "live" always hits the wire; "record" serves store hits and
     records misses; "replay" never touches the wire and raises ReplayMiss
-    on unknown digests.
+    on unknown digests. A replay client may have no transport (None).
     """
 
     def __init__(
@@ -421,13 +456,15 @@ class LlmClient:
         *,
         mode: str = "live",
         store: Optional[ReplayStore] = None,
-        transport: Transport = _http_transport,
+        transport: Optional[Transport] = _http_transport,
         backoff: float = 0.5,
     ):
         if mode not in REPLAY_MODES:
             raise ValueError(f"unknown client mode {mode!r}")
         if mode in ("record", "replay") and store is None:
             raise ValueError(f"{mode} mode requires a replay store")
+        if mode != "replay" and transport is None:
+            raise ValueError(f"{mode} mode requires a transport")
         self.endpoint = endpoint
         self.mode = mode
         self.store = store
@@ -441,6 +478,8 @@ class LlmClient:
         return headers
 
     def _post(self, path: str, payload: dict) -> dict:
+        import http.client
+
         url = self.endpoint.base_url.rstrip("/") + path
         last_error: Optional[Exception] = None
         for attempt in range(MAX_RETRIES):

@@ -139,8 +139,7 @@ class DatabaseCatalog:
     def column_set(self) -> set[tuple[str, str]]:
         """Every (table, column) of the catalog; the pairs are built once per
         catalog and shared by every set and partition made from them."""
-        return set(self.derived("column_set", lambda: frozenset(
-            (t.name, c.name) for t in self.tables for c in t.columns)))
+        return set(_column_pairs(self))
 
     def key_columns(self, columns: Optional[set[tuple[str, str]]] = None) -> set[tuple[str, str]]:
         """Primary keys among `columns` (all by default) plus both endpoints
@@ -171,6 +170,12 @@ class DatabaseCatalog:
 # A keep filter, {table: columns kept}: a table absent from it keeps every
 # column and a table mapped to an empty set is dropped.
 ColumnFilter = Mapping[str, Iterable[str]]
+
+
+def _column_pairs(catalog: DatabaseCatalog) -> frozenset[tuple[str, str]]:
+    """Every (table, column) of the catalog, built once per catalog."""
+    return catalog.derived("column_set", lambda: frozenset(
+        (t.name, c.name) for t in catalog.tables for c in t.columns))
 
 
 def _column_names(catalog: DatabaseCatalog) -> Mapping[str, frozenset[str]]:

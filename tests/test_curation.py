@@ -223,13 +223,13 @@ def test_embedding_cache_avoids_recalls(tmp_path):
     second = cache(["beta", "gamma"])
     assert len(calls) == 2
     assert calls[1] == ["gamma"]  # beta served from cache
-    assert first[1] == second[0]
+    assert first[1].tolist() == second[0].tolist()
 
     # a fresh cache instance reloads from disk, so no further calls
     reloaded = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model", embed)
     third = reloaded(["alpha", "gamma"])
     assert len(calls) == 2
-    assert third[0] == first[0]
+    assert third[0].tolist() == first[0].tolist()
 
 
 def test_embedding_cache_key_includes_model(tmp_path):

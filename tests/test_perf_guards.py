@@ -18,11 +18,14 @@ ends. A live run keeps one HTTP connection per worker thread, closes them
 when it ends, sends each distinct embedding text of a call once and embeds
 each distinct schema once; a replay run opens no HTTP connection.
 Zero-shot, chain-of-thought and live runs start without loading numpy or
-requests. An example pool built from replayed embeddings retains little
+requests. A replay run never loads the network modules (`http.client`,
+`ssl`, `urllib.request`, `netrc`); a client that can send loads them when
+it is built. An example pool built from replayed embeddings retains little
 more than its three vector matrices, which its candidates' vectors are
-views of. These counts repeat exactly, so a regression shows here without
-timing anything. Every function the benchmark's tracer wraps by name
-still resolves.
+views of, and one built through the embedding cache retains only those
+and the cache's own arrays. These counts repeat exactly, so a regression
+shows here without timing anything. Every function the benchmark's tracer
+wraps by name still resolves.
 """
 
 from __future__ import annotations
@@ -69,7 +72,13 @@ from test_curation import _candidate, _random_pool, _tiny_catalog
 from sqlbench.bench import load_split
 from sqlbench.budget import TokenBudget, count_tokens
 from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_curate, cmd_run
-from sqlbench.gateway import LlmClient, LlmEndpoint, PooledTransport, ReplayStore
+from sqlbench.gateway import (
+    EmbeddingCache,
+    LlmClient,
+    LlmEndpoint,
+    PooledTransport,
+    ReplayStore,
+)
 from sqlbench.schema import SchemaVariant
 
 
@@ -457,23 +466,34 @@ def test_replay_run_opens_no_connection(mini_bench, tmp_path, monkeypatch):
 
 _COLD_START = """
 import json, sys
+modules = json.loads(sys.argv[1])
 import sqlbench.cli as cli
-status = cli.main(sys.argv[1:])
+status = cli.main(sys.argv[2:])
 print(json.dumps({"status": status, "loaded": sorted(
-    name for name in ("numpy", "requests", "sqlbench.curation") if name in sys.modules)}))
+    name for name in modules if name in sys.modules)}))
 """
 
+# What a client that sends loads: http.client loads email.parser.
+_NETWORK = ("email.parser", "http.client", "netrc", "ssl", "urllib.request")
 
-def _cold_run(argv: list[str]) -> dict:
-    """`sqlbench <argv>` in a new interpreter: its exit status and which of
-    numpy, requests and sqlbench.curation it loaded."""
-    source = str(Path(__file__).resolve().parents[1] / "src")
+
+def _fresh_interpreter(source: str, *args: str) -> dict:
+    """The JSON last printed by `source`, run with `args` in a new
+    interpreter that imports sqlbench from this checkout."""
+    path = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [source, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv], env=env,
+        filter(None, [path, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", source, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cold_run(argv: list[str],
+              modules: tuple[str, ...] = ("numpy", "requests", "sqlbench.curation")) -> dict:
+    """`sqlbench <argv>` in a new interpreter: its exit status and which of
+    `modules` it loaded."""
+    return _fresh_interpreter(_COLD_START, json.dumps(modules), *argv)
 
 
 @pytest.mark.parametrize("run", ["zero-shot", "cot-sk-pred", "live", "two-shot"])
@@ -504,6 +524,54 @@ def test_only_a_curating_run_loads_numpy(mini_bench, tmp_path, run):
     assert result == {"status": 0, "loaded": curating + ["sqlbench.curation"]}
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
+
+
+@pytest.mark.parametrize("run", ["zero-shot", "two-shot", "live"])
+def test_only_a_run_that_can_send_loads_the_network_stack(mini_bench, tmp_path, run):
+    argv = ["run", "--benchmark-root", str(mini_bench), "--split", "dev",
+            "--output-dir", str(tmp_path / "out")]
+    scripted = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    if run == "live":
+        with counting_server(scripted) as server:
+            result = _cold_run(argv + ["--base-url", server.base_url], _NETWORK)
+        assert result == {"status": 0, "loaded": sorted(_NETWORK)}
+        return
+    shots = ["--shots", "2", "--pool-split", "train"] if run == "two-shot" else []
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "record",
+                    replay_store=tmp_path / "store.jsonl", replay_mode="record",
+                    shots=2 if shots else 0, pool_split="train" if shots else None)
+    cmd_run(cfg, client=build_client(cfg, transport=scripted),
+            embed_client=build_embed_client(cfg, transport=scripted))
+    result = _cold_run(argv + shots + ["--replay-store", str(cfg.replay_store),
+                                       "--replay-mode", "replay"], _NETWORK)
+    assert result == {"status": 0, "loaded": []}
+    assert ((tmp_path / "out" / "report.json").read_bytes()
+            .replace(b'"replay_mode": "replay"', b'"replay_mode": "record"')
+            == (tmp_path / "record" / "report.json").read_bytes())
+
+
+_BUILD_CLIENT = """
+import json, sys
+modules = json.loads(sys.argv[1])
+import sqlbench.cli as cli
+loaded = lambda: sorted(name for name in modules if name in sys.modules)
+imported = loaded()
+cfg = cli.RunConfig(replay_mode=sys.argv[2], replay_store=sys.argv[3])
+client = cli.build_client(cfg)
+print(json.dumps({"imported": imported, "built": loaded(),
+                  "transport": type(client.transport).__name__}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["live", "record", "replay"])
+def test_a_client_loads_the_network_stack_when_built_only_if_it_can_send(tmp_path, mode):
+    result = _fresh_interpreter(_BUILD_CLIENT, json.dumps(_NETWORK), mode,
+                                str(tmp_path / "store.jsonl"))
+    sends = mode != "replay"
+    assert result == {"imported": [], "built": sorted(_NETWORK) if sends else [],
+                      "transport": "PooledTransport" if sends else "NoneType"}
 
 
 def test_every_traced_name_resolves_to_a_callable():
@@ -544,3 +612,35 @@ def test_a_replayed_pool_retains_only_its_matrices(tmp_path):
                 (candidate.question_vec, candidate.schema_vec, candidate.sql_vec), pool._matrices):
             assert np.shares_memory(vector, matrix)
             assert vector.tolist() == matrix[i].tolist()
+
+
+def test_a_pool_built_through_the_embedding_cache_retains_arrays_only(tmp_path):
+    count, dim = 200, 384
+    candidates = [(_candidate(i, f"db_{i % 10}", f"question {i}?", f"SELECT {i}"),
+                   _tiny_catalog(f"db_{i % 10}")) for i in range(count)]
+    path = tmp_path / "cache.jsonl"
+    curation.build_pool(candidates, SchemaVariant.C_N, EmbeddingCache(
+        path, "embed-model", lambda texts: [hash_embedding(t, dim) for t in texts]))
+    written = path.read_bytes()
+
+    def embed(texts):
+        raise AssertionError("every vector is cached")
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = EmbeddingCache(path, "embed-model", embed)
+        pool = curation.build_pool(candidates, SchemaVariant.C_N, cache)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = sum(matrix.nbytes for matrix in pool._matrices)
+    assert matrix_bytes == 3 * count * dim * 8
+    # The cache's own copy of each vector, and the pool's matrices.
+    assert retained < 2 * matrix_bytes, (retained, matrix_bytes)
+    assert path.read_bytes() == written
+    vectors = cache(["question 3?", "SELECT 3"])
+    assert vectors.dtype == np.float64 and vectors.shape == (2, dim)
+    assert vectors.tolist() == [pool._matrices[0][3].tolist(), pool._matrices[2][3].tolist()]
