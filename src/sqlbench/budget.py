@@ -149,6 +149,57 @@ def _column_link_words(column: ColumnSpec) -> set[str]:
     return words
 
 
+# Word -> columns indexes, built once per catalog, answer each partition
+# with one lookup per mentioned word instead of a pass over all columns.
+def _name_index(catalog: DatabaseCatalog) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Lower-cased column name -> the columns of that name."""
+    return catalog.derived("columns_by_name", lambda: _columns_by_word(
+        catalog, lambda column: (column.name.lower(),)))
+
+
+def _link_word_index(catalog: DatabaseCatalog) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Link word of a column's name or description -> the columns it links."""
+    return catalog.derived("columns_by_link_word", lambda: _columns_by_word(
+        catalog, _column_link_words))
+
+
+def _sorted_columns(catalog: DatabaseCatalog) -> tuple[tuple[str, str], ...]:
+    """Every (table, column) of the catalog, sorted: the full view's order."""
+    return catalog.derived("sorted_columns", lambda: tuple(sorted(_column_pairs(catalog))))
+
+
+def _full_view_sizes(catalog: DatabaseCatalog) -> dict:
+    """Variant -> size of the full view's schema block, filled as sized."""
+    return catalog.derived("full_view_sizes", dict)
+
+
+def prepare_catalog(
+    catalog: DatabaseCatalog,
+    variants: Iterable[SchemaVariant],
+    *,
+    by_question: bool = False,
+    by_sql: bool = False,
+) -> None:
+    """Build ahead of time what the sections of `catalog` read on first use.
+
+    That is the word index `partition_columns` reads for a question
+    (`by_question`) or a reference SQL (`by_sql`), the catalog's compiled
+    schema and the full view's sorted columns and size in each of
+    `variants`. A run prepares each catalog its questions and examples use
+    at set-up, so that the first question on a database builds none of
+    them. Every value is the one a first use would build.
+    """
+    if by_question:
+        _link_word_index(catalog)
+    if by_sql:
+        _name_index(catalog)
+    _sorted_columns(catalog)
+    names, sizes = _column_names(catalog), _full_view_sizes(catalog)
+    for variant in variants:
+        if variant not in sizes:
+            sizes.setdefault(variant, compiled_schema(catalog, variant).tokens(names))
+
+
 def partition_columns(
     catalog: DatabaseCatalog,
     reference_sql: Optional[str] = None,
@@ -168,16 +219,10 @@ def partition_columns(
         columns = {(table, column) for table, column in columns
                    if table not in resolved or column in resolved[table]}
     target = catalog.key_columns(columns)
-    # Word -> columns indexes, built once per catalog, answer each call
-    # with one lookup per mentioned word instead of a pass over all columns.
     if reference_sql:
-        words = _sql_identifiers(reference_sql)
-        index = catalog.derived("columns_by_name", lambda: _columns_by_word(
-            catalog, lambda column: (column.name.lower(),)))
+        words, index = _sql_identifiers(reference_sql), _name_index(catalog)
     else:
-        words = _link_words(question)
-        index = catalog.derived("columns_by_link_word", lambda: _columns_by_word(
-            catalog, _column_link_words))
+        words, index = _link_words(question), _link_word_index(catalog)
     for word in words:
         target.update(column for column in index.get(word, ()) if column in columns)
     return ColumnPartition(frozenset(target), frozenset(columns - target))
@@ -230,7 +275,7 @@ class PromptSection:
     Truncation copies what it changes and leaves the section as built.
     A section of the full view, as every question and pool section is,
     takes its keep, column order and sizes from its catalog, which computes
-    them once for all such sections.
+    them once for all such sections, at `prepare_catalog` or on first use.
     """
 
     catalog: DatabaseCatalog
@@ -245,11 +290,10 @@ class PromptSection:
         pairs = _column_pairs(self.catalog)
         if (len(target) + len(non_target) == len(pairs)
                 and target <= pairs and non_target <= pairs):
-            order = self.catalog.derived("sorted_columns", lambda: tuple(sorted(pairs)))
             object.__setattr__(self, "keep", names)
             object.__setattr__(self, "removables", tuple(
-                [key for key in order if key in non_target]))
-            object.__setattr__(self, "_sizes", self.catalog.derived("full_view_sizes", dict))
+                [key for key in _sorted_columns(self.catalog) if key in non_target]))
+            object.__setattr__(self, "_sizes", _full_view_sizes(self.catalog))
             return
         keep: dict[str, set[str]] = {table: set() for table in names}
         for table, column in target | non_target:

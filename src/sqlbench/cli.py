@@ -28,8 +28,9 @@ from .budget import (
     clamp_similarity,
     derive_seed,
     plan_example_truncation,
+    prepare_catalog,
 )
-from .cot import ALL_MODES, MODE_NONE, CotTrace, run_cot
+from .cot import ALL_MODES, MODE_NONE, STEP_VARIANTS, CotTrace, run_cot
 from .curation import CuratedSet, EmbeddingFn, ExamplePool, build_pool, curate_top_k
 from .evaluate import DatabaseConnections, EvalOutcome, aggregate, execute_and_compare
 from .gateway import (
@@ -253,6 +254,18 @@ def _load_pool(
     return pool, embed
 
 
+def _prepare_catalogs(cfg: RunConfig, split: BenchmarkSplit,
+                      pool: Optional[ExamplePool]) -> None:
+    """Prepare each catalog the questions and the pool's candidates use,
+    in the variants the run's prompts render (`prepare_catalog`)."""
+    variants = (cfg.variant,) if cfg.mode == MODE_NONE else STEP_VARIANTS
+    questions = {i.database_id: split.databases[i.database_id] for i in split.instances}
+    examples = {c.instance.database_id: c.catalog for c in pool.candidates} if pool else {}
+    for database_id, catalog in {**questions, **examples}.items():
+        prepare_catalog(catalog, variants, by_question=database_id in questions,
+                        by_sql=database_id in examples)
+
+
 def _curate(
     cfg: RunConfig,
     instance: TaskInstance,
@@ -394,6 +407,9 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             embed_client: Optional[LlmClient] = None) -> Path:
     """Evaluate one split end to end and write report + trace dumps.
 
+    Set-up prepares every catalog the questions and the pool use (see
+    `_prepare_catalogs`), and each thread that runs questions opens its
+    connection to each question database before its first question.
     A replay miss stops the run before anything is written: pending
     questions are cancelled and the miss is raised."""
     split = load_split(cfg.benchmark_root, cfg.split)
@@ -406,17 +422,23 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             embed_client = embed_client or build_embed_client(
                 cfg, store=client.store, transport=client.transport)
             pool, embed = _load_pool(cfg, split, embed_client)
+        _prepare_catalogs(cfg, split, pool)
+        databases = sorted({database_path(cfg.benchmark_root, i.database_id)
+                            for i in split.instances})
 
         def process(instance: TaskInstance):
             return process_instance(cfg, instance, split, client, embed, pool, connections)
 
         if cfg.workers > 1:
-            executor = ThreadPoolExecutor(max_workers=cfg.workers)
+            executor = ThreadPoolExecutor(max_workers=cfg.workers,
+                                          initializer=connections.prepare,
+                                          initargs=(databases,))
             try:
                 results = list(executor.map(process, split.instances))
             finally:
                 executor.shutdown(cancel_futures=True)
         else:
+            connections.prepare(databases)
             results = [process(instance) for instance in split.instances]
     finally:
         connections.close()

@@ -88,6 +88,8 @@ _SK_FINAL_TAIL_TEMPLATE = (
 
 _STEP1_VARIANT = SchemaVariant.C_D
 _LATER_VARIANT = SchemaVariant.C_VDT
+# The variants the steps render their schema blocks in.
+STEP_VARIANTS = (_STEP1_VARIANT, _LATER_VARIANT)
 _STEP1_HEADER = render_schema_format_header(_STEP1_VARIANT).rstrip("\n")
 
 

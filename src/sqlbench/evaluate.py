@@ -19,7 +19,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bench import DIFFICULTIES, TaskInstance, connect_read_only
 
@@ -48,10 +48,12 @@ def _authorize(action: int, *args) -> int:
 class DatabaseConnections:
     """One authorized read-only connection per (thread, database file).
 
-    A connection is opened on a thread's first query to a file; an open
-    that fails raises and is not kept, so the next query tries again.
-    `close()` closes every connection, from any thread, and a later query
-    opens afresh. Each connection is used only by the thread that opened it.
+    A run opens each thread's connections with `prepare` before the
+    thread's first question; any other is opened on the thread's first
+    query to its file. An open that fails is not kept, so the next query
+    tries again. `close()` closes every connection, from any thread, and a
+    later query opens afresh. Each connection is used only by the thread
+    that opened it.
     """
 
     def __init__(self):
@@ -74,6 +76,17 @@ class DatabaseConnections:
             with self._lock:
                 self._open[key] = conn
         return conn
+
+    def prepare(self, databases: Iterable[Path]) -> None:
+        """Open the calling thread's connection to each of `databases`. An
+        open that fails is skipped, so that the file's first query opens it
+        again and records the error, and so that a thread pool running this
+        as its initializer stays whole."""
+        for database in databases:
+            try:
+                self.get(database)
+            except sqlite3.Error:
+                pass
 
     def close(self) -> None:
         with self._lock:

@@ -212,7 +212,11 @@ class EmbeddingCache(DigestStore):
     Vectors are kept on disk keyed by (text, embedding model id), one
     {hash, dim, vector} line each, so reruns do not re-bill the embedding
     endpoint, and in memory as 1-D float64 arrays. A call returns one
-    (n, d) float64 array, as `LlmClient.embed` does.
+    (n, d) float64 array, as `LlmClient.embed` does, and each vector it
+    loaded or embedded is kept from then on as a row of that array, so a
+    caller that keeps the array, as `build_pool` does, shares its memory
+    with the cache. The array is read-only, so that no caller can change
+    what the cache holds.
     """
 
     def __init__(self, path: Path, model_id: str, embed: EmbeddingFn):
@@ -244,7 +248,12 @@ class EmbeddingCache(DigestStore):
         dims = {len(vector) for vector in vectors}
         if len(dims) > 1:
             raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
-        return np.array(vectors, dtype=float)
+        matrix = np.array(vectors, dtype=float)
+        matrix.flags.writeable = False
+        for key, vector, row in zip(keys, vectors, matrix):
+            if vector.base is None:  # the record's own copy, not a row of an earlier result
+                self._records[key] = row
+        return matrix
 
 
 # transport(url, payload, headers, timeout) -> (status_code, parsed_json)
@@ -510,14 +519,14 @@ class LlmClient:
         call: Callable[[list[int]], Iterator[tuple[str, dict]]],
         miss: Callable[[list[str]], str],
     ) -> list[str]:
-        """The response text for each key (the text its digest is taken of).
+        """The response text for each of the distinct `keys` (the texts their
+        digests are taken of).
 
         The store serves what it holds unless the mode is live. Replay mode
         raises ReplayMiss(miss(missing digests)) for the rest; otherwise
-        `call(indexes)` is given the first missing index of each distinct
-        digest and yields a (response, usage) per index in order; record
-        mode stores each as it arrives, and every repeat of a digest gets
-        its first occurrence's response.
+        `call(indexes)` is given the missing indexes and yields a (response,
+        usage) per index in order, and record mode stores each as it
+        arrives.
         """
         model = self.endpoint.model_id
         digests = [prompt_digest(key, model) for key in keys]
@@ -527,18 +536,12 @@ class LlmClient:
         pending = [i for i, record in enumerate(found) if record is None]
         if pending and self.mode == "replay":
             raise ReplayMiss(miss([digests[i] for i in pending]))
-        first: dict[str, int] = {}
-        for i in pending:
-            first.setdefault(digests[i], i)
-        sent = list(first.values())
-        for i, (response, usage) in zip(sent, call(sent)):
+        for i, (response, usage) in zip(pending, call(pending)):
             responses[i] = response
             if self.mode == "record":
                 self.store.put(CompletionRecord(
                     digests[i], model, response, int(usage.get("prompt_tokens", 0)),
                     int(usage.get("completion_tokens", 0))))
-        for i in pending:
-            responses[i] = responses[first[digests[i]]]
         return responses
 
     def complete(self, prompt) -> str:
@@ -565,14 +568,19 @@ class LlmClient:
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """Embed texts, preserving order and chunking to the batch limit.
 
-        Returns one (len(texts), d) float64 array. Each stored response is
-        parsed straight into its row, so at most one parsed vector is alive
-        at a time.
+        Returns one (len(texts), d) float64 array. Each distinct text is
+        digested, looked up or sent, and parsed once per call, straight into
+        the rows of its occurrences, so at most one parsed vector is alive
+        at a time and a repeated text costs one row copy.
         """
         import numpy as np
 
         if not texts:
             raise ValueError("embed requires at least one text")
+        rows_of: dict[str, list[int]] = {}
+        for i, text in enumerate(texts):
+            rows_of.setdefault(text, []).append(i)
+        distinct = list(rows_of)
 
         def call(pending: list[int]) -> Iterator[tuple[str, dict]]:
             batch = self.endpoint.embed_batch_size
@@ -580,7 +588,7 @@ class LlmClient:
                 chunk = pending[start:start + batch]
                 body = self._post(EMBEDDING_PATH, {
                     "model": self.endpoint.model_id,
-                    "input": [texts[i] for i in chunk],
+                    "input": [distinct[i] for i in chunk],
                 })
                 rows = sorted(body["data"], key=lambda row: row.get("index", 0))
                 if len(rows) != len(chunk):
@@ -590,17 +598,17 @@ class LlmClient:
                     yield json.dumps(list(row["embedding"])), {}
 
         responses = self._recorded(
-            ["embed:" + text for text in texts], call,
+            ["embed:" + text for text in distinct], call,
             lambda missing: f"{len(missing)} embedding texts missing from store")
         matrix = None
-        for i, response in enumerate(responses):
+        for rows, response in zip(rows_of.values(), responses):
             vector = json.loads(response)
             if matrix is None:
-                matrix = np.empty((len(responses), len(vector)))
+                matrix = np.empty((len(texts), len(vector)))
             elif len(vector) != matrix.shape[1]:
                 dims = {len(json.loads(response)) for response in responses}
                 raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
-            matrix[i] = vector
+            matrix[rows] = vector
         return matrix
 
 

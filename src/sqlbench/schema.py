@@ -156,10 +156,12 @@ class DatabaseCatalog:
     def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """Value derived from this (immutable) catalog, built on first use.
 
-        Compiled schemas (one per variant) and word indexes are computed
-        once per catalog and shared by every later call. Two workers that
-        build the same key at once both produce equal values; the first one
-        stored wins, so the race is harmless.
+        Compiled schemas (one per variant), word indexes and the full view's
+        column order and sizes are computed once per catalog and shared by
+        every later call. A run builds those its questions and examples
+        read at set-up (`budget.prepare_catalog`), so no question builds
+        them. Two workers that build the same key at once both produce
+        equal values; the first one stored wins, so the race is harmless.
         """
         value = self._derived.get(key)
         if value is None:

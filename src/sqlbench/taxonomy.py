@@ -66,11 +66,6 @@ def _is_syntax_error(message: str) -> bool:
     return any(marker in lowered for marker in _SYNTAX_MARKERS)
 
 
-_CLAUSE_BREAKERS = {
-    "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT",
-    "UNION", "INTERSECT", "EXCEPT", "ON", "JOIN", "INNER", "LEFT",
-}
-
 _SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
 
 

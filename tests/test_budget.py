@@ -21,6 +21,7 @@ from sqlbench.budget import (
     derive_seed,
     partition_columns,
     plan_example_truncation,
+    prepare_catalog,
     truncate_examples,
     truncate_target,
 )
@@ -166,6 +167,26 @@ def test_partition_of_a_keep_frees_a_foreign_key_column_whose_partner_is_out(mov
         (t, c) for t, c in movie_catalog.column_set() if t == "ratings"}
     with pytest.raises(UnknownColumnInFilter):
         partition_columns(movie_catalog, question="anything", keep={"movies": {"nope"}})
+
+
+def test_a_prepared_catalog_holds_what_its_first_sections_would_build(movie_catalog):
+    fresh = DatabaseCatalog(
+        movie_catalog.database_id, movie_catalog.tables, movie_catalog.foreign_keys)
+    variants = (SchemaVariant.C_A, SchemaVariant.C_D)
+    prepare_catalog(movie_catalog, variants, by_question=True, by_sql=True)
+    keys, sizes = set(movie_catalog._derived), dict(movie_catalog._derived["full_view_sizes"])
+    built = []
+    for catalog in (movie_catalog, fresh):
+        sections = [PromptSection(catalog, partition_columns(catalog, question=question))
+                    for question in ("Which movie was released in 1945?", "rating score")]
+        sections.append(PromptSection(catalog, partition_columns(
+            catalog, reference_sql="SELECT movie_title FROM movies")))
+        built.append([(section.keep, section.removables,
+                       [section.size(variant) for variant in variants])
+                      for section in sections])
+    assert built[0] == built[1]
+    assert set(movie_catalog._derived) == keys == set(fresh._derived)
+    assert movie_catalog._derived["full_view_sizes"] == sizes == fresh._derived["full_view_sizes"]
 
 
 def test_partition_overlap_rejected():

@@ -17,6 +17,7 @@ from conftest import (
     make_cinema_db,
     write_benchmark,
 )
+import sqlbench.cli as cli
 from sqlbench.cli import (
     RunConfig,
     build_client,
@@ -33,7 +34,7 @@ from sqlbench.cli import (
     main,
 )
 from sqlbench.schema import SchemaVariant, render_schema
-from sqlbench.bench import load_split
+from sqlbench.bench import database_path, load_split
 
 
 def run_config(mini_bench, tmp_path, **overrides) -> RunConfig:
@@ -349,6 +350,35 @@ def test_cmd_run_isolates_per_instance_failures(mini_bench, tmp_path):
     broken = next(o for o in payload["outcomes"] if o["question_id"] == 1)
     assert not broken["matched"]
     assert "pipeline error" in broken["predicted_error"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_database_that_is_not_sqlite_fails_only_its_own_questions(mini_bench, tmp_path,
+                                                                   monkeypatch, workers):
+    def scripted(cfg):
+        return build_client(cfg, transport=ScriptedTransport(
+            completion_fn=completion_by_question(MINI_QUESTIONS, MINI_RESPONSES)))
+
+    reference = run_config(mini_bench, tmp_path, output_dir=tmp_path / "reference")
+    expected = json.loads(cmd_run(reference, client=scripted(reference)).read_text("utf-8"))
+    load = cli.load_split
+
+    def load_then_overwrite(root, name):
+        split = load(root, name)
+        database_path(root, "schools").write_bytes(b"not a database. " * 64)
+        return split
+
+    monkeypatch.setattr(cli, "load_split", load_then_overwrite)
+    cfg = run_config(mini_bench, tmp_path, workers=workers)
+    report = json.loads(cmd_run(cfg, client=scripted(cfg)).read_text("utf-8"))
+    database_of = {q["question_id"]: q["db_id"] for q in MINI_QUESTIONS}
+    assert len(report["outcomes"]) == len(MINI_QUESTIONS)
+    for row, before in zip(report["outcomes"], expected["outcomes"]):
+        if database_of[row["question_id"]] == "schools":
+            assert not row["matched"]
+            assert row["predicted_error"] == row["gold_error"] == "file is not a database"
+        else:
+            assert row == before
 
 
 def test_cmd_run_few_shot_uses_cross_domain_examples(mini_bench, tmp_path):

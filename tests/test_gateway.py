@@ -323,6 +323,32 @@ def test_embed_returns_one_float64_matrix(tmp_path, endpoint, mode):
     assert vectors.tolist() == [hash_embedding(t, 5) for t in texts]
 
 
+@pytest.mark.parametrize("mode", ["live", "replay"])
+def test_embed_digests_and_parses_each_distinct_text_once(tmp_path, endpoint, monkeypatch, mode):
+    import numpy as np
+
+    texts = ["a", "b", "a"]
+    transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 6))
+    store = ReplayStore(tmp_path / "store.jsonl")
+    LlmClient(endpoint, mode="record", store=store, transport=transport).embed(texts)
+    responses = [store.get(prompt_digest("embed:" + t, endpoint.model_id)).response
+                 for t in texts]
+    client = (LlmClient(endpoint, transport=transport) if mode == "live" else
+              LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl")))
+    parsed, digested = [], []
+    monkeypatch.setattr(gateway, "json", SimpleNamespace(
+        dumps=json.dumps, loads=lambda text: parsed.append(text) or json.loads(text)))
+    monkeypatch.setattr(gateway, "prompt_digest",
+                        lambda text, model: digested.append(text) or prompt_digest(text, model))
+    matrix = client.embed(texts)
+    assert parsed == responses[:2]
+    assert digested == ["embed:a", "embed:b"]
+    # Bit for bit the matrix of a row-by-row parse of every occurrence.
+    reference = np.array([json.loads(response) for response in responses], dtype=float)
+    assert matrix.dtype == np.float64 and matrix.shape == (3, 6)
+    assert matrix.tobytes() == reference.tobytes()
+
+
 def test_embed_rejects_a_ragged_stored_vector_at_replay(tmp_path, endpoint):
     store = ReplayStore(tmp_path / "store.jsonl")
     for text, vector in [("a", [0.1, 0.2]), ("b", [0.1, 0.2, 0.3]), ("c", [0.4, 0.5])]:

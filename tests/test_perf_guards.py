@@ -22,9 +22,12 @@ requests. A replay run never loads the network modules (`http.client`,
 `ssl`, `urllib.request`, `netrc`); a client that can send loads them when
 it is built. An example pool built from replayed embeddings retains little
 more than its three vector matrices, which its candidates' vectors are
-views of, and one built through the embedding cache retains only those
-and the cache's own arrays. These counts repeat exactly, so a regression
-shows here without timing anything. Every function the benchmark's tracer
+views of, and one built through the embedding cache retains only those,
+which the cache keeps its vectors as rows of. A run builds each catalog's
+word indexes, column order and full-view size, and opens each worker's
+database connections, before the first question and never inside one.
+These counts repeat exactly, so a regression shows here without timing
+anything. Every function the benchmark's tracer
 wraps by name still resolves.
 """
 
@@ -42,6 +45,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -78,6 +82,7 @@ from sqlbench.gateway import (
     LlmEndpoint,
     PooledTransport,
     ReplayStore,
+    prompt_digest,
 )
 from sqlbench.schema import SchemaVariant
 
@@ -408,6 +413,62 @@ def test_a_run_keeps_one_database_connection_per_worker_and_database(mini_bench,
             conn.execute("SELECT 1")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_prepares_each_database_before_its_first_question(mini_bench, tmp_path,
+                                                               monkeypatch, workers):
+    # Set-up builds each catalog's word indexes, column order and full-view
+    # size, and each worker opens its database connections before its first
+    # question, so no question builds or opens any of them.
+    inside = threading.local()
+    events: list[tuple[str, bool]] = []
+    seen: list = []  # the split, and what its catalogs had derived, at the first question
+    process_instance = cli.process_instance
+
+    def derived(split) -> dict:
+        return {db: (set(catalog._derived), dict(catalog._derived.get("full_view_sizes", {})))
+                for db, catalog in split.databases.items()}
+
+    def process(cfg, instance, split, *args):
+        if not seen:
+            seen.extend((split, derived(split)))
+        inside.active = True
+        try:
+            return process_instance(cfg, instance, split, *args)
+        finally:
+            inside.active = False
+
+    def spying(kind, fn):
+        def spy(*args, **kwargs):
+            events.append((kind, getattr(inside, "active", False)))
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(cli, "process_instance", process)
+    monkeypatch.setattr(budget, "_columns_by_word", spying("index", budget._columns_by_word))
+    monkeypatch.setattr(evaluate, "connect_read_only",
+                        spying("connect", evaluate.connect_read_only))
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
+                    shots=2, pool_split="train", workers=workers)
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    cmd_run(cfg, client=build_client(cfg, transport=transport),
+            embed_client=build_embed_client(cfg, transport=transport))
+
+    report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert not any("pipeline error" in (o["predicted_error"] or "") for o in report["outcomes"])
+    split, at_first_question = seen
+    kinds = Counter(kind for kind, _ in events)
+    # A question index and a gold-SQL index per catalog, and one connection
+    # per worker thread and database, none of them inside a question.
+    assert kinds["index"] == 2 * len(split.databases)
+    assert len(split.databases) <= kinds["connect"] <= workers * len(split.databases)
+    assert not any(during for _, during in events)
+    # The catalogs derive nothing after the first question starts.
+    assert all(cfg.variant in sizes for _, sizes in at_first_question.values())
+    assert derived(split) == at_first_question
+
+
 @pytest.mark.parametrize("mode, texts", [("live", 30), ("record", 29)])
 def test_few_shot_run_embeds_each_distinct_text_once_per_call(mini_bench, tmp_path, mode, texts):
     # 42 and 31 texts when every occurrence of a call is sent, and 40 live
@@ -638,9 +699,13 @@ def test_a_pool_built_through_the_embedding_cache_retains_arrays_only(tmp_path):
         tracemalloc.stop()
     matrix_bytes = sum(matrix.nbytes for matrix in pool._matrices)
     assert matrix_bytes == 3 * count * dim * 8
-    # The cache's own copy of each vector, and the pool's matrices.
-    assert retained < 2 * matrix_bytes, (retained, matrix_bytes)
+    # The pool's matrices, whose rows the cache keeps its vectors as.
+    assert retained < 1.5 * matrix_bytes, (retained, matrix_bytes)
+    assert all(np.shares_memory(cache.get(prompt_digest(text, "embed-model")), matrix)
+               for text, matrix in (("question 3?", pool._matrices[0]),
+                                    ("SELECT 3", pool._matrices[2])))
     assert path.read_bytes() == written
     vectors = cache(["question 3?", "SELECT 3"])
     assert vectors.dtype == np.float64 and vectors.shape == (2, dim)
+    assert not vectors.flags.writeable
     assert vectors.tolist() == [pool._matrices[0][3].tolist(), pool._matrices[2][3].tolist()]

@@ -29,7 +29,7 @@ def _bare(signature: inspect.Signature) -> inspect.Signature:
 
 @pytest.mark.parametrize("function", [
     budget.truncate_target, budget.truncate_examples, prompts.fit_prompt,
-    budget.partition_columns,
+    budget.partition_columns, budget.prepare_catalog,
 ], ids=lambda function: function.__name__)
 def test_quoted_signatures_match_the_code(function):
     quoted = re.findall(rf"`(?:prompts\.)?{function.__name__}\(([^`]*)\)`", README)
