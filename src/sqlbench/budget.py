@@ -28,7 +28,7 @@ from .schema import (
     compiled_schema,
     count_tokens,
 )
-from .skeleton import tokenize
+from .skeleton import strip_quotes, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -118,15 +118,8 @@ def _link_words(text: str) -> set[str]:
 
 
 def _sql_identifiers(sql: str) -> set[str]:
-    names: set[str] = set()
-    for token in tokenize(sql):
-        if token.kind != "identifier":
-            continue
-        text = token.text
-        if text[0] in "\"`[":
-            text = text[1:-1]
-        names.add(text.lower())
-    return names
+    return {strip_quotes(token.text).lower() for token in tokenize(sql)
+            if token.kind == "identifier"}
 
 
 def _columns_by_word(

@@ -155,10 +155,16 @@ class RunConfig:
 
     def snapshot(self) -> dict:
         """Reproducibility snapshot; credentials never land in reports."""
-        recorded = {key: getattr(self, key) for key in _SNAPSHOT_KEYS}
-        return {key: value.value if isinstance(value, Enum)
-                else str(value) if isinstance(value, Path) else value
-                for key, value in recorded.items()}
+        return {key: _plain(getattr(self, key)) for key in _SNAPSHOT_KEYS}
+
+
+def _plain(value):
+    return (value.value if isinstance(value, Enum)
+            else str(value) if isinstance(value, Path) else value)
+
+
+def _flag(setting: Field) -> Optional[str]:
+    return setting.metadata.get("flag", "--" + setting.name.replace("_", "-"))
 
 
 def _settings() -> list[tuple[Field, type, bool, Optional[list]]]:
@@ -197,6 +203,18 @@ def load_config(
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
+
+
+def _check_reads(cfg: RunConfig, command: str) -> None:
+    """Reject each setting the snapshot records that `command` does not read
+    and that differs from its default, whatever its source. Deployment
+    settings (not recorded) pass for every command."""
+    summary, reads, _ = _COMMANDS[command]
+    unread = [f"{_flag(s)} {_plain(getattr(cfg, s.name))}" for s, *_ in _SETTINGS
+              if s.name not in reads and s.metadata.get("snapshot", s.name) is not None
+              and getattr(cfg, s.name) != s.default]
+    if unread:
+        raise SystemExit(f"{command} ({summary}) cannot apply {' or '.join(unread)}")
 
 
 def _client(cfg: RunConfig, endpoint: LlmEndpoint, transport,
@@ -516,6 +534,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
 
 def cmd_prep_sft(cfg: RunConfig) -> Path:
     """Emit the SFT JSONL plus truncation statistics, through `emit_sft_dataset`."""
+    _check_reads(cfg, "prep-sft")
     require_sft_budget(cfg.budget)
     split = load_split(cfg.benchmark_root, cfg.split)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -540,6 +559,7 @@ def cmd_prep_sft(cfg: RunConfig) -> Path:
 
 def cmd_serialize_schema(cfg: RunConfig) -> int:
     """Write every (database, variant) rendering under the output dir."""
+    _check_reads(cfg, "serialize-schema")
     split = load_split(cfg.benchmark_root, cfg.split)
     written = 0
     for db_id, catalog in sorted(split.databases.items()):
@@ -554,6 +574,7 @@ def cmd_serialize_schema(cfg: RunConfig) -> int:
 
 
 def cmd_ingest_check(cfg: RunConfig) -> None:
+    _check_reads(cfg, "ingest-check")
     split = load_split(cfg.benchmark_root, cfg.split)
     by_difficulty: dict[str, int] = {}
     for instance in split.instances:
@@ -568,14 +589,7 @@ def cmd_ingest_check(cfg: RunConfig) -> None:
 
 def cmd_build_prompt(cfg: RunConfig, question_id: int, out: Optional[Path] = None) -> str:
     """Print, or write to `out`, the question's budgeted zero-shot prompt."""
-    unused = []
-    if cfg.shots > 0:
-        unused.append(f"--shots {cfg.shots}")
-    if cfg.mode != MODE_NONE:
-        unused.append(f"--mode {cfg.mode}")
-    if unused:
-        raise SystemExit(
-            f"build-prompt prints the zero-shot prompt; it cannot apply {' or '.join(unused)}")
+    _check_reads(cfg, "build-prompt")
     split = load_split(cfg.benchmark_root, cfg.split)
     instance = next(
         (i for i in split.instances if i.question_id == question_id), None)
@@ -594,11 +608,9 @@ def cmd_build_prompt(cfg: RunConfig, question_id: int, out: Optional[Path] = Non
 def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
                embed_client: Optional[LlmClient] = None) -> Path:
     """Write per-instance curated example selections as JSON."""
+    _check_reads(cfg, "curate")
     if not cfg.pool_split:
         raise SystemExit("curate requires --pool-split")
-    if cfg.mode != MODE_NONE:
-        raise SystemExit(
-            f"curate scores the pool against a zero-shot draft; it cannot apply --mode {cfg.mode}")
     split = load_split(cfg.benchmark_root, cfg.split)
     owned = client is None
     client = client or build_client(cfg)
@@ -653,6 +665,28 @@ def cmd_report(report_file: Path) -> None:
         _print_truncation_stats(stats, few_shot=payload["config"]["shots"] > 0)
 
 
+_WHERE = {"benchmark_root", "split"}
+_PROMPT = _WHERE | {"variant", "max_context", "response_reserve", "truncation_seed"}
+
+# Each subcommand: (summary, the settings it reads, function). Its parser has
+# only its reads' flags, and `_check_reads` rejects the others from any source.
+_COMMANDS = {
+    "ingest-check": ("print a split's question, table and column counts",
+                     _WHERE, cmd_ingest_check),
+    "serialize-schema": ("write every schema variant of each database",
+                         _WHERE | {"output_dir"}, cmd_serialize_schema),
+    "curate": ("select each question's examples against its zero-shot draft",
+               _CONFIG_FIELDS - {"mode", "temperature", "workers", "query_timeout"},
+               cmd_curate),
+    "run": ("evaluate a split end to end", _CONFIG_FIELDS, cmd_run),
+    "prep-sft": ("write a split's SFT prompt/completion pairs",
+                 _PROMPT | {"output_dir"}, cmd_prep_sft),
+    "build-prompt": ("print one question's budgeted zero-shot prompt", _PROMPT,
+                     cmd_build_prompt),
+    "report": ("print a report's tables", set(), cmd_report),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqlbench",
@@ -660,12 +694,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (summary, reads, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, description=summary)
+        if not reads:
+            continue
         p.add_argument("--config", type=Path, default=argparse.SUPPRESS,
                        help="JSON config file")
         for setting, kind, _, choices in _SETTINGS:
-            flag = setting.metadata.get("flag", "--" + setting.name.replace("_", "-"))
-            if flag is None:
+            flag = _flag(setting)
+            if flag is None or setting.name not in reads:
                 continue
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True,
@@ -675,40 +712,23 @@ def build_parser() -> argparse.ArgumentParser:
                                type=None if issubclass(kind, str) else kind,
                                help=setting.metadata.get("help"))
 
-    for name in ("ingest-check", "serialize-schema", "curate", "run", "prep-sft"):
-        add_common(sub.add_parser(name))
-
-    build_prompt = sub.add_parser("build-prompt")
-    add_common(build_prompt)
-    build_prompt.add_argument("--question-id", type=int, required=True)
-    build_prompt.add_argument("--out", type=Path)
-
-    report = sub.add_parser("report")
-    report.add_argument("report_file", type=Path)
+    sub.choices["build-prompt"].add_argument("--question-id", type=int, required=True)
+    sub.choices["build-prompt"].add_argument("--out", type=Path)
+    sub.choices["report"].add_argument("report_file", type=Path)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    command, config_file = args.pop("command"), args.pop("config")
+    summary, reads, cmd = _COMMANDS[command]
+    if config_file and not reads:
+        parser.error(f"{command} ({summary}) reads no setting; it cannot apply --config")
+    overrides = {name: args.pop(name) for name in reads if name in args}
     try:
-        if args.command == "report":
-            cmd_report(args.report_file)
-            return 0
-        cfg = load_config(args.config, {k: v for k, v in vars(args).items()
-                                        if k in _CONFIG_FIELDS})
-        if args.command == "ingest-check":
-            cmd_ingest_check(cfg)
-        elif args.command == "serialize-schema":
-            cmd_serialize_schema(cfg)
-        elif args.command == "build-prompt":
-            cmd_build_prompt(cfg, args.question_id, args.out)
-        elif args.command == "curate":
-            cmd_curate(cfg)
-        elif args.command == "run":
-            cmd_run(cfg)
-        elif args.command == "prep-sft":
-            cmd_prep_sft(cfg)
+        cmd(*([load_config(config_file, overrides)] if reads else []), **args)
         return 0
     except SystemExit:
         raise

@@ -58,6 +58,13 @@ def _is_unknown(ch: str) -> bool:
     return not (ch.isspace() or ch.isalpha() or ch.isdigit() or ch in _KNOWN_STARTS)
 
 
+def strip_quotes(text: str) -> str:
+    """A quoted identifier token's name without its quotes or brackets."""
+    if text and text[0] in "\"`[":
+        return text[1:-1]
+    return text
+
+
 def tokenize(sql: str) -> list[SqlToken]:
     """Split SQL into tokens, dropping comments and whitespace.
 

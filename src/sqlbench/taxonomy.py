@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .evaluate import EvalOutcome
 from .schema import DatabaseCatalog
-from .skeleton import SqlToken, UnterminatedComment, UnterminatedString, tokenize
+from .skeleton import SqlToken, UnterminatedComment, UnterminatedString, strip_quotes, tokenize
 
 TABLES_NOT_EXIST = "schema_linking/tables_not_exist"
 COLUMNS_NOT_EXIST = "schema_linking/columns_not_exist"
@@ -67,12 +67,6 @@ def _is_syntax_error(message: str) -> bool:
 
 
 _SET_OPS = {"UNION", "INTERSECT", "EXCEPT"}
-
-
-def _strip_quotes(text: str) -> str:
-    if text and text[0] in "\"`[":
-        return text[1:-1]
-    return text
 
 
 @dataclass
@@ -131,13 +125,13 @@ def analyze_sql(sql: str) -> QueryShape:
                         j += 1
                     continue
                 if tokens[j].kind == "identifier":
-                    base = _strip_quotes(tokens[j].text).lower()
+                    base = strip_quotes(tokens[j].text).lower()
                     tables.add(base)
                     j += 1
                     if j < n and kw(tokens[j], "AS"):
                         j += 1
                     if j < n and tokens[j].kind == "identifier" and tokens[j - 1].text != ".":
-                        alias = _strip_quotes(tokens[j].text).lower()
+                        alias = strip_quotes(tokens[j].text).lower()
                         if alias != base:
                             aliases[alias] = base
                         j += 1
@@ -154,7 +148,7 @@ def analyze_sql(sql: str) -> QueryShape:
 
     # AS-introduced names (column or table aliases) are never column refs.
     as_names = {
-        _strip_quotes(tokens[i + 1].text).lower()
+        strip_quotes(tokens[i + 1].text).lower()
         for i in range(n - 1)
         if kw(tokens[i], "AS") and tokens[i + 1].kind == "identifier"
     }
@@ -180,9 +174,7 @@ def analyze_sql(sql: str) -> QueryShape:
             elif upper in _SET_OPS:
                 set_ops.append(upper)
             elif upper == "FROM":
-                if depth == 0 and clause == "select":
-                    clause = "from"
-                elif depth == 0:
+                if depth == 0:
                     clause = "from"
             elif upper == "ON":
                 clause = "on"
@@ -196,7 +188,7 @@ def analyze_sql(sql: str) -> QueryShape:
             continue
 
         if token.kind == "identifier":
-            name = _strip_quotes(text).lower()
+            name = strip_quotes(text).lower()
             if name == "*" or is_function_call(i):
                 i += 1
                 continue
@@ -208,8 +200,8 @@ def analyze_sql(sql: str) -> QueryShape:
                 # Table or alias prefix of a qualified reference.
                 i += 1
                 continue
-            if i > 0 and tokens[i - 1].text == "." and i > 1 and tokens[i - 2].kind == "identifier":
-                qualifier = resolve(_strip_quotes(tokens[i - 2].text).lower())
+            if i > 1 and tokens[i - 1].text == "." and tokens[i - 2].kind == "identifier":
+                qualifier = resolve(strip_quotes(tokens[i - 2].text).lower())
             if qualifier is None and (name in tables or name in aliases or name in as_names):
                 i += 1
                 continue

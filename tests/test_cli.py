@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -78,8 +79,9 @@ def test_config_validation_rules(tmp_path):
         RunConfig(mode="sideways")
 
 
-# The flags every subcommand but `report` takes: option strings, dest, type,
-# choices, const and help, as the hand-written parser declared them.
+# The flags of every setting: option strings, dest, type, choices, const and
+# help, as the hand-written parser declared them. A subcommand takes --config
+# and the flags of the settings it reads, in this order.
 _VARIANTS = ["C_N", "C_T", "C_D", "C_V", "C_P", "C_VD", "C_VDT", "C_VDP", "C_A"]
 _MODES = ["none", "cot-sp-pred", "cot-sp-full", "cot-sk-pred", "cot-sk-full"]
 _COMMON_FLAGS = [
@@ -109,10 +111,28 @@ _COMMON_FLAGS = [
     (["--workers"], "workers", int, None, None, None),
     (["--query-timeout"], "query_timeout", float, None, None, None),
 ]
+_ALL_FLAGS = [flags[0] for flags, *_ in _COMMON_FLAGS[1:]]
+_PROMPT_FLAGS = ["--benchmark-root", "--split", "--variant", "--max-context",
+                 "--response-reserve", "--seed"]
+_READS = {
+    "ingest-check": ["--benchmark-root", "--split"],
+    "serialize-schema": ["--benchmark-root", "--split", "--output-dir"],
+    "curate": [flag for flag in _ALL_FLAGS
+               if flag not in ("--mode", "--temperature", "--workers", "--query-timeout")],
+    "run": _ALL_FLAGS,
+    "prep-sft": _PROMPT_FLAGS + ["--output-dir"],
+    "build-prompt": _PROMPT_FLAGS,
+}
+
+
+def _own_flags(name):
+    return [flag for flag in _COMMON_FLAGS if flag[0][0] in ["--config", *_READS[name]]]
+
+
 _PARSER_FLAGS = {
-    **{name: _COMMON_FLAGS for name in
+    **{name: _own_flags(name) for name in
        ("ingest-check", "serialize-schema", "curate", "run", "prep-sft")},
-    "build-prompt": _COMMON_FLAGS + [
+    "build-prompt": _own_flags("build-prompt") + [
         (["--question-id"], "question_id", int, None, None, None),
         (["--out"], "out", Path, None, None, None),
     ],
@@ -132,6 +152,109 @@ def test_parser_flags_are_those_of_the_hand_written_parser():
         assert all(a.default in (None, argparse.SUPPRESS) for a in actions), name
         assert all(isinstance(a, argparse._StoreConstAction) == (a.const is not None)
                    for a in actions), name
+    assert _PARSER_FLAGS["run"] == _COMMON_FLAGS
+    assert sum(map(len, _READS.values())) == 60  # (command, setting flag) pairs
+
+
+@pytest.mark.parametrize("command", list(_PARSER_FLAGS))
+def test_each_command_help_lists_exactly_its_reads(command, capsys):
+    own = {"build-prompt": ["--question-id", "--out"]}.get(command, [])
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    config = ["--config"] if command in _READS else []
+    assert listed == {"-h", "--help", *config, *_READS.get(command, []), *own}
+
+
+@pytest.mark.parametrize("argv, flag, output", [
+    (["prep-sft", "--mode", "cot-sk-pred"], "--mode", "out"),
+    (["ingest-check", "--shots", "3"], "--shots", None),
+    (["serialize-schema", "--variant", "C_N"], "--variant", "out"),
+    (["build-prompt", "--question-id", "6", "--workers", "8"], "--workers", "prompt.txt"),
+], ids=["prep-sft", "ingest-check", "serialize-schema", "build-prompt"])
+def test_a_flag_the_command_does_not_read_exits_2(mini_bench, tmp_path, capsys,
+                                                  argv, flag, output):
+    command, *rest = argv
+    written = {"out": ["--output-dir", str(tmp_path / "out")],
+               "prompt.txt": ["--out", str(tmp_path / "prompt.txt")]}.get(output, [])
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--benchmark-root", str(mini_bench), "--split", "dev",
+              *written, *rest])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and not captured.out
+    assert not (tmp_path / "out").exists() and not (tmp_path / "prompt.txt").exists()
+
+
+def test_report_reads_no_setting_so_rejects_config(mini_bench, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"config": {"shots": 0}, "ex_by_split": {
+        "simple": 0.0, "moderate": 0.0, "challenging": 0.0, "sum": 0.0}}), encoding="utf-8")
+    assert main(["report", str(report)]) == 0
+    capsys.readouterr()
+    for argv in (["--config", str(tmp_path / "missing.json"), "report", str(report)],
+                 ["report", str(report), "--config", str(tmp_path / "missing.json")]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "--config" in captured.err and not captured.out
+
+
+_DEPLOYMENT = {"base_url": "http://srv:9", "chat_style": True, "api_key": "key",
+               "embed_base_url": "http://srv:10", "embed_api_key": "key", "workers": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest-check"],
+    ["serialize-schema"],
+    ["build-prompt", "--question-id", "6"],
+    ["prep-sft"],
+    ["curate", "--shots", "2", "--pool-split", "train"],
+    ["run", "--shots", "2", "--pool-split", "train"],
+], ids=lambda argv: argv[0])
+def test_a_config_of_deployment_settings_suits_every_command(mini_bench, tmp_path, argv):
+    replay_config = _record_few_shot_store(mini_bench, tmp_path)
+    cfg = replay_config("out")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        **_DEPLOYMENT, "output_dir": str(cfg.output_dir),
+        "embedding_cache": str(tmp_path / "cache.jsonl")}), encoding="utf-8")
+    command, *rest = argv
+    replay = (["--replay-store", str(cfg.replay_store), "--replay-mode", "replay"]
+              if command in ("curate", "run") else [])
+    assert main([command, "--config", str(config), "--benchmark-root", str(mini_bench),
+                 "--split", "dev", *rest, *replay]) == 0
+
+
+def test_deployment_environment_suits_a_command_that_sends_nothing(mini_bench, monkeypatch):
+    monkeypatch.setenv("SQLBENCH_BASE_URL", "http://srv:9")
+    monkeypatch.setenv("SQLBENCH_EMBED_API_KEY", "key")
+    assert main(["ingest-check", "--benchmark-root", str(mini_bench), "--split", "dev"]) == 0
+
+
+@pytest.mark.parametrize("command, settings, named", [
+    (cmd_prep_sft, {"mode": "cot-sk-pred"}, "prep-sft (write a split's SFT prompt/completion "
+                                            "pairs) cannot apply --mode cot-sk-pred"),
+    (cmd_ingest_check, {"shots": 3, "pool_split": "train"},
+     "cannot apply --shots 3 or --pool-split train"),
+    (cmd_serialize_schema, {"variant": "C_N", "truncation_seed": 9},
+     "cannot apply --variant C_N or --seed 9"),
+    (cmd_curate, {"pool_split": "train", "query_timeout": 2}, "cannot apply --query-timeout 2"),
+], ids=["prep-sft", "ingest-check", "serialize-schema", "curate"])
+def test_a_library_value_the_command_does_not_read_is_rejected(mini_bench, tmp_path,
+                                                               command, settings, named):
+    with pytest.raises(SystemExit) as exited:
+        command(run_config(mini_bench, tmp_path, **settings))
+    assert named in str(exited.value.code)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_value_at_its_default_passes_whatever_its_source(mini_bench, tmp_path):
+    cfg = run_config(mini_bench, tmp_path, mode="none", shots=0, temperature=1,
+                     replay_mode="live", model_id="local-model")
+    cmd_serialize_schema(cfg)
 
 
 def test_snapshot_records_the_reproducible_settings_only():
@@ -259,19 +382,40 @@ def test_build_prompt_unknown_question(mini_bench, tmp_path):
         cmd_build_prompt(run_config(mini_bench, tmp_path), question_id=999)
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--shots", "3", "--pool-split", "train"], "--shots 3"),
-    (["--mode", "cot-sk-pred"], "--mode cot-sk-pred"),
+_BUILD_PROMPT_UNREAD = pytest.mark.parametrize("settings, named", [
+    ({"shots": 3, "pool_split": "train"}, "--shots 3"),
+    ({"mode": "cot-sk-pred"}, "--mode cot-sk-pred"),
 ], ids=["shots", "mode"])
+
+
+def _build_prompt_argv(mini_bench, out):
+    return ["build-prompt", "--benchmark-root", str(mini_bench), "--split", "dev",
+            "--question-id", "6", "--out", str(out)]
+
+
+@_BUILD_PROMPT_UNREAD
 def test_build_prompt_rejects_the_settings_it_cannot_apply(mini_bench, tmp_path, capsys,
-                                                            flags, named):
+                                                            settings, named):
     # It prints the zero-shot prompt only; a few-shot or chain-of-thought
-    # setting must not pass silently for that prompt.
+    # flag must not pass silently for that prompt: it does not take one.
     out = tmp_path / "prompt.txt"
-    argv = ["build-prompt", "--benchmark-root", str(mini_bench), "--split", "dev",
-            "--question-id", "6", "--out", str(out), *flags]
+    flags = [arg for key, value in settings.items()
+             for arg in ("--" + key.replace("_", "-"), str(value))]
     with pytest.raises(SystemExit) as exited:
-        main(argv)
+        main(_build_prompt_argv(mini_bench, out) + flags)
+    assert exited.value.code == 2
+    assert named.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@_BUILD_PROMPT_UNREAD
+def test_build_prompt_rejects_a_config_value_it_cannot_apply(mini_bench, tmp_path,
+                                                             settings, named):
+    out = tmp_path / "prompt.txt"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    with pytest.raises(SystemExit) as exited:
+        main(_build_prompt_argv(mini_bench, out) + ["--config", str(config)])
     assert named in str(exited.value.code) and "zero-shot" in str(exited.value.code)
     assert not out.exists()
 
