@@ -13,12 +13,14 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, get_args, get_type_hints
+from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
 from .bench import BenchmarkSplit, TaskInstance, database_path, load_questions, load_split
 from .budget import (
@@ -325,17 +327,30 @@ def _few_shot_bundle(
         variant=cfg.variant, plan=plan)
 
 
-def _instance_truncation(trace: CotTrace) -> TruncationRecord:
-    """Fold the per-step records of a trace into one per-instance record."""
-    removed: list[tuple[str, str]] = []
-    examples_removed: list[tuple[tuple[str, str], ...]] = []
-    before = after = 0
-    for record in (bundle.truncation for bundle in trace.step_prompts):
-        removed.extend(record.removed_columns[0])
-        examples_removed.extend(record.removed_columns[1:])
-        before += record.tokens_before
-        after += record.tokens_after
-    return TruncationRecord((tuple(removed), *examples_removed), before, after)
+def _removed(records: Iterable[TruncationRecord]) -> tuple[int, int, int]:
+    """(total, target, example) columns that `records` removed, summed."""
+    total = target = example = 0
+    for record in records:
+        total += record.total_removed
+        target += record.target_removed
+        example += record.example_removed
+    return total, target, example
+
+
+def _trace_line(question_id: int, trace: CotTrace) -> bytes:
+    """One question's `traces.jsonl` line, UTF-8 encoded."""
+    return json.dumps({
+        "question_id": question_id,
+        "mode": trace.mode,
+        "step_prompts": [b.text for b in trace.step_prompts],
+        "step_token_counts": [b.token_count for b in trace.step_prompts],
+        "step_responses": trace.step_responses,
+        "predicted_tables": trace.predicted_tables,
+        "predicted_columns": trace.predicted_columns,
+        "skeleton": trace.skeleton,
+        "final_sql": trace.final_sql,
+        "warnings": trace.warnings,
+    }, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n"
 
 
 def process_instance(
@@ -391,9 +406,10 @@ def process_instance(
     return trace, outcome, label_payload
 
 
-def _truncation_stats(records: Sequence[TruncationRecord]) -> dict:
-    total = len(records)
-    truncated = [r for r in records if r.total_removed > 0]
+def _truncation_stats(removed: Sequence[tuple[int, int, int]]) -> dict:
+    """Statistics over each query's (total, target, example) removed columns."""
+    total = len(removed)
+    truncated = [counts for counts in removed if counts[0] > 0]
 
     def mean(values) -> float:
         values = list(values)
@@ -403,9 +419,9 @@ def _truncation_stats(records: Sequence[TruncationRecord]) -> dict:
         "total_queries": total,
         "queries_with_truncation": len(truncated),
         "queries_with_truncation_pct": round(100.0 * len(truncated) / total, 2) if total else 0.0,
-        "average_truncated_columns": mean(r.total_removed for r in truncated),
-        "average_truncated_target_columns": mean(r.target_removed for r in truncated),
-        "average_truncated_example_columns": mean(r.example_removed for r in truncated),
+        "average_truncated_columns": mean(counts[0] for counts in truncated),
+        "average_truncated_target_columns": mean(counts[1] for counts in truncated),
+        "average_truncated_example_columns": mean(counts[2] for counts in truncated),
     }
 
 
@@ -428,103 +444,99 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     Set-up prepares every catalog the questions and the pool use (see
     `_prepare_catalogs`), and each thread that runs questions opens its
     connection to each question database before its first question.
-    A replay miss stops the run before anything is written: pending
+    Results are taken in split order as they finish: each question's
+    trace line goes at once to an anonymous spool file, and only what the
+    report needs is kept (final SQL, outcome, label, removed-column
+    counts), so memory does not grow with the traces. The spool is copied
+    into `traces.jsonl` after the report is written. A replay miss stops
+    the run before anything is written to the output directory: pending
     questions are cancelled and the miss is raised."""
     split = load_split(cfg.benchmark_root, cfg.split)
     owned = client is None
     client = client or build_client(cfg)
     connections = DatabaseConnections()
-    try:
-        pool = embed = None
-        if cfg.shots > 0:
-            embed_client = embed_client or build_embed_client(
-                cfg, store=client.store, transport=client.transport)
-            pool, embed = _load_pool(cfg, split, embed_client)
-        _prepare_catalogs(cfg, split, pool)
-        databases = sorted({database_path(cfg.benchmark_root, i.database_id)
-                            for i in split.instances})
+    with tempfile.TemporaryFile() as spool:
+        try:
+            pool = embed = None
+            if cfg.shots > 0:
+                embed_client = embed_client or build_embed_client(
+                    cfg, store=client.store, transport=client.transport)
+                pool, embed = _load_pool(cfg, split, embed_client)
+            _prepare_catalogs(cfg, split, pool)
+            databases = sorted({database_path(cfg.benchmark_root, i.database_id)
+                                for i in split.instances})
 
-        def process(instance: TaskInstance):
-            return process_instance(cfg, instance, split, client, embed, pool, connections)
+            def process(instance: TaskInstance):
+                return process_instance(cfg, instance, split, client, embed, pool, connections)
 
-        if cfg.workers > 1:
-            executor = ThreadPoolExecutor(max_workers=cfg.workers,
-                                          initializer=connections.prepare,
-                                          initargs=(databases,))
-            try:
-                results = list(executor.map(process, split.instances))
-            finally:
-                executor.shutdown(cancel_futures=True)
-        else:
-            connections.prepare(databases)
-            results = [process(instance) for instance in split.instances]
-    finally:
-        connections.close()
-        if owned and client.transport is not None:
-            client.transport.close()
+            def keep(instance: TaskInstance, result) -> tuple:
+                trace, outcome, label = result
+                spool.write(_trace_line(instance.question_id, trace))
+                return (trace.final_sql, outcome, label,
+                        _removed(bundle.truncation for bundle in trace.step_prompts))
 
-    traces = [trace for trace, _, _ in results]
-    outcomes = [outcome for _, outcome, _ in results]
-    labels = [label for _, _, label in results]
-    report = aggregate(outcomes, split.instances)
+            if cfg.workers > 1:
+                executor = ThreadPoolExecutor(max_workers=cfg.workers,
+                                              initializer=connections.prepare,
+                                              initargs=(databases,))
+                try:
+                    rows = [keep(instance, result) for instance, result in
+                            zip(split.instances, executor.map(process, split.instances))]
+                finally:
+                    executor.shutdown(cancel_futures=True)
+            else:
+                connections.prepare(databases)
+                rows = [keep(instance, process(instance)) for instance in split.instances]
+        finally:
+            connections.close()
+            if owned and client.transport is not None:
+                client.transport.close()
 
-    records = [_instance_truncation(trace) for trace in traces]
-    stats = _truncation_stats(records)
-    taxonomy_rows = tabulate(
-        [ErrorLabel(payload["category"], payload.get("detail", ""))
-         for payload in labels if payload is not None],
-        len(split.instances))
+        report = aggregate([outcome for _, outcome, _, _ in rows], split.instances)
+        stats = _truncation_stats([removed for *_, removed in rows])
+        taxonomy_rows = tabulate(
+            [ErrorLabel(payload["category"], payload.get("detail", ""))
+             for _, _, payload, _ in rows if payload is not None],
+            len(split.instances))
 
-    difficulty_of = {i.question_id: i.difficulty for i in split.instances}
-    payload = {
-        "config": cfg.snapshot(),
-        "instance_count": len(split.instances),
-        "ex_by_split": report.ex_by_split,
-        "outcomes": [
-            {
-                "question_id": outcome.question_id,
-                "difficulty": difficulty_of[outcome.question_id],
-                "matched": outcome.matched,
-                "predicted_sql": trace.final_sql,
-                "predicted_error": outcome.predicted_error,
-                "gold_error": outcome.gold_error,
-                "error_label": label,
-                "truncation": {
-                    "removed_columns": record.total_removed,
-                    "target_removed": record.target_removed,
-                    "example_removed": record.example_removed,
-                },
-            }
-            for (trace, outcome, label), record in zip(results, records)
-        ],
-        "error_taxonomy": taxonomy_rows,
-        "truncation": stats,
-        "notes": {
-            "null_comparison": "NULL compares as a sentinel equal only to itself",
-            "row_comparison": "unordered set of tuples, floats rounded to 6 decimals",
-        },
-    }
+        difficulty_of = {i.question_id: i.difficulty for i in split.instances}
+        payload = {
+            "config": cfg.snapshot(),
+            "instance_count": len(split.instances),
+            "ex_by_split": report.ex_by_split,
+            "outcomes": [
+                {
+                    "question_id": outcome.question_id,
+                    "difficulty": difficulty_of[outcome.question_id],
+                    "matched": outcome.matched,
+                    "predicted_sql": final_sql,
+                    "predicted_error": outcome.predicted_error,
+                    "gold_error": outcome.gold_error,
+                    "error_label": label,
+                    "truncation": {
+                        "removed_columns": total,
+                        "target_removed": target,
+                        "example_removed": example,
+                    },
+                }
+                for final_sql, outcome, label, (total, target, example) in rows
+            ],
+            "error_taxonomy": taxonomy_rows,
+            "truncation": stats,
+            "notes": {
+                "null_comparison": "NULL compares as a sentinel equal only to itself",
+                "row_comparison": "unordered set of tuples, floats rounded to 6 decimals",
+            },
+        }
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    report_path = cfg.output_dir / "report.json"
-    report_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        report_path = cfg.output_dir / "report.json"
+        report_path.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    traces_path = cfg.output_dir / "traces.jsonl"
-    with open(traces_path, "w", encoding="utf-8") as handle:
-        for instance, trace in zip(split.instances, traces):
-            handle.write(json.dumps({
-                "question_id": instance.question_id,
-                "mode": trace.mode,
-                "step_prompts": [b.text for b in trace.step_prompts],
-                "step_token_counts": [b.token_count for b in trace.step_prompts],
-                "step_responses": trace.step_responses,
-                "predicted_tables": trace.predicted_tables,
-                "predicted_columns": trace.predicted_columns,
-                "skeleton": trace.skeleton,
-                "final_sql": trace.final_sql,
-                "warnings": trace.warnings,
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+        spool.seek(0)
+        with open(cfg.output_dir / "traces.jsonl", "wb") as handle:
+            shutil.copyfileobj(spool, handle)
 
     print(f"EX: {report.ex_by_split}")
     _print_truncation_stats(stats, few_shot=cfg.shots > 0)
@@ -539,21 +551,21 @@ def cmd_prep_sft(cfg: RunConfig) -> Path:
     split = load_split(cfg.benchmark_root, cfg.split)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"sft_{cfg.split}.jsonl"
-    records: list[TruncationRecord] = []
+    removed: list[tuple[int, int, int]] = []
 
     def pairs():
         for pair, record in emit_sft_dataset(
                 split, cfg.variant, cfg.budget, seed=cfg.truncation_seed):
-            records.append(record)
+            removed.append(_removed([record]))
             yield pair
 
     write_sft_jsonl(pairs(), out_path)
-    stats = _truncation_stats(records)
+    stats = _truncation_stats(removed)
     _print_truncation_stats(stats, few_shot=False)
-    skipped = len(split.instances) - len(records)
+    skipped = len(split.instances) - len(removed)
     if skipped:
         print(f"skipped {skipped} instances")
-    print(f"wrote {len(records)} pairs to {out_path}")
+    print(f"wrote {len(removed)} pairs to {out_path}")
     return out_path
 
 
@@ -696,6 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (summary, reads, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, description=summary)
+        p.set_defaults(command_parser=p)  # for `main` to report errors with its usage
         if not reads:
             continue
         p.add_argument("--config", type=Path, default=argparse.SUPPRESS,
@@ -720,10 +733,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    args, unread = build_parser().parse_known_args(argv)
+    args = vars(args)
     command, config_file = args.pop("command"), args.pop("config")
+    parser = args.pop("command_parser")
     summary, reads, cmd = _COMMANDS[command]
+    if unread:
+        parser.error(f"unrecognized arguments: {' '.join(unread)}")
     if config_file and not reads:
         parser.error(f"{command} ({summary}) reads no setting; it cannot apply --config")
     overrides = {name: args.pop(name) for name in reads if name in args}

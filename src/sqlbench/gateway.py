@@ -28,6 +28,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -114,21 +115,30 @@ class DigestStore:
     """Append-only JSONL file of records keyed by their "hash" digest.
 
     Subclasses define `_decode(line dict) -> value` and `_encode(digest,
-    value) -> line dict`. Reads are lock-free against the in-memory index;
-    appends are serialized under one lock, so a run's threads never
-    interleave their lines. A last line without its newline is an append
-    that a crash cut short: loading skips it with a warning when it does not
-    parse, and the first append cuts it off, or ends it with its newline
-    when it parsed. A line that does not parse anywhere else fails the load.
-    Loading holds a shared `flock` on the file and an append an exclusive
-    one, so processes that record into one store never read a half-written
-    line, interleave their lines or mend each other's.
+    value) -> line dict`. Loading parses and decodes every line, but keeps
+    only where each digest's first line lies (its offset and length), so a
+    store costs memory per digest, not per stored byte. `get` reads that
+    line again (`os.pread` on the descriptor opened at load, which a
+    finalizer closes), parses it, and raises ReplayMiss unless it still
+    holds the digest asked for: a file rewritten or cut since load fails
+    loudly and never yields another record. A file renamed over the path
+    is not seen, since the descriptor keeps the loaded file.
+
+    Reads are lock-free; appends are serialized under one lock, so a run's
+    threads never interleave their lines. A last line without its newline
+    is an append that a crash cut short: loading skips it with a warning
+    when it does not parse, and the first append cuts it off, or ends it
+    with its newline when it parsed. A line that does not parse anywhere
+    else fails the load. Loading holds a shared `flock` on the file and an
+    append an exclusive one, so processes that record into one store never
+    read a half-written line, interleave their lines or mend each other's.
     """
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self._records: dict[str, Any] = {}
+        self._index: dict[str, tuple[int, int]] = {}
         self._lock = threading.Lock()
+        self._fd: Optional[int] = None
         # (where a torn last line starts, or the end when it parsed; the
         # file's length) while the file does not end with a newline.
         self._tail: Optional[tuple[int, int]] = None
@@ -137,56 +147,86 @@ class DigestStore:
         offset = 0
         line = b"\n"
         cut = None
-        with open(self.path, "rb") as handle:
+        self._keep_open(os.open(self.path, os.O_RDONLY))
+        with open(self._fd, "rb", closefd=False) as handle:
             fcntl.flock(handle, fcntl.LOCK_SH)  # no other process is mid-append
-            for line in handle:
-                start, offset = offset, offset + len(line)
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)  # UTF-8; a cut character raises too
-                except ValueError:
-                    if line.endswith(b"\n"):
-                        raise
-                    logger.warning("%s: skipping a torn last line of %d bytes",
-                                   self.path, len(line))
-                    cut = start
-                    continue
-                self._records.setdefault(raw["hash"], self._decode(raw))
+            try:
+                for line in handle:
+                    start, offset = offset, offset + len(line)
+                    if not line.strip():
+                        continue
+                    try:
+                        raw = json.loads(line)  # UTF-8; a cut character raises too
+                    except ValueError:
+                        if line.endswith(b"\n"):
+                            raise
+                        logger.warning("%s: skipping a torn last line of %d bytes",
+                                       self.path, len(line))
+                        cut = start
+                        continue
+                    self._decode(raw)  # checks the line; the value is not kept
+                    self._index.setdefault(raw["hash"], (start, len(line)))
+            finally:
+                fcntl.flock(handle, fcntl.LOCK_UN)
         if not line.endswith(b"\n"):
             self._tail = (offset if cut is None else cut), offset
 
+    def _keep_open(self, fd: int) -> None:
+        self._fd = fd
+        weakref.finalize(self, os.close, fd)
+
     def _append(self, items: Iterable[tuple[str, Any]]) -> None:
-        """Index each (digest, value) whose digest is new and append them in
-        one write. The tail found at load is mended unless the file has grown
-        since, because its last line is then no longer last."""
+        """Append each (digest, value) whose digest is new in one write, then
+        index the lines written. The tail found at load is mended unless the
+        file has grown since, because its last line is then no longer last."""
         with self._lock:
-            lines = []
+            lines: dict[str, bytes] = {}
             for digest, value in items:
-                if digest not in self._records:
-                    self._records[digest] = value
-                    lines.append(json.dumps(self._encode(digest, value), ensure_ascii=False))
+                if digest not in self._index and digest not in lines:
+                    lines[digest] = (json.dumps(self._encode(digest, value), ensure_ascii=False)
+                                     + "\n").encode("utf-8")
             if not lines:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)  # released when the handle closes
-                if self._tail is not None and handle.seek(0, os.SEEK_END) == self._tail[1]:
+                offset = handle.seek(0, os.SEEK_END)
+                mend = b""
+                if self._tail is not None and offset == self._tail[1]:
                     cut, end = self._tail
                     handle.truncate(cut)
-                    if cut == end:
-                        lines.insert(0, "")
+                    offset, mend = cut, (b"\n" if cut == end else b"")
                 self._tail = None
-                handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+                handle.write(mend + b"".join(lines.values()))
+                if self._fd is None:
+                    self._keep_open(os.open(self.path, os.O_RDONLY))
+            # Indexed once the handle has flushed, so a reader never meets a
+            # digest whose line is not in the file yet.
+            offset += len(mend)
+            for digest, line in lines.items():
+                self._index[digest] = (offset, len(line))
+                offset += len(line)
 
     def get(self, digest: str) -> Any:
-        return self._records.get(digest)
+        """The value stored under `digest`, read from its line; None if absent."""
+        where = self._index.get(digest)
+        if where is None:
+            return None
+        line = os.pread(self._fd, where[1], where[0])
+        try:
+            raw = json.loads(line)
+        except ValueError:
+            raw = None
+        if not isinstance(raw, dict) or raw.get("hash") != digest:
+            raise ReplayMiss(f"{self.path}: the line of digest {digest[:16]} at byte "
+                             f"{where[0]} has changed since the store was loaded")
+        return self._decode(raw)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._index)
 
     def __contains__(self, digest: str) -> bool:
-        return digest in self._records
+        return digest in self._index
 
 
 class ReplayStore(DigestStore):
@@ -211,17 +251,19 @@ class EmbeddingCache(DigestStore):
 
     Vectors are kept on disk keyed by (text, embedding model id), one
     {hash, dim, vector} line each, so reruns do not re-bill the embedding
-    endpoint, and in memory as 1-D float64 arrays. A call returns one
-    (n, d) float64 array, as `LlmClient.embed` does, and each vector it
-    loaded or embedded is kept from then on as a row of that array, so a
-    caller that keeps the array, as `build_pool` does, shares its memory
-    with the cache. The array is read-only, so that no caller can change
-    what the cache holds.
+    endpoint. In memory the cache keeps, as 1-D float64 arrays, only the
+    vectors it has returned: a stored vector is read from its line on its
+    first request. A call returns one (n, d) float64 array, as
+    `LlmClient.embed` does, and each vector it read or embedded is kept
+    from then on as a row of that array, so a caller that keeps the array,
+    as `build_pool` does, shares its memory with the cache. The array is
+    read-only, so that no caller can change what the cache holds.
     """
 
     def __init__(self, path: Path, model_id: str, embed: EmbeddingFn):
         self.model_id = model_id
         self.embed = embed
+        self._vectors: dict[str, np.ndarray] = {}
         super().__init__(path)
 
     def _decode(self, raw: dict) -> np.ndarray:
@@ -232,19 +274,28 @@ class EmbeddingCache(DigestStore):
     def _encode(self, digest: str, vector: np.ndarray) -> dict:
         return {"hash": digest, "dim": len(vector), "vector": vector.tolist()}
 
+    def get(self, digest: str) -> Optional[np.ndarray]:
+        vector = self._vectors.get(digest)
+        if vector is None:
+            vector = super().get(digest)
+            if vector is not None:
+                self._vectors[digest] = vector
+        return vector
+
     def __call__(self, texts: Sequence[str]) -> np.ndarray:
         import numpy as np
 
         keys = [prompt_digest(text, self.model_id) for text in texts]
-        missing = [i for i, key in enumerate(keys) if key not in self._records]
+        missing = [i for i, key in enumerate(keys) if key not in self]
         if missing:
             fresh = self.embed([texts[i] for i in missing])
             if len(fresh) != len(missing):
                 raise DimensionMismatch(
                     f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
-            self._append((keys[i], np.array(vector, dtype=float))
-                         for i, vector in zip(missing, fresh))
-        vectors = [self._records[key] for key in keys]
+            for i, vector in zip(missing, fresh):
+                self._vectors[keys[i]] = np.array(vector, dtype=float)
+            self._append((keys[i], self._vectors[keys[i]]) for i in missing)
+        vectors = [self.get(key) for key in keys]
         dims = {len(vector) for vector in vectors}
         if len(dims) > 1:
             raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
@@ -252,7 +303,7 @@ class EmbeddingCache(DigestStore):
         matrix.flags.writeable = False
         for key, vector, row in zip(keys, vectors, matrix):
             if vector.base is None:  # the record's own copy, not a row of an earlier result
-                self._records[key] = row
+                self._vectors[key] = row
         return matrix
 
 

@@ -4,6 +4,8 @@ import argparse
 import hashlib
 import json
 import re
+import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,22 @@ def test_a_flag_the_command_does_not_read_exits_2(mini_bench, tmp_path, capsys,
     captured = capsys.readouterr()
     assert flag in captured.err and not captured.out
     assert not (tmp_path / "out").exists() and not (tmp_path / "prompt.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest-check", "--shots", "3"],
+    ["prep-sft", "--mode", "cot-sk-pred"],
+    ["report", "r.json", "--config", "c.json"],
+    ["--config", "c.json", "report", "r.json"],
+], ids=["ingest-check", "prep-sft", "report-config-after", "report-config-before"])
+def test_an_unread_flag_is_reported_with_the_commands_usage(capsys, argv):
+    command = next(arg for arg in argv if arg in _PARSER_FLAGS)
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sqlbench {command} ")
+    assert f"\nsqlbench {command}: error: " in err
 
 
 def test_report_reads_no_setting_so_rejects_config(mini_bench, tmp_path, capsys):
@@ -475,6 +493,66 @@ def test_a_replay_miss_stops_the_run_before_any_report(mini_bench, tmp_path, wor
                  "--replay-store", str(store), "--replay-mode", "replay",
                  "--workers", str(workers), "--output-dir", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_replay_miss_mid_run_leaves_no_output_and_no_spool(mini_bench, tmp_path,
+                                                             monkeypatch, workers):
+    store = tmp_path / "store.jsonl"
+    record = run_config(mini_bench, tmp_path, replay_store=store, replay_mode="record",
+                        output_dir=tmp_path / "record")
+    cmd_run(record, client=zero_shot_client(record)[0])
+    lines = store.read_bytes().splitlines(keepends=True)
+    assert len(lines) == len(MINI_QUESTIONS)
+    store.write_bytes(b"".join(lines[:5] + lines[6:]))  # the sixth question misses
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    spools = []
+    temporary_file = tempfile.TemporaryFile
+
+    def kept_temporary_file(*args, **kwargs):
+        spools.append(temporary_file(*args, **kwargs))
+        return spools[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", kept_temporary_file)
+    out = tmp_path / "out"
+    assert main(["run", "--benchmark-root", str(mini_bench), "--split", "dev",
+                 "--replay-store", str(store), "--replay-mode", "replay",
+                 "--workers", str(workers), "--output-dir", str(out)]) == 1
+    assert not out.exists()
+    assert list(spool_dir.iterdir()) == []
+    assert all(spool.closed for spool in spools)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_finished_questions_traces_are_freed_during_the_run(mini_bench, tmp_path,
+                                                            monkeypatch, workers):
+    traces, alive = [], []
+    process_instance, aggregate = cli.process_instance, cli.aggregate
+
+    def count_alive(where: str) -> None:
+        alive.append((where, sum(trace() is not None for trace in traces)))
+
+    def tracked(*args, **kwargs):
+        if workers == 1:
+            count_alive("question")
+        result = process_instance(*args, **kwargs)
+        traces.append(weakref.ref(result[0]))
+        return result
+
+    def counted(*args, **kwargs):
+        count_alive("report")
+        return aggregate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "process_instance", tracked)
+    monkeypatch.setattr(cli, "aggregate", counted)
+    cfg = run_config(mini_bench, tmp_path, workers=workers)
+    cmd_run(cfg, client=zero_shot_client(cfg)[0])
+    assert len(traces) == len(MINI_QUESTIONS)
+    questions = [("question", 0)] * len(MINI_QUESTIONS) if workers == 1 else []
+    assert alive == questions + [("report", 0)]
+    assert len((cfg.output_dir / "traces.jsonl").read_bytes().splitlines()) == len(traces)
 
 
 def test_cmd_run_isolates_per_instance_failures(mini_bench, tmp_path):

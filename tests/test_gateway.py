@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import fcntl
+import gc
 import http.client
 import json
 import netrc as netrc_module
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -168,6 +170,97 @@ def test_store_leaves_a_tail_that_another_writer_has_since_ended(tmp_path):
     reloaded = ReplayStore(path)
     assert [reloaded.get(d).response for d in ("abc123", "def456", "0a1b")] == \
         ["whole", "theirs", "ours"]
+
+
+def test_a_loaded_store_retains_a_small_share_of_its_response_bytes(tmp_path):
+    path = tmp_path / "store.jsonl"
+    responses = [f"{i:04d}" + "x" * 4092 for i in range(1000)]
+    with open(path, "w", encoding="utf-8") as handle:
+        for i, response in enumerate(responses):
+            handle.write(json.dumps({"hash": f"{i:064x}", "model": "m",
+                                     "response": response}) + "\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = ReplayStore(path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stored = sum(map(len, responses))
+    assert retained < 0.1 * stored, (retained, stored)
+    assert len(store) == 1000
+    assert [store.get(f"{i:064x}").response for i in (0, 517, 999)] == \
+        [responses[0], responses[517], responses[999]]
+
+
+def test_threads_read_each_line_as_soon_as_it_is_indexed(tmp_path):
+    store = ReplayStore(tmp_path / "store.jsonl")
+    writers, readers, per_writer = 4, 4, 300
+    interval = sys.getswitchinterval()
+
+    def write(n: int) -> None:
+        for i in range(per_writer):
+            store.put(CompletionRecord(f"w{n}-{i}", "m", f"w{n} " + "x" * (i % 61)))
+
+    def follow() -> int:
+        """Poll each writer's next digest; a line indexed before it is in the
+        file would fail its read."""
+        following = [0] * writers
+        polls = 0
+        while min(following) < per_writer:
+            polls += 1
+            for n, i in enumerate(following):
+                record = i < per_writer and store.get(f"w{n}-{i}")
+                if record:
+                    assert (record.digest, record.response) == (
+                        f"w{n}-{i}", f"w{n} " + "x" * (i % 61))
+                    following[n] += 1
+        return polls
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=writers + readers) as executor:
+            followers = [executor.submit(follow) for _ in range(readers)]
+            for future in [executor.submit(write, n) for n in range(writers)] + followers:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    reloaded = ReplayStore(tmp_path / "store.jsonl")
+    assert len(reloaded) == len(store) == writers * per_writer
+
+
+@pytest.mark.parametrize("change", ["rewrite", "truncate", "replace"])
+def test_a_store_changed_after_load_never_yields_another_digests_record(tmp_path, change):
+    path = tmp_path / "store.jsonl"
+    records = {"d0": "first", "d1": "other"}  # lines of equal length
+    writer = ReplayStore(path)
+    for digest, response in records.items():
+        writer.put(CompletionRecord(digest, "m", response))
+    store = ReplayStore(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    swapped = b"".join(reversed(lines))
+    if change == "rewrite":  # the same file, its lines exchanged in place
+        with open(path, "r+b") as handle:
+            handle.write(swapped)
+    elif change == "truncate":
+        os.truncate(path, len(lines[0]) + 5)
+    else:  # another file renamed over the path; the store keeps the one it loaded
+        (tmp_path / "other.jsonl").write_bytes(swapped)
+        os.replace(tmp_path / "other.jsonl", path)
+    served = []
+    for digest, response in records.items():
+        try:
+            record = store.get(digest)
+        except ReplayMiss as miss:
+            assert "has changed since the store was loaded" in str(miss)
+            served.append(None)
+        else:
+            assert (record.digest, record.response) == (digest, response)
+            served.append(record.response)
+    assert served == {"rewrite": [None, None], "truncate": ["first", None],
+                      "replace": ["first", "other"]}[change]
 
 
 def test_replay_miss_messages(tmp_path, endpoint):
@@ -341,7 +434,11 @@ def test_embed_digests_and_parses_each_distinct_text_once(tmp_path, endpoint, mo
     monkeypatch.setattr(gateway, "prompt_digest",
                         lambda text, model: digested.append(text) or prompt_digest(text, model))
     matrix = client.embed(texts)
-    assert parsed == responses[:2]
+    # Each distinct text's vector is parsed once; a replay also parses its
+    # store line (bytes), once.
+    vector_parses = [text for text in parsed if isinstance(text, str)]
+    assert vector_parses == responses[:2]
+    assert len(parsed) - len(vector_parses) == (2 if mode == "replay" else 0)
     assert digested == ["embed:a", "embed:b"]
     # Bit for bit the matrix of a row-by-row parse of every occurrence.
     reference = np.array([json.loads(response) for response in responses], dtype=float)
