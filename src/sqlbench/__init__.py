@@ -10,7 +10,6 @@ from .budget import (
     truncate_target,
 )
 from .curation import (
-    CuratedSet,
     ExamplePool,
     SimilarityTriple,
     cosine,
@@ -18,7 +17,7 @@ from .curation import (
     score_candidates,
     select_top_k,
 )
-from .evaluate import EvalOutcome, EvalReport, aggregate, execute_and_compare
+from .evaluate import EvalOutcome, aggregate, execute_and_compare
 from .gateway import LlmClient, LlmEndpoint, ReplayStore, extract_sql
 from .prompts import PromptBundle, SftPair, build_few_shot_prompt, build_open_prompt
 from .schema import (
@@ -38,11 +37,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchmarkSplit",
     "ColumnSpec",
-    "CuratedSet",
     "DatabaseCatalog",
     "ErrorLabel",
     "EvalOutcome",
-    "EvalReport",
     "ExamplePool",
     "ForeignKey",
     "LlmClient",

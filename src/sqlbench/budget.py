@@ -83,7 +83,6 @@ class ColumnPartition:
 @dataclass(frozen=True)
 class TruncationPlan:
     rates: tuple[float, ...]
-    temperature: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -252,7 +251,7 @@ def plan_example_truncation(
     peak = max(scaled)
     weights = [math.exp(x - peak) for x in scaled]
     total = sum(weights)
-    return TruncationPlan(tuple(w / total for w in weights), temperature)
+    return TruncationPlan(tuple(w / total for w in weights))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from .budget import (
     prepare_catalog,
 )
 from .cot import ALL_MODES, MODE_NONE, STEP_VARIANTS, CotTrace, run_cot
-from .curation import CuratedSet, EmbeddingFn, ExamplePool, build_pool, curate_top_k
+from .curation import EmbeddingFn, ExamplePool, SimilarityTriple, build_pool, curate_top_k
 from .evaluate import DatabaseConnections, EvalOutcome, aggregate, execute_and_compare
 from .gateway import (
     REPLAY_MODES,
@@ -250,8 +250,7 @@ def _zero_shot_bundle(
 ) -> PromptBundle:
     """Open prompt with target column truncation against the budget."""
     return fit_prompt(
-        "zero_shot", open_template(instance, target.catalog, cfg.variant),
-        [target], cfg.budget.available,
+        open_template(instance, target.catalog, cfg.variant), [target], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "target"),
         variant=cfg.variant)
 
@@ -262,11 +261,13 @@ def _load_pool(
     embed_client: LlmClient,
 ) -> tuple[ExamplePool, EmbeddingFn]:
     """Embed the pool split's candidates over `split`'s catalogs. Returns the
-    pool and the embedding function, the client's or the cache over it."""
+    pool and the embedding function: the client's, or in a live run the
+    embedding cache over it. Record and replay runs keep their embeddings in
+    the replay store, as they keep their completions."""
     pool_split = BenchmarkSplit(
         cfg.pool_split, load_questions(cfg.benchmark_root, cfg.pool_split), split.databases)
     embed = embed_client.embed
-    if cfg.embedding_cache:
+    if cfg.embedding_cache and cfg.replay_mode == "live":
         embed = EmbeddingCache(cfg.embedding_cache, cfg.embedding_model_id, embed)
     pool = build_pool(
         [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
@@ -293,7 +294,7 @@ def _curate(
     pool: ExamplePool,
     client: LlmClient,
     embed: EmbeddingFn,
-) -> tuple[str, CuratedSet]:
+) -> tuple[str, tuple[SimilarityTriple, ...]]:
     """Draft a zero-shot query, score the pool against it, keep the top k.
 
     k is `cfg.shots`; `curate` without --shots keeps one example.
@@ -314,14 +315,13 @@ def _few_shot_bundle(
     """Curate, truncate and assemble the k-shot prompt for one instance."""
     target = question_section(instance, catalog)
     _, curated = _curate(cfg, instance, target, pool, client, embed)
-    indexes = [triple.candidate_index for _, triple in curated.examples]
-    examples = [pool.candidates[index] for index in indexes]
-    similarities = [clamp_similarity(triple.gamma_a) for _, triple in curated.examples]
-    plan = plan_example_truncation(similarities, cfg.temperature)
+    indexes = [triple.candidate_index for triple in curated]
+    plan = plan_example_truncation(
+        [clamp_similarity(triple.gamma_a) for triple in curated], cfg.temperature)
 
     return fit_prompt(
-        "few_shot", few_shot_template(
-            instance, [example.instance for example in examples], cfg.variant),
+        few_shot_template(
+            instance, [pool.candidates[index].instance for index in indexes], cfg.variant),
         [target, *(pool.section(index) for index in indexes)], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
         variant=cfg.variant, plan=plan)
@@ -338,7 +338,8 @@ def _removed(records: Iterable[TruncationRecord]) -> tuple[int, int, int]:
 
 
 def _trace_line(question_id: int, trace: CotTrace) -> bytes:
-    """One question's `traces.jsonl` line, UTF-8 encoded."""
+    """One question's `traces.jsonl` line, UTF-8 encoded; a lone surrogate,
+    which a model's JSON `\\ud800` escape yields, is written as that escape."""
     return json.dumps({
         "question_id": question_id,
         "mode": trace.mode,
@@ -350,7 +351,7 @@ def _trace_line(question_id: int, trace: CotTrace) -> bytes:
         "skeleton": trace.skeleton,
         "final_sql": trace.final_sql,
         "warnings": trace.warnings,
-    }, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n"
+    }, ensure_ascii=False, sort_keys=True).encode("utf-8", "backslashreplace") + b"\n"
 
 
 def process_instance(
@@ -361,7 +362,7 @@ def process_instance(
     embed: Optional[EmbeddingFn] = None,
     pool: Optional[ExamplePool] = None,
     connections: Optional[DatabaseConnections] = None,
-) -> tuple[CotTrace, EvalOutcome, Optional[dict]]:
+) -> tuple[CotTrace, EvalOutcome, Optional[ErrorLabel]]:
     """Prompt -> complete -> extract -> execute -> classify, error-isolated.
 
     A replay miss is not isolated: it raises, because the run can no longer
@@ -392,18 +393,16 @@ def process_instance(
         outcome = EvalOutcome(
             question_id=instance.question_id, matched=False,
             predicted_error=f"pipeline error: {exc}")
-        label = {"category": "other/syntax_error", "detail": str(exc)}
-        return trace, outcome, label
+        return trace, outcome, ErrorLabel("other/syntax_error", str(exc))
 
     outcome = execute_and_compare(
         trace.final_sql, instance.gold_sql, db_path,
         timeout=cfg.query_timeout, question_id=instance.question_id,
         connections=connections)
-    label_payload = None
+    label = None
     if not outcome.matched:
         label = classify(trace.final_sql, instance.gold_sql, catalog, outcome)
-        label_payload = {"category": label.category, "detail": label.detail}
-    return trace, outcome, label_payload
+    return trace, outcome, label
 
 
 def _truncation_stats(removed: Sequence[tuple[int, int, int]]) -> dict:
@@ -492,18 +491,16 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             if owned and client.transport is not None:
                 client.transport.close()
 
-        report = aggregate([outcome for _, outcome, _, _ in rows], split.instances)
+        ex_by_split = aggregate([outcome for _, outcome, _, _ in rows], split.instances)
         stats = _truncation_stats([removed for *_, removed in rows])
         taxonomy_rows = tabulate(
-            [ErrorLabel(payload["category"], payload.get("detail", ""))
-             for _, _, payload, _ in rows if payload is not None],
-            len(split.instances))
+            [label for _, _, label, _ in rows if label is not None], len(split.instances))
 
         difficulty_of = {i.question_id: i.difficulty for i in split.instances}
         payload = {
             "config": cfg.snapshot(),
             "instance_count": len(split.instances),
-            "ex_by_split": report.ex_by_split,
+            "ex_by_split": ex_by_split,
             "outcomes": [
                 {
                     "question_id": outcome.question_id,
@@ -512,7 +509,8 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
                     "predicted_sql": final_sql,
                     "predicted_error": outcome.predicted_error,
                     "gold_error": outcome.gold_error,
-                    "error_label": label,
+                    "error_label": None if label is None else {
+                        "category": label.category, "detail": label.detail},
                     "truncation": {
                         "removed_columns": total,
                         "target_removed": target,
@@ -538,7 +536,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
         with open(cfg.output_dir / "traces.jsonl", "wb") as handle:
             shutil.copyfileobj(spool, handle)
 
-    print(f"EX: {report.ex_by_split}")
+    print(f"EX: {ex_by_split}")
     _print_truncation_stats(stats, few_shot=cfg.shots > 0)
     print(f"report written to {report_path}")
     return report_path
@@ -640,13 +638,14 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
                 "draft_sql": draft_sql,
                 "selected": [
                     {
-                        "candidate_question_id": ex.question_id if ex else None,
+                        "candidate_question_id":
+                            pool.candidates[t.candidate_index].instance.question_id,
                         "gamma_q": round(t.gamma_q, 6),
                         "gamma_d": round(t.gamma_d, 6),
                         "gamma_s": round(t.gamma_s, 6),
                         "gamma_a": round(t.gamma_a, 6),
                     }
-                    for ex, t in curated.examples
+                    for t in curated
                 ],
             })
     finally:

@@ -133,7 +133,9 @@ def parse_column_list(
     """Extract a {table: columns} map from a step-2 response.
 
     Mirrors table parsing on the "Columns: table: (column ...)" shape, with
-    a free-text fallback against the given tables' catalog columns.
+    a free-text fallback against the given tables' catalog columns when the
+    block names no catalog table. A table the catalog lacks keeps its raw
+    name, so that validation can warn about it.
     """
     table_map = catalog.table_map()
     lookup = {name.lower(): name for name in table_map}
@@ -143,9 +145,8 @@ def parse_column_list(
     if anchor:
         tail = step_response[anchor.end():]
         for table_raw, block in re.findall(r"([\w.]+)\s*:\s*\(([^)]*)\)", tail):
-            table = lookup.get(table_raw.strip().strip("\"'`").lower())
-            if table is None:
-                continue
+            table = table_raw.strip().strip("\"'`")
+            table = lookup.get(table.lower(), table)
             for raw in re.split(r"[,\s]+", block):
                 name = raw.strip().strip("\"'`")
                 if "." in name:
@@ -154,7 +155,7 @@ def parse_column_list(
                     columns.setdefault(table, [])
                     if name not in columns[table]:
                         columns[table].append(name)
-    if columns:
+    if any(table in table_map for table in columns):
         return columns
 
     lowered = {w.lower() for w in re.findall(r"\w+", step_response)}
@@ -234,11 +235,10 @@ def _build_step_prompt(
         header, properties_line, variant = _LATER_HEADER, _LATER_PROPERTIES, _LATER_VARIANT
 
     return fit_prompt(
-        "cot_step", [FEW_SHOT_FORMAT_LINE, header, properties_line, 0,
-                     *question_lines(instance), _STEP_BY_STEP, tail],
+        [FEW_SHOT_FORMAT_LINE, header, properties_line, 0,
+         *question_lines(instance), _STEP_BY_STEP, tail],
         [section], budget.available,
-        derive_seed(seed, instance.question_id, "step", step_index),
-        variant=variant, step_index=step_index)
+        derive_seed(seed, instance.question_id, "step", step_index), variant=variant)
 
 
 def _normalize_skeleton(step_response: str) -> str:

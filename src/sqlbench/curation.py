@@ -139,10 +139,6 @@ class ExamplePool:
     _matrices: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
-    # Per candidate, its (question, schema, SQL) vectors as _cosine consumes
-    # them: row views of _matrices with their norms, not copies.
-    _vectors: tuple[tuple[Vector, Vector, Vector], ...] = field(
-        init=False, repr=False, compare=False)
     # Rendered schema text -> its vector, filled by build_pool and by each
     # target schema embedded, so a run embeds each distinct schema once.
     _schema_vectors: dict[str, Vector] = field(
@@ -168,10 +164,6 @@ class ExamplePool:
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "_matrices", matrices)
         object.__setattr__(self, "_norms", norms)
-        object.__setattr__(self, "_vectors", tuple(
-            tuple((getattr(cand, name), float(norms[j, i]))
-                  for j, name in enumerate(_VECTOR_FIELDS))
-            for i, cand in enumerate(candidates)))
 
     def section(self, index: int) -> PromptSection:
         """Candidate `index`'s example section, its catalog partitioned by
@@ -209,8 +201,8 @@ def build_pool(
     pool = ExamplePool(tuple(
         PoolCandidate(instance, catalog, *(matrix[i] for matrix in matrices))
         for i, (instance, catalog) in enumerate(candidates)), variant, matrices)
-    for i, (_, schema_vector, _) in enumerate(pool._vectors):
-        pool._schema_vectors.setdefault(texts[3 * i + 1], schema_vector)
+    for i, (vector, norm) in enumerate(zip(matrices[1], pool._norms[1])):
+        pool._schema_vectors.setdefault(texts[3 * i + 1], (vector, float(norm)))
     return pool
 
 
@@ -249,7 +241,8 @@ def _scored_indexes(target: TaskInstance, pool: ExamplePool) -> tuple[int, ...]:
 
 def _triple(targets: tuple[Vector, Vector, Vector], pool: ExamplePool,
             index: int) -> SimilarityTriple:
-    (target_q, target_d, target_s), (cand_q, cand_d, cand_s) = targets, pool._vectors[index]
+    (target_q, target_d, target_s), (cand_q, cand_d, cand_s) = targets, (
+        (matrix[index], float(norms[index])) for matrix, norms in zip(pool._matrices, pool._norms))
     return SimilarityTriple(
         candidate_index=index,
         gamma_q=_cosine(target_q, cand_q),
@@ -275,25 +268,7 @@ def score_candidates(
     return [_triple(targets, pool, index) for index in _scored_indexes(target, pool)]
 
 
-@dataclass(frozen=True)
-class CuratedSet:
-    examples: tuple[tuple[Optional[TaskInstance], SimilarityTriple], ...]
-    k: int
-
-    @property
-    def triples(self) -> tuple[SimilarityTriple, ...]:
-        return tuple(triple for _, triple in self.examples)
-
-    @property
-    def similarities(self) -> tuple[float, ...]:
-        return tuple(triple.gamma_a for _, triple in self.examples)
-
-
-def select_top_k(
-    triples: Sequence[SimilarityTriple],
-    k: int,
-    pool: Optional[ExamplePool] = None,
-) -> CuratedSet:
+def select_top_k(triples: Sequence[SimilarityTriple], k: int) -> tuple[SimilarityTriple, ...]:
     """Keep the k highest-average candidates, emitted ascending.
 
     Ties on the average break toward the lower candidate index. A k larger
@@ -302,12 +277,7 @@ def select_top_k(
     if k < 0:
         raise ValueError("k must be >= 0")
     ranked = sorted(triples, key=lambda t: (-t.gamma_a, t.candidate_index))
-    selected = sorted(ranked[:k], key=lambda t: (t.gamma_a, t.candidate_index))
-    examples = tuple(
-        (pool.candidates[t.candidate_index].instance if pool is not None else None, t)
-        for t in selected
-    )
-    return CuratedSet(examples, k)
+    return tuple(sorted(ranked[:k], key=lambda t: (t.gamma_a, t.candidate_index)))
 
 
 # Far above the error of a screened cosine, which is within a few d * 2**-53
@@ -342,8 +312,8 @@ def curate_top_k(
     pool: ExamplePool,
     k: int,
     embed: EmbeddingFn,
-) -> CuratedSet:
-    """select_top_k(score_candidates(...), k, pool), scoring exactly only
+) -> tuple[SimilarityTriple, ...]:
+    """select_top_k(score_candidates(...), k), scoring exactly only
     the candidates a screen cannot rule out.
 
     The screen puts every scored candidate's gamma_a within far less than
@@ -363,4 +333,4 @@ def curate_top_k(
         screened, sure = _screen(targets, pool)
         kth = heapq.nlargest(k, (screened[i] if sure[i] else -math.inf for i in rows))[-1]
         rows = [i for i in rows if not sure[i] or screened[i] >= kth - SCREEN_MARGIN]
-    return select_top_k([_triple(targets, pool, index) for index in rows], k, pool)
+    return select_top_k([_triple(targets, pool, index) for index in rows], k)

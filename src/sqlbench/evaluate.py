@@ -17,7 +17,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -112,15 +112,6 @@ class EvalOutcome:
             raise ValueError("a matched outcome cannot carry execution errors")
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    outcomes: tuple[EvalOutcome, ...]
-    ex_by_split: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-
-
 def _normalize_value(value):
     if isinstance(value, float):
         return round(value, 6)
@@ -151,7 +142,9 @@ def _run_query(connections: DatabaseConnections, database: Path, sql: str, timeo
         if "interrupt" in message.lower() or time.monotonic() > deadline:
             return None, "timeout"
         return None, message
-    except (sqlite3.Error, sqlite3.Warning) as exc:  # 3.10 warns on a second statement
+    # 3.10 warns on a second statement; SQL holding a lone surrogate cannot
+    # be encoded for SQLite.
+    except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
         return None, str(exc)
     finally:
         conn.set_progress_handler(None, 0)
@@ -200,8 +193,9 @@ def execute_and_compare(
 def aggregate(
     outcomes: Sequence[EvalOutcome],
     instances: Sequence[TaskInstance],
-) -> EvalReport:
-    """Fold outcomes into per-difficulty and overall accuracy percentages."""
+) -> dict[str, float]:
+    """Fold outcomes into per-difficulty and overall accuracy percentages,
+    keyed by difficulty and "sum"."""
     if len(outcomes) != len(instances):
         raise CountMismatch(
             f"{len(outcomes)} outcomes for {len(instances)} instances")
@@ -224,4 +218,4 @@ def aggregate(
         name: percentage(matches[name], totals[name]) for name in DIFFICULTIES
     }
     ex_by_split["sum"] = percentage(sum(matches.values()), len(outcomes))
-    return EvalReport(tuple(outcomes), ex_by_split)
+    return ex_by_split

@@ -183,8 +183,9 @@ class DigestStore:
             lines: dict[str, bytes] = {}
             for digest, value in items:
                 if digest not in self._index and digest not in lines:
+                    # A lone surrogate is written as its JSON escape.
                     lines[digest] = (json.dumps(self._encode(digest, value), ensure_ascii=False)
-                                     + "\n").encode("utf-8")
+                                     + "\n").encode("utf-8", "backslashreplace")
             if not lines:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)

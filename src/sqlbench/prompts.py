@@ -78,8 +78,6 @@ class EmptyExampleSql(ValueError):
 class PromptBundle:
     text: str
     token_count: int
-    role: str  # zero_shot | few_shot | cot_step | sft_pair
-    step_index: Optional[int] = None
     truncation: Optional[TruncationRecord] = None
 
 
@@ -142,7 +140,6 @@ def _resolved(catalog: DatabaseCatalog, keep: Optional[ColumnFilter]):
 
 
 def fit_prompt(
-    role: str,
     template: PromptTemplate,
     sections: Sequence[PromptSection],
     limit: int,
@@ -150,7 +147,6 @@ def fit_prompt(
     *,
     variant: SchemaVariant,
     plan: Optional[TruncationPlan] = None,
-    step_index: Optional[int] = None,
 ) -> PromptBundle:
     """The one budgeted prompt builder: truncate until `template` fits `limit`.
 
@@ -170,7 +166,7 @@ def fit_prompt(
     else:
         keeps, record = truncate_examples(sections, plan, scaffold, limit, seed, variant=variant)
     text = render_template(template, [section.catalog for section in sections], keeps, variant)
-    return PromptBundle(text, record.tokens_after, role, step_index, record)
+    return PromptBundle(text, record.tokens_after, record)
 
 
 def open_template(
@@ -209,7 +205,7 @@ def build_open_prompt(
     """Assemble the zero-shot prompt: rule, format header, schema, question,
     optional knowledge note, trailing cue."""
     text = open_prompt_text(instance, catalog, variant, keep)
-    return PromptBundle(text, count_tokens(text), "zero_shot", truncation=truncation)
+    return PromptBundle(text, count_tokens(text), truncation)
 
 
 def open_prompt_token_fn(
@@ -290,7 +286,7 @@ def build_few_shot_prompt(
     the zero-shot prompt modulo the answer-instruction line.
     """
     text = few_shot_text(instance, catalog, examples, variant, keep)
-    return PromptBundle(text, count_tokens(text), "few_shot", truncation=truncation)
+    return PromptBundle(text, count_tokens(text), truncation)
 
 
 def completion_for(gold_sql: str) -> str:
@@ -322,10 +318,8 @@ def build_sft_pair(
     completion = completion_for(instance.gold_sql)
     template = open_template(instance, catalog, variant)
     template[-1] += completion
-    bundle = fit_prompt(
-        "sft_pair", template,
-        [PromptSection(catalog, partition_columns(catalog, reference_sql=instance.gold_sql))],
-        budget.max_context, seed, variant=variant)
+    section = PromptSection(catalog, partition_columns(catalog, reference_sql=instance.gold_sql))
+    bundle = fit_prompt(template, [section], budget.max_context, seed, variant=variant)
     return SftPair(bundle.text.removesuffix(completion), completion), bundle.truncation
 
 

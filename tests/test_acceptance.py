@@ -219,10 +219,10 @@ def test_criterion_3_curation_oracle():
             direct = (triple.gamma_q + triple.gamma_d + triple.gamma_s) / 3
             assert abs(triple.gamma_a - direct) <= 1e-12
 
-        curated = select_top_k(triples, k, pool)
+        curated = select_top_k(triples, k)
         ranked = sorted(triples, key=lambda t: (-t.gamma_a, t.candidate_index))
         expected = sorted(ranked[:k], key=lambda t: (t.gamma_a, t.candidate_index))
-        assert [t.candidate_index for t in curated.triples] == \
+        assert [t.candidate_index for t in curated] == \
             [t.candidate_index for t in expected]
 
         if trial % 25 == 0 and size > 1:
@@ -240,9 +240,9 @@ def test_criterion_3_curation_oracle():
             scaled_triples = score_candidates(
                 target, catalog_for("db_target"), "SELECT 0", scaled_pool,
                 embed_from([v * scales[size] for v in target_vectors]))
-            scaled_curated = select_top_k(scaled_triples, k, scaled_pool)
-            assert {t.candidate_index for t in scaled_curated.triples} == \
-                {t.candidate_index for t in curated.triples}
+            scaled_curated = select_top_k(scaled_triples, k)
+            assert {t.candidate_index for t in scaled_curated} == \
+                {t.candidate_index for t in curated}
     crit.done()
 
 
@@ -453,8 +453,7 @@ def test_criterion_6_execution_accuracy(tmp_path):
         EvalOutcome(i, matched) for i, matched in enumerate(
             [True, True, True, False, True, False, False, False, False, False])
     ]
-    report = aggregate(outcomes, instances)
-    assert report.ex_by_split == {
+    assert aggregate(outcomes, instances) == {
         "simple": 75.0, "moderate": 25.0, "challenging": 0.0, "sum": 40.0}
     crit.done()
 

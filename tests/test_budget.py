@@ -669,8 +669,8 @@ def test_shared_sections_are_left_as_built():
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
     plan = plan_example_truncation([0.9, 0.5, 0.25])
     template = list(range(len(sections)))
-    first = fit_prompt("few_shot", template, sections, limit, 7, variant=variant, plan=plan)
-    second = fit_prompt("few_shot", template, sections, limit, 7, variant=variant, plan=plan)
+    first = fit_prompt(template, sections, limit, 7, variant=variant, plan=plan)
+    second = fit_prompt(template, sections, limit, 7, variant=variant, plan=plan)
     assert first.truncation.total_removed > 0
     assert first == second
     for section in sections:
@@ -733,7 +733,7 @@ def _wild_sections(draw):
 
 def _open_path(sections, variant, limit, seed):
     (section, instance), = sections[:1]
-    bundle = fit_prompt("zero_shot", open_template(instance, section.catalog, variant),
+    bundle = fit_prompt(open_template(instance, section.catalog, variant),
                         [section], limit, seed, variant=variant)
     return bundle.token_count, bundle.text
 
@@ -742,7 +742,7 @@ def _few_shot_path(sections, variant, limit, seed):
     (target, instance), examples = sections[0], sections[1:]
     plan = plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))])
     bundle = fit_prompt(
-        "few_shot", few_shot_template(instance, [example for _, example in examples], variant),
+        few_shot_template(instance, [example for _, example in examples], variant),
         [section for section, _ in sections], limit, seed, variant=variant, plan=plan)
     return bundle.token_count, bundle.text
 
@@ -822,12 +822,11 @@ def test_a_fit_is_the_public_builders_text_at_its_keeps(sections, variant, fract
     """fit_prompt's one render equals open_prompt_text and few_shot_text
     under the keeps its record implies, and a render through render_schema."""
     (target, instance), examples = sections[0], sections[1:]
-    fits = [("zero_shot", open_template(instance, target.catalog, variant), [target], None),
-            ("few_shot", few_shot_template(instance, [example for _, example in examples],
-                                           variant),
+    fits = [(open_template(instance, target.catalog, variant), [target], None),
+            (few_shot_template(instance, [example for _, example in examples], variant),
              [section for section, _ in sections],
              plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))]))]
-    for role, template, fitted, plan in fits:
+    for template, fitted, plan in fits:
         catalogs = [section.catalog for section in fitted]
 
         def builders_text(keeps):
@@ -839,7 +838,7 @@ def test_a_fit_is_the_public_builders_text_at_its_keeps(sections, variant, fract
 
         full = count_tokens(builders_text([section.keep for section in fitted]))
         try:
-            bundle = fit_prompt(role, template, fitted, int(full * fraction), seed,
+            bundle = fit_prompt(template, fitted, int(full * fraction), seed,
                                 variant=variant, plan=plan)
         except UnsatisfiableBudget:
             continue

@@ -831,6 +831,22 @@ def test_cmd_curate_writes_selection(mini_bench, tmp_path):
         assert gammas == sorted(gammas)  # ascending, most similar last
 
 
+def test_curation_names_the_candidates_it_always_named(mini_bench, tmp_path):
+    # The pool question ids each question's examples come from, most similar
+    # last, as the curation output has always named them.
+    cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train")
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    rows = json.loads(cmd_curate(
+        cfg, client=build_client(cfg, transport=transport),
+        embed_client=build_embed_client(cfg, transport=transport)).read_text(encoding="utf-8"))
+    assert {row["question_id"]: [s["candidate_question_id"] for s in row["selected"]]
+            for row in rows} == {
+        0: [103, 102], 1: [102, 103], 2: [102, 103], 3: [103, 102], 4: [103, 102],
+        5: [100, 101], 6: [101, 100], 7: [101, 100], 8: [102, 103], 9: [101, 100]}
+
+
 def test_curate_rejects_a_mode_it_cannot_apply(mini_bench, tmp_path):
     # The draft that curation scores against is always zero-shot; a
     # chain-of-thought mode must not pass silently.
@@ -1018,3 +1034,56 @@ def test_few_shot_run_survives_underflowed_truncation_rates(mini_bench, tmp_path
     errors = [o["predicted_error"] for o in payload["outcomes"]
               if "pipeline error" in (o["predicted_error"] or "")]
     assert not any("division" in error for error in errors), errors
+
+
+def test_a_lone_surrogate_in_model_output_fails_only_its_questions(mini_bench, tmp_path):
+    # A server's JSON `\ud800` escape decodes to a lone surrogate, which
+    # UTF-8 cannot encode: SQLite cannot take the query, and the trace and
+    # store lines carry it as that escape.
+    store = tmp_path / "store.jsonl"
+
+    def run(name, **settings):
+        cfg = run_config(mini_bench, tmp_path, output_dir=tmp_path / name, **settings)
+        transport = ScriptedTransport(completion_fn=lambda prompt: " 1 -- \ud800")
+        cmd_run(cfg, client=build_client(cfg, transport=transport))
+        report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
+        return report["outcomes"], (cfg.output_dir / "traces.jsonl").read_bytes()
+
+    live = run("live")
+    recorded = run("record", replay_store=store, replay_mode="record")
+    replayed = run("replay", replay_store=store, replay_mode="replay")
+    assert live == recorded == replayed
+    outcomes, traces = live
+    assert len(outcomes) == 10
+    for outcome in outcomes:
+        assert outcome["predicted_sql"] == "SELECT 1 -- \ud800"
+        assert "surrogates not allowed" in outcome["predicted_error"]
+        assert outcome["gold_error"] is None
+    assert b"\\ud800" in traces
+    assert all(json.loads(line)["final_sql"] == "SELECT 1 -- \ud800"
+               for line in traces.splitlines())
+    assert len(store.read_text(encoding="utf-8").splitlines()) == 10
+
+
+def test_a_record_run_with_a_warm_embedding_cache_can_be_replayed(mini_bench, tmp_path):
+    # The replay store, not the cache, must hold every embedding a recorded
+    # run used, or the replay misses them.
+    cache, store = tmp_path / "embeddings.jsonl", tmp_path / "store.jsonl"
+
+    def run(name, **settings):
+        cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
+                         output_dir=tmp_path / name, **settings)
+        transport = ScriptedTransport(
+            completion_fn=completion_by_question(
+                MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+            embed_fn=hash_embedding)
+        cmd_run(cfg, client=build_client(cfg, transport=transport),
+                embed_client=build_embed_client(cfg, transport=transport))
+        report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
+        return report["outcomes"], (cfg.output_dir / "traces.jsonl").read_bytes()
+
+    warm = run("warm", embedding_cache=cache)
+    warmed = cache.read_bytes()
+    recorded = run("record", embedding_cache=cache, replay_store=store, replay_mode="record")
+    assert cache.read_bytes() == warmed
+    assert run("replay", replay_store=store, replay_mode="replay") == recorded == warm

@@ -129,7 +129,11 @@ def test_run_cot_modes(movie_catalog, movie_instance, mode):
     steps = 4 if mode.startswith("cot-sk") else 3
     assert len(trace.step_prompts) == len(trace.step_responses) == steps
     assert len(transport.requests) == steps
-    assert [b.step_index for b in trace.step_prompts] == list(range(1, steps + 1))
+    # A step's index is its position: each prompt asks its own step's question.
+    asks = ["find the required tables", "find the required columns",
+            *(["write the skeleton", "given tables, columns and sql_skeleton"] if steps == 4
+              else ["based on the given tables and columns"])]
+    assert all(ask in b.text.lower() for b, ask in zip(trace.step_prompts, asks, strict=True))
     if steps == 3:
         assert trace.skeleton is None
     else:
@@ -271,6 +275,28 @@ def test_parse_column_list_free_text_fallback(movie_catalog):
         "You should use the movie_title and movie_release_year fields.",
         movie_catalog, ["movies"])
     assert columns == {"movies": ["movie_title", "movie_release_year"]}
+
+
+@pytest.mark.parametrize("mode", [MODE_COT_SP_PRED, MODE_COT_SK_FULL])
+def test_an_unknown_step_2_table_is_warned_about_and_dropped(movie_catalog, movie_instance,
+                                                             mode):
+    probe = "Columns: directors: (name) movies: (movie_title, Bogus)"
+    client, _ = make_client(step_scripted(step2=probe))
+    trace = run_cot(movie_instance, movie_catalog, client, mode, seed=0)
+    client, _ = make_client(step_scripted(step2="Columns: movies: (movie_title, Bogus)"))
+    known_only = run_cot(movie_instance, movie_catalog, client, mode, seed=0)
+    assert trace.warnings == [
+        "predicted columns for unknown table 'directors'; dropped", *known_only.warnings]
+    assert any("Bogus" in warning for warning in known_only.warnings)
+    assert trace.predicted_columns == known_only.predicted_columns == {
+        "movies": ["movie_title"]}
+    assert trace.final_sql == known_only.final_sql
+
+
+def test_a_block_of_unknown_tables_still_falls_back_to_free_text(movie_catalog):
+    columns = parse_column_list("Columns: directors: (name) so use movie_title",
+                                movie_catalog, ["movies"])
+    assert columns == {"directors": ["name"], "movies": ["movie_title"]}
 
 
 def test_unusable_skeleton_step_raises(movie_catalog, movie_instance):

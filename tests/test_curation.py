@@ -127,7 +127,7 @@ def brute_force_select(triples, k):
 
 
 def test_select_top_k_zero():
-    assert select_top_k([SimilarityTriple(0, 1, 1, 1)], 0).examples == ()
+    assert select_top_k([SimilarityTriple(0, 1, 1, 1)], 0) == ()
 
 
 def test_select_top_k_orders_ascending():
@@ -137,8 +137,8 @@ def test_select_top_k_orders_ascending():
         SimilarityTriple(2, 0.5, 0.5, 0.5),
     ]
     curated = select_top_k(triples, 2)
-    assert [t.candidate_index for t in curated.triples] == [2, 1]
-    assert curated.similarities == pytest.approx((0.5, 0.9))
+    assert [t.candidate_index for t in curated] == [2, 1]
+    assert tuple(t.gamma_a for t in curated) == pytest.approx((0.5, 0.9))
 
 
 def test_select_top_k_tie_breaks_on_lower_index():
@@ -148,13 +148,13 @@ def test_select_top_k_tie_breaks_on_lower_index():
         SimilarityTriple(2, 0.5, 0.5, 0.5),
     ]
     curated = select_top_k(triples, 2)
-    assert sorted(t.candidate_index for t in curated.triples) == [0, 1]
+    assert sorted(t.candidate_index for t in curated) == [0, 1]
 
 
 def test_select_top_k_larger_than_pool():
     triples = [SimilarityTriple(0, 0.4, 0.4, 0.4)]
     curated = select_top_k(triples, 10)
-    assert len(curated.examples) == 1
+    assert len(curated) == 1
 
 
 def test_select_matches_brute_force_on_random_pools():
@@ -167,7 +167,7 @@ def test_select_matches_brute_force_on_random_pools():
         ]
         k = rng.randrange(0, 8)
         expected = brute_force_select(triples, k)
-        actual = select_top_k(triples, k).triples
+        actual = select_top_k(triples, k)
         assert [t.candidate_index for t in actual] == [t.candidate_index for t in expected]
 
 
@@ -179,7 +179,7 @@ def test_select_matches_brute_force_on_ten_thousand_triples():
     ]
     for k in (0, 1, 5, 100, 10_000):
         expected = brute_force_select(triples, k)
-        actual = select_top_k(triples, k).triples
+        actual = select_top_k(triples, k)
         assert [t.candidate_index for t in actual] == [t.candidate_index for t in expected]
 
 
@@ -197,8 +197,8 @@ def test_scaling_embeddings_keeps_selection():
             out.append(SimilarityTriple(i, value, value, value))
         return out
 
-    base = select_top_k(triples_for(1.0), 5).triples
-    scaled = select_top_k(triples_for(37.5), 5).triples
+    base = select_top_k(triples_for(1.0), 5)
+    scaled = select_top_k(triples_for(37.5), 5)
     assert [t.candidate_index for t in base] == [t.candidate_index for t in scaled]
 
 
@@ -377,7 +377,7 @@ def _outcome(fn, *args):
     except (ZeroVector, DimensionMismatch) as exc:
         return type(exc), str(exc)
     return [(t.candidate_index, t.gamma_q.hex(), t.gamma_d.hex(), t.gamma_s.hex(),
-             t.gamma_a.hex(), instance) for instance, t in curated.examples]
+             t.gamma_a.hex()) for t in curated]
 
 
 _ENTRY = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0, 1e-160, math.inf]) | st.floats(
@@ -429,7 +429,7 @@ def test_screened_top_k_equals_full_scoring(case):
     embed = lambda texts: [by_text[text] for text in texts]  # noqa: E731
     with np.errstate(all="ignore"):
         assert _outcome(curate_top_k, *args, k, embed) == _outcome(
-            lambda: select_top_k(score_candidates(*args, embed), k, pool))
+            lambda: select_top_k(score_candidates(*args, embed), k))
 
 
 @pytest.mark.parametrize("dim", [8, 384])
@@ -451,7 +451,7 @@ def test_screened_top_k_on_random_pools_with_near_ties(dim):
     args = (target, target_catalog, "SELECT 42", pool)
     for k in (1, 2, 3, 4, 5, 6, 7, 8, 50, 166, 167, 300):
         assert _outcome(curate_top_k, *args, k, embed) == _outcome(
-            lambda: select_top_k(score_candidates(*args, embed), k, pool))
+            lambda: select_top_k(score_candidates(*args, embed), k))
 
 
 def test_each_distinct_schema_is_embedded_once_per_pool():

@@ -154,15 +154,13 @@ def _outcomes(matched_flags):
 def test_aggregate_simple_hand_count():
     instances = _instances(["simple"] * 10)
     outcomes = _outcomes([True] * 5 + [False] * 5)
-    report = aggregate(outcomes, instances)
-    assert report.ex_by_split["sum"] == 50.0
+    assert aggregate(outcomes, instances)["sum"] == 50.0
 
 
 def test_aggregate_all_matched():
     instances = _instances(["simple", "moderate", "challenging"])
     outcomes = _outcomes([True, True, True])
-    report = aggregate(outcomes, instances)
-    assert report.ex_by_split == {
+    assert aggregate(outcomes, instances) == {
         "simple": 100.0, "moderate": 100.0, "challenging": 100.0, "sum": 100.0}
 
 
@@ -172,8 +170,7 @@ def test_aggregate_per_difficulty_hand_count():
         ["simple"] * 4 + ["moderate"] * 4 + ["challenging"] * 2)
     outcomes = _outcomes(
         [True, True, True, False, True, False, False, False, False, False])
-    report = aggregate(outcomes, instances)
-    assert report.ex_by_split == {
+    assert aggregate(outcomes, instances) == {
         "simple": 75.0, "moderate": 25.0, "challenging": 0.0, "sum": 40.0}
 
 
@@ -188,8 +185,8 @@ def test_aggregate_count_mismatch():
 def test_aggregate_deterministic():
     instances = _instances(["simple", "moderate", "challenging"] * 3)
     outcomes = _outcomes([True, False, True, False, True, False, True, False, True])
-    first = aggregate(outcomes, instances).ex_by_split
-    second = aggregate(outcomes, instances).ex_by_split
+    first = aggregate(outcomes, instances)
+    second = aggregate(outcomes, instances)
     assert first == second
 
 

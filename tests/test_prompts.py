@@ -298,8 +298,8 @@ def _fitted_prompts(root: Path, tmp_path: Path) -> dict[str, str]:
         completion_fn=_cot_scripted(MINI_QUESTIONS)))
     trace = run_cot(instance, catalog, client, "cot-sk-pred", budget=TokenBudget(365, 50), seed=0)
     assert any(bundle.truncation.total_removed for bundle in trace.step_prompts)
-    for bundle in trace.step_prompts:
-        prompts[f"cot_sk_pred_q6_step{bundle.step_index}.txt"] = bundle.text
+    for step, bundle in enumerate(trace.step_prompts, 1):
+        prompts[f"cot_sk_pred_q6_step{step}.txt"] = bundle.text
 
     pair, record = build_sft_pair(instance, catalog, SchemaVariant.C_VDT, TokenBudget(300, 50),
                                   seed=0)
