@@ -223,8 +223,9 @@ def _client(cfg: RunConfig, endpoint: LlmEndpoint, transport,
             store: Optional[ReplayStore]) -> LlmClient:
     """A client over `transport`, else over a new PooledTransport unless it
     only replays: a replay client sends nothing, so it gets no transport
-    and its run never loads the network modules."""
-    if store is None and cfg.replay_store:
+    and its run never loads the network modules. Only a record or replay
+    client opens the replay store; a live one never reads it."""
+    if store is None and cfg.replay_store and cfg.replay_mode != "live":
         store = ReplayStore(cfg.replay_store)
     if transport is None and cfg.replay_mode != "replay":
         transport = PooledTransport()

@@ -107,7 +107,9 @@ class CompletionRecord:
 
 
 def prompt_digest(prompt_text: str, model_id: str) -> str:
-    payload = prompt_text.encode("utf-8") + b"\x00" + model_id.encode("utf-8")
+    # A lone surrogate (a JSON `\ud800` escape decoded) is digested as the
+    # bytes no valid text encodes to; every other digest is plain UTF-8.
+    payload = (prompt_text + "\x00" + model_id).encode("utf-8", "surrogatepass")
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -247,65 +249,73 @@ class ReplayStore(DigestStore):
         self._append([(record.digest, record)])
 
 
+def _embedding_matrix(texts: Sequence[str],
+                      vectors: Callable[[list[str]], Iterable[Sequence[float]]]) -> np.ndarray:
+    """One (len(texts), d) float64 array of the vectors of `texts`.
+
+    `vectors(distinct)` is given the call's distinct texts in first-occurrence
+    order and returns one vector per text, in that order; each is copied
+    straight into the rows of its text's occurrences, so one vector is alive
+    at a time. Raises DimensionMismatch, naming every length, if they differ.
+    """
+    import numpy as np
+
+    if not texts:
+        raise ValueError("embed requires at least one text")
+    rows_of: dict[str, list[int]] = {}
+    for i, text in enumerate(texts):
+        rows_of.setdefault(text, []).append(i)
+    matrix = None
+    dims = set()
+    for rows, vector in zip(rows_of.values(), vectors(list(rows_of))):
+        if matrix is None:
+            matrix = np.empty((len(texts), len(vector)))
+        if len(vector) == matrix.shape[1]:
+            matrix[rows] = vector
+        dims.add(len(vector))
+    if len(dims) > 1:
+        raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
+    return matrix
+
+
 class EmbeddingCache(DigestStore):
     """An EmbeddingFn that calls `embed` only for texts it has not seen.
 
     Vectors are kept on disk keyed by (text, embedding model id), one
     {hash, dim, vector} line each, so reruns do not re-bill the embedding
-    endpoint. In memory the cache keeps, as 1-D float64 arrays, only the
-    vectors it has returned: a stored vector is read from its line on its
-    first request. A call returns one (n, d) float64 array, as
-    `LlmClient.embed` does, and each vector it read or embedded is kept
-    from then on as a row of that array, so a caller that keeps the array,
-    as `build_pool` does, shares its memory with the cache. The array is
-    read-only, so that no caller can change what the cache holds.
+    endpoint. In memory the cache keeps only its index of line offsets, as
+    the replay store does. A call returns one (n, d) float64 array, as
+    `LlmClient.embed` does: each missing distinct text is sent once to
+    `embed` and its line appended in first-occurrence order, then each
+    distinct text's vector is read once from its line straight into its
+    rows. No vector is kept once the call returns.
     """
 
     def __init__(self, path: Path, model_id: str, embed: EmbeddingFn):
         self.model_id = model_id
         self.embed = embed
-        self._vectors: dict[str, np.ndarray] = {}
         super().__init__(path)
 
-    def _decode(self, raw: dict) -> np.ndarray:
-        import numpy as np
+    def _decode(self, raw: dict) -> list[float]:
+        return [float(x) for x in raw["vector"]]
 
-        return np.array(raw["vector"], dtype=float)
-
-    def _encode(self, digest: str, vector: np.ndarray) -> dict:
-        return {"hash": digest, "dim": len(vector), "vector": vector.tolist()}
-
-    def get(self, digest: str) -> Optional[np.ndarray]:
-        vector = self._vectors.get(digest)
-        if vector is None:
-            vector = super().get(digest)
-            if vector is not None:
-                self._vectors[digest] = vector
-        return vector
+    def _encode(self, digest: str, vector: Sequence[float]) -> dict:
+        values = [float(x) for x in vector]
+        return {"hash": digest, "dim": len(values), "vector": values}
 
     def __call__(self, texts: Sequence[str]) -> np.ndarray:
-        import numpy as np
+        def vectors(distinct: list[str]) -> Iterator[list[float]]:
+            keys = [prompt_digest(text, self.model_id) for text in distinct]
+            missing = [i for i, key in enumerate(keys) if key not in self]
+            if missing:
+                fresh = self.embed([distinct[i] for i in missing])
+                if len(fresh) != len(missing):
+                    raise DimensionMismatch(
+                        f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
+                self._append(zip([keys[i] for i in missing], fresh))
+            return map(self.get, keys)
 
-        keys = [prompt_digest(text, self.model_id) for text in texts]
-        missing = [i for i, key in enumerate(keys) if key not in self]
-        if missing:
-            fresh = self.embed([texts[i] for i in missing])
-            if len(fresh) != len(missing):
-                raise DimensionMismatch(
-                    f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
-            for i, vector in zip(missing, fresh):
-                self._vectors[keys[i]] = np.array(vector, dtype=float)
-            self._append((keys[i], self._vectors[keys[i]]) for i in missing)
-        vectors = [self.get(key) for key in keys]
-        dims = {len(vector) for vector in vectors}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
-        matrix = np.array(vectors, dtype=float)
-        matrix.flags.writeable = False
-        for key, vector, row in zip(keys, vectors, matrix):
-            if vector.base is None:  # the record's own copy, not a row of an earlier result
-                self._vectors[key] = row
-        return matrix
+        return _embedding_matrix(texts, vectors)
 
 
 # transport(url, payload, headers, timeout) -> (status_code, parsed_json)
@@ -620,48 +630,32 @@ class LlmClient:
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """Embed texts, preserving order and chunking to the batch limit.
 
-        Returns one (len(texts), d) float64 array. Each distinct text is
-        digested, looked up or sent, and parsed once per call, straight into
-        the rows of its occurrences, so at most one parsed vector is alive
-        at a time and a repeated text costs one row copy.
+        Returns one (len(texts), d) float64 array (`_embedding_matrix`):
+        each distinct text is digested, looked up or sent, and parsed once
+        per call, straight into the rows of its occurrences.
         """
-        import numpy as np
+        def vectors(distinct: list[str]) -> Iterator[list[float]]:
+            def call(pending: list[int]) -> Iterator[tuple[str, dict]]:
+                batch = self.endpoint.embed_batch_size
+                for start in range(0, len(pending), batch):
+                    chunk = pending[start:start + batch]
+                    body = self._post(EMBEDDING_PATH, {
+                        "model": self.endpoint.model_id,
+                        "input": [distinct[i] for i in chunk],
+                    })
+                    rows = sorted(body["data"], key=lambda row: row.get("index", 0))
+                    if len(rows) != len(chunk):
+                        raise DimensionMismatch(
+                            f"server returned {len(rows)} vectors for {len(chunk)} inputs")
+                    for row in rows:
+                        yield json.dumps(list(row["embedding"])), {}
 
-        if not texts:
-            raise ValueError("embed requires at least one text")
-        rows_of: dict[str, list[int]] = {}
-        for i, text in enumerate(texts):
-            rows_of.setdefault(text, []).append(i)
-        distinct = list(rows_of)
+            responses = self._recorded(
+                ["embed:" + text for text in distinct], call,
+                lambda missing: f"{len(missing)} embedding texts missing from store")
+            return map(json.loads, responses)
 
-        def call(pending: list[int]) -> Iterator[tuple[str, dict]]:
-            batch = self.endpoint.embed_batch_size
-            for start in range(0, len(pending), batch):
-                chunk = pending[start:start + batch]
-                body = self._post(EMBEDDING_PATH, {
-                    "model": self.endpoint.model_id,
-                    "input": [distinct[i] for i in chunk],
-                })
-                rows = sorted(body["data"], key=lambda row: row.get("index", 0))
-                if len(rows) != len(chunk):
-                    raise DimensionMismatch(
-                        f"server returned {len(rows)} vectors for {len(chunk)} inputs")
-                for row in rows:
-                    yield json.dumps(list(row["embedding"])), {}
-
-        responses = self._recorded(
-            ["embed:" + text for text in distinct], call,
-            lambda missing: f"{len(missing)} embedding texts missing from store")
-        matrix = None
-        for rows, response in zip(rows_of.values(), responses):
-            vector = json.loads(response)
-            if matrix is None:
-                matrix = np.empty((len(texts), len(vector)))
-            elif len(vector) != matrix.shape[1]:
-                dims = {len(json.loads(response)) for response in responses}
-                raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
-            matrix[rows] = vector
-        return matrix
+        return _embedding_matrix(texts, vectors)
 
 
 # A line opening on the prompts' completion cue "SELECT", after any quote or

@@ -1065,6 +1065,43 @@ def test_a_lone_surrogate_in_model_output_fails_only_its_questions(mini_bench, t
     assert len(store.read_text(encoding="utf-8").splitlines()) == 10
 
 
+def test_a_lone_surrogate_in_a_few_shot_draft_is_embedded_and_scored(mini_bench, tmp_path):
+    # Curation embeds the zero-shot draft, so its digest takes the
+    # surrogate as well. The embedder sees the text as the wire sends it.
+    store = tmp_path / "store.jsonl"
+
+    def run(name, **settings):
+        cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
+                         output_dir=tmp_path / name, **settings)
+        transport = ScriptedTransport(completion_fn=lambda prompt: " 1 -- \ud800",
+                                      embed_fn=lambda text: hash_embedding(json.dumps(text)))
+        cmd_run(cfg, client=build_client(cfg, transport=transport))
+        return json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))["outcomes"]
+
+    live = run("live")
+    recorded = run("record", replay_store=store, replay_mode="record")
+    assert run("replay", replay_store=store, replay_mode="replay") == recorded == live
+    assert len(live) == 10
+    for outcome in live:
+        assert outcome["predicted_sql"] == "SELECT 1 -- \ud800"
+        assert "pipeline error" not in (outcome["predicted_error"] or "")
+
+
+def test_a_live_run_never_opens_its_replay_store(mini_bench, tmp_path):
+    # Loading this store fails on its middle line.
+    store = tmp_path / "store.jsonl"
+    record = b'{"hash": "%s", "model": "m", "response": " 1"}\n'
+    lines = record % b"a" + b'{"hash": "b", "mod\n' + record % b"c"
+    store.write_bytes(lines)
+    cfg = run_config(mini_bench, tmp_path, replay_store=store, replay_mode="live")
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS, MINI_RESPONSES))
+    cmd_run(cfg, client=build_client(cfg, transport=transport))
+    report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert len(report["outcomes"]) == 10
+    assert store.read_bytes() == lines
+
+
 def test_a_record_run_with_a_warm_embedding_cache_can_be_replayed(mini_bench, tmp_path):
     # The replay store, not the cache, must hold every embedding a recorded
     # run used, or the replay misses them.

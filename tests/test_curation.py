@@ -232,6 +232,20 @@ def test_embedding_cache_avoids_recalls(tmp_path):
     assert third[0].tolist() == first[0].tolist()
 
 
+def test_embedding_cache_sends_a_repeated_missing_text_once(tmp_path):
+    calls = []
+
+    def embed(texts):
+        calls.append(list(texts))
+        return [hash_embedding(t) for t in texts]
+
+    cache = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model", embed)
+    vectors = cache(["alpha", "beta", "alpha"])
+    assert calls == [["alpha", "beta"]]
+    assert vectors.tolist() == [hash_embedding(t) for t in ("alpha", "beta", "alpha")]
+    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_embedding_cache_key_includes_model(tmp_path):
     calls = []
 

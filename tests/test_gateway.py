@@ -386,6 +386,14 @@ def test_embed_preserves_order_and_replays(tmp_path, endpoint):
         replay.embed(["gamma"])
 
 
+def test_prompt_digest_takes_a_lone_surrogate_and_keeps_every_other_digest():
+    assert prompt_digest("embed:Combien de clients à Zürich?", "embed-model") == (
+        "dd83d312ad02f71b082aa3516aebc8093bec0da9680ed7b9d2bf87fb5497d048")
+    surrogate = prompt_digest("SELECT 1 -- \ud800", "m")
+    assert surrogate != prompt_digest("SELECT 1 -- \\ud800", "m")
+    assert surrogate != prompt_digest("SELECT 1 -- \ufffd", "m")
+
+
 def test_embed_sends_each_distinct_text_once(tmp_path, endpoint):
     texts = ["alpha", "beta", "alpha", "gamma", "beta"]
     transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 4))

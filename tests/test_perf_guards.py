@@ -82,7 +82,6 @@ from sqlbench.gateway import (
     LlmEndpoint,
     PooledTransport,
     ReplayStore,
-    prompt_digest,
 )
 from sqlbench.schema import SchemaVariant
 
@@ -699,13 +698,30 @@ def test_a_pool_built_through_the_embedding_cache_retains_arrays_only(tmp_path):
         tracemalloc.stop()
     matrix_bytes = sum(matrix.nbytes for matrix in pool._matrices)
     assert matrix_bytes == 3 * count * dim * 8
-    # The pool's matrices, whose rows the cache keeps its vectors as.
+    # The pool's matrices and the cache's index of line offsets.
     assert retained < 1.5 * matrix_bytes, (retained, matrix_bytes)
-    assert all(np.shares_memory(cache.get(prompt_digest(text, "embed-model")), matrix)
-               for text, matrix in (("question 3?", pool._matrices[0]),
-                                    ("SELECT 3", pool._matrices[2])))
     assert path.read_bytes() == written
     vectors = cache(["question 3?", "SELECT 3"])
     assert vectors.dtype == np.float64 and vectors.shape == (2, dim)
-    assert not vectors.flags.writeable
     assert vectors.tolist() == [pool._matrices[0][3].tolist(), pool._matrices[2][3].tolist()]
+
+
+def test_the_embedding_cache_keeps_no_vector_after_a_call(tmp_path):
+    # Curation embeds a question and its draft per target, each new.
+    calls, dim = 200, 768
+    cache = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model",
+                           lambda texts: np.full((len(texts), dim), 0.25))
+    cache(["warm-up question?", "SELECT 0"])  # opens the file and loads numpy
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(calls):
+            assert cache([f"question {i}?", f"SELECT {i + 1}"]).shape == (2, dim)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 2 * calls + 2
+    # An index entry takes a few hundred bytes; one vector takes 6 KiB.
+    assert retained < 2 * calls * 1024, retained
