@@ -39,7 +39,7 @@ DEFAULT_DIFFICULTY = "simple"
 
 # One probe query per column; a sixth distinct value disqualifies the list.
 _VALUE_PROBE_LIMIT = MAX_SAMPLE_VALUES + 1
-DEFAULT_VALUE_PROBE_TIMEOUT = 5.0
+VALUE_PROBE_TIMEOUT = 5.0  # seconds per column
 
 
 class MissingDatabase(FileNotFoundError):
@@ -134,12 +134,8 @@ def _probe_values(
     conn: sqlite3.Connection,
     table: str,
     column: str,
-    timeout: float,
 ) -> Optional[tuple[str, ...]]:
-    if timeout <= 0:
-        logger.warning("value probe timed out for %s.%s; VALUES skipped", table, column)
-        return None
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + VALUE_PROBE_TIMEOUT
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 1_000)
     try:
         cursor = conn.execute(
@@ -174,22 +170,19 @@ def connect_read_only(path: Path, *, check_same_thread: bool = True) -> sqlite3.
 def introspect_database(
     sqlite_file: Path,
     descriptions: Optional[Mapping[str, Mapping[str, str]]] = None,
-    *,
-    database_id: Optional[str] = None,
-    value_probe_timeout: float = DEFAULT_VALUE_PROBE_TIMEOUT,
 ) -> DatabaseCatalog:
-    """Build a catalog from a SQLite file.
+    """Build a catalog from a SQLite file, named after the file's stem.
 
     Lists every user table (views and sqlite_* internals excluded), records
     declared types mapped onto the six-name vocabulary, primary-key flags,
-    up to five distinct non-NULL sample values per column, and all foreign
-    keys. Column order follows the physical declaration order.
+    up to five distinct non-NULL sample values per column (none when its
+    probe runs past VALUE_PROBE_TIMEOUT), and all foreign keys. Column order
+    follows the physical declaration order.
     """
     sqlite_file = Path(sqlite_file)
     if not sqlite_file.is_file():
         raise MissingDatabase(str(sqlite_file))
     descriptions = descriptions or {}
-    db_id = database_id or sqlite_file.stem
 
     conn = connect_read_only(sqlite_file)
     try:
@@ -211,7 +204,7 @@ def introspect_database(
                     name=col_name,
                     type_name=_normalize_type(declared),
                     description=table_desc.get(col_name) or None,
-                    values=_probe_values(conn, table_name, col_name, value_probe_timeout),
+                    values=_probe_values(conn, table_name, col_name),
                     is_primary_key=bool(pk),
                 ))
             tables.append(TableSpec(table_name, tuple(columns)))
@@ -236,7 +229,7 @@ def introspect_database(
     finally:
         conn.close()
 
-    return DatabaseCatalog(db_id, tuple(tables), tuple(foreign_keys))
+    return DatabaseCatalog(sqlite_file.stem, tuple(tables), tuple(foreign_keys))
 
 
 def _parse_record(raw: dict, position: int) -> TaskInstance:
@@ -285,8 +278,7 @@ def load_split(root_dir: Path, split_name: str) -> BenchmarkSplit:
             if not sqlite_file.is_file():
                 continue
             descriptions = read_description_dir(db_dir / "database_description")
-            catalogs[db_dir.name] = introspect_database(
-                sqlite_file, descriptions, database_id=db_dir.name)
+            catalogs[db_dir.name] = introspect_database(sqlite_file, descriptions)
     return BenchmarkSplit(split_name, instances, catalogs)
 
 

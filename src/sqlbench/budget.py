@@ -165,26 +165,18 @@ def _full_view_sizes(catalog: DatabaseCatalog) -> dict:
     return catalog.derived("full_view_sizes", dict)
 
 
-def prepare_catalog(
-    catalog: DatabaseCatalog,
-    variants: Iterable[SchemaVariant],
-    *,
-    by_question: bool = False,
-    by_sql: bool = False,
-) -> None:
+def prepare_catalog(catalog: DatabaseCatalog, variants: Iterable[SchemaVariant]) -> None:
     """Build ahead of time what the sections of `catalog` read on first use.
 
-    That is the word index `partition_columns` reads for a question
-    (`by_question`) or a reference SQL (`by_sql`), the catalog's compiled
-    schema and the full view's sorted columns and size in each of
-    `variants`. A run prepares each catalog its questions and examples use
-    at set-up, so that the first question on a database builds none of
-    them. Every value is the one a first use would build.
+    That is the two word indexes `partition_columns` reads, for a question
+    and for a reference SQL, the catalog's compiled schema and the full
+    view's sorted columns and size in each of `variants`. A run prepares
+    each catalog its questions and examples use at set-up, so that the
+    first question on a database builds none of them. Every value is the
+    one a first use would build.
     """
-    if by_question:
-        _link_word_index(catalog)
-    if by_sql:
-        _name_index(catalog)
+    _link_word_index(catalog)
+    _name_index(catalog)
     _sorted_columns(catalog)
     names, sizes = _column_names(catalog), _full_view_sizes(catalog)
     for variant in variants:

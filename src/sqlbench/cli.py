@@ -87,7 +87,6 @@ class RunConfig:
     base_url: str = _setting("http://localhost:8000", env="SQLBENCH_BASE_URL", snapshot=None)
     model_id: str = _setting("local-model", flag="--model")
     sampling_temperature: float = 0.001
-    max_response_tokens: int = 200
     chat_style: bool = _setting(False, snapshot=None)
     api_key: Optional[str] = _setting(None, flag=None, env="SQLBENCH_API_KEY", snapshot=None)
     embed_base_url: Optional[str] = _setting(None, env="SQLBENCH_EMBED_BASE_URL", snapshot=None)
@@ -123,7 +122,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         self.budget = TokenBudget(self.max_context, self.response_reserve)
         # Each endpoint checks its base URL; the completion one also checks
-        # sampling_temperature and max_response_tokens.
+        # sampling_temperature.
         self.endpoint()
         self.embed_endpoint()
         if self.shots > 0 and not self.pool_split:
@@ -133,17 +132,20 @@ class RunConfig:
                              "(mode must be 'none' when shots > 0)")
         if self.replay_mode in ("record", "replay") and not self.replay_store:
             raise ValueError(f"replay_mode {self.replay_mode!r} requires a replay store path")
+        if self.replay_mode == "live" and self.replay_store:
+            raise ValueError("replay_mode 'live' reads no replay store")
 
     @property
     def embedding_model_id(self) -> str:
         return self.embed_model_id or self.model_id
 
     def endpoint(self) -> LlmEndpoint:
+        """The completion endpoint; its max_tokens is the response reserve."""
         return LlmEndpoint(
             base_url=self.base_url,
             model_id=self.model_id,
             sampling_temperature=self.sampling_temperature,
-            max_response_tokens=self.max_response_tokens,
+            max_response_tokens=self.response_reserve,
             api_key=self.api_key,
             chat_style=self.chat_style,
         )
@@ -223,9 +225,8 @@ def _client(cfg: RunConfig, endpoint: LlmEndpoint, transport,
             store: Optional[ReplayStore]) -> LlmClient:
     """A client over `transport`, else over a new PooledTransport unless it
     only replays: a replay client sends nothing, so it gets no transport
-    and its run never loads the network modules. Only a record or replay
-    client opens the replay store; a live one never reads it."""
-    if store is None and cfg.replay_store and cfg.replay_mode != "live":
+    and its run never loads the network modules."""
+    if store is None and cfg.replay_store:
         store = ReplayStore(cfg.replay_store)
     if transport is None and cfg.replay_mode != "replay":
         transport = PooledTransport()
@@ -283,9 +284,8 @@ def _prepare_catalogs(cfg: RunConfig, split: BenchmarkSplit,
     variants = (cfg.variant,) if cfg.mode == MODE_NONE else STEP_VARIANTS
     questions = {i.database_id: split.databases[i.database_id] for i in split.instances}
     examples = {c.instance.database_id: c.catalog for c in pool.candidates} if pool else {}
-    for database_id, catalog in {**questions, **examples}.items():
-        prepare_catalog(catalog, variants, by_question=database_id in questions,
-                        by_sql=database_id in examples)
+    for catalog in {**questions, **examples}.values():
+        prepare_catalog(catalog, variants)
 
 
 def _curate(

@@ -48,6 +48,9 @@ COMPLETION_PATH = "/v1/completions"
 CHAT_PATH = "/v1/chat/completions"
 EMBEDDING_PATH = "/v1/embeddings"
 MAX_RETRIES = 3
+RETRY_BACKOFF = 0.5  # seconds, doubled after each retry
+REQUEST_TIMEOUT = 60.0  # seconds
+EMBED_BATCH_SIZE = 64  # texts per request
 
 
 class EndpointUnreachable(ConnectionError):
@@ -75,10 +78,8 @@ class LlmEndpoint:
     model_id: str
     sampling_temperature: float = 0.001
     max_response_tokens: int = 200
-    timeout: float = 60.0
     api_key: Optional[str] = None
     chat_style: bool = False
-    embed_batch_size: int = 64
 
     def __post_init__(self) -> None:
         if self.sampling_temperature < 0:
@@ -528,7 +529,6 @@ class LlmClient:
         mode: str = "live",
         store: Optional[ReplayStore] = None,
         transport: Optional[Transport] = _http_transport,
-        backoff: float = 0.5,
     ):
         if mode not in REPLAY_MODES:
             raise ValueError(f"unknown client mode {mode!r}")
@@ -540,7 +540,6 @@ class LlmClient:
         self.mode = mode
         self.store = store
         self.transport = transport
-        self.backoff = backoff
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -556,18 +555,17 @@ class LlmClient:
         for attempt in range(MAX_RETRIES):
             try:
                 status, body = self.transport(
-                    url, payload, self._headers(), self.endpoint.timeout)
+                    url, payload, self._headers(), REQUEST_TIMEOUT)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
-                if attempt < MAX_RETRIES - 1 and self.backoff:
-                    time.sleep(self.backoff * 2 ** attempt)
+                if attempt < MAX_RETRIES - 1:
+                    time.sleep(RETRY_BACKOFF * 2 ** attempt)
                 continue
             if 200 <= status < 300:
                 return body
             if status in _RETRYABLE_STATUSES and attempt < MAX_RETRIES - 1:
                 last_error = HttpStatusError(status, json.dumps(body))
-                if self.backoff:
-                    time.sleep(self.backoff * 2 ** attempt)
+                time.sleep(RETRY_BACKOFF * 2 ** attempt)
                 continue
             raise HttpStatusError(status, json.dumps(body))
         if isinstance(last_error, HttpStatusError):
@@ -578,33 +576,36 @@ class LlmClient:
     def _recorded(
         self,
         keys: Sequence[str],
-        call: Callable[[list[int]], Iterator[tuple[str, dict]]],
+        call: Callable[[list[int]], Iterator[tuple]],
         miss: Callable[[list[str]], str],
-    ) -> list[str]:
-        """The response text for each of the distinct `keys` (the texts their
-        digests are taken of).
+        dump: Callable = lambda response: response,
+        load: Callable = lambda stored: stored,
+    ) -> Iterator:
+        """The response for each of the distinct `keys` (the texts their
+        digests are taken of), in order.
 
-        The store serves what it holds unless the mode is live. Replay mode
-        raises ReplayMiss(miss(missing digests)) for the rest; otherwise
-        `call(indexes)` is given the missing indexes and yields a (response,
-        usage) per index in order, and record mode stores each as it
-        arrives.
+        The store serves what it holds, as `load(stored)`, unless the mode
+        is live. Replay mode raises ReplayMiss(miss(missing digests)) for the
+        rest; otherwise `call(indexes)` is given the missing indexes and
+        yields a (response, usage) per index in order, and record mode
+        stores `dump(response)` as each arrives.
         """
         model = self.endpoint.model_id
         digests = [prompt_digest(key, model) for key in keys]
         found = [self.store.get(digest) if self.store is not None and self.mode != "live"
                  else None for digest in digests]
-        responses = [record and record.response for record in found]
         pending = [i for i, record in enumerate(found) if record is None]
         if pending and self.mode == "replay":
             raise ReplayMiss(miss([digests[i] for i in pending]))
+        fresh = {}
         for i, (response, usage) in zip(pending, call(pending)):
-            responses[i] = response
+            fresh[i] = response
             if self.mode == "record":
                 self.store.put(CompletionRecord(
-                    digests[i], model, response, int(usage.get("prompt_tokens", 0)),
+                    digests[i], model, dump(response), int(usage.get("prompt_tokens", 0)),
                     int(usage.get("completion_tokens", 0))))
-        return responses
+        return (fresh[i] if record is None else load(record.response)
+                for i, record in enumerate(found))
 
     def complete(self, prompt) -> str:
         """Return the raw model text for a prompt (str or PromptBundle)."""
@@ -631,14 +632,14 @@ class LlmClient:
         """Embed texts, preserving order and chunking to the batch limit.
 
         Returns one (len(texts), d) float64 array (`_embedding_matrix`):
-        each distinct text is digested, looked up or sent, and parsed once
-        per call, straight into the rows of its occurrences.
+        each distinct text is digested, looked up or sent once per call,
+        straight into the rows of its occurrences. Only a stored vector is
+        parsed, and only a recorded one serialized.
         """
-        def vectors(distinct: list[str]) -> Iterator[list[float]]:
-            def call(pending: list[int]) -> Iterator[tuple[str, dict]]:
-                batch = self.endpoint.embed_batch_size
-                for start in range(0, len(pending), batch):
-                    chunk = pending[start:start + batch]
+        def vectors(distinct: list[str]) -> Iterator[Sequence[float]]:
+            def call(pending: list[int]) -> Iterator[tuple]:
+                for start in range(0, len(pending), EMBED_BATCH_SIZE):
+                    chunk = pending[start:start + EMBED_BATCH_SIZE]
                     body = self._post(EMBEDDING_PATH, {
                         "model": self.endpoint.model_id,
                         "input": [distinct[i] for i in chunk],
@@ -648,12 +649,12 @@ class LlmClient:
                         raise DimensionMismatch(
                             f"server returned {len(rows)} vectors for {len(chunk)} inputs")
                     for row in rows:
-                        yield json.dumps(list(row["embedding"])), {}
+                        yield row["embedding"], {}
 
-            responses = self._recorded(
+            return self._recorded(
                 ["embed:" + text for text in distinct], call,
-                lambda missing: f"{len(missing)} embedding texts missing from store")
-            return map(json.loads, responses)
+                lambda missing: f"{len(missing)} embedding texts missing from store",
+                dump=lambda vector: json.dumps(list(vector)), load=json.loads)
 
         return _embedding_matrix(texts, vectors)
 

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import sqlite3
 
 import pytest
 
-from conftest import MINI_QUESTIONS, make_cinema_db, make_continent_db, make_school_db, write_benchmark
+import sqlbench.bench as bench
+from conftest import MINI_QUESTIONS, make_cinema_db, make_continent_db, write_benchmark
 from sqlbench.bench import (
     MalformedRecord,
     MetadataDecodeError,
@@ -251,12 +253,20 @@ def test_every_fk_references_existing_columns(mini_bench):
             assert (fk.ref_table, fk.ref_column) in columns
 
 
-def test_value_probe_timeout_skips_values(tmp_path, caplog):
-    db = make_school_db(tmp_path / "schools.sqlite")
-    catalog = introspect_database(db, value_probe_timeout=-1.0)
-    for table in catalog.tables:
-        for column in table.columns:
-            assert column.values is None
+def test_value_probe_timeout_skips_values(tmp_path, monkeypatch, caplog):
+    # The probe of an all-NULL column scans every row, so with no time left
+    # the progress handler interrupts it.
+    db = tmp_path / "notes.sqlite"
+    with contextlib.closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE notes (body TEXT)")
+        conn.executemany("INSERT INTO notes VALUES (?)", [(None,)] * 5_000)
+        conn.commit()
+    monkeypatch.setattr(bench, "VALUE_PROBE_TIMEOUT", 0.0)
+    with caplog.at_level(logging.WARNING, logger="sqlbench.bench"):
+        catalog = introspect_database(db)
+    assert catalog.database_id == "notes"
+    assert [(c.name, c.values) for c in catalog.tables[0].columns] == [("body", None)]
+    assert "value probe timed out for notes.body; VALUES skipped" in caplog.text
 
 
 @pytest.mark.parametrize("dirname", ["d#x", "q?x", "p%20y", "s pace"])

@@ -173,7 +173,7 @@ def test_a_prepared_catalog_holds_what_its_first_sections_would_build(movie_cata
     fresh = DatabaseCatalog(
         movie_catalog.database_id, movie_catalog.tables, movie_catalog.foreign_keys)
     variants = (SchemaVariant.C_A, SchemaVariant.C_D)
-    prepare_catalog(movie_catalog, variants, by_question=True, by_sql=True)
+    prepare_catalog(movie_catalog, variants)
     keys, sizes = set(movie_catalog._derived), dict(movie_catalog._derived["full_view_sizes"])
     built = []
     for catalog in (movie_catalog, fresh):

@@ -65,9 +65,11 @@ def test_config_file_env_flag_precedence(tmp_path, monkeypatch):
 
 def test_config_rejects_unknown_keys(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"no_such_option": 1}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_config(config)
+    # max_response_tokens is no setting: a request's max_tokens is response_reserve.
+    for key in ("no_such_option", "max_response_tokens"):
+        config.write_text(json.dumps({key: 1}), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+            load_config(config)
 
 
 def test_config_validation_rules(tmp_path):
@@ -102,7 +104,6 @@ _COMMON_FLAGS = [
     (["--base-url"], "base_url", None, None, None, None),
     (["--model"], "model_id", None, None, None, None),
     (["--sampling-temperature"], "sampling_temperature", float, None, None, None),
-    (["--max-response-tokens"], "max_response_tokens", int, None, None, None),
     (["--chat-style"], "chat_style", None, None, True, None),
     (["--embed-base-url"], "embed_base_url", None, None, None, None),
     (["--embed-model"], "embed_model_id", None, None, None, None),
@@ -155,7 +156,7 @@ def test_parser_flags_are_those_of_the_hand_written_parser():
         assert all(isinstance(a, argparse._StoreConstAction) == (a.const is not None)
                    for a in actions), name
     assert _PARSER_FLAGS["run"] == _COMMON_FLAGS
-    assert sum(map(len, _READS.values())) == 60  # (command, setting flag) pairs
+    assert sum(map(len, _READS.values())) == 58  # (command, setting flag) pairs
 
 
 @pytest.mark.parametrize("command", list(_PARSER_FLAGS))
@@ -194,7 +195,9 @@ def test_a_flag_the_command_does_not_read_exits_2(mini_bench, tmp_path, capsys,
     ["prep-sft", "--mode", "cot-sk-pred"],
     ["report", "r.json", "--config", "c.json"],
     ["--config", "c.json", "report", "r.json"],
-], ids=["ingest-check", "prep-sft", "report-config-after", "report-config-before"])
+    ["run", "--max-response-tokens", "5"],  # no command has it: --response-reserve sets it
+], ids=["ingest-check", "prep-sft", "report-config-after", "report-config-before",
+        "run-max-response-tokens"])
 def test_an_unread_flag_is_reported_with_the_commands_usage(capsys, argv):
     command = next(arg for arg in argv if arg in _PARSER_FLAGS)
     with pytest.raises(SystemExit) as exited:
@@ -285,7 +288,7 @@ def test_snapshot_records_the_reproducible_settings_only():
         "benchmark_root": ".", "split": "dev", "variant": "C_VDT", "mode": "none",
         "shots": 0, "pool_split": None, "max_context": 2048, "response_reserve": 200,
         "temperature": 1, "truncation_seed": 0, "model_id": "local-model",
-        "sampling_temperature": 0.001, "max_response_tokens": 200,
+        "sampling_temperature": 0.001,
         "embedding_model_id": "embedder", "replay_store": "store.jsonl",
         "replay_mode": "replay", "query_timeout": 30.0,
     }
@@ -300,7 +303,7 @@ def test_snapshot_records_the_reproducible_settings_only():
     ("max_context", "2048"),   # a string for an int
     ("workers", 2.0),          # a float for an int
     ("chat_style", "false"),   # a string for a bool
-    ("max_response_tokens", True),  # a bool for an int
+    ("response_reserve", True),  # a bool for an int
     ("split", None),           # None for a setting that is not Optional
     ("replay_mode", "replya"),  # outside the choices
     ("variant", "C_X"),
@@ -316,7 +319,6 @@ def test_config_file_values_are_checked_by_type_and_choices(tmp_path, key, value
     ("temperature", 0.0),
     ("workers", 0),
     ("query_timeout", 0.0),
-    ("max_response_tokens", 0),
     ("sampling_temperature", -0.1),
     ("response_reserve", 0),  # TokenBudget's check, at config time
 ])
@@ -1088,18 +1090,28 @@ def test_a_lone_surrogate_in_a_few_shot_draft_is_embedded_and_scored(mini_bench,
 
 
 def test_a_live_run_never_opens_its_replay_store(mini_bench, tmp_path):
-    # Loading this store fails on its middle line.
+    # A live run reads no store, so naming one is refused before anything is
+    # loaded, sent or written; the report never names a store it did not use.
     store = tmp_path / "store.jsonl"
     record = b'{"hash": "%s", "model": "m", "response": " 1"}\n'
     lines = record % b"a" + b'{"hash": "b", "mod\n' + record % b"c"
     store.write_bytes(lines)
-    cfg = run_config(mini_bench, tmp_path, replay_store=store, replay_mode="live")
+    with pytest.raises(ValueError, match="replay_mode 'live' reads no replay store"):
+        run_config(mini_bench, tmp_path, replay_store=store, replay_mode="live")
+    for command in ("run", "curate"):
+        assert main([command, "--benchmark-root", str(mini_bench), "--split", "dev",
+                     "--pool-split", "train", "--replay-store", str(store),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    assert store.read_bytes() == lines
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_asks_the_model_for_at_most_its_response_reserve(mini_bench, tmp_path):
+    cfg = run_config(mini_bench, tmp_path, response_reserve=50)
     transport = ScriptedTransport(
         completion_fn=completion_by_question(MINI_QUESTIONS, MINI_RESPONSES))
     cmd_run(cfg, client=build_client(cfg, transport=transport))
-    report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
-    assert len(report["outcomes"]) == 10
-    assert store.read_bytes() == lines
+    assert [r["payload"]["max_tokens"] for r in transport.requests] == [50] * 10
 
 
 def test_a_record_run_with_a_warm_embedding_cache_can_be_replayed(mini_bench, tmp_path):

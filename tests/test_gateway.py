@@ -48,6 +48,11 @@ def endpoint():
     return LlmEndpoint(base_url="http://fake:8000", model_id="test-model")
 
 
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(gateway, "RETRY_BACKOFF", 0.0)
+
+
 def test_endpoint_defaults_match_run_settings(endpoint):
     assert endpoint.sampling_temperature == 0.001
     assert endpoint.max_response_tokens == 200
@@ -341,24 +346,27 @@ def test_two_processes_append_to_one_store(tmp_path):
     assert len(ReplayStore(path)) == 2001
 
 
-def test_unreachable_after_retries(endpoint):
+def test_unreachable_after_retries(endpoint, monkeypatch):
     def transport(url, payload, headers, timeout):
         raise ConnectionError("down")
 
-    client = LlmClient(endpoint, transport=transport, backoff=0.0)
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    client = LlmClient(endpoint, transport=transport)
     with pytest.raises(EndpointUnreachable):
         client.complete("p")
+    assert sleeps == [gateway.RETRY_BACKOFF, 2 * gateway.RETRY_BACKOFF] == [0.5, 1.0]
 
 
 def test_http_error_surfaces_status(endpoint):
     transport = ScriptedTransport(completion_fn=lambda p: "x", status=404)
-    client = LlmClient(endpoint, transport=transport, backoff=0.0)
+    client = LlmClient(endpoint, transport=transport)
     with pytest.raises(HttpStatusError) as err:
         client.complete("p")
     assert err.value.status == 404
 
 
-def test_retryable_status_then_success(endpoint):
+def test_retryable_status_then_success(endpoint, no_backoff):
     attempts = []
 
     def transport(url, payload, headers, timeout):
@@ -367,7 +375,7 @@ def test_retryable_status_then_success(endpoint):
             return 503, {"error": "busy"}
         return 200, {"choices": [{"text": "done"}], "usage": {}}
 
-    client = LlmClient(endpoint, transport=transport, backoff=0.0)
+    client = LlmClient(endpoint, transport=transport)
     assert client.complete("p") == "done"
     assert len(attempts) == 3
 
@@ -442,16 +450,39 @@ def test_embed_digests_and_parses_each_distinct_text_once(tmp_path, endpoint, mo
     monkeypatch.setattr(gateway, "prompt_digest",
                         lambda text, model: digested.append(text) or prompt_digest(text, model))
     matrix = client.embed(texts)
-    # Each distinct text's vector is parsed once; a replay also parses its
-    # store line (bytes), once.
+    # A replay parses each distinct text's store line (bytes) and then its
+    # vector, once each; a live call parses nothing.
     vector_parses = [text for text in parsed if isinstance(text, str)]
-    assert vector_parses == responses[:2]
+    assert vector_parses == (responses[:2] if mode == "replay" else [])
     assert len(parsed) - len(vector_parses) == (2 if mode == "replay" else 0)
     assert digested == ["embed:a", "embed:b"]
     # Bit for bit the matrix of a row-by-row parse of every occurrence.
     reference = np.array([json.loads(response) for response in responses], dtype=float)
     assert matrix.dtype == np.float64 and matrix.shape == (3, 6)
     assert matrix.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_embed_serializes_a_vector_only_to_store_it(tmp_path, endpoint, monkeypatch, mode):
+    import numpy as np
+
+    texts = ["a", "b", "a"]
+    transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 6))
+    store = ReplayStore(tmp_path / "store.jsonl") if mode == "record" else None
+    client = LlmClient(endpoint, mode=mode, store=store, transport=transport)
+    calls = []
+    monkeypatch.setattr(gateway, "json", SimpleNamespace(
+        dumps=lambda value, **kw: calls.append(("dumps", value)) or json.dumps(value, **kw),
+        loads=lambda text: calls.append(("loads", text)) or json.loads(text)))
+    matrix = client.embed(texts)
+    assert matrix.tobytes() == np.array([hash_embedding(t, 6) for t in texts]).tobytes()
+    # Record mode serializes each distinct vector once, into its store line
+    # (the other dumps); a live call serializes and parses nothing.
+    vectors = [value for kind, value in calls if kind == "dumps" and isinstance(value, list)]
+    lines = [value for kind, value in calls if kind == "dumps" and isinstance(value, dict)]
+    assert vectors == ([hash_embedding(t, 6) for t in "ab"] if mode == "record" else [])
+    assert len(lines) == (2 if mode == "record" else 0)
+    assert len(calls) == len(vectors) + len(lines)
 
 
 def test_embed_rejects_a_ragged_stored_vector_at_replay(tmp_path, endpoint):
@@ -471,7 +502,7 @@ def test_embed_rejects_empty_input(endpoint):
         client.embed([])
 
 
-def test_embed_chunks_to_batch_limit():
+def test_embed_chunks_to_batch_limit(monkeypatch):
     chunk_sizes = []
 
     def transport(url, payload, headers, timeout):
@@ -480,8 +511,8 @@ def test_embed_chunks_to_batch_limit():
             {"index": i, "embedding": [0.1, 0.2]} for i in range(len(payload["input"]))
         ]}
 
-    endpoint = LlmEndpoint("http://fake", "m", embed_batch_size=16)
-    client = LlmClient(endpoint, transport=transport)
+    monkeypatch.setattr(gateway, "EMBED_BATCH_SIZE", 16)
+    client = LlmClient(LlmEndpoint("http://fake", "m"), transport=transport)
     vectors = client.embed([f"text {i}" for i in range(100)])
     assert len(vectors) == 100
     assert chunk_sizes == [16, 16, 16, 16, 16, 16, 4]
@@ -563,7 +594,7 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
-def test_pooled_transport_does_not_resend_on_a_refused_connection(monkeypatch):
+def test_pooled_transport_does_not_resend_on_a_refused_connection(monkeypatch, no_backoff):
     port = _free_port()
     connects = Counter()
     connect = http.client.HTTPConnection.connect
@@ -574,7 +605,7 @@ def test_pooled_transport_does_not_resend_on_a_refused_connection(monkeypatch):
 
     monkeypatch.setattr(http.client.HTTPConnection, "connect", spy)
     client = LlmClient(LlmEndpoint(f"http://127.0.0.1:{port}", "m"),
-                       transport=PooledTransport(), backoff=0.0)
+                       transport=PooledTransport())
     with pytest.raises(EndpointUnreachable):
         client.complete("p")
     assert connects["connect"] == MAX_RETRIES
@@ -702,7 +733,7 @@ def test_pooled_transport_sends_absolute_form_through_an_http_proxy(clean_enviro
     assert request["headers"]["Host"] == "proxied.test:8000"
 
 
-def test_pooled_transport_tunnels_https_through_a_proxy(clean_environment):
+def test_pooled_transport_tunnels_https_through_a_proxy(clean_environment, no_backoff):
     tunnels = []
     set_tunnel = http.client.HTTPConnection.set_tunnel
 
@@ -714,7 +745,7 @@ def test_pooled_transport_tunnels_https_through_a_proxy(clean_environment):
     with counting_server(ScriptedTransport(completion_fn=str.upper)) as proxy:
         clean_environment.setenv("HTTPS_PROXY", proxy.base_url)
         client = LlmClient(LlmEndpoint("https://tunnelled.test:8443", "m"),
-                           transport=PooledTransport(), backoff=0.0)
+                           transport=PooledTransport())
         # The test server answers CONNECT with 501, so no tunnel opens.
         with pytest.raises(EndpointUnreachable, match="Tunnel connection failed"):
             client.complete("p")
@@ -750,9 +781,11 @@ def test_pooled_transport_reopens_after_a_read_timeout_part_way(clean_environmen
 
     server = threading.Thread(target=serve, daemon=True)
     server.start()
+    clean_environment.setattr(gateway, "REQUEST_TIMEOUT", 0.3)
+    clean_environment.setattr(gateway, "RETRY_BACKOFF", 0.0)
     transport = PooledTransport()
-    client = LlmClient(LlmEndpoint(f"http://127.0.0.1:{listener.getsockname()[1]}", "m",
-                                   timeout=0.3), transport=transport, backoff=0.0)
+    client = LlmClient(LlmEndpoint(f"http://127.0.0.1:{listener.getsockname()[1]}", "m"),
+                       transport=transport)
     try:
         assert client.complete("p") == "P"
     finally:

@@ -618,7 +618,7 @@ modules = json.loads(sys.argv[1])
 import sqlbench.cli as cli
 loaded = lambda: sorted(name for name in modules if name in sys.modules)
 imported = loaded()
-cfg = cli.RunConfig(replay_mode=sys.argv[2], replay_store=sys.argv[3])
+cfg = cli.RunConfig(replay_mode=sys.argv[2], replay_store=sys.argv[3] or None)
 client = cli.build_client(cfg)
 print(json.dumps({"imported": imported, "built": loaded(),
                   "transport": type(client.transport).__name__}))
@@ -627,8 +627,9 @@ print(json.dumps({"imported": imported, "built": loaded(),
 
 @pytest.mark.parametrize("mode", ["live", "record", "replay"])
 def test_a_client_loads_the_network_stack_when_built_only_if_it_can_send(tmp_path, mode):
+    # A live run takes no store.
     result = _fresh_interpreter(_BUILD_CLIENT, json.dumps(_NETWORK), mode,
-                                str(tmp_path / "store.jsonl"))
+                                "" if mode == "live" else str(tmp_path / "store.jsonl"))
     sends = mode != "replay"
     assert result == {"imported": [], "built": sorted(_NETWORK) if sends else [],
                       "transport": "PooledTransport" if sends else "NoneType"}
