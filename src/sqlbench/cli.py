@@ -24,6 +24,8 @@ from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
 from .bench import BenchmarkSplit, TaskInstance, database_path, load_questions, load_split
 from .budget import (
+    DEFAULT_MAX_CONTEXT,
+    DEFAULT_RESPONSE_RESERVE,
     PromptSection,
     TokenBudget,
     TruncationRecord,
@@ -34,10 +36,15 @@ from .budget import (
 )
 from .cot import ALL_MODES, MODE_NONE, STEP_VARIANTS, CotTrace, run_cot
 from .curation import EmbeddingFn, ExamplePool, SimilarityTriple, build_pool, curate_top_k
-from .evaluate import DatabaseConnections, EvalOutcome, aggregate, execute_and_compare
+from .evaluate import (
+    DEFAULT_QUERY_TIMEOUT,
+    DatabaseConnections,
+    EvalOutcome,
+    aggregate,
+    execute_and_compare,
+)
 from .gateway import (
     REPLAY_MODES,
-    EmbeddingCache,
     LlmClient,
     LlmEndpoint,
     PooledTransport,
@@ -80,13 +87,13 @@ class RunConfig:
     mode: str = _setting(MODE_NONE, choices=ALL_MODES)
     shots: int = 0
     pool_split: Optional[str] = None
-    max_context: int = 2048
-    response_reserve: int = 200
+    max_context: int = DEFAULT_MAX_CONTEXT
+    response_reserve: int = DEFAULT_RESPONSE_RESERVE
     temperature: float = _setting(1.0, help="softmax temperature for example truncation rates")
     truncation_seed: int = _setting(0, flag="--seed")
     base_url: str = _setting("http://localhost:8000", env="SQLBENCH_BASE_URL", snapshot=None)
     model_id: str = _setting("local-model", flag="--model")
-    sampling_temperature: float = 0.001
+    sampling_temperature: float = LlmEndpoint.sampling_temperature
     chat_style: bool = _setting(False, snapshot=None)
     api_key: Optional[str] = _setting(None, flag=None, env="SQLBENCH_API_KEY", snapshot=None)
     embed_base_url: Optional[str] = _setting(None, env="SQLBENCH_EMBED_BASE_URL", snapshot=None)
@@ -96,10 +103,9 @@ class RunConfig:
         None, flag=None, env="SQLBENCH_EMBED_API_KEY", snapshot=None)
     replay_store: Optional[Path] = None
     replay_mode: str = _setting("live", choices=REPLAY_MODES)
-    embedding_cache: Optional[Path] = _setting(None, snapshot=None)
     output_dir: Path = _setting(Path("out"), snapshot=None)
     workers: int = _setting(1, snapshot=None)
-    query_timeout: float = 30.0
+    query_timeout: float = DEFAULT_QUERY_TIMEOUT
 
     def __post_init__(self) -> None:
         for setting, kind, optional, choices in _SETTINGS:
@@ -212,8 +218,11 @@ def load_config(
 def _check_reads(cfg: RunConfig, command: str) -> None:
     """Reject each setting the snapshot records that `command` does not read
     and that differs from its default, whatever its source. Deployment
-    settings (not recorded) pass for every command."""
+    settings (not recorded) pass for every command. A run that does not
+    curate (no shots) reads none of the settings only curation reads."""
     summary, reads, _ = _COMMANDS[command]
+    if command == "run" and cfg.shots == 0:
+        reads = reads - _CURATION
     unread = [f"{_flag(s)} {_plain(getattr(cfg, s.name))}" for s, *_ in _SETTINGS
               if s.name not in reads and s.metadata.get("snapshot", s.name) is not None
               and getattr(cfg, s.name) != s.default]
@@ -257,24 +266,13 @@ def _zero_shot_bundle(
         variant=cfg.variant)
 
 
-def _load_pool(
-    cfg: RunConfig,
-    split: BenchmarkSplit,
-    embed_client: LlmClient,
-) -> tuple[ExamplePool, EmbeddingFn]:
-    """Embed the pool split's candidates over `split`'s catalogs. Returns the
-    pool and the embedding function: the client's, or in a live run the
-    embedding cache over it. Record and replay runs keep their embeddings in
-    the replay store, as they keep their completions."""
+def _load_pool(cfg: RunConfig, split: BenchmarkSplit, embed: EmbeddingFn) -> ExamplePool:
+    """Embed the pool split's candidates over `split`'s catalogs."""
     pool_split = BenchmarkSplit(
         cfg.pool_split, load_questions(cfg.benchmark_root, cfg.pool_split), split.databases)
-    embed = embed_client.embed
-    if cfg.embedding_cache and cfg.replay_mode == "live":
-        embed = EmbeddingCache(cfg.embedding_cache, cfg.embedding_model_id, embed)
-    pool = build_pool(
+    return build_pool(
         [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
         cfg.variant, embed)
-    return pool, embed
 
 
 def _prepare_catalogs(cfg: RunConfig, split: BenchmarkSplit,
@@ -451,6 +449,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     into `traces.jsonl` after the report is written. A replay miss stops
     the run before anything is written to the output directory: pending
     questions are cancelled and the miss is raised."""
+    _check_reads(cfg, "run")
     split = load_split(cfg.benchmark_root, cfg.split)
     owned = client is None
     client = client or build_client(cfg)
@@ -459,9 +458,9 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
         try:
             pool = embed = None
             if cfg.shots > 0:
-                embed_client = embed_client or build_embed_client(
-                    cfg, store=client.store, transport=client.transport)
-                pool, embed = _load_pool(cfg, split, embed_client)
+                embed = (embed_client or build_embed_client(
+                    cfg, store=client.store, transport=client.transport)).embed
+                pool = _load_pool(cfg, split, embed)
             _prepare_catalogs(cfg, split, pool)
             databases = sorted({database_path(cfg.benchmark_root, i.database_id)
                                 for i in split.instances})
@@ -626,9 +625,9 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     owned = client is None
     client = client or build_client(cfg)
     try:
-        embed_client = embed_client or build_embed_client(
-            cfg, store=client.store, transport=client.transport)
-        pool, embed = _load_pool(cfg, split, embed_client)
+        embed = (embed_client or build_embed_client(
+            cfg, store=client.store, transport=client.transport)).embed
+        pool = _load_pool(cfg, split, embed)
         rows = []
         for instance in split.instances:
             catalog = split.databases[instance.database_id]
@@ -678,6 +677,7 @@ def cmd_report(report_file: Path) -> None:
 
 
 _WHERE = {"benchmark_root", "split"}
+_CURATION = {"pool_split", "temperature", "embed_model_id"}  # read only to curate
 _PROMPT = _WHERE | {"variant", "max_context", "response_reserve", "truncation_seed"}
 
 # Each subcommand: (summary, the settings it reads, function). Its parser has

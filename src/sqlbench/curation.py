@@ -49,7 +49,7 @@ class DimensionMismatch(ValueError):
 
 
 # texts -> one vector per text, in order: an (n, d) float64 array, as
-# LlmClient.embed and EmbeddingCache return, or equal-length float sequences.
+# LlmClient.embed returns, or equal-length float sequences.
 EmbeddingFn = Callable[[Sequence[str]], "np.ndarray | Sequence[Sequence[float]]"]
 
 

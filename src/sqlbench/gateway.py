@@ -5,10 +5,10 @@ max_tokens}) against an open-model-server style route, because prompts end
 mid-statement on a cue; chat-message wrapping is available behind a flag
 for servers without a raw completion route.
 
-Every stored model call goes through one append-only JSONL digest store:
-the replay store maps a prompt digest to the recorded response, which makes
-whole pipeline runs bit-deterministic and testable offline, and the
-embedding cache maps a text digest to its vector across runs.
+Every stored model call, completion or embedding, goes through one
+append-only JSONL replay store that maps a prompt digest to the recorded
+response, which makes whole pipeline runs bit-deterministic and testable
+offline; a record run into one store keeps its embeddings across runs.
 
 The network modules (`http.client`, `ssl`, `urllib.request`, `netrc`,
 `base64`, and with them `email` and `socket`) are imported where a request
@@ -31,10 +31,10 @@ import time
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
-from .curation import DimensionMismatch, EmbeddingFn
+from .curation import DimensionMismatch
 
 if TYPE_CHECKING:
     import http.client
@@ -114,18 +114,23 @@ def prompt_digest(prompt_text: str, model_id: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-class DigestStore:
-    """Append-only JSONL file of records keyed by their "hash" digest.
+def _completion_record(raw: dict) -> CompletionRecord:
+    return CompletionRecord(raw["hash"], raw["model"], raw["response"],
+                            raw.get("prompt_tokens", 0), raw.get("completion_tokens", 0))
 
-    Subclasses define `_decode(line dict) -> value` and `_encode(digest,
-    value) -> line dict`. Loading parses and decodes every line, but keeps
-    only where each digest's first line lies (its offset and length), so a
-    store costs memory per digest, not per stored byte. `get` reads that
-    line again (`os.pread` on the descriptor opened at load, which a
-    finalizer closes), parses it, and raises ReplayMiss unless it still
-    holds the digest asked for: a file rewritten or cut since load fails
-    loudly and never yields another record. A file renamed over the path
-    is not seen, since the descriptor keeps the loaded file.
+
+class ReplayStore:
+    """Append-only JSONL file of completion records keyed by their digest,
+    one {hash, model, response, prompt_tokens, completion_tokens} line each.
+
+    Loading parses and checks every line, but keeps only where each
+    digest's first line lies (its offset and length), so a store costs
+    memory per digest, not per stored byte. `get` reads that line again
+    (`os.pread` on the descriptor opened at load, which a finalizer
+    closes), parses it, and raises ReplayMiss unless it still holds the
+    digest asked for: a file rewritten or cut since load fails loudly and
+    never yields another record. A file renamed over the path is not seen,
+    since the descriptor keeps the loaded file.
 
     Reads are lock-free; appends are serialized under one lock, so a run's
     threads never interleave their lines. A last line without its newline
@@ -167,7 +172,7 @@ class DigestStore:
                                        self.path, len(line))
                         cut = start
                         continue
-                    self._decode(raw)  # checks the line; the value is not kept
+                    _completion_record(raw)  # checks the line; the record is not kept
                     self._index.setdefault(raw["hash"], (start, len(line)))
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
@@ -178,19 +183,19 @@ class DigestStore:
         self._fd = fd
         weakref.finalize(self, os.close, fd)
 
-    def _append(self, items: Iterable[tuple[str, Any]]) -> None:
-        """Append each (digest, value) whose digest is new in one write, then
-        index the lines written. The tail found at load is mended unless the
-        file has grown since, because its last line is then no longer last."""
+    def put(self, record: CompletionRecord) -> None:
+        """Append `record` unless its digest is stored, then index its line.
+        The tail found at load is mended unless the file has grown since,
+        because its last line is then no longer last."""
         with self._lock:
-            lines: dict[str, bytes] = {}
-            for digest, value in items:
-                if digest not in self._index and digest not in lines:
-                    # A lone surrogate is written as its JSON escape.
-                    lines[digest] = (json.dumps(self._encode(digest, value), ensure_ascii=False)
-                                     + "\n").encode("utf-8", "backslashreplace")
-            if not lines:
+            if record.digest in self._index:
                 return
+            # A lone surrogate is written as its JSON escape.
+            line = (json.dumps({"hash": record.digest, "model": record.model,
+                                "response": record.response,
+                                "prompt_tokens": record.prompt_tokens,
+                                "completion_tokens": record.completion_tokens},
+                               ensure_ascii=False) + "\n").encode("utf-8", "backslashreplace")
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)  # released when the handle closes
@@ -201,18 +206,15 @@ class DigestStore:
                     handle.truncate(cut)
                     offset, mend = cut, (b"\n" if cut == end else b"")
                 self._tail = None
-                handle.write(mend + b"".join(lines.values()))
+                handle.write(mend + line)
                 if self._fd is None:
                     self._keep_open(os.open(self.path, os.O_RDONLY))
             # Indexed once the handle has flushed, so a reader never meets a
             # digest whose line is not in the file yet.
-            offset += len(mend)
-            for digest, line in lines.items():
-                self._index[digest] = (offset, len(line))
-                offset += len(line)
+            self._index[record.digest] = (offset + len(mend), len(line))
 
-    def get(self, digest: str) -> Any:
-        """The value stored under `digest`, read from its line; None if absent."""
+    def get(self, digest: str) -> Optional[CompletionRecord]:
+        """The record stored under `digest`, read from its line; None if absent."""
         where = self._index.get(digest)
         if where is None:
             return None
@@ -224,99 +226,13 @@ class DigestStore:
         if not isinstance(raw, dict) or raw.get("hash") != digest:
             raise ReplayMiss(f"{self.path}: the line of digest {digest[:16]} at byte "
                              f"{where[0]} has changed since the store was loaded")
-        return self._decode(raw)
+        return _completion_record(raw)
 
     def __len__(self) -> int:
         return len(self._index)
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._index
-
-
-class ReplayStore(DigestStore):
-    """Completion records, one {hash, model, response, prompt_tokens,
-    completion_tokens} line each."""
-
-    def _decode(self, raw: dict) -> CompletionRecord:
-        return CompletionRecord(raw["hash"], raw["model"], raw["response"],
-                                raw.get("prompt_tokens", 0), raw.get("completion_tokens", 0))
-
-    def _encode(self, digest: str, record: CompletionRecord) -> dict:
-        return {"hash": digest, "model": record.model, "response": record.response,
-                "prompt_tokens": record.prompt_tokens,
-                "completion_tokens": record.completion_tokens}
-
-    def put(self, record: CompletionRecord) -> None:
-        self._append([(record.digest, record)])
-
-
-def _embedding_matrix(texts: Sequence[str],
-                      vectors: Callable[[list[str]], Iterable[Sequence[float]]]) -> np.ndarray:
-    """One (len(texts), d) float64 array of the vectors of `texts`.
-
-    `vectors(distinct)` is given the call's distinct texts in first-occurrence
-    order and returns one vector per text, in that order; each is copied
-    straight into the rows of its text's occurrences, so one vector is alive
-    at a time. Raises DimensionMismatch, naming every length, if they differ.
-    """
-    import numpy as np
-
-    if not texts:
-        raise ValueError("embed requires at least one text")
-    rows_of: dict[str, list[int]] = {}
-    for i, text in enumerate(texts):
-        rows_of.setdefault(text, []).append(i)
-    matrix = None
-    dims = set()
-    for rows, vector in zip(rows_of.values(), vectors(list(rows_of))):
-        if matrix is None:
-            matrix = np.empty((len(texts), len(vector)))
-        if len(vector) == matrix.shape[1]:
-            matrix[rows] = vector
-        dims.add(len(vector))
-    if len(dims) > 1:
-        raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
-    return matrix
-
-
-class EmbeddingCache(DigestStore):
-    """An EmbeddingFn that calls `embed` only for texts it has not seen.
-
-    Vectors are kept on disk keyed by (text, embedding model id), one
-    {hash, dim, vector} line each, so reruns do not re-bill the embedding
-    endpoint. In memory the cache keeps only its index of line offsets, as
-    the replay store does. A call returns one (n, d) float64 array, as
-    `LlmClient.embed` does: each missing distinct text is sent once to
-    `embed` and its line appended in first-occurrence order, then each
-    distinct text's vector is read once from its line straight into its
-    rows. No vector is kept once the call returns.
-    """
-
-    def __init__(self, path: Path, model_id: str, embed: EmbeddingFn):
-        self.model_id = model_id
-        self.embed = embed
-        super().__init__(path)
-
-    def _decode(self, raw: dict) -> list[float]:
-        return [float(x) for x in raw["vector"]]
-
-    def _encode(self, digest: str, vector: Sequence[float]) -> dict:
-        values = [float(x) for x in vector]
-        return {"hash": digest, "dim": len(values), "vector": values}
-
-    def __call__(self, texts: Sequence[str]) -> np.ndarray:
-        def vectors(distinct: list[str]) -> Iterator[list[float]]:
-            keys = [prompt_digest(text, self.model_id) for text in distinct]
-            missing = [i for i, key in enumerate(keys) if key not in self]
-            if missing:
-                fresh = self.embed([distinct[i] for i in missing])
-                if len(fresh) != len(missing):
-                    raise DimensionMismatch(
-                        f"embedder returned {len(fresh)} vectors for {len(missing)} texts")
-                self._append(zip([keys[i] for i in missing], fresh))
-            return map(self.get, keys)
-
-        return _embedding_matrix(texts, vectors)
 
 
 # transport(url, payload, headers, timeout) -> (status_code, parsed_json)
@@ -631,32 +547,50 @@ class LlmClient:
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """Embed texts, preserving order and chunking to the batch limit.
 
-        Returns one (len(texts), d) float64 array (`_embedding_matrix`):
-        each distinct text is digested, looked up or sent once per call,
+        Returns one (len(texts), d) float64 array: each distinct text is
+        digested, looked up or sent once per call, and its vector copied
         straight into the rows of its occurrences. Only a stored vector is
-        parsed, and only a recorded one serialized.
+        parsed, and only a recorded one serialized. Raises DimensionMismatch,
+        naming every length, if the vectors' lengths differ.
         """
-        def vectors(distinct: list[str]) -> Iterator[Sequence[float]]:
-            def call(pending: list[int]) -> Iterator[tuple]:
-                for start in range(0, len(pending), EMBED_BATCH_SIZE):
-                    chunk = pending[start:start + EMBED_BATCH_SIZE]
-                    body = self._post(EMBEDDING_PATH, {
-                        "model": self.endpoint.model_id,
-                        "input": [distinct[i] for i in chunk],
-                    })
-                    rows = sorted(body["data"], key=lambda row: row.get("index", 0))
-                    if len(rows) != len(chunk):
-                        raise DimensionMismatch(
-                            f"server returned {len(rows)} vectors for {len(chunk)} inputs")
-                    for row in rows:
-                        yield row["embedding"], {}
+        import numpy as np
 
-            return self._recorded(
-                ["embed:" + text for text in distinct], call,
-                lambda missing: f"{len(missing)} embedding texts missing from store",
-                dump=lambda vector: json.dumps(list(vector)), load=json.loads)
+        if not texts:
+            raise ValueError("embed requires at least one text")
+        rows_of: dict[str, list[int]] = {}
+        for i, text in enumerate(texts):
+            rows_of.setdefault(text, []).append(i)
+        distinct = list(rows_of)
 
-        return _embedding_matrix(texts, vectors)
+        def call(pending: list[int]) -> Iterator[tuple]:
+            for start in range(0, len(pending), EMBED_BATCH_SIZE):
+                chunk = pending[start:start + EMBED_BATCH_SIZE]
+                body = self._post(EMBEDDING_PATH, {
+                    "model": self.endpoint.model_id,
+                    "input": [distinct[i] for i in chunk],
+                })
+                rows = sorted(body["data"], key=lambda row: row.get("index", 0))
+                if len(rows) != len(chunk):
+                    raise DimensionMismatch(
+                        f"server returned {len(rows)} vectors for {len(chunk)} inputs")
+                for row in rows:
+                    yield row["embedding"], {}
+
+        vectors = self._recorded(
+            ["embed:" + text for text in distinct], call,
+            lambda missing: f"{len(missing)} embedding texts missing from store",
+            dump=lambda vector: json.dumps(list(vector)), load=json.loads)
+        matrix = None
+        dims = set()
+        for rows, vector in zip(rows_of.values(), vectors):
+            if matrix is None:
+                matrix = np.empty((len(texts), len(vector)))
+            if len(vector) == matrix.shape[1]:
+                matrix[rows] = vector
+            dims.add(len(vector))
+        if len(dims) > 1:
+            raise DimensionMismatch(f"ragged embedding dimensions: {sorted(dims)}")
+        return matrix
 
 
 # A line opening on the prompts' completion cue "SELECT", after any quote or

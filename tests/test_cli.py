@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import tempfile
@@ -66,7 +65,8 @@ def test_config_file_env_flag_precedence(tmp_path, monkeypatch):
 def test_config_rejects_unknown_keys(tmp_path):
     config = tmp_path / "cfg.json"
     # max_response_tokens is no setting: a request's max_tokens is response_reserve.
-    for key in ("no_such_option", "max_response_tokens"):
+    # embedding_cache is none either: a record run keeps embeddings in its store.
+    for key in ("no_such_option", "max_response_tokens", "embedding_cache"):
         config.write_text(json.dumps({key: 1}), encoding="utf-8")
         with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
             load_config(config)
@@ -109,7 +109,6 @@ _COMMON_FLAGS = [
     (["--embed-model"], "embed_model_id", None, None, None, None),
     (["--replay-store"], "replay_store", Path, None, None, None),
     (["--replay-mode"], "replay_mode", None, ["live", "record", "replay"], None, None),
-    (["--embedding-cache"], "embedding_cache", Path, None, None, None),
     (["--output-dir"], "output_dir", Path, None, None, None),
     (["--workers"], "workers", int, None, None, None),
     (["--query-timeout"], "query_timeout", float, None, None, None),
@@ -156,7 +155,7 @@ def test_parser_flags_are_those_of_the_hand_written_parser():
         assert all(isinstance(a, argparse._StoreConstAction) == (a.const is not None)
                    for a in actions), name
     assert _PARSER_FLAGS["run"] == _COMMON_FLAGS
-    assert sum(map(len, _READS.values())) == 58  # (command, setting flag) pairs
+    assert sum(map(len, _READS.values())) == 56  # (command, setting flag) pairs
 
 
 @pytest.mark.parametrize("command", list(_PARSER_FLAGS))
@@ -196,8 +195,10 @@ def test_a_flag_the_command_does_not_read_exits_2(mini_bench, tmp_path, capsys,
     ["report", "r.json", "--config", "c.json"],
     ["--config", "c.json", "report", "r.json"],
     ["run", "--max-response-tokens", "5"],  # no command has it: --response-reserve sets it
+    ["run", "--embedding-cache", "e.jsonl"],  # nor this: record into one replay store
+    ["curate", "--embedding-cache", "e.jsonl"],
 ], ids=["ingest-check", "prep-sft", "report-config-after", "report-config-before",
-        "run-max-response-tokens"])
+        "run-max-response-tokens", "run-embedding-cache", "curate-embedding-cache"])
 def test_an_unread_flag_is_reported_with_the_commands_usage(capsys, argv):
     command = next(arg for arg in argv if arg in _PARSER_FLAGS)
     with pytest.raises(SystemExit) as exited:
@@ -239,9 +240,8 @@ def test_a_config_of_deployment_settings_suits_every_command(mini_bench, tmp_pat
     replay_config = _record_few_shot_store(mini_bench, tmp_path)
     cfg = replay_config("out")
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({
-        **_DEPLOYMENT, "output_dir": str(cfg.output_dir),
-        "embedding_cache": str(tmp_path / "cache.jsonl")}), encoding="utf-8")
+    config.write_text(json.dumps({**_DEPLOYMENT, "output_dir": str(cfg.output_dir)}),
+                      encoding="utf-8")
     command, *rest = argv
     replay = (["--replay-store", str(cfg.replay_store), "--replay-mode", "replay"]
               if command in ("curate", "run") else [])
@@ -270,6 +270,22 @@ def test_a_library_value_the_command_does_not_read_is_rejected(mini_bench, tmp_p
         command(run_config(mini_bench, tmp_path, **settings))
     assert named in str(exited.value.code)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"pool_split": "train"}, "--pool-split train"),
+    ({"temperature": 2.0}, "--temperature 2.0"),
+    ({"embed_model_id": "e"}, "--embed-model e"),
+], ids=["pool-split", "temperature", "embed-model"])
+def test_a_run_without_shots_rejects_what_only_curation_reads(mini_bench, tmp_path,
+                                                              settings, named):
+    cfg = run_config(mini_bench, tmp_path, **settings)
+    client, transport = zero_shot_client(cfg)
+    with pytest.raises(SystemExit) as exited:
+        cmd_run(cfg, client=client)
+    assert str(exited.value.code) == f"run (evaluate a split end to end) cannot apply {named}"
+    assert not transport.requests
+    assert not cfg.output_dir.exists()
 
 
 def test_a_value_at_its_default_passes_whatever_its_source(mini_bench, tmp_path):
@@ -991,15 +1007,12 @@ def test_failed_prep_sft_keeps_the_previous_file(mini_bench, tmp_path, monkeypat
     assert [path.name for path in cfg.output_dir.iterdir()] == [out_path.name]
 
 
-# sha256 of the embedding cache a cached curate or 2-shot run over mini_bench
-# writes: the on-disk {hash, dim, vector} format must not change.
-EMBEDDING_CACHE_SHA256 = "7f734f487c8cc31c8a3368795549ab6637108d486eb1c12c55c1938867d873ea"
-
-
 @pytest.mark.parametrize("command, output", [(cmd_curate, "curation.json"),
                                              (cmd_run, "report.json")])
-def test_embedding_cache_serves_a_rerun(mini_bench, tmp_path, command, output):
-    cache = tmp_path / "embeddings.jsonl"
+def test_a_record_run_into_one_store_serves_a_rerun(mini_bench, tmp_path, command, output):
+    # The store keeps the embeddings and completions across runs, so a second
+    # record run sends nothing and writes what a live run writes.
+    store = tmp_path / "store.jsonl"
 
     def run(name, **settings):
         cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
@@ -1011,18 +1024,22 @@ def test_embedding_cache_serves_a_rerun(mini_bench, tmp_path, command, output):
         out_path = command(cfg, client=build_client(cfg, transport=transport),
                            embed_client=build_embed_client(cfg, transport=transport))
         assert out_path.name == output
-        embed_calls = sum("embeddings" in request["url"] for request in transport.requests)
-        return out_path.read_bytes(), embed_calls
+        return out_path.read_bytes(), len(transport.requests)
 
-    uncached, uncached_calls = run("uncached")
-    first, first_calls = run("first", embedding_cache=cache)
-    written = cache.read_bytes()
-    second, second_calls = run("second", embedding_cache=cache)
-    assert first_calls == uncached_calls > 0
-    assert second_calls == 0
-    assert uncached == first == second
-    assert cache.read_bytes() == written
-    assert hashlib.sha256(written).hexdigest() == EMBEDDING_CACHE_SHA256
+    live, live_requests = run("live")
+    first, first_requests = run("first", replay_store=store, replay_mode="record")
+    written = store.read_bytes()
+    second, second_requests = run("second", replay_store=store, replay_mode="record")
+    assert first_requests == live_requests > 0
+    assert second_requests == 0
+    assert store.read_bytes() == written
+    if command is cmd_run:  # the snapshot names the store and the replay mode
+        config = json.loads(first)["config"]
+        assert {key for key, value in json.loads(live)["config"].items()
+                if config[key] != value} == {"replay_store", "replay_mode"}
+        live = (json.dumps({**json.loads(live), "config": config}, indent=2, sort_keys=True)
+                + "\n").encode("utf-8")
+    assert live == first == second
 
 
 def test_few_shot_run_survives_underflowed_truncation_rates(mini_bench, tmp_path):
@@ -1112,27 +1129,3 @@ def test_a_run_asks_the_model_for_at_most_its_response_reserve(mini_bench, tmp_p
         completion_fn=completion_by_question(MINI_QUESTIONS, MINI_RESPONSES))
     cmd_run(cfg, client=build_client(cfg, transport=transport))
     assert [r["payload"]["max_tokens"] for r in transport.requests] == [50] * 10
-
-
-def test_a_record_run_with_a_warm_embedding_cache_can_be_replayed(mini_bench, tmp_path):
-    # The replay store, not the cache, must hold every embedding a recorded
-    # run used, or the replay misses them.
-    cache, store = tmp_path / "embeddings.jsonl", tmp_path / "store.jsonl"
-
-    def run(name, **settings):
-        cfg = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
-                         output_dir=tmp_path / name, **settings)
-        transport = ScriptedTransport(
-            completion_fn=completion_by_question(
-                MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
-            embed_fn=hash_embedding)
-        cmd_run(cfg, client=build_client(cfg, transport=transport),
-                embed_client=build_embed_client(cfg, transport=transport))
-        report = json.loads((cfg.output_dir / "report.json").read_text(encoding="utf-8"))
-        return report["outcomes"], (cfg.output_dir / "traces.jsonl").read_bytes()
-
-    warm = run("warm", embedding_cache=cache)
-    warmed = cache.read_bytes()
-    recorded = run("record", embedding_cache=cache, replay_store=store, replay_mode="record")
-    assert cache.read_bytes() == warmed
-    assert run("replay", replay_store=store, replay_mode="replay") == recorded == warm

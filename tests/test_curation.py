@@ -22,7 +22,6 @@ from sqlbench.curation import (
     score_candidates,
     select_top_k,
 )
-from sqlbench.gateway import EmbeddingCache
 from sqlbench.schema import ColumnSpec, DatabaseCatalog, SchemaVariant, TableSpec, render_schema
 
 
@@ -211,53 +210,6 @@ def test_pool_rejects_ragged_dimensions():
         ))
 
 
-def test_embedding_cache_avoids_recalls(tmp_path):
-    calls = []
-
-    def embed(texts):
-        calls.append(list(texts))
-        return [hash_embedding(t) for t in texts]
-
-    cache = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model", embed)
-    first = cache(["alpha", "beta"])
-    second = cache(["beta", "gamma"])
-    assert len(calls) == 2
-    assert calls[1] == ["gamma"]  # beta served from cache
-    assert first[1].tolist() == second[0].tolist()
-
-    # a fresh cache instance reloads from disk, so no further calls
-    reloaded = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model", embed)
-    third = reloaded(["alpha", "gamma"])
-    assert len(calls) == 2
-    assert third[0].tolist() == first[0].tolist()
-
-
-def test_embedding_cache_sends_a_repeated_missing_text_once(tmp_path):
-    calls = []
-
-    def embed(texts):
-        calls.append(list(texts))
-        return [hash_embedding(t) for t in texts]
-
-    cache = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model", embed)
-    vectors = cache(["alpha", "beta", "alpha"])
-    assert calls == [["alpha", "beta"]]
-    assert vectors.tolist() == [hash_embedding(t) for t in ("alpha", "beta", "alpha")]
-    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 2
-
-
-def test_embedding_cache_key_includes_model(tmp_path):
-    calls = []
-
-    def embed(texts):
-        calls.append(list(texts))
-        return [hash_embedding(t) for t in texts]
-
-    EmbeddingCache(tmp_path / "c.jsonl", "model-a", embed)(["x"])
-    EmbeddingCache(tmp_path / "c.jsonl", "model-b", embed)(["x"])
-    assert len(calls) == 2
-
-
 def test_score_candidates_matches_brute_force_recompute():
     rng = np.random.default_rng(7)
     n = 50
@@ -344,44 +296,6 @@ def test_scoring_errors_fire_for_scored_candidates_only():
         score(ExamplePool((candidate(1, "db_other", zero), candidate(2, "db_other", unit))))
     with pytest.raises(DimensionMismatch):
         score(pool, target_vec=(1.0, 0.0))
-
-
-def test_embedding_cache_skips_a_torn_last_line(tmp_path, caplog):
-    path = tmp_path / "cache.jsonl"
-    calls = []
-
-    def embed(texts):
-        calls.append(list(texts))
-        return [hash_embedding(t) for t in texts]
-
-    EmbeddingCache(path, "m", embed)(["alpha"])
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"hash": "beef", "dim": 8, "vector": [0.1, 0.')  # a crash cut it short
-    with caplog.at_level("WARNING"):
-        cache = EmbeddingCache(path, "m", embed)
-    assert "torn last line" in caplog.text
-    cache(["alpha"])
-    assert len(calls) == 1  # alpha still served from disk
-    cache(["beta"])  # the next append starts a fresh line
-    reloaded = EmbeddingCache(path, "m", embed)
-    reloaded(["alpha", "beta"])
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("corrupt", [
-    '{"hash": "beef", "dim"\n{"hash": "f00d", "dim": 1, "vector": [1.0]}\n',
-    '{"hash": "beef", "dim"\n',  # a whole, newline-terminated line is not torn
-])
-def test_embedding_cache_rejects_a_corrupt_line_elsewhere(tmp_path, corrupt):
-    path = tmp_path / "cache.jsonl"
-    def embed(texts):
-        return [hash_embedding(t) for t in texts]
-
-    EmbeddingCache(path, "m", embed)(["alpha"])
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(corrupt)
-    with pytest.raises(ValueError):
-        EmbeddingCache(path, "m", embed)
 
 
 def _outcome(fn, *args):

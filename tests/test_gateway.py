@@ -392,6 +392,11 @@ def test_embed_preserves_order_and_replays(tmp_path, endpoint):
     assert replay.embed(["alpha", "beta"]).tolist() == vectors
     with pytest.raises(ReplayMiss):
         replay.embed(["gamma"])
+    # A digest takes the embedding model id: another model's store misses.
+    other = LlmClient(LlmEndpoint(endpoint.base_url, "other-model"), mode="replay",
+                      store=ReplayStore(tmp_path / "store.jsonl"))
+    with pytest.raises(ReplayMiss, match="2 embedding texts missing from store"):
+        other.embed(["alpha", "beta"])
 
 
 def test_prompt_digest_takes_a_lone_surrogate_and_keeps_every_other_digest():

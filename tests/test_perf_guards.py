@@ -22,8 +22,7 @@ requests. A replay run never loads the network modules (`http.client`,
 `ssl`, `urllib.request`, `netrc`); a client that can send loads them when
 it is built. An example pool built from replayed embeddings retains little
 more than its three vector matrices, which its candidates' vectors are
-views of, and one built through the embedding cache retains only those,
-which the cache keeps its vectors as rows of. A run builds each catalog's
+views of. A run builds each catalog's
 word indexes, column order and full-view size, and opens each worker's
 database connections, before the first question and never inside one.
 These counts repeat exactly, so a regression shows here without timing
@@ -77,7 +76,6 @@ from sqlbench.bench import load_split
 from sqlbench.budget import TokenBudget, count_tokens
 from sqlbench.cli import RunConfig, build_client, build_embed_client, cmd_curate, cmd_run
 from sqlbench.gateway import (
-    EmbeddingCache,
     LlmClient,
     LlmEndpoint,
     PooledTransport,
@@ -673,56 +671,3 @@ def test_a_replayed_pool_retains_only_its_matrices(tmp_path):
                 (candidate.question_vec, candidate.schema_vec, candidate.sql_vec), pool._matrices):
             assert np.shares_memory(vector, matrix)
             assert vector.tolist() == matrix[i].tolist()
-
-
-def test_a_pool_built_through_the_embedding_cache_retains_arrays_only(tmp_path):
-    count, dim = 200, 384
-    candidates = [(_candidate(i, f"db_{i % 10}", f"question {i}?", f"SELECT {i}"),
-                   _tiny_catalog(f"db_{i % 10}")) for i in range(count)]
-    path = tmp_path / "cache.jsonl"
-    curation.build_pool(candidates, SchemaVariant.C_N, EmbeddingCache(
-        path, "embed-model", lambda texts: [hash_embedding(t, dim) for t in texts]))
-    written = path.read_bytes()
-
-    def embed(texts):
-        raise AssertionError("every vector is cached")
-
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        cache = EmbeddingCache(path, "embed-model", embed)
-        pool = curation.build_pool(candidates, SchemaVariant.C_N, cache)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    matrix_bytes = sum(matrix.nbytes for matrix in pool._matrices)
-    assert matrix_bytes == 3 * count * dim * 8
-    # The pool's matrices and the cache's index of line offsets.
-    assert retained < 1.5 * matrix_bytes, (retained, matrix_bytes)
-    assert path.read_bytes() == written
-    vectors = cache(["question 3?", "SELECT 3"])
-    assert vectors.dtype == np.float64 and vectors.shape == (2, dim)
-    assert vectors.tolist() == [pool._matrices[0][3].tolist(), pool._matrices[2][3].tolist()]
-
-
-def test_the_embedding_cache_keeps_no_vector_after_a_call(tmp_path):
-    # Curation embeds a question and its draft per target, each new.
-    calls, dim = 200, 768
-    cache = EmbeddingCache(tmp_path / "cache.jsonl", "embed-model",
-                           lambda texts: np.full((len(texts), dim), 0.25))
-    cache(["warm-up question?", "SELECT 0"])  # opens the file and loads numpy
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for i in range(calls):
-            assert cache([f"question {i}?", f"SELECT {i + 1}"]).shape == (2, dim)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(cache) == 2 * calls + 2
-    # An index entry takes a few hundred bytes; one vector takes 6 KiB.
-    assert retained < 2 * calls * 1024, retained
