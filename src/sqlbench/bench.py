@@ -232,12 +232,14 @@ def introspect_database(
     return DatabaseCatalog(sqlite_file.stem, tuple(tables), tuple(foreign_keys))
 
 
-def _parse_record(raw: dict, position: int) -> TaskInstance:
+def _parse_record(raw: object, position: int) -> TaskInstance:
+    if not isinstance(raw, dict):
+        raise MalformedRecord(f"record {position}: expected a JSON object")
     for key in ("question", "SQL", "db_id"):
         if key not in raw:
             raise MalformedRecord(f"record {position}: missing field {key!r}")
     question_id = raw.get("question_id", position)
-    if not isinstance(question_id, int):
+    if not isinstance(question_id, int) or isinstance(question_id, bool):
         raise MalformedRecord(f"record {position}: question_id must be an integer")
     return TaskInstance(
         question_id=question_id,

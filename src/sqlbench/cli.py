@@ -598,7 +598,9 @@ def cmd_ingest_check(cfg: RunConfig) -> None:
 
 
 def cmd_build_prompt(cfg: RunConfig, question_id: int, out: Optional[Path] = None) -> str:
-    """Print, or write to `out`, the question's budgeted zero-shot prompt."""
+    """Print, or write to `out`, the question's budgeted zero-shot prompt;
+    a lone surrogate, which a question's JSON `\\ud800` escape yields, is
+    written as that escape."""
     _check_reads(cfg, "build-prompt")
     split = load_split(cfg.benchmark_root, cfg.split)
     instance = next(
@@ -607,11 +609,12 @@ def cmd_build_prompt(cfg: RunConfig, question_id: int, out: Optional[Path] = Non
         raise SystemExit(f"question_id {question_id} not in split {cfg.split!r}")
     catalog = split.databases[instance.database_id]
     bundle = _zero_shot_bundle(cfg, instance, question_section(instance, catalog))
+    text = bundle.text.encode("utf-8", "backslashreplace").decode("utf-8")
     if out:
-        out.write_text(bundle.text, encoding="utf-8")
+        out.write_text(text, encoding="utf-8")
         print(f"wrote {bundle.token_count}-token prompt to {out}")
     else:
-        print(bundle.text)
+        print(text)
     return bundle.text
 
 

@@ -6,10 +6,11 @@ schema, and the target's draft SQL vs the candidate's gold SQL. The top-k
 by average similarity are kept and emitted in ascending order, so the most
 similar example sits last, nearest the target block.
 
-An embedding is a float64 array from the moment it is parsed: `build_pool`
-takes the embedding function's one (3N, d) result and keeps the pool's
-question, schema and SQL vectors as three (N, d) matrices, whose rows every
-`PoolCandidate` holds as views.
+An embedding is a float64 array from the moment it is parsed. An
+`ExamplePool` is built from its N candidates and their 3N question, schema
+and SQL vectors, interleaved per candidate as `build_pool`'s one embedding
+call returns them, and it alone keeps those vectors, as three (N, d)
+matrices.
 
 `curate_top_k` finds that top-k in two passes: a screen of the whole pool
 with three matrix-vector products over those matrices, then an exact
@@ -23,8 +24,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import InitVar, dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bench import TaskInstance
 from .budget import PromptSection, partition_columns
@@ -89,37 +90,20 @@ class SimilarityTriple:
 
 @dataclass(frozen=True)
 class PoolCandidate:
-    """A pool example and its question, schema and SQL vectors. In a pool,
-    the vectors are row views of the pool's matrices. They take no part in
-    comparison or hashing, which arrays do not support."""
+    """A pool example: its question and gold SQL, and its database's catalog."""
 
     instance: TaskInstance
     catalog: DatabaseCatalog
-    question_vec: np.ndarray | Sequence[float] = field(compare=False)
-    schema_vec: np.ndarray | Sequence[float] = field(compare=False)
-    sql_vec: np.ndarray | Sequence[float] = field(compare=False)
 
 
-_VECTOR_FIELDS = ("question_vec", "schema_vec", "sql_vec")
-
-
-def _split_matrices(vectors: np.ndarray | Sequence[Sequence[float]],
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interleaved question, schema and SQL vectors, 3N of them, as the
-    three (N, d) float64 matrices of their every third row from 0, 1 and 2:
-    views of `vectors` itself when it is a (3N, d) float64 array."""
-    import numpy as np
-
-    dims = {len(vector) for vector in vectors}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"pool embeddings have mixed dimensions: {sorted(dims)}")
-    stacked = np.asarray(vectors, dtype=float).reshape(len(vectors), dims.pop() if dims else 0)
-    return stacked[0::3], stacked[1::3], stacked[2::3]
-
-
-@dataclass(frozen=True)
 class ExamplePool:
     """The embedded example candidates of a run.
+
+    `vectors` holds each candidate's question, schema and SQL vectors in
+    turn, 3N in all, as `build_pool`'s embedding call returns them. The pool
+    keeps them once, as three (N, d) float64 matrices of every third row from
+    0, 1 and 2 (views of `vectors` itself when it is a (3N, d) float64
+    array), with their rows' L2 norms as one (3, N) array.
 
     Beside `_schema_vectors`, the pool keeps two caches that questions fill
     on first use, not `build_pool`: `_scored`, the candidates scored for a
@@ -129,41 +113,30 @@ class ExamplePool:
     workers race, either store may win.
     """
 
-    candidates: tuple[PoolCandidate, ...]
-    variant: SchemaVariant = SchemaVariant.C_VDT
-    # The (N, d) float64 matrices whose rows are the candidates' question,
-    # schema and SQL vectors, as build_pool passes them. Without them the
-    # pool stacks its candidates' vectors, as for a pool built by hand.
-    matrices: InitVar[Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
-    # Those matrices, and their rows' L2 norms as one (3, N) array.
-    _matrices: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
-    _norms: np.ndarray = field(init=False, repr=False, compare=False)
-    # Rendered schema text -> its vector, filled by build_pool and by each
-    # target schema embedded, so a run embeds each distinct schema once.
-    _schema_vectors: dict[str, Vector] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _scored: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _sections: dict[int, PromptSection] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self, matrices) -> None:
+    def __init__(self, candidates: Sequence[PoolCandidate],
+                 vectors: np.ndarray | Sequence[Sequence[float]],
+                 variant: SchemaVariant = SchemaVariant.C_VDT) -> None:
         import numpy as np
 
-        candidates = tuple(self.candidates)
-        if matrices is None:
-            matrices = _split_matrices(
-                [getattr(cand, name) for cand in candidates for name in _VECTOR_FIELDS])
-            candidates = tuple(
-                replace(cand, **{name: matrix[i] for name, matrix in zip(_VECTOR_FIELDS, matrices)})
-                for i, cand in enumerate(candidates))
+        self.candidates = tuple(candidates)
+        self.variant = variant
+        if len(vectors) != 3 * len(self.candidates):
+            raise ValueError(f"{len(self.candidates)} pool candidates need "
+                             f"{3 * len(self.candidates)} vectors, got {len(vectors)}")
+        dims = {len(vector) for vector in vectors}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"pool embeddings have mixed dimensions: {sorted(dims)}")
+        stacked = np.asarray(vectors, dtype=float).reshape(len(vectors), dims.pop() if dims else 0)
+        self._matrices = stacked[0::3], stacked[1::3], stacked[2::3]
         # Row by row, as _vector computes each norm, so the bits agree.
-        norms = np.array([[np.linalg.norm(row) for row in matrix] for matrix in matrices],
-                         dtype=float).reshape(3, len(candidates))
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "_matrices", matrices)
-        object.__setattr__(self, "_norms", norms)
+        self._norms = np.array(
+            [[np.linalg.norm(row) for row in matrix] for matrix in self._matrices],
+            dtype=float).reshape(3, len(self.candidates))
+        # Rendered schema text -> its vector, filled by build_pool and by each
+        # target schema embedded, so a run embeds each distinct schema once.
+        self._schema_vectors: dict[str, Vector] = {}
+        self._scored: dict[str, tuple[int, ...]] = {}
+        self._sections: dict[int, PromptSection] = {}
 
     def section(self, index: int) -> PromptSection:
         """Candidate `index`'s example section, its catalog partitioned by
@@ -188,8 +161,8 @@ def build_pool(
     variant: SchemaVariant,
     embed: EmbeddingFn,
 ) -> ExamplePool:
-    """Embed question, rendered schema and gold SQL for every candidate.
-    The pool's matrices are views of the one (3N, d) array `embed` returns."""
+    """Embed question, rendered schema and gold SQL for every candidate, in
+    one call whose result the pool keeps."""
     texts: list[str] = []
     for instance, catalog in candidates:
         texts.extend((
@@ -197,11 +170,9 @@ def build_pool(
             _schema_text(catalog, variant),
             instance.gold_sql,
         ))
-    matrices = _split_matrices(embed(texts))
-    pool = ExamplePool(tuple(
-        PoolCandidate(instance, catalog, *(matrix[i] for matrix in matrices))
-        for i, (instance, catalog) in enumerate(candidates)), variant, matrices)
-    for i, (vector, norm) in enumerate(zip(matrices[1], pool._norms[1])):
+    pool = ExamplePool([PoolCandidate(instance, catalog) for instance, catalog in candidates],
+                       embed(texts), variant)
+    for i, (vector, norm) in enumerate(zip(pool._matrices[1], pool._norms[1])):
         pool._schema_vectors.setdefault(texts[3 * i + 1], (vector, float(norm)))
     return pool
 

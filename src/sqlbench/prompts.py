@@ -360,11 +360,13 @@ def write_sft_jsonl(
     path: Path,
 ) -> None:
     """Write the pairs to a temporary file beside `path` and move it into
-    place after the last one, so a failure leaves a previous file whole."""
+    place after the last one, so a failure leaves a previous file whole.
+    A lone surrogate, which a question's JSON `\\ud800` escape yields, is
+    written as that escape."""
     path = Path(path)
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "w", encoding="utf-8") as handle:
+        with open(partial, "w", encoding="utf-8", errors="backslashreplace") as handle:
             for pair in pairs:
                 handle.write(json.dumps(
                     {"prompt": pair.prompt, "completion": pair.completion},

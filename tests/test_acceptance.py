@@ -201,11 +201,11 @@ def test_criterion_3_curation_oracle():
         candidates = tuple(
             PoolCandidate(
                 TaskInstance(i, f"q {i}?", "", f"SELECT {i}", f"db_{i}"),
-                catalog_for(f"db_{i}"),
-                tuple(matrix[i, 0]), tuple(matrix[i, 1]), tuple(matrix[i, 2]))
+                catalog_for(f"db_{i}"))
             for i in range(size)
         )
-        pool = ExamplePool(candidates, SchemaVariant.C_N)
+        # Each candidate's question, schema and SQL vectors in turn.
+        pool = ExamplePool(candidates, matrix[:size].reshape(3 * size, dim), SchemaVariant.C_N)
         target = TaskInstance(10_000, "target?", "", "", "db_target")
         target_vectors = [matrix[size, 0], matrix[size, 1], matrix[size, 2]]
 
@@ -228,15 +228,9 @@ def test_criterion_3_curation_oracle():
         if trial % 25 == 0 and size > 1:
             # positive per-vector rescaling must not change the selection
             scales = rng.uniform(0.1, 40.0, size=size + 1)
-            scaled_candidates = tuple(
-                PoolCandidate(
-                    c.instance, c.catalog,
-                    tuple(np.asarray(c.question_vec) * scales[i]),
-                    tuple(np.asarray(c.schema_vec) * scales[i]),
-                    tuple(np.asarray(c.sql_vec) * scales[i]))
-                for i, c in enumerate(candidates)
-            )
-            scaled_pool = ExamplePool(scaled_candidates, SchemaVariant.C_N)
+            scaled_pool = ExamplePool(
+                candidates, (matrix[:size] * scales[:size, None, None]).reshape(3 * size, dim),
+                SchemaVariant.C_N)
             scaled_triples = score_candidates(
                 target, catalog_for("db_target"), "SELECT 0", scaled_pool,
                 embed_from([v * scales[size] for v in target_vectors]))

@@ -58,6 +58,23 @@ def test_malformed_record_raises(tmp_path):
         load_split(root, "dev")
 
 
+_RECORD = {"question_id": 0, "question": "How many movies are there?", "evidence": "",
+           "SQL": "SELECT COUNT(*) FROM movies", "db_id": "cinema"}
+
+
+@pytest.mark.parametrize("record, message", [
+    ([_RECORD], "record 1: expected a JSON object"),
+    ("How many movies are there?", "record 1: expected a JSON object"),
+    (7, "record 1: expected a JSON object"),
+    ({**_RECORD, "question_id": True}, "record 1: question_id must be an integer"),
+], ids=["list", "string", "int", "boolean-question-id"])
+def test_a_malformed_record_is_named_by_its_position(tmp_path, record, message):
+    root = write_benchmark(tmp_path / "b", [_RECORD, record], {"cinema": make_cinema_db})
+    with pytest.raises(MalformedRecord) as raised:
+        load_split(root, "dev")
+    assert str(raised.value) == message
+
+
 def test_blank_question_rejected():
     with pytest.raises(MalformedRecord):
         TaskInstance(0, "   ", "", "SELECT 1", "db")

@@ -1106,6 +1106,38 @@ def test_a_lone_surrogate_in_a_few_shot_draft_is_embedded_and_scored(mini_bench,
         assert "pipeline error" not in (outcome["predicted_error"] or "")
 
 
+def _surrogate_bench(tmp_path):
+    """A split whose first question holds a lone surrogate: its JSON file
+    carries the `\\ud800` escape."""
+    questions = [{"question_id": i, "question": question, "evidence": "",
+                  "SQL": "SELECT COUNT(*) FROM movies", "db_id": "cinema"}
+                 for i, question in enumerate(["How many movies \ud800?", "How many movies?"])]
+    return write_benchmark(tmp_path / "bench", questions, {"cinema": make_cinema_db})
+
+
+def test_prep_sft_writes_a_lone_surrogate_as_its_escape(tmp_path, capsys):
+    root = _surrogate_bench(tmp_path)
+    assert main(["prep-sft", "--benchmark-root", str(root), "--split", "dev",
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "sft_dev.jsonl").read_bytes()
+    assert b"How many movies \\ud800?" in data
+    rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    assert len(rows) == 2 and "wrote 2 pairs" in capsys.readouterr().out
+    for row, question in zip(rows, ["How many movies \ud800?", "How many movies?"]):
+        assert f"### Question: {question}\n" in row["prompt"]
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_build_prompt_writes_a_lone_surrogate_as_its_escape(tmp_path, capsys, to_file):
+    root = _surrogate_bench(tmp_path)
+    out = tmp_path / "prompt.txt"
+    argv = ["build-prompt", "--benchmark-root", str(root), "--split", "dev", "--question-id", "0"]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+    printed = capsys.readouterr().out
+    text = out.read_text(encoding="utf-8") if to_file else printed
+    assert "How many movies \\ud800?" in text
+
+
 def test_a_live_run_never_opens_its_replay_store(mini_bench, tmp_path):
     # A live run reads no store, so naming one is refused before anything is
     # loaded, sent or written; the report never names a store it did not use.

@@ -205,9 +205,30 @@ def test_pool_rejects_ragged_dimensions():
     inst = _candidate(0, "db", "q?", "SELECT 1")
     cat = _tiny_catalog("db")
     with pytest.raises(DimensionMismatch):
-        ExamplePool((
-            PoolCandidate(inst, cat, (1.0, 2.0), (1.0, 2.0), (1.0, 2.0, 3.0)),
-        ))
+        ExamplePool((PoolCandidate(inst, cat),), [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0, 3.0)])
+
+
+def _embedded(candidate, pool, vectors):
+    """The question, schema and SQL vectors embedded for a pool candidate,
+    from the embedding function's text -> vector table."""
+    instance = candidate.instance
+    return (vectors[instance.question], vectors[render_schema(candidate.catalog, pool.variant)],
+            vectors[instance.gold_sql])
+
+
+@pytest.mark.parametrize("extra", [-3, 3], ids=["short", "long"])
+def test_a_pool_takes_three_vectors_per_candidate(extra):
+    # An embedding function that returns too few or too many vectors names
+    # both counts, instead of failing on a row index or dropping vectors.
+    candidates = [(_candidate(i, f"db_{i}", f"question {i}?", f"SELECT {i}"),
+                   _tiny_catalog(f"db_{i}")) for i in range(4)]
+
+    def embed(texts):
+        return [hash_embedding(str(i), 8) for i in range(len(texts) + extra)]
+
+    with pytest.raises(ValueError) as raised:
+        build_pool(candidates, SchemaVariant.C_N, embed)
+    assert str(raised.value) == f"4 pool candidates need 12 vectors, got {12 + extra}"
 
 
 def test_score_candidates_matches_brute_force_recompute():
@@ -239,9 +260,10 @@ def test_score_candidates_matches_brute_force_recompute():
     assert len(triples) == n
     for triple in triples:
         cand = pool.candidates[triple.candidate_index]
-        assert triple.gamma_q == pytest.approx(cosine_oracle(tq, cand.question_vec), abs=1e-12)
-        assert triple.gamma_d == pytest.approx(cosine_oracle(td, cand.schema_vec), abs=1e-12)
-        assert triple.gamma_s == pytest.approx(cosine_oracle(ts, cand.sql_vec), abs=1e-12)
+        cq, cd, cs = _embedded(cand, pool, vec_table)
+        assert triple.gamma_q == pytest.approx(cosine_oracle(tq, cq), abs=1e-12)
+        assert triple.gamma_d == pytest.approx(cosine_oracle(td, cd), abs=1e-12)
+        assert triple.gamma_s == pytest.approx(cosine_oracle(ts, cs), abs=1e-12)
         expected_avg = (triple.gamma_q + triple.gamma_d + triple.gamma_s) / 3
         assert triple.gamma_a == expected_avg
 
@@ -270,10 +292,10 @@ def test_score_candidates_equals_cosine_exactly(dim):
     ts = vectors["SELECT 42"]
     assert len(triples) == 32  # every fifth candidate shares the target's database
     for triple in triples:
-        cand = pool.candidates[triple.candidate_index]
-        assert triple.gamma_q == cosine(tq, cand.question_vec)
-        assert triple.gamma_d == cosine(td, cand.schema_vec)
-        assert triple.gamma_s == cosine(ts, cand.sql_vec)
+        cq, cd, cs = _embedded(pool.candidates[triple.candidate_index], pool, vectors)
+        assert triple.gamma_q == cosine(tq, cq)
+        assert triple.gamma_d == cosine(td, cd)
+        assert triple.gamma_s == cosine(ts, cs)
 
 
 def test_scoring_errors_fire_for_scored_candidates_only():
@@ -281,19 +303,23 @@ def test_scoring_errors_fire_for_scored_candidates_only():
     target = _candidate(0, "db_target", "q?", "")
     target_catalog = _tiny_catalog("db_target")
 
-    def candidate(index, db_id, vec):
-        return PoolCandidate(_candidate(index, db_id, f"q{index}?", f"SELECT {index}"),
-                             _tiny_catalog(db_id), vec, vec, vec)
+    def pool_of(*candidates):
+        """A pool of (index, database id, vector) candidates, each of whose
+        three vectors is that vector."""
+        return ExamplePool(
+            [PoolCandidate(_candidate(index, db_id, f"q{index}?", f"SELECT {index}"),
+                           _tiny_catalog(db_id)) for index, db_id, _ in candidates],
+            [vec for *_, vec in candidates for _ in range(3)])
 
     def score(pool, target_vec=unit):
         return score_candidates(target, target_catalog, "SELECT 3", pool,
                                 lambda texts: [target_vec for _ in texts])
 
     # A zero vector is legal in the pool; it fails only once it is scored.
-    pool = ExamplePool((candidate(1, "db_target", zero), candidate(2, "db_other", unit)))
+    pool = pool_of((1, "db_target", zero), (2, "db_other", unit))
     assert [t.candidate_index for t in score(pool)] == [1]
     with pytest.raises(ZeroVector):
-        score(ExamplePool((candidate(1, "db_other", zero), candidate(2, "db_other", unit))))
+        score(pool_of((1, "db_other", zero), (2, "db_other", unit)))
     with pytest.raises(DimensionMismatch):
         score(pool, target_vec=(1.0, 0.0))
 
@@ -333,16 +359,16 @@ def _screening_cases(draw):
             values = [0.0] * dim
         return tuple(values)
 
-    candidates = []
+    candidates, vectors = [], []
     for i in range(draw(st.integers(0, 12))):
         db_id = "db_target" if draw(st.integers(0, 3)) == 0 else f"db_{i}"
         candidates.append(PoolCandidate(
-            _candidate(i, db_id, f"q{i}?", f"SELECT {i}"), _tiny_catalog(db_id),
-            vector(), vector(), vector()))
+            _candidate(i, db_id, f"q{i}?", f"SELECT {i}"), _tiny_catalog(db_id)))
+        vectors.extend((vector(), vector(), vector()))
     target_vectors = [vector(), vector(), vector()]
     k = draw(st.integers(0, len(candidates) + 2))
     with np.errstate(all="ignore"):
-        return ExamplePool(tuple(candidates)), target_vectors, k
+        return ExamplePool(candidates, vectors), target_vectors, k
 
 
 @settings(max_examples=400, deadline=None)
@@ -370,12 +396,13 @@ def test_screened_top_k_on_random_pools_with_near_ties(dim):
                key=lambda t: t.gamma_a)
     # Copies of the best candidate, every other one moved one ulp, so the
     # top places hold exact and near ties across every small k.
-    first = pool.candidates[best.candidate_index]
-    nudged = tuple(np.nextafter(first.question_vec, 2.0).tolist())
+    rows = np.stack(pool._matrices, axis=1)  # each candidate's three vectors
+    first = rows[best.candidate_index]
+    nudged = np.stack((np.nextafter(first[0], 2.0), first[1], first[2]))
     twins = tuple(PoolCandidate(_candidate(200 + i, f"db_twin{i}", "twin?", "SELECT 1"),
-                                first.catalog, nudged if i % 2 else first.question_vec,
-                                first.schema_vec, first.sql_vec) for i in range(6))
-    pool = ExamplePool(pool.candidates + twins)
+                                pool.candidates[best.candidate_index].catalog) for i in range(6))
+    pool = ExamplePool(pool.candidates + twins, np.concatenate(
+        [rows] + [nudged[None] if i % 2 else first[None] for i in range(6)]).reshape(-1, dim))
     args = (target, target_catalog, "SELECT 42", pool)
     for k in (1, 2, 3, 4, 5, 6, 7, 8, 50, 166, 167, 300):
         assert _outcome(curate_top_k, *args, k, embed) == _outcome(
