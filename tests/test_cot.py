@@ -408,3 +408,24 @@ def test_keep_based_step_prompts_equal_filtered_catalog_prompts():
 
     check()
     assert all(seen.values()), seen
+
+
+def test_a_pred_step_2_table_outside_step_1_is_warned_about_and_dropped(
+        movie_catalog, movie_instance):
+    client, _ = make_client(step_scripted(
+        step2="Columns: movies: (movie_title) ratings: (rating_score)"))
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SK_PRED, seed=0)
+    assert trace.predicted_tables == ["movies"]
+    assert trace.warnings == [
+        "predicted columns for table 'ratings' outside step-1 tables; dropped"]
+    assert trace.predicted_columns == {"movies": ["movie_title"]}
+    assert all("rating_score" not in bundle.text for bundle in trace.step_prompts[2:])
+
+
+def test_a_qualified_step_2_column_is_read_as_its_column(movie_catalog, movie_instance):
+    client, _ = make_client(step_scripted(
+        step2="Columns: movies: (movies.movie_title, `movie_release_year`)"))
+    trace = run_cot(movie_instance, movie_catalog, client, MODE_COT_SP_PRED, seed=0)
+    assert trace.warnings == []
+    assert trace.predicted_columns == {"movies": ["movie_title", "movie_release_year"]}
+    assert "movies.movie_title, movies.movie_release_year." in trace.step_prompts[2].text
