@@ -29,7 +29,7 @@ from .schema import (
     render_schema,
     render_schema_format_header,
 )
-from .skeleton import SqlSkeleton, SqlToken, extract_skeleton, tokenize
+from .skeleton import SqlToken, extract_skeleton, tokenize
 from .taxonomy import ErrorLabel, classify, tabulate
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "SchemaVariant",
     "SftPair",
     "SimilarityTriple",
-    "SqlSkeleton",
     "SqlToken",
     "TableSpec",
     "TaskInstance",

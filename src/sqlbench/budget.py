@@ -1,4 +1,7 @@
-"""Column partitioning and the one column-truncation engine.
+"""Prompt sections and the one column-truncation engine.
+
+`partition_columns` builds a `PromptSection`: a catalog view split into
+target columns, which truncation keeps, and non-target ones it may remove.
 
 Every budget is counted with `count_tokens` (defined in `schema`, re-exported
 here). Its tokens never span whitespace, so a prompt's count is the sum of
@@ -66,23 +69,6 @@ class TokenBudget:
     def available(self) -> int:
         """Prompt-side allowance: context length minus the response reserve."""
         return self.max_context - self.response_reserve
-
-
-@dataclass(frozen=True)
-class ColumnPartition:
-    target: frozenset[tuple[str, str]]
-    non_target: frozenset[tuple[str, str]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target", frozenset(self.target))
-        object.__setattr__(self, "non_target", frozenset(self.non_target))
-        if self.target & self.non_target:
-            raise ValueError("target and non_target overlap")
-
-
-@dataclass(frozen=True)
-class TruncationPlan:
-    rates: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -189,8 +175,9 @@ def partition_columns(
     reference_sql: Optional[str] = None,
     question: str = "",
     keep: Optional[ColumnFilter] = None,
-) -> ColumnPartition:
-    """Split the columns a keep filter shows into crucial (target) and removable sets.
+) -> PromptSection:
+    """The section of the columns a keep filter shows, split into crucial
+    (target) and removable (non-target) sets.
 
     With a reference SQL (training path) the target set holds every column
     the SQL mentions by name. Without one (inference path) it holds columns
@@ -209,7 +196,7 @@ def partition_columns(
         words, index = _link_words(question), _link_word_index(catalog)
     for word in words:
         target.update(column for column in index.get(word, ()) if column in columns)
-    return ColumnPartition(frozenset(target), frozenset(columns - target))
+    return PromptSection(catalog, target, columns - target)
 
 
 KeepFilter = dict[str, set[str]]
@@ -226,7 +213,7 @@ def clamp_similarity(value: float) -> float:
 def plan_example_truncation(
     similarities: Sequence[float],
     temperature: float = 1.0,
-) -> TruncationPlan:
+) -> tuple[float, ...]:
     """Compute softmax truncation rates over inverted similarities.
 
     The target section's self-similarity of 1 is prepended, so k example
@@ -243,7 +230,7 @@ def plan_example_truncation(
     peak = max(scaled)
     weights = [math.exp(x - peak) for x in scaled]
     total = sum(weights)
-    return TruncationPlan(tuple(w / total for w in weights))
+    return tuple(w / total for w in weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +238,12 @@ class PromptSection:
     """One truncatable schema section of a prompt (target or example).
 
     Read-only once built, so one section may be shared by any number of
-    prompts, calls and threads. `keep` maps every catalog table to the
-    partition's columns in it (an empty set hides the table), so a section
-    of a narrowed view shows only that view; `removables` is the
-    partition's non-target columns, sorted, the list truncation draws from.
+    prompts, calls and threads. `target` and `non_target` are disjoint sets
+    of (table, column) pairs: the columns truncation keeps and those it may
+    remove. `keep` maps every catalog table to the section's columns in it
+    (an empty set hides the table), so a section of a narrowed view shows
+    only that view; `removables` is `non_target`, sorted, the list
+    truncation draws from.
     `size(variant)` is the token count of the schema block `keep` shows.
     Truncation copies what it changes and leaves the section as built.
     A section of the full view, as every question and pool section is,
@@ -263,14 +252,19 @@ class PromptSection:
     """
 
     catalog: DatabaseCatalog
-    partition: ColumnPartition
+    target: frozenset[tuple[str, str]]
+    non_target: frozenset[tuple[str, str]]
     keep: Mapping[str, frozenset[str]] = field(init=False)
     removables: tuple[tuple[str, str], ...] = field(init=False)
     _sizes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        target, non_target = frozenset(self.target), frozenset(self.non_target)
+        if target & non_target:
+            raise ValueError("target and non_target overlap")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "non_target", non_target)
         names = _column_names(self.catalog)
-        target, non_target = self.partition.target, self.partition.non_target
         pairs = _column_pairs(self.catalog)
         if (len(target) + len(non_target) == len(pairs)
                 and target <= pairs and non_target <= pairs):
@@ -407,7 +401,7 @@ def truncate_target(
 
 def truncate_examples(
     sections: Sequence[PromptSection],
-    plan: TruncationPlan,
+    rates: Sequence[float],
     scaffold: int,
     limit: int,
     seed: int,
@@ -425,7 +419,6 @@ def truncate_examples(
     sum to 0). The sections themselves are left unchanged, and nothing is
     rendered: the caller renders the returned keeps.
     """
-    if len(sections) != len(plan.rates):
-        raise ValueError(
-            f"{len(sections)} sections but {len(plan.rates)} truncation rates")
-    return _truncate(sections, plan.rates, scaffold, limit, seed, variant)
+    if len(sections) != len(rates):
+        raise ValueError(f"{len(sections)} sections but {len(rates)} truncation rates")
+    return _truncate(sections, rates, scaffold, limit, seed, variant)

@@ -315,7 +315,7 @@ def _few_shot_bundle(
     target = question_section(instance, catalog)
     _, curated = _curate(cfg, instance, target, pool, client, embed)
     indexes = [triple.candidate_index for triple in curated]
-    plan = plan_example_truncation(
+    rates = plan_example_truncation(
         [clamp_similarity(triple.gamma_a) for triple in curated], cfg.temperature)
 
     return fit_prompt(
@@ -323,7 +323,7 @@ def _few_shot_bundle(
             instance, [pool.candidates[index].instance for index in indexes], cfg.variant),
         [target, *(pool.section(index) for index in indexes)], cfg.budget.available,
         derive_seed(cfg.truncation_seed, instance.question_id, "examples"),
-        variant=cfg.variant, plan=plan)
+        variant=cfg.variant, rates=rates)
 
 
 def _removed(records: Iterable[TruncationRecord]) -> tuple[int, int, int]:

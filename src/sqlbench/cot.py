@@ -1,9 +1,11 @@
 """Multi-step chain-of-thought inference.
 
 Two orchestrations: tables -> columns -> SQL, and tables -> columns ->
-skeleton -> SQL. In PRED mode every step after the first sees only the
-schema elements parsed out of the previous step's response (failing open
-to the full schema when a parse yields nothing usable); FULL mode keeps
+skeleton -> SQL. `read_tables` and `read_columns` read the first two
+answers against the catalog in one pass each, dropping with a warning
+every name it lacks. In PRED mode every step after the first sees only the
+schema elements read from the previous step's response (failing open
+to the full schema when a read yields nothing usable); FULL mode keeps
 the complete definition in every step. Steps within a trace run strictly
 in sequence; distinct instances may run concurrently.
 """
@@ -16,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from .bench import TaskInstance
 from .budget import PromptSection, TokenBudget, derive_seed
-from .gateway import EmptyResponse, extract_sql
+from .gateway import extract_sql
 from .prompts import (
     FEW_SHOT_FORMAT_LINE,
     PROPERTIES_LINE,
@@ -26,7 +28,7 @@ from .prompts import (
     question_section,
 )
 from .schema import DatabaseCatalog, SchemaVariant, render_schema_format_header
-from .skeleton import UnterminatedComment, UnterminatedString, extract_skeleton
+from .skeleton import extract_skeleton
 
 MODE_NONE = "none"
 MODE_COT_SP_PRED = "cot-sp-pred"
@@ -105,106 +107,86 @@ class CotTrace:
     warnings: list[str] = field(default_factory=list)
 
 
-def parse_table_list(step_response: str, catalog: DatabaseCatalog) -> list[str]:
-    """Extract table names from a step-1 response.
+def read_tables(response: str, catalog: DatabaseCatalog, warnings: list[str]) -> list[str]:
+    """The catalog tables a step-1 answer names, each once, as the catalog
+    spells it.
 
-    Prefers the parenthesized block after "Tables:"; names there are kept
-    verbatim (deduplicated, appearance order) so the caller can validate
-    and warn. Without a block, falls back to scanning the free text for
-    catalog table names, returned in catalog order.
+    Reads the parenthesized block after "Tables:", in order, warning about
+    each name there the catalog lacks. Without a block, scans the free text
+    for catalog table names, in catalog order.
     """
-    match = re.search(r"Tables?\s*:\s*\(([^)]*)\)", step_response, re.IGNORECASE)
-    if match:
-        names: list[str] = []
-        for raw in re.split(r"[,\s]+", match.group(1)):
-            name = raw.strip().strip("\"'`")
-            if name and name not in names:
-                names.append(name)
-        return names
-    lowered = {w.lower() for w in re.findall(r"\w+", step_response)}
-    return [t.name for t in catalog.tables if t.name.lower() in lowered]
-
-
-def parse_column_list(
-    step_response: str,
-    catalog: DatabaseCatalog,
-    tables: Sequence[str],
-) -> dict[str, list[str]]:
-    """Extract a {table: columns} map from a step-2 response.
-
-    Mirrors table parsing on the "Columns: table: (column ...)" shape, with
-    a free-text fallback against the given tables' catalog columns when the
-    block names no catalog table. A table the catalog lacks keeps its raw
-    name, so that validation can warn about it.
-    """
-    table_map = catalog.table_map()
-    lookup = {name.lower(): name for name in table_map}
-
-    columns: dict[str, list[str]] = {}
-    anchor = re.search(r"Columns?\s*:", step_response, re.IGNORECASE)
-    if anchor:
-        tail = step_response[anchor.end():]
-        for table_raw, block in re.findall(r"([\w.]+)\s*:\s*\(([^)]*)\)", tail):
-            table = table_raw.strip().strip("\"'`")
-            table = lookup.get(table.lower(), table)
-            for raw in re.split(r"[,\s]+", block):
-                name = raw.strip().strip("\"'`")
-                if "." in name:
-                    name = name.rsplit(".", 1)[1]
-                if name:
-                    columns.setdefault(table, [])
-                    if name not in columns[table]:
-                        columns[table].append(name)
-    if any(table in table_map for table in columns):
-        return columns
-
-    lowered = {w.lower() for w in re.findall(r"\w+", step_response)}
-    for table_name in tables:
-        table = table_map.get(table_name)
-        if table is None:
-            continue
-        present = [c.name for c in table.columns if c.name.lower() in lowered]
-        if present:
-            columns[table_name] = present
-    return columns
-
-
-def _validate_tables(names: Sequence[str], catalog: DatabaseCatalog, trace: CotTrace) -> list[str]:
     lookup = {t.name.lower(): t.name for t in catalog.tables}
-    valid: list[str] = []
+    match = re.search(r"Tables?\s*:\s*\(([^)]*)\)", response, re.IGNORECASE)
+    if match:
+        names = dict.fromkeys(filter(None, (
+            raw.strip("\"'`") for raw in re.split(r"[,\s]+", match.group(1)))))
+    else:
+        words = {w.lower() for w in re.findall(r"\w+", response)}
+        names = [t.name for t in catalog.tables if t.name.lower() in words]
+    tables: list[str] = []
     for name in names:
         resolved = lookup.get(name.lower())
         if resolved is None:
-            trace.warnings.append(f"predicted table {name!r} not in catalog; dropped")
-        elif resolved not in valid:
-            valid.append(resolved)
-    return valid
+            warnings.append(f"predicted table {name!r} not in catalog; dropped")
+        elif resolved not in tables:
+            tables.append(resolved)
+    return tables
 
 
-def _validate_columns(
-    columns: Mapping[str, Sequence[str]],
+def read_columns(
+    response: str,
     catalog: DatabaseCatalog,
-    trace: CotTrace,
+    tables: Sequence[str],
+    restrict: bool,
+    warnings: list[str],
 ) -> dict[str, list[str]]:
+    """The {table: columns} a step-2 answer names, as the catalog spells them.
+
+    Reads each "table: (column ...)" block after "Columns:"; a qualified
+    "table.column" counts as its column. When no block names a catalog
+    table, `tables`' catalog columns the free text names are added. Then
+    each table the catalog lacks, each unknown column and, when `restrict`
+    is set, each table outside `tables` is dropped with a warning.
+    """
     table_map = catalog.table_map()
-    valid: dict[str, list[str]] = {}
-    for table_name, names in columns.items():
-        table = table_map.get(table_name)
-        if table is None:
-            trace.warnings.append(f"predicted columns for unknown table {table_name!r}; dropped")
+    lookup = {name.lower(): name for name in table_map}
+    named: dict[str, list[str]] = {}
+    anchor = re.search(r"Columns?\s*:", response, re.IGNORECASE)
+    if anchor:
+        for table, block in re.findall(r"([\w.]+)\s*:\s*\(([^)]*)\)", response[anchor.end():]):
+            names = [name for raw in re.split(r"[,\s]+", block)
+                     if (name := raw.strip("\"'`").rsplit(".", 1)[-1])]
+            if names:
+                named.setdefault(lookup.get(table.lower(), table), []).extend(names)
+    if not any(table in table_map for table in named):
+        words = {w.lower() for w in re.findall(r"\w+", response)}
+        for table in tables:
+            present = [c.name for c in table_map[table].columns if c.name.lower() in words]
+            if present:
+                named[table] = present
+
+    columns: dict[str, list[str]] = {}
+    for table, names in named.items():
+        if table not in table_map:
+            warnings.append(f"predicted columns for unknown table {table!r}; dropped")
             continue
-        known = {c.name.lower(): c.name for c in table.columns}
-        kept = []
-        for name in names:
+        known = {c.name.lower(): c.name for c in table_map[table].columns}
+        kept: list[str] = []
+        for name in dict.fromkeys(names):
             resolved = known.get(name.lower())
             if resolved is None:
-                trace.warnings.append(
-                    f"predicted column {table_name}.{name} not in catalog; dropped")
+                warnings.append(f"predicted column {table}.{name} not in catalog; dropped")
             elif resolved not in kept:
                 kept.append(resolved)
         if kept:
-            valid[table_name] = kept
-    return valid
+            columns[table] = kept
+    if restrict:
+        # Later-step schemas may only narrow what step 1 predicted.
+        for extra in [table for table in columns if table not in tables]:
+            warnings.append(
+                f"predicted columns for table {extra!r} outside step-1 tables; dropped")
+            del columns[extra]
+    return columns
 
 
 def _all_columns(catalog: DatabaseCatalog, tables: Sequence[str]) -> dict[str, list[str]]:
@@ -242,14 +224,12 @@ def _build_step_prompt(
 
 
 def _normalize_skeleton(step_response: str) -> str:
+    """The skeleton of the statement `extract_sql` reads, which starts with
+    SELECT, so the skeleton is never empty."""
     try:
-        statement = extract_sql(step_response)
-        skeleton = extract_skeleton(statement)
-    except (EmptyResponse, UnterminatedString, UnterminatedComment, ValueError) as exc:
+        return extract_skeleton(extract_sql(step_response))
+    except ValueError as exc:  # no text, or an unterminated string or comment
         raise SkeletonParseFailure(f"cannot derive a skeleton: {exc}") from exc
-    if not skeleton.text:
-        raise SkeletonParseFailure("step response yielded an empty skeleton")
-    return skeleton.text
 
 
 def run_cot(
@@ -283,8 +263,7 @@ def run_cot(
     full = question_section(instance, catalog)
 
     # Step 1: find tables over the description-only schema.
-    response = run_step(full, 1, _STEP1_TAIL)
-    tables = _validate_tables(parse_table_list(response, catalog), catalog, trace)
+    tables = read_tables(run_step(full, 1, _STEP1_TAIL), catalog, trace.warnings)
     if not tables:
         trace.warnings.append("no usable tables parsed from step 1; using full schema")
         tables = [t.name for t in catalog.tables]
@@ -294,14 +273,7 @@ def run_cot(
     # Step 2: find columns within the predicted tables.
     step2 = _section_of(instance, catalog, _all_columns(catalog, tables)) if restrict else full
     response = run_step(step2, 2, _STEP2_TAIL_TEMPLATE.format(tables=", ".join(tables)))
-    columns = _validate_columns(
-        parse_column_list(response, catalog, tables), catalog, trace)
-    if restrict:
-        # Later-step schemas may only narrow what step 1 predicted.
-        for extra in [name for name in columns if name not in set(tables)]:
-            trace.warnings.append(
-                f"predicted columns for table {extra!r} outside step-1 tables; dropped")
-            del columns[extra]
+    columns = read_columns(response, catalog, tables, restrict, trace.warnings)
     if not columns:
         trace.warnings.append("no usable columns parsed from step 2; using full schema")
         columns = _all_columns(catalog, tables)

@@ -145,9 +145,8 @@ class ExamplePool:
         section = self._sections.get(index)
         if section is None:
             candidate = self.candidates[index]
-            section = self._sections.setdefault(index, PromptSection(
-                candidate.catalog, partition_columns(
-                    candidate.catalog, reference_sql=candidate.instance.gold_sql)))
+            section = self._sections.setdefault(index, partition_columns(
+                candidate.catalog, reference_sql=candidate.instance.gold_sql))
         return section
 
 

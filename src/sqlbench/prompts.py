@@ -23,7 +23,6 @@ from .bench import BenchmarkSplit, TaskInstance
 from .budget import (
     PromptSection,
     TokenBudget,
-    TruncationPlan,
     TruncationRecord,
     UnsatisfiableBudget,
     count_tokens,
@@ -112,8 +111,8 @@ def question_section(instance: TaskInstance, catalog: DatabaseCatalog,
     """The target section of the columns `keep` shows, partitioned by their
     link to the question and note. Build it once per question and view and
     share it among the prompts that show that view."""
-    return PromptSection(catalog, partition_columns(
-        catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep))
+    return partition_columns(
+        catalog, question=f"{instance.question} {instance.external_knowledge}", keep=keep)
 
 
 def render_template(template: PromptTemplate, catalogs: Sequence[DatabaseCatalog],
@@ -146,25 +145,25 @@ def fit_prompt(
     seed: int,
     *,
     variant: SchemaVariant,
-    plan: Optional[TruncationPlan] = None,
+    rates: Optional[Sequence[float]] = None,
 ) -> PromptBundle:
     """The one budgeted prompt builder: truncate until `template` fits `limit`.
 
     Slot i of `template` shows `sections[i]`'s schema block in `variant`.
     The fixed lines' counts, read through a cache of recent lines, are the
-    scaffold the engine sizes the prompt from. Without a plan the one
-    section is passed straight to `truncate_target`; with one,
-    `truncate_examples` shares the excess by its rates. The template is
+    scaffold the engine sizes the prompt from. Without rates the one
+    section is passed straight to `truncate_target`; with them,
+    `truncate_examples` shares the excess by those rates. The template is
     rendered once, under the returned keeps, and the bundle carries the
     record's `tokens_after`, that text's `count_tokens` count.
     """
     scaffold = sum(_line_tokens(line) for line in template if isinstance(line, str))
-    if plan is None:
+    if rates is None:
         (section,) = sections
         keep, record = truncate_target(section, scaffold, limit, seed, variant=variant)
         keeps = [keep]
     else:
-        keeps, record = truncate_examples(sections, plan, scaffold, limit, seed, variant=variant)
+        keeps, record = truncate_examples(sections, rates, scaffold, limit, seed, variant=variant)
     text = render_template(template, [section.catalog for section in sections], keeps, variant)
     return PromptBundle(text, record.tokens_after, record)
 
@@ -318,7 +317,7 @@ def build_sft_pair(
     completion = completion_for(instance.gold_sql)
     template = open_template(instance, catalog, variant)
     template[-1] += completion
-    section = PromptSection(catalog, partition_columns(catalog, reference_sql=instance.gold_sql))
+    section = partition_columns(catalog, reference_sql=instance.gold_sql)
     bundle = fit_prompt(template, [section], budget.max_context, seed, variant=variant)
     return SftPair(bundle.text.removesuffix(completion), completion), bundle.truncation
 

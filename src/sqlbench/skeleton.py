@@ -1,8 +1,9 @@
 """SQL tokenizer and skeleton extraction.
 
-A skeleton keeps SQL keywords in their original clause structure and
-collapses every maximal run of non-keyword tokens (identifiers, literals,
-operators, punctuation) into a single "_" placeholder.
+A skeleton, a plain string, keeps SQL keywords in their original clause
+structure and collapses every maximal run of non-keyword tokens
+(identifiers, literals, operators, punctuation) into a single "_"
+placeholder.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ _KNOWN_STARTS = frozenset("'\"`[_") | _PUNCTUATION | _ONE_CHAR_OPERATORS
 class SqlToken:
     text: str
     kind: str  # keyword | identifier | literal | operator | punctuation
-
-
-@dataclass(frozen=True)
-class SqlSkeleton:
-    text: str
 
 
 def _is_word_start(ch: str) -> bool:
@@ -171,7 +167,7 @@ def tokenize(sql: str) -> list[SqlToken]:
     return tokens
 
 
-def extract_skeleton(sql: str) -> SqlSkeleton:
+def extract_skeleton(sql: str) -> str:
     """Reduce SQL to its keyword skeleton.
 
     Keywords keep their canonical uppercase form; every maximal run of
@@ -186,4 +182,4 @@ def extract_skeleton(sql: str) -> SqlSkeleton:
         elif not in_gap:
             parts.append("_")
             in_gap = True
-    return SqlSkeleton(" ".join(parts))
+    return " ".join(parts)

@@ -156,14 +156,14 @@ def test_criterion_2_skeleton():
     worked = extract_skeleton(
         "SELECT movie_title FROM movies WHERE movie_release_year = 1945 "
         "ORDER BY movie_popularity DESC LIMIT 1")
-    assert worked.text == "SELECT _ FROM _ WHERE _ ORDER BY _ DESC LIMIT _"
+    assert worked == "SELECT _ FROM _ WHERE _ ORDER BY _ DESC LIMIT _"
 
     assert len(GOLD_QUERIES) == 50
     for sql in GOLD_QUERIES:
         skeleton = extract_skeleton(sql)
-        assert extract_skeleton(skeleton.text).text == skeleton.text, sql
-        assert _keyword_multiset(sql) == _keyword_multiset(skeleton.text), sql
-        parts = skeleton.text.split(" ")
+        assert extract_skeleton(skeleton) == skeleton, sql
+        assert _keyword_multiset(sql) == _keyword_multiset(skeleton), sql
+        parts = skeleton.split(" ")
         assert all(p == "_" or p.isupper() for p in parts)
         for earlier, later in zip(parts, parts[1:]):
             assert not (earlier == "_" and later == "_"), sql
@@ -244,12 +244,12 @@ def test_criterion_3_curation_oracle():
 
 def test_criterion_4_truncation_plan():
     crit = Criterion(4, "softmax truncation rates: sum, monotonicity, limits", 5.0)
-    plan = plan_example_truncation([0.5, 0.25], temperature=1.0)
+    rates = plan_example_truncation([0.5, 0.25], temperature=1.0)
     # direct softmax arithmetic over (1, 2, 4)
     weights = [math.exp(1.0), math.exp(2.0), math.exp(4.0)]
     oracle = [w / sum(weights) for w in weights]
     assert oracle == pytest.approx([0.0420, 0.1142, 0.8438], abs=1e-3)
-    assert list(plan.rates) == pytest.approx(oracle, abs=1e-12)
+    assert list(rates) == pytest.approx(oracle, abs=1e-12)
 
     # similarity range of real clamped cosines; keeps exp() clear of
     # float64 underflow so strict positivity is observable
@@ -257,17 +257,17 @@ def test_criterion_4_truncation_plan():
     for _ in range(1000):
         k = rng.randint(1, 10)
         gammas = [rng.uniform(0.02, 1.0) for _ in range(k)]
-        plan = plan_example_truncation(gammas, temperature=rng.uniform(0.2, 10.0))
-        assert abs(sum(plan.rates) - 1.0) <= 1e-9
-        assert all(r > 0 for r in plan.rates)
+        rates = plan_example_truncation(gammas, temperature=rng.uniform(0.2, 10.0))
+        assert abs(sum(rates) - 1.0) <= 1e-9
+        assert all(r > 0 for r in rates)
         full = [1.0] + gammas
         for i in range(len(full)):
             for j in range(len(full)):
                 if full[i] < full[j]:
-                    assert plan.rates[i] > plan.rates[j]
+                    assert rates[i] > rates[j]
 
         uniform = plan_example_truncation(gammas, temperature=1e6)
-        assert all(abs(r - 1 / (k + 1)) < 1e-3 for r in uniform.rates)
+        assert all(abs(r - 1 / (k + 1)) < 1e-3 for r in uniform)
     crit.done()
 
 
@@ -314,7 +314,7 @@ def test_criterion_5_budget_property():
         instance = TaskInstance(trial, "How many records are stored in total?", "",
                                 "SELECT COUNT(*) FROM records", "target_db")
         partition = partition_columns(target_catalog, question=instance.question)
-        target = PromptSection(target_catalog, partition)
+        target = partition
 
         def render_target(keep):
             return open_prompt_text(instance, target_catalog, variant, keep)
@@ -344,11 +344,9 @@ def test_criterion_5_budget_property():
                     9_000 + s, f"Example question {s}?", "",
                     "SELECT id FROM records", f"pool_db_{s}")
                 blocks.append((ex_instance, ex_catalog))
-                sections.append(PromptSection(
-                    ex_catalog,
-                    partition_columns(ex_catalog, reference_sql=ex_instance.gold_sql)))
+                sections.append(partition_columns(ex_catalog, reference_sql=ex_instance.gold_sql))
             similarities = sorted(rng.uniform(0.2, 0.95) for _ in range(shots))
-            plan = plan_example_truncation(similarities)
+            rates = plan_example_truncation(similarities)
 
             def render(keeps):
                 example_blocks = [
@@ -361,15 +359,15 @@ def test_criterion_5_budget_property():
             few_scaffold = count_tokens(render(
                 [{table: set() for table in section.keep} for section in sections]))
             keeps, few_record = truncate_examples(
-                sections, plan, few_scaffold, limit, seed, **engine)
+                sections, rates, few_scaffold, limit, seed, **engine)
             text = render(keeps)
             assert count_tokens(text) <= limit
             for section, removed in zip(sections, few_record.removed_columns):
-                assert not set(removed) & section.partition.target
+                assert not set(removed) & section.target
             if few_record.total_removed:
                 breached += 1
                 keeps2, _ = truncate_examples(
-                    sections, plan, few_scaffold, limit, seed, **engine)
+                    sections, rates, few_scaffold, limit, seed, **engine)
                 assert render(keeps2) == text
 
         # chain-of-thought: every step prompt individually within budget
@@ -554,7 +552,7 @@ def test_criterion_8_end_to_end_replay(mini_bench, tmp_path):
     for line in trace_lines:
         trace = json.loads(line)
         assert len(trace["step_prompts"]) == 4
-        expected_skeleton = extract_skeleton(gold_by_id[trace["question_id"]]).text
+        expected_skeleton = extract_skeleton(gold_by_id[trace["question_id"]])
         assert trace["skeleton"] == expected_skeleton
         assert f"and sql skeleton:\n{expected_skeleton}." in trace["step_prompts"][3]
     crit.done()

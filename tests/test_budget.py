@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sqlbench import cot, prompts
 from sqlbench.bench import TaskInstance
 from sqlbench.budget import (
-    ColumnPartition,
     NonpositiveSimilarity,
     PromptSection,
     TokenBudget,
@@ -177,10 +176,10 @@ def test_a_prepared_catalog_holds_what_its_first_sections_would_build(movie_cata
     keys, sizes = set(movie_catalog._derived), dict(movie_catalog._derived["full_view_sizes"])
     built = []
     for catalog in (movie_catalog, fresh):
-        sections = [PromptSection(catalog, partition_columns(catalog, question=question))
+        sections = [partition_columns(catalog, question=question)
                     for question in ("Which movie was released in 1945?", "rating score")]
-        sections.append(PromptSection(catalog, partition_columns(
-            catalog, reference_sql="SELECT movie_title FROM movies")))
+        sections.append(partition_columns(
+            catalog, reference_sql="SELECT movie_title FROM movies"))
         built.append([(section.keep, section.removables,
                        [section.size(variant) for variant in variants])
                       for section in sections])
@@ -189,9 +188,9 @@ def test_a_prepared_catalog_holds_what_its_first_sections_would_build(movie_cata
     assert movie_catalog._derived["full_view_sizes"] == sizes == fresh._derived["full_view_sizes"]
 
 
-def test_partition_overlap_rejected():
+def test_partition_overlap_rejected(movie_catalog):
     with pytest.raises(ValueError):
-        ColumnPartition(frozenset({("t", "a")}), frozenset({("t", "a")}))
+        PromptSection(movie_catalog, {("movies", "movie_id")}, {("movies", "movie_id")})
 
 
 # Every truncation call in this file renders C_A schemas unless it says otherwise.
@@ -222,7 +221,7 @@ def _render_target(catalog, variant=SchemaVariant.C_A):
 def test_truncate_target_noop_under_budget(movie_catalog):
     partition = partition_columns(movie_catalog, question="anything")
     render = _render_target(movie_catalog)
-    section = PromptSection(movie_catalog, partition)
+    section = partition
     keep, record = truncate_target(
         section, target_scaffold(section, render), 10_000, seed=1, **ENGINE)
     assert record.total_removed == 0
@@ -245,7 +244,7 @@ def test_truncate_target_fits_and_removes_only_non_target():
     partition = partition_columns(catalog, question="nothing relevant here")
     render = _render_target(catalog)
     limit = count_tokens(render(full_keep(catalog))) - 150
-    section = PromptSection(catalog, partition)
+    section = partition
     keep, record = truncate_target(
         section, target_scaffold(section, render), limit, seed=3, **ENGINE)
     assert count_tokens(render(keep)) <= limit
@@ -258,7 +257,7 @@ def test_truncate_target_deterministic():
     partition = partition_columns(catalog, question="x")
     render = _render_target(catalog)
     limit = count_tokens(render(full_keep(catalog))) - 100
-    section = PromptSection(catalog, partition)
+    section = partition
     scaffold = target_scaffold(section, render)
     _, first = truncate_target(section, scaffold, limit, seed=11, **ENGINE)
     _, second = truncate_target(section, scaffold, limit, seed=11, **ENGINE)
@@ -288,22 +287,22 @@ def test_truncate_target_unsatisfiable():
     catalog = wide_catalog(columns=5)
     partition = partition_columns(catalog, question="x")
     render = _render_target(catalog)
-    section = PromptSection(catalog, partition)
+    section = partition
     with pytest.raises(UnsatisfiableBudget):
         truncate_target(section, target_scaffold(section, render), 1, seed=0, **ENGINE)
 
 
 def test_plan_symmetric_for_identical_similarities():
-    plan = plan_example_truncation([1.0], temperature=1.0)
-    assert plan.rates == pytest.approx((0.5, 0.5))
+    rates = plan_example_truncation([1.0], temperature=1.0)
+    assert rates == pytest.approx((0.5, 0.5))
 
 
 def test_plan_worked_softmax_case():
-    plan = plan_example_truncation([0.5, 0.25], temperature=1.0)
+    rates = plan_example_truncation([0.5, 0.25], temperature=1.0)
     # softmax over 1/gamma = (1, 2, 4), computed independently
     expected = softmax_oracle([1.0, 2.0, 4.0])
     assert expected == pytest.approx([0.0420, 0.1142, 0.8438], abs=1e-3)
-    assert list(plan.rates) == pytest.approx(expected, abs=1e-12)
+    assert list(rates) == pytest.approx(expected, abs=1e-12)
 
 
 def test_plan_rates_sum_to_one_and_monotone():
@@ -311,18 +310,18 @@ def test_plan_rates_sum_to_one_and_monotone():
     for _ in range(200):
         k = rng.randrange(1, 8)
         gammas = sorted(rng.uniform(0.05, 1.0) for _ in range(k))
-        plan = plan_example_truncation(gammas, temperature=rng.uniform(0.25, 5.0))
-        assert abs(sum(plan.rates) - 1.0) < 1e-9
-        assert all(r > 0 for r in plan.rates)
+        rates = plan_example_truncation(gammas, temperature=rng.uniform(0.25, 5.0))
+        assert abs(sum(rates) - 1.0) < 1e-9
+        assert all(r > 0 for r in rates)
         # gammas ascending -> example rates descending
-        example_rates = plan.rates[1:]
+        example_rates = rates[1:]
         for earlier, later in zip(example_rates, example_rates[1:]):
             assert earlier > later
 
 
 def test_plan_approaches_uniform_at_high_temperature():
-    plan = plan_example_truncation([0.5, 0.25, 0.9], temperature=1e6)
-    assert all(abs(r - 1 / 4) < 1e-3 for r in plan.rates)
+    rates = plan_example_truncation([0.5, 0.25, 0.9], temperature=1e6)
+    assert all(abs(r - 1 / 4) < 1e-3 for r in rates)
 
 
 def test_plan_rejects_bad_inputs():
@@ -341,17 +340,15 @@ def test_clamp_similarity():
 
 
 def test_plan_extreme_similarity_does_not_overflow():
-    plan = plan_example_truncation([clamp_similarity(-1.0)], temperature=1.0)
-    assert abs(sum(plan.rates) - 1.0) < 1e-9
+    rates = plan_example_truncation([clamp_similarity(-1.0)], temperature=1.0)
+    assert abs(sum(rates) - 1.0) < 1e-9
 
 
 def _example_sections(n_examples, columns=25):
-    sections = [PromptSection(
-        wide_catalog(columns), partition_columns(wide_catalog(columns), question="x"))]
+    sections = [partition_columns(wide_catalog(columns), question="x")]
     for i in range(n_examples):
         catalog = wide_catalog(columns)
-        sections.append(PromptSection(
-            catalog, partition_columns(catalog, reference_sql="SELECT id FROM wide")))
+        sections.append(partition_columns(catalog, reference_sql="SELECT id FROM wide"))
     return sections
 
 
@@ -365,7 +362,7 @@ def _render_sections(sections, variant=SchemaVariant.C_A):
     return render
 
 
-def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant):
+def rerender_reference(sections, rates, render_prompt, limit, seed, *, variant):
     """Example truncation that re-renders the prompt after every removal.
 
     A removal frees exactly what the re-rendered prompt loses, so this is
@@ -373,7 +370,7 @@ def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant):
     """
     keeps = [{table: set(columns) for table, columns in section.keep.items()}
              for section in sections]
-    removables = [sorted(section.partition.non_target) for section in sections]
+    removables = [sorted(section.non_target) for section in sections]
     rng = random.Random(seed)
     removed = [[] for _ in sections]
     tokens_before = tokens = count_tokens(render_prompt(keeps))
@@ -382,11 +379,11 @@ def rerender_reference(sections, plan, render_prompt, limit, seed, *, variant):
         if not active:
             raise UnsatisfiableBudget(f"{tokens} tokens (limit {limit})")
         excess = tokens - limit
-        rates = [plan.rates[i] for i in active]
-        if sum(rates) == 0:
-            rates = [1.0] * len(active)
-        total_rate = sum(rates)
-        for i, rate in zip(list(active), rates):
+        shares = [rates[i] for i in active]
+        if sum(shares) == 0:
+            shares = [1.0] * len(active)
+        total_rate = sum(shares)
+        for i, rate in zip(list(active), shares):
             quota = excess * rate / total_rate
             freed = 0
             while freed < quota and removables[i]:
@@ -421,10 +418,10 @@ def first_fit_reference(catalog, partition, render_prompt, limit, seed):
 
 def test_truncate_examples_noop_under_budget():
     sections = _example_sections(2)
-    plan = plan_example_truncation([0.9, 0.5])
+    rates = plan_example_truncation([0.9, 0.5])
     render = _render_sections(sections)
     keeps, record = truncate_examples(
-        sections, plan, examples_scaffold(sections, render), 10_000, seed=1, **ENGINE)
+        sections, rates, examples_scaffold(sections, render), 10_000, seed=1, **ENGINE)
     assert record.total_removed == 0
     assert record.tokens_before == record.tokens_after
 
@@ -434,30 +431,28 @@ def test_truncate_examples_fits_and_least_similar_loses_most():
     render = _render_sections(sections)
     full = count_tokens(render([s.keep for s in sections]))
     limit = int(full * 0.6)  # roughly 40% over budget
-    plan = plan_example_truncation([0.9, 0.5, 0.25])
+    rates = plan_example_truncation([0.9, 0.5, 0.25])
     keeps, record = truncate_examples(
-        sections, plan, examples_scaffold(sections, render), limit, seed=2, **ENGINE)
+        sections, rates, examples_scaffold(sections, render), limit, seed=2, **ENGINE)
     assert count_tokens(render(keeps)) <= limit
     removed_counts = [len(section) for section in record.removed_columns]
     # per-section removals follow the rate ordering
     assert removed_counts[3] >= removed_counts[2] >= removed_counts[1] >= removed_counts[0]
     for section, removed in zip(sections, record.removed_columns):
-        assert set(removed) <= section.partition.non_target
+        assert set(removed) <= section.non_target
 
 
 def test_truncate_examples_reapportions_on_exhaustion():
     sections = _example_sections(2, columns=20)
     # most-similar example has nothing removable: every column is target
     full_cols = sections[2].catalog.column_set()
-    sections[2] = PromptSection(
-        sections[2].catalog,
-        ColumnPartition(frozenset(full_cols), frozenset()))
+    sections[2] = PromptSection(sections[2].catalog, frozenset(full_cols), frozenset())
     render = _render_sections(sections)
     full = count_tokens(render([s.keep for s in sections]))
     limit = int(full * 0.7)
-    plan = plan_example_truncation([0.5, 0.9])
+    rates = plan_example_truncation([0.5, 0.9])
     keeps, record = truncate_examples(
-        sections, plan, examples_scaffold(sections, render), limit, seed=3, **ENGINE)
+        sections, rates, examples_scaffold(sections, render), limit, seed=3, **ENGINE)
     assert count_tokens(render(keeps)) <= limit
     assert record.removed_columns[2] == ()
 
@@ -466,28 +461,28 @@ def test_truncate_examples_shares_the_excess_evenly_once_active_rates_are_zero()
     # A similarity clamped to 1e-6 takes the whole rate: the other two
     # sections underflow to 0, and they must still shed columns once the
     # first example has none left.
-    plan = plan_example_truncation([1e-6, 0.5])
-    assert plan.rates == (0.0, 1.0, 0.0)
+    rates = plan_example_truncation([1e-6, 0.5])
+    assert rates == (0.0, 1.0, 0.0)
     sections = _example_sections(2, columns=30)
-    few = sorted(sections[1].partition.non_target)[:3]
-    sections[1] = PromptSection(sections[1].catalog, ColumnPartition(
-        sections[1].catalog.column_set() - set(few), frozenset(few)))
+    few = sorted(sections[1].non_target)[:3]
+    sections[1] = PromptSection(
+        sections[1].catalog, sections[1].catalog.column_set() - set(few), frozenset(few))
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.7)
     keeps, record = truncate_examples(
-        sections, plan, examples_scaffold(sections, render), limit, seed=8, **ENGINE)
+        sections, rates, examples_scaffold(sections, render), limit, seed=8, **ENGINE)
     assert record.tokens_after == count_tokens(render(keeps)) <= limit
     assert set(record.removed_columns[1]) == set(few)
     assert record.removed_columns[0] and record.removed_columns[2]
-    assert (keeps, record) == rerender_reference(sections, plan, render, limit, seed=8, **ENGINE)
+    assert (keeps, record) == rerender_reference(sections, rates, render, limit, seed=8, **ENGINE)
 
 
 def test_truncate_examples_unsatisfiable():
     sections = _example_sections(1, columns=5)
     render = _render_sections(sections)
-    plan = plan_example_truncation([0.5])
+    rates = plan_example_truncation([0.5])
     with pytest.raises(UnsatisfiableBudget):
-        truncate_examples(sections, plan, examples_scaffold(sections, render), 1, seed=4,
+        truncate_examples(sections, rates, examples_scaffold(sections, render), 1, seed=4,
                           **ENGINE)
 
 
@@ -496,9 +491,9 @@ def test_truncate_examples_deterministic():
         sections = _example_sections(2, columns=25)
         render = _render_sections(sections)
         full = count_tokens(render([s.keep for s in sections]))
-        plan = plan_example_truncation([0.8, 0.4])
+        rates = plan_example_truncation([0.8, 0.4])
         keeps, record = truncate_examples(
-            sections, plan, examples_scaffold(sections, render), int(full * 0.7), seed=seed,
+            sections, rates, examples_scaffold(sections, render), int(full * 0.7), seed=seed,
             **ENGINE)
         return render(keeps), record.removed_columns
 
@@ -512,10 +507,10 @@ def test_truncate_examples_leaves_sections_unchanged(accounted):
     sections = _example_sections(2, columns=31)
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
-    plan = plan_example_truncation([0.8, 0.4])
+    rates = plan_example_truncation([0.8, 0.4])
     prompt = examples_scaffold(sections, render) if accounted else render
-    first = truncate(sections, plan, prompt, limit, seed=5, **ENGINE)
-    second = truncate(sections, plan, prompt, limit, seed=5, **ENGINE)
+    first = truncate(sections, rates, prompt, limit, seed=5, **ENGINE)
+    second = truncate(sections, rates, prompt, limit, seed=5, **ENGINE)
     assert first[1].total_removed > 0
     assert first == second
     for section in sections:
@@ -526,10 +521,10 @@ def test_truncate_examples_accounting_matches_rerendering():
     sections = _example_sections(3, columns=30)
     render = _render_sections(sections)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
-    plan = plan_example_truncation([0.9, 0.5, 0.25])
-    rerendered = rerender_reference(sections, plan, render, limit, seed=2, **ENGINE)
+    rates = plan_example_truncation([0.9, 0.5, 0.25])
+    rerendered = rerender_reference(sections, rates, render, limit, seed=2, **ENGINE)
     accounted = truncate_examples(
-        sections, plan, examples_scaffold(sections, render), limit, seed=2, **ENGINE)
+        sections, rates, examples_scaffold(sections, render), limit, seed=2, **ENGINE)
     assert accounted == rerendered
 
 
@@ -557,8 +552,7 @@ def _sections(draw):
     catalog = draw(_catalogs())
     columns = sorted(catalog.column_set())
     non_target = frozenset(column for column in columns if draw(st.booleans()))
-    return PromptSection(catalog, ColumnPartition(
-        frozenset(columns) - non_target, non_target))
+    return PromptSection(catalog, frozenset(columns) - non_target, non_target)
 
 
 def _outcome(truncate, *args, **kwargs):
@@ -572,7 +566,7 @@ def _outcome(truncate, *args, **kwargs):
 @given(_sections(), st.sampled_from(list(SchemaVariant)), st.floats(0, 1),
        st.integers(0, 2**32))
 def test_truncate_target_equals_first_fit(section, variant, fraction, seed):
-    catalog, partition = section.catalog, section.partition
+    catalog, partition = section.catalog, section
 
     def render(keep):
         return "### rule\n" + render_schema(catalog, variant, keep) + "SELECT"
@@ -590,12 +584,12 @@ def test_truncate_examples_equals_rerendering(sections, variant, data, fraction,
     similarities = data.draw(st.lists(
         st.sampled_from([1e-6, 0.05, 0.3, 0.5, 0.9, 1.0]),
         min_size=len(sections) - 1, max_size=len(sections) - 1))
-    plan = plan_example_truncation(similarities, data.draw(st.sampled_from([0.5, 1.0, 3.0])))
+    rates = plan_example_truncation(similarities, data.draw(st.sampled_from([0.5, 1.0, 3.0])))
     render = _render_sections(sections, variant)
     limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
-    assert _outcome(truncate_examples, sections, plan, examples_scaffold(sections, render),
+    assert _outcome(truncate_examples, sections, rates, examples_scaffold(sections, render),
                     limit, seed, variant=variant) == \
-        _outcome(rerender_reference, sections, plan, render, limit, seed, variant=variant)
+        _outcome(rerender_reference, sections, rates, render, limit, seed, variant=variant)
 
 
 def _wide_section(tables=4, columns=160):
@@ -610,7 +604,7 @@ def _wide_section(tables=4, columns=160):
         for t in range(tables)),
         (ForeignKey("t0", "c001", "t1", "c002"), ForeignKey("t1", "c003", "t0", "c004")))
     target = frozenset((f"t{t}", "id") for t in range(tables - 1))
-    return PromptSection(catalog, ColumnPartition(target, catalog.column_set() - target))
+    return PromptSection(catalog, target, catalog.column_set() - target)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32])
@@ -626,19 +620,19 @@ def test_truncate_target_equals_first_fit_at_wide_sizes(seed, fraction):
     limit = int(count_tokens(render(None)) * fraction)
     outcome = truncate_target(section, target_scaffold(section, render), limit, seed,
                               variant=variant)
-    assert outcome == first_fit_reference(catalog, section.partition, render, limit, seed)
+    assert outcome == first_fit_reference(catalog, section, render, limit, seed)
     assert outcome[1].total_removed > (len(section.removables) - 256 if fraction < 0.5 else 0)
 
 
 def test_truncate_examples_equals_rerendering_at_wide_sizes():
     sections = [_wide_section(), _wide_section(3, 200), _wide_section(2, 300)]
-    plan = plan_example_truncation([0.6, 0.3])
+    rates = plan_example_truncation([0.6, 0.3])
     render = _render_sections(sections, SchemaVariant.C_VD)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.3)
-    outcome = truncate_examples(sections, plan, examples_scaffold(sections, render), limit, 2024,
+    outcome = truncate_examples(sections, rates, examples_scaffold(sections, render), limit, 2024,
                                 variant=SchemaVariant.C_VD)
     assert outcome == rerender_reference(
-        sections, plan, render, limit, 2024, variant=SchemaVariant.C_VD)
+        sections, rates, render, limit, 2024, variant=SchemaVariant.C_VD)
     assert min(len(removed) for removed in outcome[1].removed_columns) > 0
 
 
@@ -657,9 +651,8 @@ def test_removal_records_hold_the_sections_own_keys():
 
 
 def _fresh(section):
-    """A section built anew from a copy of `section`'s partition."""
-    partition = section.partition
-    return PromptSection(section.catalog, ColumnPartition(partition.target, partition.non_target))
+    """A section built anew from `section`'s partition."""
+    return PromptSection(section.catalog, section.target, section.non_target)
 
 
 def test_shared_sections_are_left_as_built():
@@ -667,10 +660,10 @@ def test_shared_sections_are_left_as_built():
     variant = SchemaVariant.C_A
     render = _render_sections(sections, variant)
     limit = int(count_tokens(render([s.keep for s in sections])) * 0.6)
-    plan = plan_example_truncation([0.9, 0.5, 0.25])
+    rates = plan_example_truncation([0.9, 0.5, 0.25])
     template = list(range(len(sections)))
-    first = fit_prompt(template, sections, limit, 7, variant=variant, plan=plan)
-    second = fit_prompt(template, sections, limit, 7, variant=variant, plan=plan)
+    first = fit_prompt(template, sections, limit, 7, variant=variant, rates=rates)
+    second = fit_prompt(template, sections, limit, 7, variant=variant, rates=rates)
     assert first.truncation.total_removed > 0
     assert first == second
     for section in sections:
@@ -688,17 +681,17 @@ def test_truncate_examples_over_reused_sections_equals_fresh_ones(
         sections, data, warm_variant, variant, fraction, warm_seed, seed):
     """Sections that earlier prompts already truncated, in any variant and
     with any seed, truncate as freshly built ones do."""
-    plan = plan_example_truncation(data.draw(st.lists(
+    rates = plan_example_truncation(data.draw(st.lists(
         st.sampled_from([1e-6, 0.05, 0.3, 0.5, 0.9, 1.0]),
         min_size=len(sections) - 1, max_size=len(sections) - 1)))
     for used_variant, used_seed in ((warm_variant, warm_seed), (variant, seed)):
         render = _render_sections(sections, used_variant)
         limit = int(count_tokens(render([s.keep for s in sections])) * fraction)
-        reused = _outcome(truncate_examples, sections, plan, examples_scaffold(sections, render),
+        reused = _outcome(truncate_examples, sections, rates, examples_scaffold(sections, render),
                           limit, used_seed, variant=used_variant)
     fresh = [_fresh(section) for section in sections]
     assert reused == _outcome(
-        truncate_examples, fresh, plan,
+        truncate_examples, fresh, rates,
         examples_scaffold(fresh, _render_sections(fresh, variant)), limit, seed, variant=variant)
 
 
@@ -727,7 +720,7 @@ def _wild_sections(draw):
     instance = TaskInstance(
         draw(st.integers(0, 99)), draw(_ANY_TEXT.filter(str.strip)), draw(_ANY_TEXT),
         draw(_ANY_TEXT.filter(str.strip)), "db")
-    return PromptSection(catalog, ColumnPartition(frozenset(columns) - non_target, non_target)), \
+    return PromptSection(catalog, frozenset(columns) - non_target, non_target), \
         instance
 
 
@@ -740,10 +733,10 @@ def _open_path(sections, variant, limit, seed):
 
 def _few_shot_path(sections, variant, limit, seed):
     (target, instance), examples = sections[0], sections[1:]
-    plan = plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))])
+    rates = plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))])
     bundle = fit_prompt(
         few_shot_template(instance, [example for _, example in examples], variant),
-        [section for section, _ in sections], limit, seed, variant=variant, plan=plan)
+        [section for section, _ in sections], limit, seed, variant=variant, rates=rates)
     return bundle.token_count, bundle.text
 
 
@@ -814,8 +807,8 @@ _NEWLINE_NAMED = DatabaseCatalog("db", (TableSpec("t", (
 @given(sections=st.lists(_wild_sections(), min_size=1, max_size=4),
        variant=st.sampled_from(list(SchemaVariant)), fraction=st.floats(0.2, 1.0),
        seed=st.integers(0, 2**32))
-@example(sections=[(PromptSection(_NEWLINE_NAMED, ColumnPartition(
-             frozenset({("t", "a"), ("t", "b\n")}), frozenset({("t", "c")}))),
+@example(sections=[(PromptSection(
+             _NEWLINE_NAMED, frozenset({("t", "a"), ("t", "b\n")}), frozenset({("t", "c")})),
                     TaskInstance(0, "q", "", "SELECT a FROM t", "db"))] * 2,
          variant=SchemaVariant.C_N, fraction=1.0, seed=0)
 def test_a_fit_is_the_public_builders_text_at_its_keeps(sections, variant, fraction, seed):
@@ -826,11 +819,11 @@ def test_a_fit_is_the_public_builders_text_at_its_keeps(sections, variant, fract
             (few_shot_template(instance, [example for _, example in examples], variant),
              [section for section, _ in sections],
              plan_example_truncation([0.3 + 0.2 * i for i in range(len(examples))]))]
-    for template, fitted, plan in fits:
+    for template, fitted, rates in fits:
         catalogs = [section.catalog for section in fitted]
 
         def builders_text(keeps):
-            if plan is None:
+            if rates is None:
                 return open_prompt_text(instance, target.catalog, variant, keeps[0])
             return few_shot_text(instance, target.catalog, [
                 FewShotBlock(example, section.catalog, keep)
@@ -839,7 +832,7 @@ def test_a_fit_is_the_public_builders_text_at_its_keeps(sections, variant, fract
         full = count_tokens(builders_text([section.keep for section in fitted]))
         try:
             bundle = fit_prompt(template, fitted, int(full * fraction), seed,
-                                variant=variant, plan=plan)
+                                variant=variant, rates=rates)
         except UnsatisfiableBudget:
             continue
         keeps = [_kept(section, removed)

@@ -13,8 +13,8 @@ from sqlbench.cot import (
     MODE_COT_SP_FULL,
     MODE_COT_SP_PRED,
     _build_step_prompt,
-    parse_column_list,
-    parse_table_list,
+    read_columns,
+    read_tables,
     run_cot,
 )
 from sqlbench.gateway import LlmClient, LlmEndpoint, ReplayStore
@@ -239,42 +239,51 @@ def test_replayed_trace_is_identical(tmp_path, movie_catalog, movie_instance):
     assert recorded.skeleton == replayed.skeleton
 
 
+def _tables(response, catalog):
+    warnings = []
+    return read_tables(response, catalog, warnings), warnings
+
+
+def _columns(response, catalog, tables, restrict=False):
+    warnings = []
+    return read_columns(response, catalog, tables, restrict, warnings), warnings
+
+
 def test_parse_table_list_parenthesized_block(movie_catalog):
-    assert parse_table_list("Tables: (movies\n ratings)", movie_catalog) == \
-        ["movies", "ratings"]
+    assert _tables("Tables: (movies\n ratings)", movie_catalog) == (["movies", "ratings"], [])
 
 
 def test_parse_table_list_free_text_fallback(movie_catalog):
-    assert parse_table_list("We need the movies table.", movie_catalog) == ["movies"]
+    assert _tables("We need the movies table.", movie_catalog) == (["movies"], [])
 
 
 def test_parse_table_list_gibberish(movie_catalog):
-    assert parse_table_list("no idea, sorry!", movie_catalog) == []
+    assert _tables("no idea, sorry!", movie_catalog) == ([], [])
 
 
 def test_parse_table_list_preserves_unknown_names_for_validation(movie_catalog):
-    assert parse_table_list("Tables: (badges)", movie_catalog) == ["badges"]
+    assert _tables("Tables: (badges, `Movies` badges BADGES movies)", movie_catalog) == (
+        ["movies"], ["predicted table 'badges' not in catalog; dropped",
+                     "predicted table 'BADGES' not in catalog; dropped"])
 
 
 def test_parse_column_list_parenthesized_block(movie_catalog):
-    columns = parse_column_list(
+    assert _columns(
         "Columns: movies: (movie_title\n                movie_release_year)",
-        movie_catalog, ["movies"])
-    assert columns == {"movies": ["movie_title", "movie_release_year"]}
+        movie_catalog, ["movies"]) == ({"movies": ["movie_title", "movie_release_year"]}, [])
 
 
 def test_parse_column_list_multiple_tables(movie_catalog):
-    columns = parse_column_list(
+    assert _columns(
         "Columns: movies: (movie_id)\nratings: (rating_score, movie_id)",
-        movie_catalog, ["movies", "ratings"])
-    assert columns == {"movies": ["movie_id"], "ratings": ["rating_score", "movie_id"]}
+        movie_catalog, ["movies", "ratings"]) == (
+        {"movies": ["movie_id"], "ratings": ["rating_score", "movie_id"]}, [])
 
 
 def test_parse_column_list_free_text_fallback(movie_catalog):
-    columns = parse_column_list(
+    assert _columns(
         "You should use the movie_title and movie_release_year fields.",
-        movie_catalog, ["movies"])
-    assert columns == {"movies": ["movie_title", "movie_release_year"]}
+        movie_catalog, ["movies"]) == ({"movies": ["movie_title", "movie_release_year"]}, [])
 
 
 @pytest.mark.parametrize("mode", [MODE_COT_SP_PRED, MODE_COT_SK_FULL])
@@ -294,9 +303,10 @@ def test_an_unknown_step_2_table_is_warned_about_and_dropped(movie_catalog, movi
 
 
 def test_a_block_of_unknown_tables_still_falls_back_to_free_text(movie_catalog):
-    columns = parse_column_list("Columns: directors: (name) so use movie_title",
-                                movie_catalog, ["movies"])
-    assert columns == {"directors": ["name"], "movies": ["movie_title"]}
+    assert _columns("Columns: directors: (name) so use movie_title",
+                    movie_catalog, ["movies"]) == (
+        {"movies": ["movie_title"]},
+        ["predicted columns for unknown table 'directors'; dropped"])
 
 
 def test_unusable_skeleton_step_raises(movie_catalog, movie_instance):

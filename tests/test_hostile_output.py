@@ -24,7 +24,6 @@ from sqlbench import budget, evaluate, skeleton, taxonomy
 from sqlbench.evaluate import DatabaseConnections, execute_and_compare
 from sqlbench.gateway import EmptyResponse, extract_sql
 from sqlbench.skeleton import (
-    SqlSkeleton,
     SqlToken,
     UnterminatedComment,
     UnterminatedString,
@@ -77,8 +76,8 @@ def _check_tokenize(text):
 def _check_extract_skeleton(text):
     skeleton = _outcome(extract_skeleton, text)
     if not isinstance(skeleton, Exception):
-        assert isinstance(skeleton, SqlSkeleton)
-        assert "_ _" not in skeleton.text  # a gap between keywords is one "_"
+        assert isinstance(skeleton, str)
+        assert "_ _" not in skeleton  # a gap between keywords is one "_"
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from sqlbench.bench import TaskInstance
 from sqlbench.budget import (
-    ColumnPartition,
     PromptSection,
     TokenBudget,
     count_tokens,
@@ -238,7 +237,7 @@ def test_compiled_accounting_equals_rendered_count(catalog_and_keep):
 
 
 def _all_removable(catalog):
-    return ColumnPartition(frozenset(), catalog.column_set())
+    return PromptSection(catalog, frozenset(), catalog.column_set())
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,21 +263,21 @@ def test_truncation_counts_whole_prompts_from_their_frames(
         return few_shot_text(instance, catalogs[0], blocks, variant, keeps[0])
 
     catalog = catalogs[0]
-    section = PromptSection(catalog, _all_removable(catalog))
+    section = _all_removable(catalog)
     frame = {table: set() for table in section.keep}
     _, record = truncate_target(section, count_tokens(zero_shot(frame)), 10**6, 0, **engine)
     assert record.tokens_before == count_tokens(zero_shot(None))
 
-    sections = [PromptSection(c, _all_removable(c)) for c in catalogs]
-    plan = plan_example_truncation([0.5] * len(examples))
+    sections = [_all_removable(c) for c in catalogs]
+    rates = plan_example_truncation([0.5] * len(examples))
     frames = [{table: set() for table in section.keep} for section in sections]
     _, record = truncate_examples(
-        sections, plan, count_tokens(few_shot(frames)), 10**6, 0, **engine)
+        sections, rates, count_tokens(few_shot(frames)), 10**6, 0, **engine)
     assert record.tokens_before == count_tokens(few_shot([s.keep for s in sections]))
 
     for step_index in (1, 2):
         bundle = _build_step_prompt(instance, step_index, "Tables:", TokenBudget(10**6, 200),
-                                    0, PromptSection(catalog, _all_removable(catalog)))
+                                    0, _all_removable(catalog))
         assert bundle.truncation.tokens_before == count_tokens(bundle.text)
 
 

@@ -75,11 +75,11 @@ def test_keyword_classification_case_insensitive():
 def test_movie_query_skeleton():
     sql = ("SELECT movie_title FROM movies WHERE movie_release_year = 1945 "
            "ORDER BY movie_popularity DESC LIMIT 1")
-    assert extract_skeleton(sql).text == "SELECT _ FROM _ WHERE _ ORDER BY _ DESC LIMIT _"
+    assert extract_skeleton(sql) == "SELECT _ FROM _ WHERE _ ORDER BY _ DESC LIMIT _"
 
 
 def test_single_run_collapses():
-    assert extract_skeleton("SELECT *").text == "SELECT _"
+    assert extract_skeleton("SELECT *") == "SELECT _"
 
 
 def test_join_skeleton_matches_run_collapsing_oracle():
@@ -95,37 +95,37 @@ def test_join_skeleton_matches_run_collapsing_oracle():
         elif not gap:
             expected.append("_")
             gap = True
-    assert extract_skeleton(sql).text == " ".join(expected)
-    assert extract_skeleton(sql).text == "SELECT _ FROM _ JOIN _ ON _"
+    assert extract_skeleton(sql) == " ".join(expected)
+    assert extract_skeleton(sql) == "SELECT _ FROM _ JOIN _ ON _"
 
 
 def test_operator_runs_vanish_into_one_placeholder():
-    assert extract_skeleton("WHERE year = 1945").text == "WHERE _"
+    assert extract_skeleton("WHERE year = 1945") == "WHERE _"
 
 
 def test_skeleton_idempotent():
     sql = "SELECT movie_title FROM movies WHERE movie_release_year = 1945"
     once = extract_skeleton(sql)
-    assert extract_skeleton(once.text).text == once.text
+    assert extract_skeleton(once) == once
 
 
 def test_skeleton_preserves_keyword_multiset():
     sql = ("SELECT COUNT(a) FROM t JOIN u ON t.x = u.y WHERE z IN "
            "(SELECT w FROM v) GROUP BY a ORDER BY COUNT(a) DESC")
     skeleton = extract_skeleton(sql)
-    assert keyword_multiset(tokenize(sql)) == keyword_multiset(tokenize(skeleton.text))
+    assert keyword_multiset(tokenize(sql)) == keyword_multiset(tokenize(skeleton))
 
 
 def test_no_input_text_survives():
     sql = "SELECT movie_title FROM movies WHERE movie_release_year = 1945"
-    skeleton = extract_skeleton(sql).text
+    skeleton = extract_skeleton(sql)
     for word in ("movie_title", "movies", "movie_release_year", "1945", "="):
         assert word not in skeleton.split()
 
 
 def test_skeleton_invariants_hold():
     sql = "SELECT a, b FROM t WHERE x = 'lit' AND y BETWEEN 1 AND 2"
-    text = extract_skeleton(sql).text
+    text = extract_skeleton(sql)
     parts = text.split(" ")
     for i, part in enumerate(parts):
         assert part == "_" or part in KEYWORDS
