@@ -238,21 +238,27 @@ def _parse_record(raw: object, position: int) -> TaskInstance:
     for key in ("question", "SQL", "db_id"):
         if key not in raw:
             raise MalformedRecord(f"record {position}: missing field {key!r}")
+        if not isinstance(raw[key], str):
+            raise MalformedRecord(f"record {position}: {key} must be a string")
+    for key in ("evidence", "difficulty"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise MalformedRecord(f"record {position}: {key} must be a string or null")
     question_id = raw.get("question_id", position)
     if not isinstance(question_id, int) or isinstance(question_id, bool):
         raise MalformedRecord(f"record {position}: question_id must be an integer")
     return TaskInstance(
         question_id=question_id,
-        question=str(raw["question"]).strip(),
-        external_knowledge=str(raw.get("evidence") or "").strip(),
-        gold_sql=str(raw["SQL"]).strip(),
-        database_id=str(raw["db_id"]),
-        difficulty=str(raw.get("difficulty") or DEFAULT_DIFFICULTY),
+        question=raw["question"].strip(),
+        external_knowledge=(raw.get("evidence") or "").strip(),
+        gold_sql=raw["SQL"].strip(),
+        database_id=raw["db_id"],
+        difficulty=raw.get("difficulty") or DEFAULT_DIFFICULTY,
     )
 
 
 def load_questions(root_dir: Path, split_name: str) -> tuple[TaskInstance, ...]:
-    """Read and validate the question file <root>/<split>.json."""
+    """Read and validate the question file <root>/<split>.json; a
+    question_id may occur once."""
     question_file = Path(root_dir) / f"{split_name}.json"
     if not question_file.is_file():
         raise MalformedRecord(f"question file not found: {question_file}")
@@ -262,7 +268,14 @@ def load_questions(root_dir: Path, split_name: str) -> tuple[TaskInstance, ...]:
         raise MalformedRecord(f"{question_file.name}: {exc}") from exc
     if not isinstance(records, list):
         raise MalformedRecord(f"{question_file.name}: expected a JSON array")
-    return tuple(_parse_record(raw, i) for i, raw in enumerate(records))
+    instances = tuple(_parse_record(raw, i) for i, raw in enumerate(records))
+    first: dict[int, int] = {}
+    for position, instance in enumerate(instances):
+        earlier = first.setdefault(instance.question_id, position)
+        if earlier != position:
+            raise MalformedRecord(f"records {earlier} and {position}: "
+                                  f"question_id {instance.question_id} repeats")
+    return instances
 
 
 def load_split(root_dir: Path, split_name: str) -> BenchmarkSplit:

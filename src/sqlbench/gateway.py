@@ -433,9 +433,10 @@ REPLAY_MODES = ("live", "record", "replay")
 class LlmClient:
     """Completion/embedding client over an injectable transport.
 
-    mode "live" always hits the wire; "record" serves store hits and
-    records misses; "replay" never touches the wire and raises ReplayMiss
-    on unknown digests. A replay client may have no transport (None).
+    mode "live" always hits the wire and takes no store; "record" serves
+    store hits and records misses; "replay" never touches the wire and
+    raises ReplayMiss on unknown digests. A replay client may have no
+    transport (None).
     """
 
     def __init__(
@@ -450,6 +451,8 @@ class LlmClient:
             raise ValueError(f"unknown client mode {mode!r}")
         if mode in ("record", "replay") and store is None:
             raise ValueError(f"{mode} mode requires a replay store")
+        if mode == "live" and store is not None:
+            raise ValueError("live mode reads no replay store")
         if mode != "replay" and transport is None:
             raise ValueError(f"{mode} mode requires a transport")
         self.endpoint = endpoint
@@ -480,12 +483,10 @@ class LlmClient:
             if 200 <= status < 300:
                 return body
             if status in _RETRYABLE_STATUSES and attempt < MAX_RETRIES - 1:
-                last_error = HttpStatusError(status, json.dumps(body))
                 time.sleep(RETRY_BACKOFF * 2 ** attempt)
                 continue
             raise HttpStatusError(status, json.dumps(body))
-        if isinstance(last_error, HttpStatusError):
-            raise last_error
+        # Only a last attempt that sent nothing gets here.
         raise EndpointUnreachable(
             f"{url} unreachable after {MAX_RETRIES} attempts: {last_error}")
 
@@ -500,16 +501,15 @@ class LlmClient:
         """The response for each of the distinct `keys` (the texts their
         digests are taken of), in order.
 
-        The store serves what it holds, as `load(stored)`, unless the mode
-        is live. Replay mode raises ReplayMiss(miss(missing digests)) for the
-        rest; otherwise `call(indexes)` is given the missing indexes and
-        yields a (response, usage) per index in order, and record mode
-        stores `dump(response)` as each arrives.
+        The store, which a live client has none of, serves what it holds,
+        as `load(stored)`. Replay mode raises ReplayMiss(miss(missing
+        digests)) for the rest; otherwise `call(indexes)` is given the
+        missing indexes and yields a (response, usage) per index in order,
+        and record mode stores `dump(response)` as each arrives.
         """
         model = self.endpoint.model_id
         digests = [prompt_digest(key, model) for key in keys]
-        found = [self.store.get(digest) if self.store is not None and self.mode != "live"
-                 else None for digest in digests]
+        found = [None if self.store is None else self.store.get(digest) for digest in digests]
         pending = [i for i, record in enumerate(found) if record is None]
         if pending and self.mode == "replay":
             raise ReplayMiss(miss([digests[i] for i in pending]))

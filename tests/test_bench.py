@@ -75,6 +75,54 @@ def test_a_malformed_record_is_named_by_its_position(tmp_path, record, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("question", None, "record 1: question must be a string"),
+    ("SQL", None, "record 1: SQL must be a string"),
+    ("db_id", 7, "record 1: db_id must be a string"),
+    ("evidence", ["why"], "record 1: evidence must be a string or null"),
+    ("difficulty", 2, "record 1: difficulty must be a string or null"),
+], ids=["question", "SQL", "db_id", "evidence", "difficulty"])
+def test_a_field_the_report_cannot_describe_is_refused(tmp_path, field, value, message):
+    root = write_benchmark(tmp_path / "b", [_RECORD, {**_RECORD, "question_id": 1, field: value}],
+                           {"cinema": make_cinema_db})
+    with pytest.raises(MalformedRecord) as raised:
+        load_split(root, "dev")
+    assert str(raised.value) == message
+
+
+def test_a_null_evidence_or_difficulty_takes_its_default(tmp_path):
+    root = write_benchmark(tmp_path / "b", [{**_RECORD, "evidence": None, "difficulty": None}],
+                           {"cinema": make_cinema_db})
+    (instance,) = load_split(root, "dev").instances
+    assert (instance.external_knowledge, instance.difficulty) == ("", "simple")
+
+
+def test_a_repeated_question_id_is_refused(tmp_path):
+    records = [_RECORD, {**_RECORD, "question_id": 1}, {**_RECORD, "question_id": 0}]
+    root = write_benchmark(tmp_path / "b", records, {"cinema": make_cinema_db})
+    with pytest.raises(MalformedRecord) as raised:
+        load_split(root, "dev")
+    assert str(raised.value) == "records 0 and 2: question_id 0 repeats"
+
+
+def test_an_empty_question_text_is_refused(tmp_path):
+    root = write_benchmark(tmp_path / "b", [{**_RECORD, "question": " \n "}],
+                           {"cinema": make_cinema_db})
+    with pytest.raises(MalformedRecord, match="question 0: empty question text"):
+        load_split(root, "dev")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[{", "dev.json: Expecting"),
+    ('{"question_id": 0}', "dev.json: expected a JSON array"),
+], ids=["not-json", "not-an-array"])
+def test_a_question_file_that_is_not_a_json_array_is_refused(tmp_path, text, message):
+    root = write_benchmark(tmp_path / "b", [], {"cinema": make_cinema_db})
+    (root / "dev.json").write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=message):
+        load_split(root, "dev")
+
+
 def test_blank_question_rejected():
     with pytest.raises(MalformedRecord):
         TaskInstance(0, "   ", "", "SELECT 1", "db")
@@ -198,6 +246,36 @@ def test_type_normalization(tmp_path):
         "a": "int", "b": "int", "c": "varchar", "d": "text", "e": "real",
         "f": "datetime", "g": "date", "h": "text", "i": "text", "j": "text",
     }
+
+
+def test_a_foreign_key_without_a_target_column_references_the_primary_key(tmp_path):
+    path = tmp_path / "fk.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript("""
+        CREATE TABLE a (id INTEGER PRIMARY KEY, name TEXT);
+        CREATE TABLE b (x INTEGER REFERENCES a, y TEXT);
+    """)
+    conn.close()
+    assert introspect_database(path).foreign_keys == (ForeignKey("b", "x", "a", "id"),)
+
+
+def test_a_dangling_foreign_key_is_dropped_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "fk.sqlite"
+    conn = sqlite3.connect(path)
+    conn.executescript("""
+        CREATE TABLE a (id INTEGER, name TEXT);
+        CREATE TABLE b (x INTEGER REFERENCES missing(id), y INTEGER REFERENCES a);
+    """)
+    conn.close()
+    with caplog.at_level(logging.WARNING, logger="sqlbench.bench"):
+        catalog = introspect_database(path)
+    assert catalog.foreign_keys == ()
+    assert sorted(record.getMessage() for record in caplog.records) == [
+        "dropping dangling foreign key ForeignKey(table='b', column='x', ref_table='missing', "
+        "ref_column='id')",
+        "dropping dangling foreign key ForeignKey(table='b', column='y', ref_table='a', "
+        "ref_column='')",
+    ]
 
 
 def test_views_and_internal_tables_excluded(tmp_path):

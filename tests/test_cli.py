@@ -36,7 +36,7 @@ from sqlbench.cli import (
     main,
 )
 from sqlbench.schema import SchemaVariant, render_schema
-from sqlbench.bench import database_path, load_split
+from sqlbench.bench import MalformedRecord, database_path, load_split
 
 
 def run_config(mini_bench, tmp_path, **overrides) -> RunConfig:
@@ -863,6 +863,32 @@ def test_curation_names_the_candidates_it_always_named(mini_bench, tmp_path):
             for row in rows} == {
         0: [103, 102], 1: [102, 103], 2: [102, 103], 3: [103, 102], 4: [103, 102],
         5: [100, 101], 6: [101, 100], 7: [101, 100], 8: [102, 103], 9: [101, 100]}
+
+
+def test_curate_requires_a_pool_split(mini_bench, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_client", lambda *a, **k: pytest.fail("a client was built"))
+    with pytest.raises(SystemExit, match="curate requires --pool-split"):
+        cmd_curate(run_config(mini_bench, tmp_path))
+    assert not (tmp_path / "out").exists()
+
+
+_QUESTION = {"question_id": 0, "question": "How many movies are there?", "evidence": "",
+             "SQL": "SELECT COUNT(*) FROM movies", "db_id": "cinema"}
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_curate])
+@pytest.mark.parametrize("second, message", [
+    ({**_QUESTION, "question_id": 1, "SQL": None}, "record 1: SQL must be a string"),
+    (_QUESTION, "records 0 and 1: question_id 0 repeats"),
+], ids=["null-sql", "repeated-id"])
+def test_a_question_file_the_report_cannot_describe_fails_before_any_client(
+        tmp_path, monkeypatch, command, second, message):
+    root = write_benchmark(tmp_path / "b", [_QUESTION, second], {"cinema": make_cinema_db},
+                           extra_splits={"train": [_QUESTION]})
+    monkeypatch.setattr(cli, "build_client", lambda *a, **k: pytest.fail("a client was built"))
+    with pytest.raises(MalformedRecord) as raised:
+        command(run_config(root, tmp_path, pool_split="train", shots=1))
+    assert str(raised.value) == message
 
 
 def test_curate_rejects_a_mode_it_cannot_apply(mini_bench, tmp_path):

@@ -358,6 +358,61 @@ def test_unreachable_after_retries(endpoint, monkeypatch):
     assert sleeps == [gateway.RETRY_BACKOFF, 2 * gateway.RETRY_BACKOFF] == [0.5, 1.0]
 
 
+def test_a_status_retried_to_the_last_attempt_is_raised(endpoint, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    transport = ScriptedTransport(completion_fn=str, status=503)
+    with pytest.raises(HttpStatusError) as err:
+        LlmClient(endpoint, transport=transport).complete("p")
+    assert err.value.status == 503
+    assert json.loads(err.value.body) == {"error": "scripted failure"}
+    assert len(transport.requests) == MAX_RETRIES
+    assert sleeps == [0.5, 1.0]
+
+
+def test_a_last_attempt_that_sends_nothing_is_unreachable_after_retried_statuses(
+        endpoint, no_backoff):
+    answers = iter([(503, {"error": "busy"}), (503, {"error": "busy"}), ConnectionError("down")])
+
+    def transport(url, payload, headers, timeout):
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    with pytest.raises(EndpointUnreachable, match="after 3 attempts: down"):
+        LlmClient(endpoint, transport=transport).complete("p")
+
+
+def test_a_non_json_error_body_is_kept_as_text(clean_environment):
+    body = b"<html>Bad \xff request</html>"
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        connection, _ = listener.accept()
+        with connection:
+            _read_request(connection)
+            connection.sendall(b"HTTP/1.1 400 Bad Request\r\nContent-Length: %d\r\n\r\n%s"
+                               % (len(body), body))
+            connection.recv(65536)  # until the client closes
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    transport = PooledTransport()
+    client = LlmClient(LlmEndpoint(f"http://127.0.0.1:{listener.getsockname()[1]}", "m"),
+                       transport=transport)
+    try:
+        with pytest.raises(HttpStatusError) as err:
+            client.complete("p")
+    finally:
+        transport.close()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+    assert err.value.status == 400
+    assert json.loads(err.value.body) == {"error": "<html>Bad \ufffd request</html>"}
+
+
 def test_http_error_surfaces_status(endpoint):
     transport = ScriptedTransport(completion_fn=lambda p: "x", status=404)
     client = LlmClient(endpoint, transport=transport)
@@ -535,11 +590,26 @@ def test_embed_ragged_vectors_rejected(endpoint):
         client.embed(["a", "b"])
 
 
+def test_embed_rejects_a_response_with_fewer_vectors_than_inputs(endpoint):
+    def transport(url, payload, headers, timeout):
+        return 200, {"data": [{"index": 0, "embedding": [0.1, 0.2]}]}
+
+    client = LlmClient(endpoint, transport=transport)
+    with pytest.raises(DimensionMismatch, match="server returned 1 vectors for 2 inputs"):
+        client.embed(["a", "b"])
+
+
 def test_client_mode_validation(tmp_path, endpoint):
     with pytest.raises(ValueError):
         LlmClient(endpoint, mode="replay")
     with pytest.raises(ValueError):
         LlmClient(endpoint, mode="sideways")
+
+
+def test_a_live_client_refuses_a_store(tmp_path, endpoint):
+    store = ReplayStore(tmp_path / "store.jsonl")
+    with pytest.raises(ValueError, match="live mode reads no replay store"):
+        LlmClient(endpoint, mode="live", store=store, transport=ScriptedTransport(str))
 
 
 # --- pooled transport ------------------------------------------------------

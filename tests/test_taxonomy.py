@@ -198,6 +198,16 @@ def test_analyze_sql_shapes(forum_catalog):
     assert shape.select_count == 1
 
 
+@pytest.mark.parametrize("sql, tables, aliases", [
+    ("SELECT p.Title, b.Name FROM posts AS p, badges b WHERE p.OwnerUserId = b.UserId",
+     {"posts", "badges"}, {"p": "posts", "b": "badges"}),
+    ("SELECT n, Title FROM (SELECT 1 AS n), posts", {"posts"}, {}),
+], ids=["comma-list", "table-less-subquery"])
+def test_a_from_list_gives_its_tables(sql, tables, aliases):
+    shape = analyze_sql(sql)
+    assert (shape.tables, shape.aliases) == (tables, aliases)
+
+
 def test_tabulate_zero_failures():
     rows = tabulate([], 100)
     assert all(row["count"] == 0 and row["percent"] == 0.0 for row in rows)
