@@ -18,7 +18,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
 
 from .schema import (
     ColumnFilter,
@@ -233,17 +233,18 @@ def plan_example_truncation(
     return tuple(w / total for w in weights)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PromptSection:
     """One truncatable schema section of a prompt (target or example).
 
     Read-only once built, so one section may be shared by any number of
-    prompts, calls and threads. `target` and `non_target` are disjoint sets
-    of (table, column) pairs: the columns truncation keeps and those it may
-    remove. `keep` maps every catalog table to the section's columns in it
-    (an empty set hides the table), so a section of a narrowed view shows
-    only that view; `removables` is `non_target`, sorted, the list
-    truncation draws from.
+    prompts, calls and threads. It is built from two disjoint sets of
+    (table, column) pairs: `target`, the columns truncation keeps, and
+    `non_target`, those it may remove. `keep` maps every catalog table to
+    the section's columns in it (an empty set hides the table), so a section
+    of a narrowed view shows only that view; `removables` is `non_target`,
+    sorted, the list truncation draws from, and the section keeps only that
+    list: `non_target` is read back from it as a set.
     `size(variant)` is the token count of the schema block `keep` shows.
     Truncation copies what it changes and leaves the section as built.
     A section of the full view, as every question and pool section is,
@@ -253,35 +254,38 @@ class PromptSection:
 
     catalog: DatabaseCatalog
     target: frozenset[tuple[str, str]]
-    non_target: frozenset[tuple[str, str]]
-    keep: Mapping[str, frozenset[str]] = field(init=False)
-    removables: tuple[tuple[str, str], ...] = field(init=False)
-    _sizes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    keep: Mapping[str, frozenset[str]]
+    removables: tuple[tuple[str, str], ...]
+    _sizes: dict = field(repr=False)
 
-    def __post_init__(self) -> None:
-        target, non_target = frozenset(self.target), frozenset(self.non_target)
-        if target & non_target:
+    def __init__(self, catalog: DatabaseCatalog, target: AbstractSet[tuple[str, str]],
+                 non_target: AbstractSet[tuple[str, str]]) -> None:
+        target = frozenset(target)
+        if not target.isdisjoint(non_target):
             raise ValueError("target and non_target overlap")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "non_target", non_target)
-        names = _column_names(self.catalog)
-        pairs = _column_pairs(self.catalog)
+        names = _column_names(catalog)
+        pairs = _column_pairs(catalog)
         if (len(target) + len(non_target) == len(pairs)
                 and target <= pairs and non_target <= pairs):
-            object.__setattr__(self, "keep", names)
-            object.__setattr__(self, "removables", tuple(
-                [key for key in _sorted_columns(self.catalog) if key in non_target]))
-            object.__setattr__(self, "_sizes", _full_view_sizes(self.catalog))
-            return
-        keep: dict[str, set[str]] = {table: set() for table in names}
-        for table, column in target | non_target:
-            keep[table].add(column)
-        # A table shown whole shares the catalog's name set, so that the
-        # sections a run caches stay small.
-        object.__setattr__(self, "keep", {
-            table: names[table] if columns == names[table] else frozenset(columns)
-            for table, columns in keep.items()})
-        object.__setattr__(self, "removables", tuple(sorted(non_target)))
+            keep = names
+            removables = tuple([key for key in _sorted_columns(catalog) if key in non_target])
+            sizes = _full_view_sizes(catalog)
+        else:
+            shown: dict[str, set[str]] = {table: set() for table in names}
+            for table, column in target | non_target:
+                shown[table].add(column)
+            # A table shown whole shares the catalog's name set, so that the
+            # sections a run caches stay small.
+            keep = {table: names[table] if columns == names[table] else frozenset(columns)
+                    for table, columns in shown.items()}
+            removables, sizes = tuple(sorted(non_target)), {}
+        for name, value in (("catalog", catalog), ("target", target), ("keep", keep),
+                            ("removables", removables), ("_sizes", sizes)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def non_target(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.removables)
 
     def size(self, variant: SchemaVariant) -> int:
         """count_tokens of the schema block in `variant` under `keep`,

@@ -7,16 +7,19 @@ by average similarity are kept and emitted in ascending order, so the most
 similar example sits last, nearest the target block.
 
 An embedding is a float64 array from the moment it is parsed. An
-`ExamplePool` is built from its N candidates and their 3N question, schema
-and SQL vectors, interleaved per candidate as `build_pool`'s one embedding
-call returns them, and it alone keeps those vectors, as three (N, d)
-matrices.
+`ExamplePool` is built from its N candidates and 2N + D vectors, as
+`build_pool`'s one embedding call returns them: the N questions, the N gold
+SQLs, then the D distinct rendered schemas in order of first use. It alone
+keeps those vectors, as (N, d) question and SQL matrices and a (D, d)
+schema matrix with an (N,) index of each candidate's schema row, so a
+schema shared by many candidates is held once.
 
 `curate_top_k` finds that top-k in two passes: a screen of the whole pool
-with three matrix-vector products over those matrices, then an exact
-rescoring, with the scalar cosine that `score_candidates` uses, of only the
-candidates the screen cannot rule out. The selection is the one full exact
-scoring gives, bit for bit.
+with three matrix-vector products over those matrices, the schema's D
+products broadcast through the index, then an exact rescoring, with the
+scalar cosine that `score_candidates` uses, of only the candidates the
+screen cannot rule out. The selection is the one full exact scoring gives,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -99,11 +102,13 @@ class PoolCandidate:
 class ExamplePool:
     """The embedded example candidates of a run.
 
-    `vectors` holds each candidate's question, schema and SQL vectors in
-    turn, 3N in all, as `build_pool`'s embedding call returns them. The pool
-    keeps them once, as three (N, d) float64 matrices of every third row from
-    0, 1 and 2 (views of `vectors` itself when it is a (3N, d) float64
-    array), with their rows' L2 norms as one (3, N) array.
+    `vectors` holds 2N + D rows, as `build_pool`'s embedding call returns
+    them: each candidate's question, then each candidate's gold SQL, then
+    the D distinct schema texts of `_schema_texts` in order. The pool keeps
+    them once: as (N, d) question and SQL matrices and a (D, d) schema
+    matrix (views of `vectors` itself when it is a (2N + D, d) float64
+    array), each with its rows' L2 norms, and `_schema_rows`, the (N,) index
+    of each candidate's schema row.
 
     Beside `_schema_vectors`, the pool keeps two caches that questions fill
     on first use, not `build_pool`: `_scored`, the candidates scored for a
@@ -120,21 +125,27 @@ class ExamplePool:
 
         self.candidates = tuple(candidates)
         self.variant = variant
-        if len(vectors) != 3 * len(self.candidates):
-            raise ValueError(f"{len(self.candidates)} pool candidates need "
-                             f"{3 * len(self.candidates)} vectors, got {len(vectors)}")
+        count = len(self.candidates)
+        schemas = _schema_texts([c.catalog for c in self.candidates], variant)
+        if len(vectors) != 2 * count + len(schemas):
+            raise ValueError(f"{count} pool candidates over {len(schemas)} schemas need "
+                             f"{2 * count + len(schemas)} vectors, got {len(vectors)}")
         dims = {len(vector) for vector in vectors}
         if len(dims) > 1:
             raise DimensionMismatch(f"pool embeddings have mixed dimensions: {sorted(dims)}")
         stacked = np.asarray(vectors, dtype=float).reshape(len(vectors), dims.pop() if dims else 0)
-        self._matrices = stacked[0::3], stacked[1::3], stacked[2::3]
+        # Question, schema and SQL matrices, in the order of a SimilarityTriple.
+        self._matrices = stacked[:count], stacked[2 * count:], stacked[count:2 * count]
         # Row by row, as _vector computes each norm, so the bits agree.
-        self._norms = np.array(
-            [[np.linalg.norm(row) for row in matrix] for matrix in self._matrices],
-            dtype=float).reshape(3, len(self.candidates))
-        # Rendered schema text -> its vector, filled by build_pool and by each
-        # target schema embedded, so a run embeds each distinct schema once.
-        self._schema_vectors: dict[str, Vector] = {}
+        self._norms = tuple(np.array([np.linalg.norm(row) for row in matrix], dtype=float)
+                            for matrix in self._matrices)
+        self._schema_rows = np.array(
+            [schemas[_schema_text(c.catalog, variant)] for c in self.candidates], dtype=np.intp)
+        # Rendered schema text -> its vector, filled here and by each target
+        # schema embedded, so a run embeds each distinct schema once.
+        self._schema_vectors: dict[str, Vector] = {
+            text: (self._matrices[1][row], float(self._norms[1][row]))
+            for text, row in schemas.items()}
         self._scored: dict[str, tuple[int, ...]] = {}
         self._sections: dict[int, PromptSection] = {}
 
@@ -155,25 +166,26 @@ def _schema_text(catalog: DatabaseCatalog, variant: SchemaVariant) -> str:
     return catalog.derived(("schema_text", variant), lambda: render_schema(catalog, variant))
 
 
+def _schema_texts(catalogs: Sequence[DatabaseCatalog], variant: SchemaVariant) -> dict[str, int]:
+    """Each distinct schema text of `catalogs` -> its row, in order of first use."""
+    rows: dict[str, int] = {}
+    for catalog in catalogs:
+        rows.setdefault(_schema_text(catalog, variant), len(rows))
+    return rows
+
+
 def build_pool(
     candidates: Sequence[tuple[TaskInstance, DatabaseCatalog]],
     variant: SchemaVariant,
     embed: EmbeddingFn,
 ) -> ExamplePool:
-    """Embed question, rendered schema and gold SQL for every candidate, in
-    one call whose result the pool keeps."""
-    texts: list[str] = []
-    for instance, catalog in candidates:
-        texts.extend((
-            instance.question,
-            _schema_text(catalog, variant),
-            instance.gold_sql,
-        ))
-    pool = ExamplePool([PoolCandidate(instance, catalog) for instance, catalog in candidates],
+    """Embed every candidate's question and gold SQL and each distinct
+    rendered schema, in one call whose result the pool keeps."""
+    texts = [instance.question for instance, _ in candidates]
+    texts += [instance.gold_sql for instance, _ in candidates]
+    texts += _schema_texts([catalog for _, catalog in candidates], variant)
+    return ExamplePool([PoolCandidate(instance, catalog) for instance, catalog in candidates],
                        embed(texts), variant)
-    for i, (vector, norm) in enumerate(zip(pool._matrices[1], pool._norms[1])):
-        pool._schema_vectors.setdefault(texts[3 * i + 1], (vector, float(norm)))
-    return pool
 
 
 def _target_vectors(
@@ -211,8 +223,10 @@ def _scored_indexes(target: TaskInstance, pool: ExamplePool) -> tuple[int, ...]:
 
 def _triple(targets: tuple[Vector, Vector, Vector], pool: ExamplePool,
             index: int) -> SimilarityTriple:
+    rows = index, pool._schema_rows[index], index
     (target_q, target_d, target_s), (cand_q, cand_d, cand_s) = targets, (
-        (matrix[index], float(norms[index])) for matrix, norms in zip(pool._matrices, pool._norms))
+        (matrix[row], float(norms[row]))
+        for matrix, norms, row in zip(pool._matrices, pool._norms, rows))
     return SimilarityTriple(
         candidate_index=index,
         gamma_q=_cosine(target_q, cand_q),
@@ -261,16 +275,21 @@ def _screen(targets: tuple[Vector, Vector, Vector],
     """Each candidate's screened gamma_a, and whether the error bound covers
     it: the screen is finite and the norms multiply to a normal float.
     Clamping to [-1, 1] moves a cosine by less than its error, so the
-    screen skips it."""
+    screen skips it. The D schema cosines reach the N candidates through
+    the pool's schema index."""
     import numpy as np
 
     total = 0
     sure = True
     with np.errstate(all="ignore"):
-        for (vector, norm), matrix, norms in zip(targets, pool._matrices, pool._norms):
+        for (vector, norm), matrix, norms, rows in zip(
+                targets, pool._matrices, pool._norms, (None, pool._schema_rows, None)):
             scale = norms * norm
             value = matrix @ vector / scale
-            sure = sure & (scale >= _NORMAL) & np.isfinite(value)
+            covered = (scale >= _NORMAL) & np.isfinite(value)
+            if rows is not None:
+                value, covered = value[rows], covered[rows]
+            sure = sure & covered
             total = total + value
     return (total / 3).tolist(), sure.tolist()
 

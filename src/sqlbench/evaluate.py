@@ -122,6 +122,14 @@ def _normalize_rows(rows: Sequence[Sequence]) -> frozenset:
     return frozenset(tuple(_normalize_value(v) for v in row) for row in rows)
 
 
+def _rows_match(gold_rows: Sequence[tuple], predicted_rows: Sequence[tuple]) -> bool:
+    """Whether the normalized row sets agree. Equal raw sets always do, as
+    rounding maps equal values (1 and 1.0, -0.0 and 0.0) to equal values and
+    SQLite returns no NaN, so rows are normalized only when those differ."""
+    return (frozenset(gold_rows) == frozenset(predicted_rows)
+            or _normalize_rows(gold_rows) == _normalize_rows(predicted_rows))
+
+
 def _run_query(connections: DatabaseConnections, database: Path, sql: str, timeout: float):
     """Execute one read-only query; returns (rows, error). More than
     MAX_RESULT_ROWS rows, or an action the authorizer denies, is an error."""
@@ -179,7 +187,7 @@ def execute_and_compare(
     matched = (
         gold_error is None
         and predicted_error is None
-        and _normalize_rows(gold_rows) == _normalize_rows(predicted_rows)
+        and _rows_match(gold_rows, predicted_rows)
     )
     return EvalOutcome(
         question_id=question_id,

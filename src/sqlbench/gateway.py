@@ -8,7 +8,10 @@ for servers without a raw completion route.
 Every stored model call, completion or embedding, goes through one
 append-only JSONL replay store that maps a prompt digest to the recorded
 response, which makes whole pipeline runs bit-deterministic and testable
-offline; a record run into one store keeps its embeddings across runs.
+offline; a record run into one store keeps its embeddings across runs. An
+embedding is stored as the base64 of its little-endian float64 bytes, so a
+replay reads back the exact vector the recording used without parsing
+decimal text; `binascii` is imported where a vector is encoded or decoded.
 
 The network modules (`http.client`, `ssl`, `urllib.request`, `netrc`,
 `base64`, and with them `email` and `socket`) are imported where a request
@@ -100,11 +103,17 @@ class LlmEndpoint:
 
 @dataclass(frozen=True)
 class CompletionRecord:
+    """One stored model call: a completion's `response` text, or an
+    embedding's `vector`, the base64 of its little-endian float64 bytes. A
+    store recorded before vectors were stored as bytes holds each embedding
+    in `response`, as the JSON text of its list."""
+
     digest: str
     model: str
-    response: str
+    response: Optional[str] = None
     prompt_tokens: int = 0
     completion_tokens: int = 0
+    vector: Optional[str] = None
 
 
 def prompt_digest(prompt_text: str, model_id: str) -> str:
@@ -115,13 +124,16 @@ def prompt_digest(prompt_text: str, model_id: str) -> str:
 
 
 def _completion_record(raw: dict) -> CompletionRecord:
-    return CompletionRecord(raw["hash"], raw["model"], raw["response"],
-                            raw.get("prompt_tokens", 0), raw.get("completion_tokens", 0))
+    vector = raw.get("vector")
+    return CompletionRecord(raw["hash"], raw["model"],
+                            raw["response"] if vector is None else None,
+                            raw.get("prompt_tokens", 0), raw.get("completion_tokens", 0), vector)
 
 
 class ReplayStore:
     """Append-only JSONL file of completion records keyed by their digest,
-    one {hash, model, response, prompt_tokens, completion_tokens} line each.
+    one {hash, model, response, prompt_tokens, completion_tokens} line each,
+    with `vector` in place of `response` for an embedding.
 
     Loading parses and checks every line, but keeps only where each
     digest's first line lies (its offset and length), so a store costs
@@ -190,9 +202,10 @@ class ReplayStore:
         with self._lock:
             if record.digest in self._index:
                 return
+            body = ({"response": record.response} if record.vector is None
+                    else {"vector": record.vector})
             # A lone surrogate is written as its JSON escape.
-            line = (json.dumps({"hash": record.digest, "model": record.model,
-                                "response": record.response,
+            line = (json.dumps({"hash": record.digest, "model": record.model, **body,
                                 "prompt_tokens": record.prompt_tokens,
                                 "completion_tokens": record.completion_tokens},
                                ensure_ascii=False) + "\n").encode("utf-8", "backslashreplace")
@@ -495,17 +508,18 @@ class LlmClient:
         keys: Sequence[str],
         call: Callable[[list[int]], Iterator[tuple]],
         miss: Callable[[list[str]], str],
-        dump: Callable = lambda response: response,
-        load: Callable = lambda stored: stored,
+        dump: Callable[..., dict] = lambda response: {"response": response},
+        load: Callable[[CompletionRecord], object] = lambda record: record.response,
     ) -> Iterator:
         """The response for each of the distinct `keys` (the texts their
         digests are taken of), in order.
 
         The store, which a live client has none of, serves what it holds,
-        as `load(stored)`. Replay mode raises ReplayMiss(miss(missing
+        as `load(record)`. Replay mode raises ReplayMiss(miss(missing
         digests)) for the rest; otherwise `call(indexes)` is given the
         missing indexes and yields a (response, usage) per index in order,
-        and record mode stores `dump(response)` as each arrives.
+        and record mode stores a record of the fields `dump(response)` as
+        each arrives.
         """
         model = self.endpoint.model_id
         digests = [prompt_digest(key, model) for key in keys]
@@ -518,9 +532,9 @@ class LlmClient:
             fresh[i] = response
             if self.mode == "record":
                 self.store.put(CompletionRecord(
-                    digests[i], model, dump(response), int(usage.get("prompt_tokens", 0)),
-                    int(usage.get("completion_tokens", 0))))
-        return (fresh[i] if record is None else load(record.response)
+                    digests[i], model, prompt_tokens=int(usage.get("prompt_tokens", 0)),
+                    completion_tokens=int(usage.get("completion_tokens", 0)), **dump(response)))
+        return (fresh[i] if record is None else load(record)
                 for i, record in enumerate(found))
 
     def complete(self, prompt) -> str:
@@ -550,8 +564,9 @@ class LlmClient:
         Returns one (len(texts), d) float64 array: each distinct text is
         digested, looked up or sent once per call, and its vector copied
         straight into the rows of its occurrences. Only a stored vector is
-        parsed, and only a recorded one serialized. Raises DimensionMismatch,
-        naming every length, if the vectors' lengths differ.
+        decoded (or parsed, from a store that holds it as JSON text), and
+        only a recorded one encoded. Raises DimensionMismatch, naming every
+        length, if the vectors' lengths differ.
         """
         import numpy as np
 
@@ -576,10 +591,23 @@ class LlmClient:
                 for row in rows:
                     yield row["embedding"], {}
 
+        def dump(vector) -> dict:
+            import binascii
+
+            data = np.asarray(vector, dtype="<f8").tobytes()
+            return {"vector": binascii.b2a_base64(data, newline=False).decode("ascii")}
+
+        def load(record: CompletionRecord):
+            if record.vector is None:
+                return json.loads(record.response)
+            import binascii
+
+            return np.frombuffer(binascii.a2b_base64(record.vector), dtype="<f8")
+
         vectors = self._recorded(
             ["embed:" + text for text in distinct], call,
             lambda missing: f"{len(missing)} embedding texts missing from store",
-            dump=lambda vector: json.dumps(list(vector)), load=json.loads)
+            dump=dump, load=load)
         matrix = None
         dims = set()
         for rows, vector in zip(rows_of.values(), vectors):

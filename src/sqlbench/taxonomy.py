@@ -107,47 +107,72 @@ def analyze_sql(sql: str) -> QueryShape:
     select_count = 0
     referenced: list[tuple[Optional[str], str]] = []
 
-    # Pass 1: FROM/JOIN table references and aliases.
+    # Pass 1: FROM/JOIN table references and aliases, in one scan. A
+    # parenthesized FROM item (a subquery or a join group) is read in place,
+    # and its reference list resumes after its closing parenthesis, so the
+    # subquery's own tables are read and no token is read twice.
+    derived: set[str] = set()  # aliases of parenthesized FROM items
+    items: list[int] = []  # the depth around each open parenthesized FROM item
+    depth = 0
+
+    def references(j: int) -> int:
+        """Read comma-separated references from token j up to anything
+        else; return where reading stopped. A "(" opens a FROM item, whose
+        references are read on."""
+        nonlocal depth
+        while j < n:
+            if tokens[j].text == "(":
+                items.append(depth)
+                depth += 1
+                j += 1
+                continue
+            if tokens[j].kind == "identifier":
+                base = strip_quotes(tokens[j].text).lower()
+                tables.add(base)
+                j += 1
+                if j < n and kw(tokens[j], "AS"):
+                    j += 1
+                if j < n and tokens[j].kind == "identifier" and tokens[j - 1].text != ".":
+                    alias = strip_quotes(tokens[j].text).lower()
+                    if alias != base:
+                        aliases[alias] = base
+                    j += 1
+            if j < n and tokens[j].text == ",":
+                j += 1
+                continue
+            break
+        return j
+
     i = 0
     while i < n:
         token = tokens[i]
         if kw(token, "FROM", "JOIN"):
             if kw(token, "JOIN"):
                 join_count += 1
-            j = i + 1
-            # Comma-separated references run until a clause keyword.
-            while j < n:
-                if tokens[j].text == "(":
-                    depth = 1
-                    j += 1
-                    while j < n and depth:
-                        depth += {"(": 1, ")": -1}.get(tokens[j].text, 0)
-                        j += 1
-                    continue
-                if tokens[j].kind == "identifier":
-                    base = strip_quotes(tokens[j].text).lower()
-                    tables.add(base)
-                    j += 1
-                    if j < n and kw(tokens[j], "AS"):
-                        j += 1
-                    if j < n and tokens[j].kind == "identifier" and tokens[j - 1].text != ".":
-                        alias = strip_quotes(tokens[j].text).lower()
-                        if alias != base:
-                            aliases[alias] = base
-                        j += 1
-                if j < n and tokens[j].text == ",":
-                    j += 1
-                    continue
-                break
-            i = j
+            i = references(i + 1)
             continue
         i += 1
+        if token.text == "(":
+            depth += 1
+        elif token.text == ")":
+            depth -= 1
+            if items and items[-1] == depth:
+                # A FROM item closes: its alias, then the rest of its list.
+                items.pop()
+                if i < n and kw(tokens[i], "AS"):
+                    i += 1
+                if i < n and tokens[i].kind == "identifier":
+                    derived.add(strip_quotes(tokens[i].text).lower())
+                    i += 1
+                if i < n and tokens[i].text == ",":
+                    i = references(i + 1)
 
     def resolve(prefix: str) -> str:
         return aliases.get(prefix, prefix)
 
-    # AS-introduced names (column or table aliases) are never column refs.
-    as_names = {
+    # AS-introduced names (column or table aliases) and the aliases of
+    # parenthesized FROM items are never column refs.
+    as_names = derived | {
         strip_quotes(tokens[i + 1].text).lower()
         for i in range(n - 1)
         if kw(tokens[i], "AS") and tokens[i + 1].kind == "identifier"

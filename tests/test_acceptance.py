@@ -179,10 +179,16 @@ def test_criterion_3_curation_oracle():
     catalog_cache = {}
 
     def catalog_for(db_id):
+        # A column named after the database, so that each schema text differs.
         if db_id not in catalog_cache:
             catalog_cache[db_id] = DatabaseCatalog(
-                db_id, (TableSpec("t", (ColumnSpec("x", "int"),)),))
+                db_id, (TableSpec("t", (ColumnSpec(f"x_{db_id}", "int"),)),))
         return catalog_cache[db_id]
+
+    def pool_vectors(triples):
+        """Each candidate's question, then SQL, then schema vector, as a pool
+        of distinct schemas takes them."""
+        return np.concatenate([triples[:, 0], triples[:, 2], triples[:, 1]])
 
     def embed_from(vectors):
         queue = list(vectors)
@@ -204,8 +210,8 @@ def test_criterion_3_curation_oracle():
                 catalog_for(f"db_{i}"))
             for i in range(size)
         )
-        # Each candidate's question, schema and SQL vectors in turn.
-        pool = ExamplePool(candidates, matrix[:size].reshape(3 * size, dim), SchemaVariant.C_N)
+        # Each candidate's question, schema and SQL vectors.
+        pool = ExamplePool(candidates, pool_vectors(matrix[:size]), SchemaVariant.C_N)
         target = TaskInstance(10_000, "target?", "", "", "db_target")
         target_vectors = [matrix[size, 0], matrix[size, 1], matrix[size, 2]]
 
@@ -229,7 +235,7 @@ def test_criterion_3_curation_oracle():
             # positive per-vector rescaling must not change the selection
             scales = rng.uniform(0.1, 40.0, size=size + 1)
             scaled_pool = ExamplePool(
-                candidates, (matrix[:size] * scales[:size, None, None]).reshape(3 * size, dim),
+                candidates, pool_vectors(matrix[:size] * scales[:size, None, None]),
                 SchemaVariant.C_N)
             scaled_triples = score_candidates(
                 target, catalog_for("db_target"), "SELECT 0", scaled_pool,

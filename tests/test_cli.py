@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import argparse
+import base64
 import json
+import math
 import re
+import struct
 import tempfile
 import weakref
 from pathlib import Path
@@ -37,6 +40,7 @@ from sqlbench.cli import (
 )
 from sqlbench.schema import SchemaVariant, render_schema
 from sqlbench.bench import MalformedRecord, database_path, load_split
+from sqlbench.gateway import ReplayStore
 
 
 def run_config(mini_bench, tmp_path, **overrides) -> RunConfig:
@@ -863,6 +867,44 @@ def test_curation_names_the_candidates_it_always_named(mini_bench, tmp_path):
             for row in rows} == {
         0: [103, 102], 1: [102, 103], 2: [102, 103], 3: [103, 102], 4: [103, 102],
         5: [100, 101], 6: [101, 100], 7: [101, 100], 8: [102, 103], 9: [101, 100]}
+
+
+def test_a_store_of_vectors_as_json_text_replays_to_the_same_curation(mini_bench, tmp_path):
+    # A store recorded before vectors were stored as bytes holds each one as
+    # the JSON text of its list, in `response`. With full-precision vectors,
+    # it replays to the vectors and the curation.json of the recording.
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=lambda text: [value * math.pi / 3 for value in hash_embedding(text)])
+    store = tmp_path / "store.jsonl"
+    record = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
+                        output_dir=tmp_path / "record", replay_store=store, replay_mode="record")
+    client = build_client(record, transport=transport)
+    cmd_curate(record, client=client,
+               embed_client=build_embed_client(record, transport=transport, store=client.store))
+    legacy = tmp_path / "legacy.jsonl"
+    with open(legacy, "w", encoding="utf-8") as handle:
+        for line in store.read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            if "vector" in row:
+                data = base64.b64decode(row.pop("vector"))
+                row = {"hash": row["hash"], "model": row["model"],
+                       "response": json.dumps(list(struct.unpack(f"<{len(data) // 8}d", data))),
+                       "prompt_tokens": 0, "completion_tokens": 0}
+            handle.write(json.dumps(row) + "\n")
+    texts = [text for r in transport.requests if "embeddings" in r["url"]
+             for text in r["payload"]["input"]]
+    matrices = []
+    for path in (store, legacy):
+        replay = run_config(mini_bench, tmp_path, shots=2, pool_split="train",
+                            output_dir=tmp_path / path.stem, replay_store=path,
+                            replay_mode="replay")
+        assert (cmd_curate(replay).read_bytes()
+                == (record.output_dir / "curation.json").read_bytes())
+        matrices.append(build_embed_client(replay, store=ReplayStore(path)).embed(texts))
+    assert matrices[0].tobytes() == matrices[1].tobytes()
+    assert matrices[0].tolist() == [[value * math.pi / 3 for value in hash_embedding(text)]
+                                    for text in texts]
 
 
 def test_curate_requires_a_pool_split(mini_bench, tmp_path, monkeypatch):

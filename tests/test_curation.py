@@ -208,27 +208,64 @@ def test_pool_rejects_ragged_dimensions():
         ExamplePool((PoolCandidate(inst, cat),), [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0, 3.0)])
 
 
+def _texts(candidate, pool):
+    """A pool candidate's question, rendered schema and gold SQL."""
+    instance = candidate.instance
+    return instance.question, render_schema(candidate.catalog, pool.variant), instance.gold_sql
+
+
+def _pooled(pool, index):
+    """The question, schema and SQL vectors the pool holds for candidate
+    `index`."""
+    questions, schemas, sqls = pool._matrices
+    return questions[index], schemas[pool._schema_rows[index]], sqls[index]
+
+
 def _embedded(candidate, pool, vectors):
     """The question, schema and SQL vectors embedded for a pool candidate,
     from the embedding function's text -> vector table."""
-    instance = candidate.instance
-    return (vectors[instance.question], vectors[render_schema(candidate.catalog, pool.variant)],
-            vectors[instance.gold_sql])
+    return tuple(vectors[text] for text in _texts(candidate, pool))
 
 
 @pytest.mark.parametrize("extra", [-3, 3], ids=["short", "long"])
-def test_a_pool_takes_three_vectors_per_candidate(extra):
+def test_a_pool_takes_two_vectors_per_candidate_and_one_per_schema(extra):
     # An embedding function that returns too few or too many vectors names
     # both counts, instead of failing on a row index or dropping vectors.
     candidates = [(_candidate(i, f"db_{i}", f"question {i}?", f"SELECT {i}"),
-                   _tiny_catalog(f"db_{i}")) for i in range(4)]
+                   _tiny_catalog(f"db_{i}", column=f"c{i % 2}")) for i in range(4)]
 
     def embed(texts):
         return [hash_embedding(str(i), 8) for i in range(len(texts) + extra)]
 
     with pytest.raises(ValueError) as raised:
         build_pool(candidates, SchemaVariant.C_N, embed)
-    assert str(raised.value) == f"4 pool candidates need 12 vectors, got {12 + extra}"
+    assert str(raised.value) == (
+        f"4 pool candidates over 2 schemas need 10 vectors, got {10 + extra}")
+
+
+def test_a_pool_keeps_each_distinct_schema_once():
+    # Six candidates over two rendered schemas: one embedding call of the
+    # questions, the SQLs and the two schema texts, and a schema matrix of
+    # two rows that each candidate reaches through its index.
+    sent = []
+
+    def embed(texts):
+        sent.append(list(texts))
+        return np.array([hash_embedding(text, 8) for text in texts])
+
+    candidates = [(_candidate(i, f"db_{i}", f"question {i}?", f"SELECT {i}"),
+                   _tiny_catalog(f"db_{i}", column=f"c{i % 2}")) for i in range(6)]
+    pool = build_pool(candidates, SchemaVariant.C_N, embed)
+    schemas = [render_schema(_tiny_catalog("db", column=f"c{i}"), SchemaVariant.C_N)
+               for i in range(2)]
+    assert sent == [[f"question {i}?" for i in range(6)] + [f"SELECT {i}" for i in range(6)]
+                    + schemas]
+    questions, schema_matrix, sqls = pool._matrices
+    assert (questions.shape, schema_matrix.shape, sqls.shape) == ((6, 8), (2, 8), (6, 8))
+    assert pool._schema_rows.tolist() == [0, 1, 0, 1, 0, 1]
+    for i, candidate in enumerate(pool.candidates):
+        assert [vector.tolist() for vector in _pooled(pool, i)] == [
+            hash_embedding(text, 8) for text in _texts(candidate, pool)]
 
 
 def test_score_candidates_matches_brute_force_recompute():
@@ -304,12 +341,13 @@ def test_scoring_errors_fire_for_scored_candidates_only():
     target_catalog = _tiny_catalog("db_target")
 
     def pool_of(*candidates):
-        """A pool of (index, database id, vector) candidates, each of whose
-        three vectors is that vector."""
+        """A pool of (index, database id, vector) candidates, each with a
+        schema of its own, whose three vectors are that vector."""
         return ExamplePool(
             [PoolCandidate(_candidate(index, db_id, f"q{index}?", f"SELECT {index}"),
-                           _tiny_catalog(db_id)) for index, db_id, _ in candidates],
-            [vec for *_, vec in candidates for _ in range(3)])
+                           _tiny_catalog(db_id, column=f"c{index}"))
+             for index, db_id, _ in candidates],
+            [vec for *_, vec in candidates] * 3)
 
     def score(pool, target_vec=unit):
         return score_candidates(target, target_catalog, "SELECT 3", pool,
@@ -345,7 +383,9 @@ def _screening_cases(draw):
     subnormal), some candidates share the target's database, and zero
     vectors occur in and out of the scored set. Infinite and tiny entries
     make cosines the screen cannot bound (NaN, which the exact cosine
-    clamps to 1.0, or norms whose product underflows)."""
+    clamps to 1.0, or norms whose product underflows). Candidates render
+    one of three schemas, one of them the target's, and the pool holds one
+    vector per distinct schema."""
     dim = draw(st.integers(1, 5))
     palette = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
                             min_size=1, max_size=5))
@@ -359,16 +399,21 @@ def _screening_cases(draw):
             values = [0.0] * dim
         return tuple(values)
 
-    candidates, vectors = [], []
+    candidates, questions, sqls, schemas = [], [], [], {}
     for i in range(draw(st.integers(0, 12))):
         db_id = "db_target" if draw(st.integers(0, 3)) == 0 else f"db_{i}"
+        column = draw(st.sampled_from(["x", "y", "z"]))
         candidates.append(PoolCandidate(
-            _candidate(i, db_id, f"q{i}?", f"SELECT {i}"), _tiny_catalog(db_id)))
-        vectors.extend((vector(), vector(), vector()))
+            _candidate(i, db_id, f"q{i}?", f"SELECT {i}"), _tiny_catalog(db_id, column)))
+        questions.append(vector())
+        sqls.append(vector())
+        if column not in schemas:
+            schemas[column] = vector()
     target_vectors = [vector(), vector(), vector()]
     k = draw(st.integers(0, len(candidates) + 2))
     with np.errstate(all="ignore"):
-        return ExamplePool(candidates, vectors), target_vectors, k
+        return (ExamplePool(candidates, questions + sqls + list(schemas.values())),
+                target_vectors, k)
 
 
 @settings(max_examples=400, deadline=None)
@@ -394,15 +439,16 @@ def test_screened_top_k_on_random_pools_with_near_ties(dim):
     target_catalog = _tiny_catalog("db_target")
     best = max(score_candidates(target, target_catalog, "SELECT 42", pool, embed),
                key=lambda t: t.gamma_a)
-    # Copies of the best candidate, every other one moved one ulp, so the
-    # top places hold exact and near ties across every small k.
-    rows = np.stack(pool._matrices, axis=1)  # each candidate's three vectors
-    first = rows[best.candidate_index]
-    nudged = np.stack((np.nextafter(first[0], 2.0), first[1], first[2]))
+    # Copies of the best candidate, every other one's question moved one
+    # ulp, so the top places hold exact and near ties across every small k.
+    # The copies share the best candidate's catalog, and so its schema row.
+    questions, schemas, sqls = pool._matrices
+    question, sql = questions[best.candidate_index], sqls[best.candidate_index]
     twins = tuple(PoolCandidate(_candidate(200 + i, f"db_twin{i}", "twin?", "SELECT 1"),
                                 pool.candidates[best.candidate_index].catalog) for i in range(6))
     pool = ExamplePool(pool.candidates + twins, np.concatenate(
-        [rows] + [nudged[None] if i % 2 else first[None] for i in range(6)]).reshape(-1, dim))
+        [questions] + [np.nextafter(question, 2.0)[None] if i % 2 else question[None]
+                       for i in range(6)] + [sqls] + [sql[None]] * 6 + [schemas]))
     args = (target, target_catalog, "SELECT 42", pool)
     for k in (1, 2, 3, 4, 5, 6, 7, 8, 50, 166, 167, 300):
         assert _outcome(curate_top_k, *args, k, embed) == _outcome(

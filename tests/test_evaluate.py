@@ -6,6 +6,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqlbench.evaluate as evaluate
 from conftest import make_cinema_db
@@ -328,3 +330,38 @@ def test_threads_sharing_an_owner_open_one_connection_per_database_each(tmp_path
     for conn in opened:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             conn.execute("SELECT 1")
+
+
+_VALUE = st.sampled_from([
+    0, 1, -1, 2, 0.0, -0.0, 1.0, 2.0, 1.5, 0.1 + 0.2, 0.3, 1e-7, 2e-7, 1.0000001, 1.0000004,
+    None, "", "a", "1", b"", b"a", b"\x00"]) | st.integers(-3, 3) | st.floats(
+    -4, 4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _result_pairs(draw):
+    """Gold and predicted rows of one width, the predicted ones often the
+    gold ones reordered, repeated or with one value swapped."""
+    width = draw(st.integers(1, 3))
+    row = st.tuples(*[_VALUE] * width)
+    gold = draw(st.lists(row, max_size=5))
+    predicted = draw(st.permutations(gold)) if gold and draw(st.booleans()) else draw(
+        st.lists(row, max_size=5))
+    if predicted and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(predicted) - 1)), draw(st.integers(0, width - 1))
+        predicted[i] = predicted[i][:j] + (draw(_VALUE),) + predicted[i][j + 1:]
+    return gold, predicted + draw(st.lists(st.sampled_from(predicted), max_size=2)
+                                  if predicted else st.just([]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_result_pairs())
+def test_comparing_raw_rows_first_matches_as_normalized_rows_alone(rows):
+    # The comparison before raw rows were compared first: every float
+    # rounded to six decimals, then the row sets compared.
+    def normalized(result):
+        return frozenset(tuple(round(v, 6) if isinstance(v, float) else v for v in row)
+                         for row in result)
+
+    gold, predicted = rows
+    assert evaluate._rows_match(gold, predicted) == (normalized(gold) == normalized(predicted))

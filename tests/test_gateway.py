@@ -10,8 +10,10 @@ import netrc as netrc_module
 import os
 import socket
 import ssl
+import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -23,6 +25,8 @@ from types import SimpleNamespace
 import pytest
 import requests
 import urllib.request
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqlbench.gateway as gateway
 from conftest import ScriptedTransport, counting_server, hash_embedding
@@ -492,38 +496,65 @@ def test_embed_returns_one_float64_matrix(tmp_path, endpoint, mode):
     assert vectors.tolist() == [hash_embedding(t, 5) for t in texts]
 
 
-@pytest.mark.parametrize("mode", ["live", "replay"])
+def _json_store(path: Path, model: str) -> None:
+    """Rewrite a store's vector records as a store recorded before vectors
+    were stored as bytes holds them: the JSON text of the list, in
+    `response`."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        if "vector" in row:
+            vector = struct.unpack(f"<{len(base64.b64decode(row['vector'])) // 8}d",
+                                   base64.b64decode(row["vector"]))
+            row = {"hash": row["hash"], "model": model, "response": json.dumps(list(vector)),
+                   "prompt_tokens": 0, "completion_tokens": 0}
+        lines.append(json.dumps(row) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode", ["live", "replay", "replay-json"])
 def test_embed_digests_and_parses_each_distinct_text_once(tmp_path, endpoint, monkeypatch, mode):
+    import binascii
+
     import numpy as np
 
     texts = ["a", "b", "a"]
     transport = ScriptedTransport(embed_fn=lambda t: hash_embedding(t, 6))
     store = ReplayStore(tmp_path / "store.jsonl")
     LlmClient(endpoint, mode="record", store=store, transport=transport).embed(texts)
-    responses = [store.get(prompt_digest("embed:" + t, endpoint.model_id)).response
-                 for t in texts]
+    if mode == "replay-json":
+        _json_store(tmp_path / "store.jsonl", endpoint.model_id)
+    records = [ReplayStore(tmp_path / "store.jsonl").get(
+        prompt_digest("embed:" + t, endpoint.model_id)) for t in texts]
     client = (LlmClient(endpoint, transport=transport) if mode == "live" else
               LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl")))
-    parsed, digested = [], []
+    parsed, decoded, digested = [], [], []
     monkeypatch.setattr(gateway, "json", SimpleNamespace(
         dumps=json.dumps, loads=lambda text: parsed.append(text) or json.loads(text)))
+    a2b_base64 = binascii.a2b_base64
+    monkeypatch.setattr(binascii, "a2b_base64",
+                        lambda text: decoded.append(text) or a2b_base64(text))
     monkeypatch.setattr(gateway, "prompt_digest",
                         lambda text, model: digested.append(text) or prompt_digest(text, model))
     matrix = client.embed(texts)
-    # A replay parses each distinct text's store line (bytes) and then its
-    # vector, once each; a live call parses nothing.
+    # A replay parses each distinct text's store line (bytes) once, then
+    # decodes its vector's bytes once, or parses a vector stored as JSON
+    # text once; a live call parses and decodes nothing.
     vector_parses = [text for text in parsed if isinstance(text, str)]
-    assert vector_parses == (responses[:2] if mode == "replay" else [])
-    assert len(parsed) - len(vector_parses) == (2 if mode == "replay" else 0)
+    assert vector_parses == ([r.response for r in records[:2]] if mode == "replay-json" else [])
+    assert decoded == ([r.vector for r in records[:2]] if mode == "replay" else [])
+    assert len(parsed) - len(vector_parses) == (0 if mode == "live" else 2)
     assert digested == ["embed:a", "embed:b"]
-    # Bit for bit the matrix of a row-by-row parse of every occurrence.
-    reference = np.array([json.loads(response) for response in responses], dtype=float)
+    # Bit for bit the matrix of a row-by-row read of every occurrence.
+    reference = np.array([hash_embedding(t, 6) for t in texts], dtype=float)
     assert matrix.dtype == np.float64 and matrix.shape == (3, 6)
     assert matrix.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["live", "record"])
 def test_embed_serializes_a_vector_only_to_store_it(tmp_path, endpoint, monkeypatch, mode):
+    import binascii
+
     import numpy as np
 
     texts = ["a", "b", "a"]
@@ -534,15 +565,62 @@ def test_embed_serializes_a_vector_only_to_store_it(tmp_path, endpoint, monkeypa
     monkeypatch.setattr(gateway, "json", SimpleNamespace(
         dumps=lambda value, **kw: calls.append(("dumps", value)) or json.dumps(value, **kw),
         loads=lambda text: calls.append(("loads", text)) or json.loads(text)))
+    b2a_base64 = binascii.b2a_base64
+    monkeypatch.setattr(binascii, "b2a_base64", lambda data, **kw: (
+        calls.append(("encode", data)) or b2a_base64(data, **kw)))
     matrix = client.embed(texts)
     assert matrix.tobytes() == np.array([hash_embedding(t, 6) for t in texts]).tobytes()
-    # Record mode serializes each distinct vector once, into its store line
-    # (the other dumps); a live call serializes and parses nothing.
-    vectors = [value for kind, value in calls if kind == "dumps" and isinstance(value, list)]
-    lines = [value for kind, value in calls if kind == "dumps" and isinstance(value, dict)]
-    assert vectors == ([hash_embedding(t, 6) for t in "ab"] if mode == "record" else [])
+    # Record mode encodes each distinct vector's float64 bytes once and
+    # writes them into its store line (the dumps); a live call encodes,
+    # serializes and parses nothing.
+    vectors = [value for kind, value in calls if kind == "encode"]
+    lines = [value for kind, value in calls if kind == "dumps"]
+    assert vectors == ([np.array(hash_embedding(t, 6), "<f8").tobytes() for t in "ab"]
+                       if mode == "record" else [])
+    assert all(isinstance(line, dict) and "vector" in line for line in lines)
     assert len(lines) == (2 if mode == "record" else 0)
     assert len(calls) == len(vectors) + len(lines)
+
+
+def test_record_mode_stores_a_vector_as_its_float64_bytes(tmp_path, endpoint):
+    vector = [0.1, -0.0, 1 / 3, 5e-324]
+    transport = ScriptedTransport(embed_fn=lambda t: vector)
+    LlmClient(endpoint, mode="record", store=ReplayStore(tmp_path / "store.jsonl"),
+              transport=transport).embed(["alpha"])
+    (line,) = (tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(line)
+    assert list(row) == ["hash", "model", "vector", "prompt_tokens", "completion_tokens"]
+    assert row["hash"] == prompt_digest("embed:alpha", endpoint.model_id)
+    assert base64.b64decode(row["vector"]) == struct.pack("<4d", *vector)
+    record = ReplayStore(tmp_path / "store.jsonl").get(row["hash"])
+    assert (record.response, record.vector) == (None, row["vector"])
+
+
+_FLOAT64 = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072e-308, 0.1 + 0.2, 1 / 3, -1.2345678901234567e-5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_FLOAT64, min_size=3, max_size=3), min_size=1, max_size=4))
+def test_a_recorded_vector_replays_bit_equal(vectors):
+    # -0.0, subnormals and values of 17 significant digits come back with
+    # every bit, whether the store holds their bytes or, as a store recorded
+    # before vectors were stored as bytes, their JSON text.
+    import numpy as np
+
+    endpoint = LlmEndpoint("http://fake", "embed-model")
+    texts = [f"text {i}" for i in range(len(vectors))]
+    by_text = dict(zip(texts, vectors))
+    expected = np.array(vectors, dtype="<f8").tobytes()
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "store.jsonl"
+        recorded = LlmClient(endpoint, mode="record", store=ReplayStore(path),
+                             transport=ScriptedTransport(embed_fn=by_text.__getitem__))
+        assert recorded.embed(texts).tobytes() == expected
+        for rewrite in (lambda: None, lambda: _json_store(path, endpoint.model_id)):
+            rewrite()
+            replay = LlmClient(endpoint, mode="replay", store=ReplayStore(path))
+            assert replay.embed(texts).tobytes() == expected
 
 
 def test_embed_rejects_a_ragged_stored_vector_at_replay(tmp_path, endpoint):
@@ -554,6 +632,20 @@ def test_embed_rejects_a_ragged_stored_vector_at_replay(tmp_path, endpoint):
     assert client.embed(["a", "c"]).shape == (2, 2)
     with pytest.raises(DimensionMismatch, match=r"ragged embedding dimensions: \[2, 3\]"):
         client.embed(["a", "b", "c"])
+
+
+def test_embed_rejects_a_ragged_vector_record_at_replay(tmp_path, endpoint):
+    import numpy as np
+
+    store = ReplayStore(tmp_path / "store.jsonl")
+    for text, vector in [("a", [0.1, 0.2]), ("b", [0.1, 0.2, 0.3])]:
+        store.put(CompletionRecord(
+            prompt_digest("embed:" + text, endpoint.model_id), endpoint.model_id,
+            vector=base64.b64encode(np.array(vector, "<f8").tobytes()).decode("ascii")))
+    client = LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl"))
+    assert client.embed(["a"]).tolist() == [[0.1, 0.2]]
+    with pytest.raises(DimensionMismatch, match=r"ragged embedding dimensions: \[2, 3\]"):
+        client.embed(["a", "b"])
 
 
 def test_embed_rejects_empty_input(endpoint):

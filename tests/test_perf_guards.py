@@ -148,11 +148,11 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
 
     monkeypatch.setattr(curation.ExamplePool, "section", section)
     truncating = [False]
-    section_init = budget.PromptSection.__post_init__
+    section_init = budget.PromptSection.__init__
 
-    def init_section(section):
+    def init_section(section, *args):
         calls["sections built in truncate_target"] += truncating[0]
-        section_init(section)
+        section_init(section, *args)
 
     def truncate_target(*args, **kwargs):
         truncating[0] = True
@@ -161,7 +161,7 @@ def test_two_shot_run_work_counts(mini_bench, tmp_path, monkeypatch):
         finally:
             truncating[0] = False
 
-    monkeypatch.setattr(budget.PromptSection, "__post_init__", init_section)
+    monkeypatch.setattr(budget.PromptSection, "__init__", init_section)
     monkeypatch.setattr(prompts, "truncate_target", truncate_target)
 
     transport = ScriptedTransport(
@@ -338,8 +338,8 @@ def test_chain_of_thought_partitions_each_distinct_schema_once(mini_bench, monke
     calls: Counter = Counter()
     monkeypatch.setattr(prompts, "partition_columns",
                         _counting(calls, "partition_columns", prompts.partition_columns))
-    monkeypatch.setattr(budget.PromptSection, "__post_init__", _counting(
-        calls, "sections", budget.PromptSection.__post_init__))
+    monkeypatch.setattr(budget.PromptSection, "__init__", _counting(
+        calls, "sections", budget.PromptSection.__init__))
     split = load_split(mini_bench, "dev")
     client = build_client(RunConfig(), transport=ScriptedTransport(
         completion_fn=_cot_scripted(MINI_QUESTIONS)))
@@ -645,9 +645,11 @@ def test_every_traced_name_resolves_to_a_callable():
 
 
 def test_a_replayed_pool_retains_only_its_matrices(tmp_path):
+    # 200 candidates over 10 databases: the pool holds a question and an SQL
+    # row per candidate and one schema row per database.
     count, dim = 200, 384
     candidates = [(_candidate(i, f"db_{i % 10}", f"question {i}?", f"SELECT {i}"),
-                   _tiny_catalog(f"db_{i % 10}")) for i in range(count)]
+                   _tiny_catalog(f"db_{i % 10}", column=f"c{i % 10}")) for i in range(count)]
     endpoint = LlmEndpoint("http://fake", "embed-model")
     recorder = LlmClient(endpoint, mode="record", store=ReplayStore(tmp_path / "store.jsonl"),
                          transport=ScriptedTransport(embed_fn=lambda t: hash_embedding(t, dim)))
@@ -664,7 +666,31 @@ def test_a_replayed_pool_retains_only_its_matrices(tmp_path):
     finally:
         tracemalloc.stop()
     matrix_bytes = sum(matrix.nbytes for matrix in pool._matrices)
-    assert matrix_bytes == 3 * count * dim * 8
+    assert matrix_bytes == (2 * count + 10) * dim * 8
     assert retained < 1.5 * matrix_bytes, (retained, matrix_bytes)
     for matrix, recorded_matrix in zip(pool._matrices, recorded._matrices):
-        assert matrix.tolist() == recorded_matrix.tolist()
+        assert matrix.tobytes() == recorded_matrix.tobytes()
+
+
+def test_example_sections_retain_little_more_than_their_removable_columns():
+    # 200 sections of a 300-column catalog, as a pool caches its examples'
+    # sections: each keeps its sorted removable columns and a small target
+    # set, and no second set of the columns it may remove.
+    catalog = schema.DatabaseCatalog("wide", tuple(
+        schema.TableSpec(f"t{t}", tuple(schema.ColumnSpec(f"c{t}_{c}", "int")
+                                        for c in range(30))) for t in range(10)))
+    sqls = [f"SELECT c{i % 10}_{i % 30} FROM t{i % 10} WHERE c{i % 10}_{i * 7 % 30} > 0"
+            for i in range(200)]
+    budget.partition_columns(catalog, reference_sql=sqls[0])  # the catalog's shared data
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sections = [budget.partition_columns(catalog, reference_sql=sql) for sql in sqls]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    removables = sum(sys.getsizeof(section.removables) for section in sections)
+    assert all(len(section.removables) >= 298 for section in sections)
+    assert retained < removables + 200 * 1024, (retained, removables)

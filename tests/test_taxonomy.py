@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from sqlbench.evaluate import EvalOutcome
@@ -206,6 +208,44 @@ def test_analyze_sql_shapes(forum_catalog):
 def test_a_from_list_gives_its_tables(sql, tables, aliases):
     shape = analyze_sql(sql)
     assert (shape.tables, shape.aliases) == (tables, aliases)
+
+
+def test_a_from_subquery_is_read_for_its_own_tables(forum_catalog):
+    # The subquery's table is a table, not a column that does not exist.
+    predicted = "SELECT Score FROM (SELECT Score FROM posts)"
+    assert analyze_sql(predicted).tables == {"posts"}
+    label = classify(predicted, "SELECT Score FROM posts", forum_catalog, failed())
+    assert label.category not in (TABLES_NOT_EXIST, COLUMNS_NOT_EXIST)
+
+
+@pytest.mark.parametrize("sql, tables, aliases", [
+    ("SELECT t.Score FROM (SELECT Score FROM posts) AS t", {"posts"}, {}),
+    ("SELECT t.Score FROM (SELECT Score FROM posts) t, badges b",
+     {"posts", "badges"}, {"b": "badges"}),
+    ("SELECT Title FROM posts JOIN (SELECT UserId FROM badges) u ON u.UserId = OwnerUserId",
+     {"posts", "badges"}, {}),
+    ("SELECT Title FROM (posts p JOIN comments c ON p.PostId = c.CommentId), badges",
+     {"posts", "comments", "badges"}, {"p": "posts", "c": "comments"}),
+    ("SELECT Score FROM ((SELECT Score FROM (SELECT Score FROM comments)))", {"comments"}, {}),
+    ("SELECT t.Score FROM (SELECT Score FROM posts) t, (SELECT Name FROM badges) AS b, comments",
+     {"posts", "badges", "comments"}, {}),
+], ids=["aliased", "alias-then-list", "joined", "join-group", "nested", "two-derived"])
+def test_a_parenthesized_from_item_gives_its_tables(forum_catalog, sql, tables, aliases):
+    shape = analyze_sql(sql)
+    assert (shape.tables, shape.aliases) == (tables, aliases)
+    # A derived table's alias is neither a table nor a column.
+    assert classify(sql, "SELECT 1", forum_catalog, failed()).category not in (
+        TABLES_NOT_EXIST, COLUMNS_NOT_EXIST)
+
+
+def test_deeply_nested_from_subqueries_are_read_in_linear_time():
+    depth = 5000
+    sql = "SELECT Score FROM (" * depth + "SELECT Score FROM posts" + ")" * depth
+    started = time.perf_counter()
+    shape = analyze_sql(sql)
+    elapsed = time.perf_counter() - started
+    assert shape.tables == {"posts"} and shape.select_count == depth + 1
+    assert elapsed < 2.0, elapsed
 
 
 def test_tabulate_zero_failures():
