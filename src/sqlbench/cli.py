@@ -17,10 +17,11 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import Field, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, get_args, get_type_hints
+from typing import Iterable, Iterator, Optional, Sequence, get_args, get_type_hints
 
 from .bench import BenchmarkSplit, TaskInstance, database_path, load_questions, load_split
 from .budget import (
@@ -266,24 +267,39 @@ def _zero_shot_bundle(
         variant=cfg.variant)
 
 
-def _load_pool(cfg: RunConfig, split: BenchmarkSplit, embed: EmbeddingFn) -> ExamplePool:
-    """Embed the pool split's candidates over `split`'s catalogs."""
-    pool_split = BenchmarkSplit(
-        cfg.pool_split, load_questions(cfg.benchmark_root, cfg.pool_split), split.databases)
-    return build_pool(
-        [(inst, pool_split.databases[inst.database_id]) for inst in pool_split.instances],
-        cfg.variant, embed)
+@contextmanager
+def _model_setup(cfg: RunConfig, split: BenchmarkSplit, client: Optional[LlmClient],
+                 embed_client: Optional[LlmClient], *, curates: bool
+                 ) -> Iterator[tuple[LlmClient, Optional[EmbeddingFn], Optional[ExamplePool]]]:
+    """The set-up of `run` and `curate`: (completion client, embedding
+    function, example pool), the last two None unless `curates`.
 
-
-def _prepare_catalogs(cfg: RunConfig, split: BenchmarkSplit,
-                      pool: Optional[ExamplePool]) -> None:
-    """Prepare each catalog the questions and the pool's candidates use,
-    in the variants the run's prompts render (`prepare_catalog`)."""
-    variants = (cfg.variant,) if cfg.mode == MODE_NONE else STEP_VARIANTS
-    questions = {i.database_id: split.databases[i.database_id] for i in split.instances}
-    examples = {c.instance.database_id: c.catalog for c in pool.candidates} if pool else {}
-    for catalog in {**questions, **examples}.values():
-        prepare_catalog(catalog, variants)
+    The client is `client`, else one built from `cfg`. The pool split's
+    candidates are embedded over `split`'s catalogs by `embed_client`, else
+    by a client sharing the first one's store and transport, so the store
+    is read once and each thread keeps one connection. Every catalog the
+    questions and candidates use is then prepared (`prepare_catalog`) in
+    the variants the prompts render, so no question builds its indexes or
+    sizes. A transport built here is closed on every exit path."""
+    owned = client is None
+    client = client or build_client(cfg)
+    try:
+        embed = pool = None
+        catalogs = {i.database_id: split.databases[i.database_id] for i in split.instances}
+        if curates:
+            embed = (embed_client or build_embed_client(
+                cfg, store=client.store, transport=client.transport)).embed
+            candidates = BenchmarkSplit(cfg.pool_split, load_questions(
+                cfg.benchmark_root, cfg.pool_split), split.databases).instances
+            pool = build_pool([(inst, split.databases[inst.database_id]) for inst in candidates],
+                              cfg.variant, embed)
+            catalogs.update((c.instance.database_id, c.catalog) for c in pool.candidates)
+        for catalog in catalogs.values():
+            prepare_catalog(catalog, (cfg.variant,) if cfg.mode == MODE_NONE else STEP_VARIANTS)
+        yield client, embed, pool
+    finally:
+        if owned and client.transport is not None:
+            client.transport.close()
 
 
 def _curate(
@@ -439,29 +455,19 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             embed_client: Optional[LlmClient] = None) -> Path:
     """Evaluate one split end to end and write report + trace dumps.
 
-    Set-up prepares every catalog the questions and the pool use (see
-    `_prepare_catalogs`), and each thread that runs questions opens its
-    connection to each question database before its first question.
-    Results are taken in split order as they finish: each question's
-    trace line goes at once to an anonymous spool file, and only what the
-    report needs is kept (final SQL, outcome, label, removed-column
-    counts), so memory does not grow with the traces. The spool is copied
-    into `traces.jsonl` after the report is written. A replay miss stops
-    the run before anything is written to the output directory: pending
-    questions are cancelled and the miss is raised."""
+    After `_model_setup`, each thread that runs questions connects to each
+    question database before its first question. Each finished question's
+    trace line goes at once, in split order, to an anonymous spool file,
+    and only what the report reads is kept (final SQL, outcome, label,
+    removed-column counts), so memory does not grow with the traces; the
+    spool is copied into `traces.jsonl` after the report is written. A
+    replay miss cancels the pending questions and is raised before
+    anything is written to the output directory."""
     _check_reads(cfg, "run")
     split = load_split(cfg.benchmark_root, cfg.split)
-    owned = client is None
-    client = client or build_client(cfg)
-    connections = DatabaseConnections()
     with tempfile.TemporaryFile() as spool:
-        try:
-            pool = embed = None
-            if cfg.shots > 0:
-                embed = (embed_client or build_embed_client(
-                    cfg, store=client.store, transport=client.transport)).embed
-                pool = _load_pool(cfg, split, embed)
-            _prepare_catalogs(cfg, split, pool)
+        setup = _model_setup(cfg, split, client, embed_client, curates=cfg.shots > 0)
+        with setup as (client, embed, pool), closing(DatabaseConnections()) as connections:
             databases = sorted({database_path(cfg.benchmark_root, i.database_id)
                                 for i in split.instances})
 
@@ -486,10 +492,6 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
             else:
                 connections.prepare(databases)
                 rows = [keep(instance, process(instance)) for instance in split.instances]
-        finally:
-            connections.close()
-            if owned and client.transport is not None:
-                client.transport.close()
 
         ex_by_split = aggregate([outcome for _, outcome, _, _ in rows], split.instances)
         stats = _truncation_stats([removed for *_, removed in rows])
@@ -625,12 +627,7 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     if not cfg.pool_split:
         raise SystemExit("curate requires --pool-split")
     split = load_split(cfg.benchmark_root, cfg.split)
-    owned = client is None
-    client = client or build_client(cfg)
-    try:
-        embed = (embed_client or build_embed_client(
-            cfg, store=client.store, transport=client.transport)).embed
-        pool = _load_pool(cfg, split, embed)
+    with _model_setup(cfg, split, client, embed_client, curates=True) as (client, embed, pool):
         rows = []
         for instance in split.instances:
             catalog = split.databases[instance.database_id]
@@ -651,9 +648,6 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
                     for t in curated
                 ],
             })
-    finally:
-        if owned and client.transport is not None:
-            client.transport.close()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / "curation.json"
     out_path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -39,7 +39,7 @@ from sqlbench.cli import (
     main,
 )
 from sqlbench.schema import SchemaVariant, render_schema
-from sqlbench.bench import MalformedRecord, database_path, load_split
+from sqlbench.bench import MalformedRecord, MissingDatabase, database_path, load_split
 from sqlbench.gateway import ReplayStore
 
 
@@ -931,6 +931,31 @@ def test_a_question_file_the_report_cannot_describe_fails_before_any_client(
     with pytest.raises(MalformedRecord) as raised:
         command(run_config(root, tmp_path, pool_split="train", shots=1))
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("command", [cmd_run, cmd_curate])
+def test_a_set_up_that_fails_closes_the_transport_it_built(tmp_path, monkeypatch, command):
+    # The pool split names a database with no SQLite file, so the set-up
+    # fails after it has built the completion client's transport.
+    root = write_benchmark(tmp_path / "b", [_QUESTION], {"cinema": make_cinema_db},
+                           extra_splits={"train": [{**_QUESTION, "db_id": "nowhere"}]})
+    built = []
+
+    class Recorded(cli.PooledTransport):
+        def __init__(self):
+            super().__init__()
+            self.closed = 0
+            built.append(self)
+
+        def close(self):
+            self.closed += 1
+            super().close()
+
+    monkeypatch.setattr(cli, "PooledTransport", Recorded)
+    with pytest.raises(MissingDatabase, match="'nowhere'"):
+        command(run_config(root, tmp_path, pool_split="train", shots=1))
+    assert [transport.closed for transport in built] == [1]
+    assert not (tmp_path / "out").exists()
 
 
 def test_curate_rejects_a_mode_it_cannot_apply(mini_bench, tmp_path):

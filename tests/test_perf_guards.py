@@ -465,6 +465,51 @@ def test_a_run_prepares_each_database_before_its_first_question(mini_bench, tmp_
     assert derived(split) == at_first_question
 
 
+def test_curate_prepares_each_database_before_its_first_question(mini_bench, tmp_path,
+                                                                 monkeypatch):
+    # `curate` shares `run`'s set-up, so no question's draft and scoring
+    # builds a word index or derives anything from a catalog.
+    inside = threading.local()
+    indexes: list[bool] = []
+    late: list[str] = []  # catalog-derived values first built inside `_curate`
+    curate = cli._curate
+
+    def derived(catalog) -> set:
+        return set(catalog._derived) | {
+            ("size", variant) for variant in catalog._derived.get("full_view_sizes", {})}
+
+    def spy_curate(cfg, instance, target, *args):
+        before = derived(target.catalog)
+        inside.active = True
+        try:
+            return curate(cfg, instance, target, *args)
+        finally:
+            inside.active = False
+            late.extend(map(str, derived(target.catalog) - before))
+
+    def spy_index(*args, **kwargs):
+        indexes.append(getattr(inside, "active", False))
+        return columns_by_word(*args, **kwargs)
+
+    columns_by_word = budget._columns_by_word
+    monkeypatch.setattr(cli, "_curate", spy_curate)
+    monkeypatch.setattr(budget, "_columns_by_word", spy_index)
+    cfg = RunConfig(benchmark_root=mini_bench, split="dev", output_dir=tmp_path / "out",
+                    shots=2, pool_split="train")
+    transport = ScriptedTransport(
+        completion_fn=completion_by_question(MINI_QUESTIONS + POOL_QUESTIONS, MINI_RESPONSES),
+        embed_fn=hash_embedding)
+    cmd_curate(cfg, client=build_client(cfg, transport=transport),
+               embed_client=build_embed_client(cfg, transport=transport))
+
+    rows = json.loads((cfg.output_dir / "curation.json").read_text(encoding="utf-8"))
+    assert len(rows) == len(MINI_QUESTIONS)
+    # A question index and a gold-SQL index per catalog, all at set-up.
+    assert len(indexes) == 2 * len(load_split(mini_bench, "dev").databases)
+    assert not any(indexes)
+    assert late == []
+
+
 @pytest.mark.parametrize("mode, texts", [("live", 30), ("record", 29)])
 def test_few_shot_run_embeds_each_distinct_text_once_per_call(mini_bench, tmp_path, mode, texts):
     # 42 and 31 texts when every occurrence of a call is sent, and 40 live
