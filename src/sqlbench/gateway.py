@@ -54,6 +54,11 @@ MAX_RETRIES = 3
 RETRY_BACKOFF = 0.5  # seconds, doubled after each retry
 REQUEST_TIMEOUT = 60.0  # seconds
 EMBED_BATCH_SIZE = 64  # texts per request
+# A 64-text embedding batch of a d = 1536 model is at most about 2.3 MB of
+# JSON (17-digit floats), and a completion far less; 64 MiB leaves room for
+# larger models and still bounds what a runaway body or error page can make
+# a worker read.
+MAX_RESPONSE_BYTES = 64 * 2**20
 
 
 class EndpointUnreachable(ConnectionError):
@@ -61,10 +66,17 @@ class EndpointUnreachable(ConnectionError):
 
 
 class HttpStatusError(RuntimeError):
+    """A status that is not 2xx; `body` keeps the response's first 4,096
+    characters, enough for a server's error message."""
+
     def __init__(self, status: int, body: str):
         super().__init__(f"HTTP {status}: {body[:500]}")
         self.status = status
-        self.body = body
+        self.body = body[:4096]
+
+
+class ResponseTooLarge(RuntimeError):
+    """A response body longer than MAX_RESPONSE_BYTES; it is not retried."""
 
 
 class ReplayMiss(KeyError):
@@ -358,12 +370,16 @@ def _route(url: str) -> _Route:
 
 def _exchange(connection: http.client.HTTPConnection, target: str, body: bytes,
               headers: dict) -> tuple[int, bytes]:
-    """One request and its whole response. A connection that fails part-way
-    is closed, so it is never reused in an unknown state."""
+    """One request and its response, whose body is read up to one byte past
+    MAX_RESPONSE_BYTES. A connection that fails part-way, or whose body is
+    longer, is closed, so it is never reused in an unknown state."""
     try:
         connection.request("POST", target, body, headers)
         response = connection.getresponse()
-        return response.status, response.read()
+        data = response.read(MAX_RESPONSE_BYTES + 1)
+        if len(data) > MAX_RESPONSE_BYTES:
+            raise ResponseTooLarge(f"response body over {MAX_RESPONSE_BYTES} bytes")
+        return response.status, data
     except BaseException:
         connection.close()
         raise
@@ -515,16 +531,17 @@ class LlmClient:
         digests are taken of), in order.
 
         The store, which a live client has none of, serves what it holds,
-        as `load(record)`. Replay mode raises ReplayMiss(miss(missing
-        digests)) for the rest; otherwise `call(indexes)` is given the
-        missing indexes and yields a (response, usage) per index in order,
-        and record mode stores a record of the fields `dump(response)` as
-        each arrives.
+        as `load(record)`, each record read from its line only when its
+        response is consumed, so a call holds one stored line at a time.
+        Replay mode raises ReplayMiss(miss(missing digests)) for the rest;
+        otherwise `call(indexes)` is given the missing indexes and yields a
+        (response, usage) per index in order, and record mode stores a
+        record of the fields `dump(response)` as each arrives.
         """
         model = self.endpoint.model_id
         digests = [prompt_digest(key, model) for key in keys]
-        found = [None if self.store is None else self.store.get(digest) for digest in digests]
-        pending = [i for i, record in enumerate(found) if record is None]
+        pending = [i for i, digest in enumerate(digests)
+                   if self.store is None or digest not in self.store]
         if pending and self.mode == "replay":
             raise ReplayMiss(miss([digests[i] for i in pending]))
         fresh = {}
@@ -534,8 +551,8 @@ class LlmClient:
                 self.store.put(CompletionRecord(
                     digests[i], model, prompt_tokens=int(usage.get("prompt_tokens", 0)),
                     completion_tokens=int(usage.get("completion_tokens", 0)), **dump(response)))
-        return (fresh[i] if record is None else load(record)
-                for i, record in enumerate(found))
+        return (fresh[i] if i in fresh else load(self.store.get(digest))
+                for i, digest in enumerate(digests))
 
     def complete(self, prompt) -> str:
         """Return the raw model text for a prompt (str or PromptBundle)."""

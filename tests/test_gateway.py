@@ -42,6 +42,7 @@ from sqlbench.gateway import (
     PooledTransport,
     ReplayMiss,
     ReplayStore,
+    ResponseTooLarge,
     extract_sql,
     prompt_digest,
 )
@@ -551,6 +552,34 @@ def test_embed_digests_and_parses_each_distinct_text_once(tmp_path, endpoint, mo
     assert matrix.tobytes() == reference.tobytes()
 
 
+def test_a_replayed_embedding_holds_one_stored_line_at_a_time(tmp_path, endpoint):
+    # Each stored vector line is about 4 KB at d = 384, so holding every
+    # line of the call before filling the matrix would peak at more than
+    # twice the matrix.
+    import numpy as np
+
+    count, dim = 2000, 384
+    texts = [f"question {i}" for i in range(count)]
+    vectors = np.random.default_rng(7).standard_normal((count, dim))
+    store = ReplayStore(tmp_path / "store.jsonl")
+    for text, vector in zip(texts, vectors):
+        store.put(CompletionRecord(
+            prompt_digest("embed:" + text, endpoint.model_id), endpoint.model_id,
+            vector=base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")))
+    client = LlmClient(endpoint, mode="replay", store=ReplayStore(tmp_path / "store.jsonl"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix = client.embed(texts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert matrix.tobytes() == vectors.tobytes()
+    matrix_bytes = count * dim * 8
+    assert peak < matrix_bytes + 2 * 2**20, (peak, matrix_bytes)
+
+
 @pytest.mark.parametrize("mode", ["live", "record"])
 def test_embed_serializes_a_vector_only_to_store_it(tmp_path, endpoint, monkeypatch, mode):
     import binascii
@@ -813,7 +842,7 @@ class _FakeConnection:
         self.sent.append((method, target, json.loads(body), headers))
 
     def getresponse(self):
-        return SimpleNamespace(status=200, read=lambda: b'{"ok": true}')
+        return SimpleNamespace(status=200, read=lambda amt=None: b'{"ok": true}')
 
     def close(self):
         self.sock = None
@@ -961,6 +990,70 @@ def test_pooled_transport_reopens_after_a_read_timeout_part_way(clean_environmen
         listener.close()
     assert not server.is_alive()
     assert closed_by_client == [True, True]
+
+
+@pytest.mark.parametrize("framing", ["content-length", "chunked"])
+def test_a_body_past_the_bound_closes_the_connection_and_is_not_retried(
+        clean_environment, framing):
+    body = json.dumps({"choices": [{"text": "x" * 200_000}]}).encode()
+    head = (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body)
+            if framing == "content-length" else
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+    if framing == "chunked":
+        body = b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk)
+                        for chunk in (body[:1000], body[1000:], b""))
+    listener = socket.create_server(("127.0.0.1", 0))
+    closed_by_client = []
+
+    def serve():
+        connection, _ = listener.accept()
+        with connection:
+            _read_request(connection)
+            try:
+                connection.sendall(head + body)
+                closed_by_client.append(connection.recv(65536) == b"")
+            except (BrokenPipeError, ConnectionResetError):  # closed with the body unread
+                closed_by_client.append(True)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    clean_environment.setattr(gateway, "MAX_RESPONSE_BYTES", 1000)
+    clean_environment.setattr(gateway, "RETRY_BACKOFF", 0.0)
+    transport = PooledTransport()
+    client = LlmClient(LlmEndpoint(f"http://127.0.0.1:{listener.getsockname()[1]}", "m"),
+                       transport=transport)
+    try:
+        with pytest.raises(ResponseTooLarge, match="over 1000 bytes"):
+            client.complete("p")
+        server.join(timeout=10)
+        listener.settimeout(0.2)
+        with pytest.raises(TimeoutError):  # no second request
+            listener.accept()
+    finally:
+        transport.close()
+        listener.close()
+    assert not server.is_alive()
+    assert closed_by_client == [True]
+
+
+def test_a_body_of_exactly_the_bound_is_read_and_keeps_the_connection(clean_environment):
+    body = json.dumps({"choices": [{"text": "P"}],
+                       "usage": {"prompt_tokens": 1, "completion_tokens": 1}}).encode()
+    clean_environment.setattr(gateway, "MAX_RESPONSE_BYTES", len(body))
+    with _upper_server() as server, contextlib.closing(PooledTransport()) as transport:
+        client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=transport)
+        assert [client.complete("p") for _ in range(3)] == ["P"] * 3
+    assert (server.requests, server.connections) == (3, 1)
+
+
+def test_an_error_body_is_kept_as_a_prefix(endpoint):
+    def transport(url, payload, headers, timeout):
+        return 400, {"error": "x" * 10_000}
+
+    with pytest.raises(HttpStatusError) as err:
+        LlmClient(endpoint, transport=transport).complete("p")
+    assert err.value.body == json.dumps({"error": "x" * 10_000})[:4096]
+    assert str(err.value) == "HTTP 400: " + err.value.body[:500]
 
 
 def test_pooled_transport_close_closes_every_connection():
