@@ -269,10 +269,10 @@ def _zero_shot_bundle(
 
 @contextmanager
 def _model_setup(cfg: RunConfig, split: BenchmarkSplit, client: Optional[LlmClient],
-                 embed_client: Optional[LlmClient], *, curates: bool
+                 embed_client: Optional[LlmClient]
                  ) -> Iterator[tuple[LlmClient, Optional[EmbeddingFn], Optional[ExamplePool]]]:
     """The set-up of `run` and `curate`: (completion client, embedding
-    function, example pool), the last two None unless `curates`.
+    function, example pool), the last two None without a pool split.
 
     The client is `client`, else one built from `cfg`. The pool split's
     candidates are embedded over `split`'s catalogs by `embed_client`, else
@@ -286,7 +286,7 @@ def _model_setup(cfg: RunConfig, split: BenchmarkSplit, client: Optional[LlmClie
     try:
         embed = pool = None
         catalogs = {i.database_id: split.databases[i.database_id] for i in split.instances}
-        if curates:
+        if cfg.pool_split:
             embed = (embed_client or build_embed_client(
                 cfg, store=client.store, transport=client.transport)).embed
             candidates = BenchmarkSplit(cfg.pool_split, load_questions(
@@ -466,7 +466,7 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     _check_reads(cfg, "run")
     split = load_split(cfg.benchmark_root, cfg.split)
     with tempfile.TemporaryFile() as spool:
-        setup = _model_setup(cfg, split, client, embed_client, curates=cfg.shots > 0)
+        setup = _model_setup(cfg, split, client, embed_client)
         with setup as (client, embed, pool), closing(DatabaseConnections()) as connections:
             databases = sorted({database_path(cfg.benchmark_root, i.database_id)
                                 for i in split.instances})
@@ -627,7 +627,7 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     if not cfg.pool_split:
         raise SystemExit("curate requires --pool-split")
     split = load_split(cfg.benchmark_root, cfg.split)
-    with _model_setup(cfg, split, client, embed_client, curates=True) as (client, embed, pool):
+    with _model_setup(cfg, split, client, embed_client) as (client, embed, pool):
         rows = []
         for instance in split.instances:
             catalog = split.databases[instance.database_id]

@@ -23,7 +23,8 @@ requests. A replay run never loads the network modules (`http.client`,
 it is built. An example pool built from replayed embeddings retains little
 more than its three vector matrices. A run builds each catalog's
 word indexes, column order and full-view size, and opens each worker's
-database connections, before the first question and never inside one.
+database connections, before the first question and never inside one;
+`curate` builds the same catalog state at its set-up.
 These counts repeat exactly, so a regression shows here without timing
 anything. Every function the benchmark's tracer
 wraps by name still resolves.
