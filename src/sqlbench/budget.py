@@ -46,10 +46,6 @@ class UnsatisfiableBudget(RuntimeError):
     pass
 
 
-class NonpositiveSimilarity(ValueError):
-    pass
-
-
 def derive_seed(*parts) -> int:
     """Fold run seed + per-instance identifiers into one stable child seed."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
@@ -202,14 +198,6 @@ def partition_columns(
 KeepFilter = dict[str, set[str]]
 
 
-def clamp_similarity(value: float) -> float:
-    """Clamp a nonpositive similarity to SIMILARITY_FLOOR before inversion."""
-    if value <= 0.0:
-        logger.warning("nonpositive similarity %.4f clamped to %g", value, SIMILARITY_FLOOR)
-        return SIMILARITY_FLOOR
-    return value
-
-
 def plan_example_truncation(
     similarities: Sequence[float],
     temperature: float = 1.0,
@@ -217,15 +205,18 @@ def plan_example_truncation(
     """Compute softmax truncation rates over inverted similarities.
 
     The target section's self-similarity of 1 is prepended, so k example
-    similarities yield k+1 rates. Lower similarity means a strictly higher
-    rate; rates always sum to 1.
+    similarities yield k+1 rates. A similarity at or below zero is clamped,
+    with a warning, to SIMILARITY_FLOOR. Lower similarity means a strictly
+    higher rate; rates always sum to 1.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    inverted = [1.0]  # the target's self-similarity, inverted
     for value in similarities:
         if value <= 0:
-            raise NonpositiveSimilarity(f"similarity {value} is not in (0, 1]")
-    inverted = [1.0 / g for g in (1.0, *similarities)]
+            logger.warning("nonpositive similarity %.4f clamped to %g", value, SIMILARITY_FLOOR)
+            value = SIMILARITY_FLOOR
+        inverted.append(1.0 / value)
     scaled = [x / temperature for x in inverted]
     peak = max(scaled)
     weights = [math.exp(x - peak) for x in scaled]

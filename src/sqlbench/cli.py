@@ -30,13 +30,12 @@ from .budget import (
     PromptSection,
     TokenBudget,
     TruncationRecord,
-    clamp_similarity,
     derive_seed,
     plan_example_truncation,
     prepare_catalog,
 )
 from .cot import ALL_MODES, MODE_NONE, STEP_VARIANTS, CotTrace, run_cot
-from .curation import EmbeddingFn, ExamplePool, SimilarityTriple, build_pool, curate_top_k
+from .curation import ExamplePool, SimilarityTriple, build_pool, curate_top_k
 from .evaluate import (
     DEFAULT_QUERY_TIMEOUT,
     DatabaseConnections,
@@ -270,9 +269,9 @@ def _zero_shot_bundle(
 @contextmanager
 def _model_setup(cfg: RunConfig, split: BenchmarkSplit, client: Optional[LlmClient],
                  embed_client: Optional[LlmClient]
-                 ) -> Iterator[tuple[LlmClient, Optional[EmbeddingFn], Optional[ExamplePool]]]:
-    """The set-up of `run` and `curate`: (completion client, embedding
-    function, example pool), the last two None without a pool split.
+                 ) -> Iterator[tuple[LlmClient, Optional[ExamplePool]]]:
+    """The set-up of `run` and `curate`: (completion client, example pool),
+    the pool None without a pool split.
 
     The client is `client`, else one built from `cfg`. The pool split's
     candidates are embedded over `split`'s catalogs by `embed_client`, else
@@ -284,19 +283,19 @@ def _model_setup(cfg: RunConfig, split: BenchmarkSplit, client: Optional[LlmClie
     owned = client is None
     client = client or build_client(cfg)
     try:
-        embed = pool = None
+        pool = None
         catalogs = {i.database_id: split.databases[i.database_id] for i in split.instances}
         if cfg.pool_split:
-            embed = (embed_client or build_embed_client(
-                cfg, store=client.store, transport=client.transport)).embed
+            embed_client = embed_client or build_embed_client(
+                cfg, store=client.store, transport=client.transport)
             candidates = BenchmarkSplit(cfg.pool_split, load_questions(
                 cfg.benchmark_root, cfg.pool_split), split.databases).instances
             pool = build_pool([(inst, split.databases[inst.database_id]) for inst in candidates],
-                              cfg.variant, embed)
+                              cfg.variant, embed_client.embed)
             catalogs.update((c.instance.database_id, c.catalog) for c in pool.candidates)
         for catalog in catalogs.values():
             prepare_catalog(catalog, (cfg.variant,) if cfg.mode == MODE_NONE else STEP_VARIANTS)
-        yield client, embed, pool
+        yield client, pool
     finally:
         if owned and client.transport is not None:
             client.transport.close()
@@ -308,7 +307,6 @@ def _curate(
     target: PromptSection,
     pool: ExamplePool,
     client: LlmClient,
-    embed: EmbeddingFn,
 ) -> tuple[str, tuple[SimilarityTriple, ...]]:
     """Draft a zero-shot query, score the pool against it, keep the top k.
 
@@ -316,7 +314,7 @@ def _curate(
     """
     draft_sql = extract_sql(client.complete(_zero_shot_bundle(cfg, instance, target)))
     return draft_sql, curate_top_k(
-        instance, target.catalog, draft_sql, pool, cfg.shots or 1, embed)
+        instance, target.catalog, draft_sql, pool, cfg.shots or 1)
 
 
 def _few_shot_bundle(
@@ -325,14 +323,12 @@ def _few_shot_bundle(
     catalog,
     pool: ExamplePool,
     client: LlmClient,
-    embed: EmbeddingFn,
 ) -> PromptBundle:
     """Curate, truncate and assemble the k-shot prompt for one instance."""
     target = question_section(instance, catalog)
-    _, curated = _curate(cfg, instance, target, pool, client, embed)
+    _, curated = _curate(cfg, instance, target, pool, client)
     indexes = [triple.candidate_index for triple in curated]
-    rates = plan_example_truncation(
-        [clamp_similarity(triple.gamma_a) for triple in curated], cfg.temperature)
+    rates = plan_example_truncation([triple.gamma_a for triple in curated], cfg.temperature)
 
     return fit_prompt(
         few_shot_template(
@@ -374,7 +370,6 @@ def process_instance(
     instance: TaskInstance,
     split: BenchmarkSplit,
     client: LlmClient,
-    embed: Optional[EmbeddingFn] = None,
     pool: Optional[ExamplePool] = None,
     connections: Optional[DatabaseConnections] = None,
 ) -> tuple[CotTrace, EvalOutcome, Optional[ErrorLabel]]:
@@ -388,7 +383,7 @@ def process_instance(
     try:
         if cfg.mode == MODE_NONE:
             if cfg.shots > 0:
-                bundle = _few_shot_bundle(cfg, instance, catalog, pool, client, embed)
+                bundle = _few_shot_bundle(cfg, instance, catalog, pool, client)
             else:
                 bundle = _zero_shot_bundle(cfg, instance, question_section(instance, catalog))
             response = client.complete(bundle)
@@ -467,12 +462,12 @@ def cmd_run(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     split = load_split(cfg.benchmark_root, cfg.split)
     with tempfile.TemporaryFile() as spool:
         setup = _model_setup(cfg, split, client, embed_client)
-        with setup as (client, embed, pool), closing(DatabaseConnections()) as connections:
+        with setup as (client, pool), closing(DatabaseConnections()) as connections:
             databases = sorted({database_path(cfg.benchmark_root, i.database_id)
                                 for i in split.instances})
 
             def process(instance: TaskInstance):
-                return process_instance(cfg, instance, split, client, embed, pool, connections)
+                return process_instance(cfg, instance, split, client, pool, connections)
 
             def keep(instance: TaskInstance, result) -> tuple:
                 trace, outcome, label = result
@@ -627,12 +622,12 @@ def cmd_curate(cfg: RunConfig, *, client: Optional[LlmClient] = None,
     if not cfg.pool_split:
         raise SystemExit("curate requires --pool-split")
     split = load_split(cfg.benchmark_root, cfg.split)
-    with _model_setup(cfg, split, client, embed_client) as (client, embed, pool):
+    with _model_setup(cfg, split, client, embed_client) as (client, pool):
         rows = []
         for instance in split.instances:
             catalog = split.databases[instance.database_id]
             draft_sql, curated = _curate(
-                cfg, instance, question_section(instance, catalog), pool, client, embed)
+                cfg, instance, question_section(instance, catalog), pool, client)
             rows.append({
                 "question_id": instance.question_id,
                 "draft_sql": draft_sql,

@@ -12,7 +12,8 @@ An embedding is a float64 array from the moment it is parsed. An
 SQLs, then the D distinct rendered schemas in order of first use. It alone
 keeps those vectors, as (N, d) question and SQL matrices and a (D, d)
 schema matrix with an (N,) index of each candidate's schema row, so a
-schema shared by many candidates is held once.
+schema shared by many candidates is held once, and it keeps the function
+that embedded them, which embeds every target into the same space.
 
 `curate_top_k` finds that top-k in two passes: a screen of the whole pool
 with three matrix-vector products over those matrices, the schema's D
@@ -108,7 +109,8 @@ class ExamplePool:
     them once: as (N, d) question and SQL matrices and a (D, d) schema
     matrix (views of `vectors` itself when it is a (2N + D, d) float64
     array), each with its rows' L2 norms, and `_schema_rows`, the (N,) index
-    of each candidate's schema row.
+    of each candidate's schema row. `embed` is the function that embedded
+    `vectors`; every target is embedded through it.
 
     Beside `_schema_vectors`, the pool keeps two caches that questions fill
     on first use, not `build_pool`: `_scored`, the candidates scored for a
@@ -120,11 +122,12 @@ class ExamplePool:
 
     def __init__(self, candidates: Sequence[PoolCandidate],
                  vectors: np.ndarray | Sequence[Sequence[float]],
-                 variant: SchemaVariant = SchemaVariant.C_VDT) -> None:
+                 variant: SchemaVariant, embed: EmbeddingFn) -> None:
         import numpy as np
 
         self.candidates = tuple(candidates)
         self.variant = variant
+        self.embed = embed
         count = len(self.candidates)
         schemas = _schema_texts([c.catalog for c in self.candidates], variant)
         if len(vectors) != 2 * count + len(schemas):
@@ -180,12 +183,12 @@ def build_pool(
     embed: EmbeddingFn,
 ) -> ExamplePool:
     """Embed every candidate's question and gold SQL and each distinct
-    rendered schema, in one call whose result the pool keeps."""
+    rendered schema, in one call whose result and function the pool keeps."""
     texts = [instance.question for instance, _ in candidates]
     texts += [instance.gold_sql for instance, _ in candidates]
     texts += _schema_texts([catalog for _, catalog in candidates], variant)
     return ExamplePool([PoolCandidate(instance, catalog) for instance, catalog in candidates],
-                       embed(texts), variant)
+                       embed(texts), variant, embed)
 
 
 def _target_vectors(
@@ -193,19 +196,18 @@ def _target_vectors(
     target_catalog: DatabaseCatalog,
     draft_sql: str,
     pool: ExamplePool,
-    embed: EmbeddingFn,
 ) -> tuple[Vector, Vector, Vector]:
-    """The target's question, schema and draft SQL vectors. Its schema is
-    embedded only when the pool has not seen that rendered text; two workers
-    that miss it at once both embed it, to the same vector."""
+    """The target's question, schema and draft SQL vectors, by `pool.embed`.
+    Its schema is embedded only when the pool has not seen that rendered
+    text; two workers that miss it at once both embed it, to the same vector."""
     schema = _schema_text(target_catalog, pool.variant)
     target_d = pool._schema_vectors.get(schema)
     if target_d is None:
         target_q, target_d, target_s = (
-            _vector(v) for v in embed([target.question, schema, draft_sql]))
+            _vector(v) for v in pool.embed([target.question, schema, draft_sql]))
         pool._schema_vectors[schema] = target_d
     else:
-        target_q, target_s = (_vector(v) for v in embed([target.question, draft_sql]))
+        target_q, target_s = (_vector(v) for v in pool.embed([target.question, draft_sql]))
     return target_q, target_d, target_s
 
 
@@ -240,7 +242,6 @@ def score_candidates(
     target_catalog: DatabaseCatalog,
     draft_sql: str,
     pool: ExamplePool,
-    embed: EmbeddingFn,
 ) -> list[SimilarityTriple]:
     """Score every cross-domain pool candidate against the target.
 
@@ -248,7 +249,7 @@ def score_candidates(
     scoring. The draft SQL is the model's zero-shot prediction for the
     target question.
     """
-    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed)
+    targets = _target_vectors(target, target_catalog, draft_sql, pool)
     return [_triple(targets, pool, index) for index in _scored_indexes(target, pool)]
 
 
@@ -300,7 +301,6 @@ def curate_top_k(
     draft_sql: str,
     pool: ExamplePool,
     k: int,
-    embed: EmbeddingFn,
 ) -> tuple[SimilarityTriple, ...]:
     """select_top_k(score_candidates(...), k), scoring exactly only
     the candidates a screen cannot rule out.
@@ -315,7 +315,7 @@ def curate_top_k(
     vector is always rescored, so ZeroVector and DimensionMismatch fire as
     in score_candidates, for scored candidates only.
     """
-    targets = _target_vectors(target, target_catalog, draft_sql, pool, embed)
+    targets = _target_vectors(target, target_catalog, draft_sql, pool)
     rows = _scored_indexes(target, pool)
     if 0 < k < len(rows) and all(
             vector.shape == pool._matrices[0].shape[1:] for vector, _ in targets):

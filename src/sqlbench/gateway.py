@@ -59,6 +59,10 @@ EMBED_BATCH_SIZE = 64  # texts per request
 # larger models and still bounds what a runaway body or error page can make
 # a worker read.
 MAX_RESPONSE_BYTES = 64 * 2**20
+# A body is read in parts of at most this many bytes: a read of n bytes from
+# a body without a length (one that ends when the server closes) allocates n
+# bytes first.
+READ_PART_BYTES = 2**20
 
 
 class EndpointUnreachable(ConnectionError):
@@ -370,16 +374,23 @@ def _route(url: str) -> _Route:
 
 def _exchange(connection: http.client.HTTPConnection, target: str, body: bytes,
               headers: dict) -> tuple[int, bytes]:
-    """One request and its response, whose body is read up to one byte past
-    MAX_RESPONSE_BYTES. A connection that fails part-way, or whose body is
-    longer, is closed, so it is never reused in an unknown state."""
+    """One request and its response, whose body is read, in parts of at most
+    READ_PART_BYTES, up to one byte past MAX_RESPONSE_BYTES. A connection
+    that fails part-way, or whose body is longer, is closed, so it is never
+    reused in an unknown state."""
     try:
         connection.request("POST", target, body, headers)
         response = connection.getresponse()
-        data = response.read(MAX_RESPONSE_BYTES + 1)
-        if len(data) > MAX_RESPONSE_BYTES:
+        parts, size = [], 0
+        while size <= MAX_RESPONSE_BYTES:
+            part = response.read(min(READ_PART_BYTES, MAX_RESPONSE_BYTES + 1 - size))
+            if not part:
+                break
+            parts.append(part)
+            size += len(part)
+        if size > MAX_RESPONSE_BYTES:
             raise ResponseTooLarge(f"response body over {MAX_RESPONSE_BYTES} bytes")
-        return response.status, data
+        return response.status, b"".join(parts)
     except BaseException:
         connection.close()
         raise

@@ -211,13 +211,12 @@ def test_criterion_3_curation_oracle():
             for i in range(size)
         )
         # Each candidate's question, schema and SQL vectors.
-        pool = ExamplePool(candidates, pool_vectors(matrix[:size]), SchemaVariant.C_N)
-        target = TaskInstance(10_000, "target?", "", "", "db_target")
         target_vectors = [matrix[size, 0], matrix[size, 1], matrix[size, 2]]
+        pool = ExamplePool(candidates, pool_vectors(matrix[:size]), SchemaVariant.C_N,
+                           embed_from(target_vectors))
+        target = TaskInstance(10_000, "target?", "", "", "db_target")
 
-        triples = score_candidates(
-            target, catalog_for("db_target"), "SELECT 0", pool,
-            embed_from(target_vectors))
+        triples = score_candidates(target, catalog_for("db_target"), "SELECT 0", pool)
         assert len(triples) == size
 
         # independent recomputation of the averages
@@ -236,10 +235,9 @@ def test_criterion_3_curation_oracle():
             scales = rng.uniform(0.1, 40.0, size=size + 1)
             scaled_pool = ExamplePool(
                 candidates, pool_vectors(matrix[:size] * scales[:size, None, None]),
-                SchemaVariant.C_N)
+                SchemaVariant.C_N, embed_from([v * scales[size] for v in target_vectors]))
             scaled_triples = score_candidates(
-                target, catalog_for("db_target"), "SELECT 0", scaled_pool,
-                embed_from([v * scales[size] for v in target_vectors]))
+                target, catalog_for("db_target"), "SELECT 0", scaled_pool)
             scaled_curated = select_top_k(scaled_triples, k)
             assert {t.candidate_index for t in scaled_curated} == \
                 {t.candidate_index for t in curated}

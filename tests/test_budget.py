@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import random
 
@@ -10,12 +11,11 @@ from hypothesis import strategies as st
 from sqlbench import cot, prompts
 from sqlbench.bench import TaskInstance
 from sqlbench.budget import (
-    NonpositiveSimilarity,
+    SIMILARITY_FLOOR,
     PromptSection,
     TokenBudget,
     TruncationRecord,
     UnsatisfiableBudget,
-    clamp_similarity,
     count_tokens,
     derive_seed,
     partition_columns,
@@ -324,24 +324,46 @@ def test_plan_approaches_uniform_at_high_temperature():
     assert all(abs(r - 1 / 4) < 1e-3 for r in rates)
 
 
-def test_plan_rejects_bad_inputs():
-    with pytest.raises(NonpositiveSimilarity):
-        plan_example_truncation([0.5, 0.0])
-    with pytest.raises(NonpositiveSimilarity):
-        plan_example_truncation([-0.2])
+def _clamps(similarities, temperature=1.0, *, caplog):
+    """The plan's rates and the messages it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="sqlbench.budget"):
+        rates = plan_example_truncation(similarities, temperature)
+    return rates, [record.getMessage() for record in caplog.records]
+
+
+def test_plan_rejects_bad_inputs(caplog):
+    # A nonpositive similarity is planned as SIMILARITY_FLOOR, with a warning.
+    assert _clamps([0.5, 0.0], caplog=caplog) == (
+        plan_example_truncation([0.5, SIMILARITY_FLOOR]),
+        ["nonpositive similarity 0.0000 clamped to 1e-06"])
+    assert _clamps([-0.2], caplog=caplog) == (
+        plan_example_truncation([SIMILARITY_FLOOR]),
+        ["nonpositive similarity -0.2000 clamped to 1e-06"])
     with pytest.raises(ValueError):
         plan_example_truncation([0.5], temperature=0.0)
 
 
-def test_clamp_similarity():
-    assert clamp_similarity(0.7) == 0.7
-    assert clamp_similarity(-0.3) == 1e-6
-    assert clamp_similarity(0.0) == 1e-6
+def test_clamp_similarity(caplog):
+    assert SIMILARITY_FLOOR == 1e-6
+    assert _clamps([0.7], caplog=caplog) == (plan_example_truncation([0.7]), [])
+    floor = plan_example_truncation([0.7, SIMILARITY_FLOOR])
+    assert _clamps([0.7, -0.3], caplog=caplog) == (
+        floor, ["nonpositive similarity -0.3000 clamped to 1e-06"])
+    assert _clamps([0.7, 0.0], caplog=caplog) == (
+        floor, ["nonpositive similarity 0.0000 clamped to 1e-06"])
+    # A positive similarity below the floor is planned as it is. At a high
+    # temperature its rate differs from the floor's.
+    below, messages = _clamps([5e-7], 1e6, caplog=caplog)
+    assert messages == [] and below != plan_example_truncation([SIMILARITY_FLOOR], 1e6)
+    assert below[1] / below[0] == pytest.approx(math.exp((1 / 5e-7 - 1) / 1e6), rel=1e-12)
 
 
-def test_plan_extreme_similarity_does_not_overflow():
-    rates = plan_example_truncation([clamp_similarity(-1.0)], temperature=1.0)
+def test_plan_extreme_similarity_does_not_overflow(caplog):
+    rates, messages = _clamps([-1.0], temperature=1.0, caplog=caplog)
     assert abs(sum(rates) - 1.0) < 1e-9
+    assert rates == plan_example_truncation([SIMILARITY_FLOOR], temperature=1.0)
+    assert messages == ["nonpositive similarity -1.0000 clamped to 1e-06"]
 
 
 def _example_sections(n_examples, columns=25):

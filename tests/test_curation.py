@@ -87,8 +87,6 @@ def test_identical_candidate_scores_one():
     cand_catalog = _tiny_catalog("cand_db")
     target = _candidate(0, "target_db", "How many?", "")
     cand = _candidate(1, "cand_db", "How many?", "SELECT COUNT(*) FROM t")
-    embed = _dict_embedder({})
-    pool = build_pool([(cand, cand_catalog)], SchemaVariant.C_N, embed)
     # make everything textually identical so all three cosines are 1
     from sqlbench.schema import render_schema
 
@@ -98,9 +96,8 @@ def test_identical_candidate_scores_one():
             hash_embedding(render_schema(cand_catalog, SchemaVariant.C_N)),
         "SELECT COUNT(*) FROM t": hash_embedding(cand.gold_sql),
     }
-    triples = score_candidates(
-        target, target_catalog, "SELECT COUNT(*) FROM t", pool,
-        _dict_embedder(target_texts))
+    pool = build_pool([(cand, cand_catalog)], SchemaVariant.C_N, _dict_embedder(target_texts))
+    triples = score_candidates(target, target_catalog, "SELECT COUNT(*) FROM t", pool)
     assert len(triples) == 1
     assert triples[0].gamma_a == pytest.approx(1.0)
 
@@ -110,11 +107,10 @@ def test_cross_domain_filter_drops_same_database():
     target = _candidate(0, "shared_db", "q?", "")
     same = _candidate(1, "shared_db", "same db", "SELECT 1")
     other = _candidate(2, "other_db", "other db", "SELECT 2")
-    embed = _dict_embedder({})
     pool = build_pool(
         [(same, catalog), (other, _tiny_catalog("other_db"))],
-        SchemaVariant.C_N, embed)
-    triples = score_candidates(target, catalog, "SELECT 3", pool, embed)
+        SchemaVariant.C_N, _dict_embedder({}))
+    triples = score_candidates(target, catalog, "SELECT 3", pool)
     assert [t.candidate_index for t in triples] == [1]
 
 
@@ -205,7 +201,8 @@ def test_pool_rejects_ragged_dimensions():
     inst = _candidate(0, "db", "q?", "SELECT 1")
     cat = _tiny_catalog("db")
     with pytest.raises(DimensionMismatch):
-        ExamplePool((PoolCandidate(inst, cat),), [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0, 3.0)])
+        ExamplePool((PoolCandidate(inst, cat),), [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0, 3.0)],
+                    SchemaVariant.C_VDT, _dict_embedder({}))
 
 
 def _texts(candidate, pool):
@@ -287,7 +284,7 @@ def test_score_candidates_matches_brute_force_recompute():
     pool = build_pool(list(zip(instances, catalogs)), SchemaVariant.C_N, embed)
     target = _candidate(999, "db_target", "the target question?", "")
     target_catalog = _tiny_catalog("db_target")
-    triples = score_candidates(target, target_catalog, "SELECT 42", pool, embed)
+    triples = score_candidates(target, target_catalog, "SELECT 42", pool)
 
     from sqlbench.schema import render_schema
 
@@ -313,16 +310,16 @@ def _random_pool(rng, dim, n, target_db=None):
 
     candidates = [(_candidate(i, target_db if i % 5 == 0 else f"db_{i}", f"question {i}?",
                               f"SELECT {i}"), _tiny_catalog(f"db_{i}")) for i in range(n)]
-    return build_pool(candidates, SchemaVariant.C_N, embed), embed, vectors
+    return build_pool(candidates, SchemaVariant.C_N, embed), vectors
 
 
 @pytest.mark.parametrize("dim", [7, 384, 385])
 def test_score_candidates_equals_cosine_exactly(dim):
     rng = np.random.default_rng(dim)
-    pool, embed, vectors = _random_pool(rng, dim, 40, target_db="db_target")
+    pool, vectors = _random_pool(rng, dim, 40, target_db="db_target")
     target = _candidate(999, "db_target", "the target question?", "")
     target_catalog = _tiny_catalog("db_target")
-    triples = score_candidates(target, target_catalog, "SELECT 42", pool, embed)
+    triples = score_candidates(target, target_catalog, "SELECT 42", pool)
 
     tq = vectors[target.question]
     td = vectors[render_schema(target_catalog, SchemaVariant.C_N)]
@@ -340,26 +337,27 @@ def test_scoring_errors_fire_for_scored_candidates_only():
     target = _candidate(0, "db_target", "q?", "")
     target_catalog = _tiny_catalog("db_target")
 
-    def pool_of(*candidates):
+    def pool_of(*candidates, target_vec=unit):
         """A pool of (index, database id, vector) candidates, each with a
-        schema of its own, whose three vectors are that vector."""
+        schema of its own, whose three vectors are that vector, and whose
+        embedding function gives every target text `target_vec`."""
         return ExamplePool(
             [PoolCandidate(_candidate(index, db_id, f"q{index}?", f"SELECT {index}"),
                            _tiny_catalog(db_id, column=f"c{index}"))
              for index, db_id, _ in candidates],
-            [vec for *_, vec in candidates] * 3)
+            [vec for *_, vec in candidates] * 3, SchemaVariant.C_VDT,
+            lambda texts: [target_vec for _ in texts])
 
-    def score(pool, target_vec=unit):
-        return score_candidates(target, target_catalog, "SELECT 3", pool,
-                                lambda texts: [target_vec for _ in texts])
+    def score(pool):
+        return score_candidates(target, target_catalog, "SELECT 3", pool)
 
     # A zero vector is legal in the pool; it fails only once it is scored.
-    pool = pool_of((1, "db_target", zero), (2, "db_other", unit))
-    assert [t.candidate_index for t in score(pool)] == [1]
+    mixed = ((1, "db_target", zero), (2, "db_other", unit))
+    assert [t.candidate_index for t in score(pool_of(*mixed))] == [1]
     with pytest.raises(ZeroVector):
         score(pool_of((1, "db_other", zero), (2, "db_other", unit)))
     with pytest.raises(DimensionMismatch):
-        score(pool, target_vec=(1.0, 0.0))
+        score(pool_of(*mixed, target_vec=(1.0, 0.0)))
 
 
 def _outcome(fn, *args):
@@ -385,7 +383,8 @@ def _screening_cases(draw):
     make cosines the screen cannot bound (NaN, which the exact cosine
     clamps to 1.0, or norms whose product underflows). Candidates render
     one of three schemas, one of them the target's, and the pool holds one
-    vector per distinct schema."""
+    vector per distinct schema, and its embedding function gives the
+    target's three texts their drawn vectors."""
     dim = draw(st.integers(1, 5))
     palette = draw(st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim),
                             min_size=1, max_size=5))
@@ -409,35 +408,33 @@ def _screening_cases(draw):
         sqls.append(vector())
         if column not in schemas:
             schemas[column] = vector()
-    target_vectors = [vector(), vector(), vector()]
+    target_texts = ("target?", render_schema(_tiny_catalog("db_target"), SchemaVariant.C_VDT),
+                    "SELECT 1")
+    by_text = dict(zip(target_texts, [vector(), vector(), vector()]))
     k = draw(st.integers(0, len(candidates) + 2))
     with np.errstate(all="ignore"):
-        return (ExamplePool(candidates, questions + sqls + list(schemas.values())),
-                target_vectors, k)
+        return ExamplePool(candidates, questions + sqls + list(schemas.values()),
+                           SchemaVariant.C_VDT, lambda texts: [by_text[t] for t in texts]), k
 
 
 @settings(max_examples=400, deadline=None)
 @given(_screening_cases())
 def test_screened_top_k_equals_full_scoring(case):
-    pool, target_vectors, k = case
+    pool, k = case
     target = _candidate(99, "db_target", "target?", "")
-    target_catalog = _tiny_catalog("db_target")
-    args = (target, target_catalog, "SELECT 1", pool)
-    by_text = dict(zip(("target?", render_schema(target_catalog, pool.variant), "SELECT 1"),
-                       target_vectors))
-    embed = lambda texts: [by_text[text] for text in texts]  # noqa: E731
+    args = (target, _tiny_catalog("db_target"), "SELECT 1", pool)
     with np.errstate(all="ignore"):
-        assert _outcome(curate_top_k, *args, k, embed) == _outcome(
-            lambda: select_top_k(score_candidates(*args, embed), k))
+        assert _outcome(curate_top_k, *args, k) == _outcome(
+            lambda: select_top_k(score_candidates(*args), k))
 
 
 @pytest.mark.parametrize("dim", [8, 384])
 def test_screened_top_k_on_random_pools_with_near_ties(dim):
     rng = np.random.default_rng(dim)
-    pool, embed, _ = _random_pool(rng, dim, 200, target_db="db_target")
+    pool, _ = _random_pool(rng, dim, 200, target_db="db_target")
     target = _candidate(999, "db_target", "the target question?", "")
     target_catalog = _tiny_catalog("db_target")
-    best = max(score_candidates(target, target_catalog, "SELECT 42", pool, embed),
+    best = max(score_candidates(target, target_catalog, "SELECT 42", pool),
                key=lambda t: t.gamma_a)
     # Copies of the best candidate, every other one's question moved one
     # ulp, so the top places hold exact and near ties across every small k.
@@ -448,11 +445,12 @@ def test_screened_top_k_on_random_pools_with_near_ties(dim):
                                 pool.candidates[best.candidate_index].catalog) for i in range(6))
     pool = ExamplePool(pool.candidates + twins, np.concatenate(
         [questions] + [np.nextafter(question, 2.0)[None] if i % 2 else question[None]
-                       for i in range(6)] + [sqls] + [sql[None]] * 6 + [schemas]))
+                       for i in range(6)] + [sqls] + [sql[None]] * 6 + [schemas]),
+        pool.variant, pool.embed)
     args = (target, target_catalog, "SELECT 42", pool)
     for k in (1, 2, 3, 4, 5, 6, 7, 8, 50, 166, 167, 300):
-        assert _outcome(curate_top_k, *args, k, embed) == _outcome(
-            lambda: select_top_k(score_candidates(*args, embed), k))
+        assert _outcome(curate_top_k, *args, k) == _outcome(
+            lambda: select_top_k(score_candidates(*args), k))
 
 
 def test_each_distinct_schema_is_embedded_once_per_pool():
@@ -470,7 +468,7 @@ def test_each_distinct_schema_is_embedded_once_per_pool():
                for i, (db_id, column) in enumerate([("db_new", "y"), ("db_new", "y"),
                                                     ("db_0", "c0"), ("db_1", "c1")])]
     sent.clear()
-    curated = [curate_top_k(target, catalog, "SELECT 1", pool, 2, embed)
+    curated = [curate_top_k(target, catalog, "SELECT 1", pool, 2)
                for target, catalog in targets]
     new_schema = render_schema(targets[0][1], SchemaVariant.C_VDT)
     assert sent.count(new_schema) == 1 and not pooled & set(sent)
@@ -479,4 +477,4 @@ def test_each_distinct_schema_is_embedded_once_per_pool():
     fresh = build_pool(candidates, SchemaVariant.C_VDT, embed)
     for (target, catalog), kept in zip(targets, curated):
         fresh._schema_vectors.clear()
-        assert curate_top_k(target, catalog, "SELECT 1", fresh, 2, embed) == kept
+        assert curate_top_k(target, catalog, "SELECT 1", fresh, 2) == kept

@@ -5,6 +5,7 @@ import contextlib
 import fcntl
 import gc
 import http.client
+import io
 import json
 import netrc as netrc_module
 import os
@@ -842,7 +843,8 @@ class _FakeConnection:
         self.sent.append((method, target, json.loads(body), headers))
 
     def getresponse(self):
-        return SimpleNamespace(status=200, read=lambda amt=None: b'{"ok": true}')
+        # A body that ends, as http.client's does: read it once, then b"".
+        return SimpleNamespace(status=200, read=io.BytesIO(b'{"ok": true}').read)
 
     def close(self):
         self.sock = None
@@ -1044,6 +1046,72 @@ def test_a_body_of_exactly_the_bound_is_read_and_keeps_the_connection(clean_envi
         client = LlmClient(LlmEndpoint(server.base_url, "m"), transport=transport)
         assert [client.complete("p") for _ in range(3)] == ["P"] * 3
     assert (server.requests, server.connections) == (3, 1)
+
+
+def _close_delimited_server(body: bytes):
+    """A server that answers one request with `body`, framed by neither
+    Content-Length nor chunking, so it ends when the server closes; and the
+    endpoint URL it listens on."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        connection, _ = listener.accept()
+        with connection:
+            _read_request(connection)
+            try:
+                connection.sendall(b"HTTP/1.1 200 OK\r\n\r\n" + body)
+            except (BrokenPipeError, ConnectionResetError):  # closed with the body unread
+                pass
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    return listener, server, f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+
+def test_a_close_delimited_body_is_read_in_bounded_parts(clean_environment):
+    # A read of n bytes from such a body allocates n bytes first, so one
+    # read of the whole bound would peak at MAX_RESPONSE_BYTES for 9 bytes.
+    body = json.dumps({"choices": [{"text": "P"}]}).encode()
+    listener, server, url = _close_delimited_server(body)
+    transport = PooledTransport()
+    client = LlmClient(LlmEndpoint(url, "m"), transport=transport)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert client.complete("p") == "P"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        transport.close()
+        server.join(timeout=10)
+        listener.close()
+    assert not server.is_alive()
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-bound", "past-bound"])
+def test_a_close_delimited_body_is_bounded_across_parts(clean_environment, extra):
+    body = json.dumps({"choices": [{"text": "P"}]}).encode()
+    clean_environment.setattr(gateway, "MAX_RESPONSE_BYTES", len(body) + 1 - extra)
+    clean_environment.setattr(gateway, "READ_PART_BYTES", 7)
+    clean_environment.setattr(gateway, "RETRY_BACKOFF", 0.0)
+    listener, server, url = _close_delimited_server(body + b" ")
+    transport = PooledTransport()
+    client = LlmClient(LlmEndpoint(url, "m"), transport=transport)
+    try:
+        if extra:
+            with pytest.raises(ResponseTooLarge, match=f"over {len(body)} bytes"):
+                client.complete("p")
+        else:
+            assert client.complete("p") == "P"
+        server.join(timeout=10)
+        listener.settimeout(0.2)
+        with pytest.raises(TimeoutError):  # no second request
+            listener.accept()
+    finally:
+        transport.close()
+        listener.close()
+    assert not server.is_alive()
 
 
 def test_an_error_body_is_kept_as_a_prefix(endpoint):

@@ -95,12 +95,12 @@ def _counting_curation(calls: Counter, rescored: list):
     """Wrap curate_top_k to log, per question, its exact cosine calls and
     the number of scored candidates within twice the screen margin of the
     k-th best exact gamma_a (the top k and the candidates tied with it)."""
-    def curate(target, target_catalog, draft_sql, pool, k, embed):
+    def curate(target, target_catalog, draft_sql, pool, k):
         before = calls["_cosine"]
-        curated = curation.curate_top_k(target, target_catalog, draft_sql, pool, k, embed)
+        curated = curation.curate_top_k(target, target_catalog, draft_sql, pool, k)
         used = calls["_cosine"] - before
         gammas = sorted((t.gamma_a for t in curation.score_candidates(
-            target, target_catalog, draft_sql, pool, embed)), reverse=True)
+            target, target_catalog, draft_sql, pool)), reverse=True)
         near = (len(gammas) if len(gammas) <= k else
                 sum(g >= gammas[k - 1] - 2 * curation.SCREEN_MARGIN for g in gammas))
         rescored.append((used, near))
@@ -197,11 +197,11 @@ def test_curation_rescores_only_the_screened_top_k(monkeypatch):
     calls: Counter = Counter()
     rescored: list[tuple[int, int]] = []
     monkeypatch.setattr(curation, "_cosine", _counting(calls, "_cosine", curation._cosine))
-    pool, embed, _ = _random_pool(np.random.default_rng(5), 384, 200, target_db="db_target")
+    pool, _ = _random_pool(np.random.default_rng(5), 384, 200, target_db="db_target")
     curate = _counting_curation(calls, rescored)
     for k in (1, 3, 5):
         curate(_candidate(999, "db_target", "the target question?", ""),
-               _tiny_catalog("db_target"), "SELECT 42", pool, k, embed)
+               _tiny_catalog("db_target"), "SELECT 42", pool, k)
     # 160 of the 200 candidates are scored; each question rescores its top k.
     assert rescored == [(3, 1), (9, 3), (15, 5)]
 

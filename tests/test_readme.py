@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlbench import budget, prompts
+from sqlbench import budget, curation, prompts
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -29,7 +29,8 @@ def _bare(signature: inspect.Signature) -> inspect.Signature:
 
 @pytest.mark.parametrize("function", [
     budget.truncate_target, budget.truncate_examples, prompts.fit_prompt,
-    budget.partition_columns, budget.prepare_catalog,
+    budget.partition_columns, budget.prepare_catalog, budget.plan_example_truncation,
+    curation.curate_top_k, curation.ExamplePool,
 ], ids=lambda function: function.__name__)
 def test_quoted_signatures_match_the_code(function):
     quoted = re.findall(rf"`(?:prompts\.)?{function.__name__}\(([^`]*)\)`", README)
